@@ -104,15 +104,28 @@ def factor_power(family: str) -> int:
 
 
 def _contractions(s: StatePoint, xi):
-    xi = _as_covector(xi)
-    uxi = float(s.u @ xi)
-    xixi = float(xi @ s.g.inverse @ xi)
+    """(u.xi, xi.xi, u.u) for one covector (4,) or a batch of columns (4, K)."""
+    if np.ndim(xi) == 2:
+        xi = np.asarray(xi, dtype=float)
+        if xi.shape[0] != 4:
+            raise ValueError(f"covector batch must have shape (4, K), got {xi.shape}")
+        uxi = s.u @ xi
+        xixi = np.einsum('ak,ak->k', xi, s.g.inverse @ xi)
+    else:
+        xi = _as_covector(xi)
+        uxi = float(s.u @ xi)
+        xixi = float(xi @ s.g.inverse @ xi)
     uu = float(s.u @ s.g.components @ s.u)
     return uxi, xixi, uu
 
 
-def eval_factor_base(family: str, s: StatePoint, xi) -> float:
-    """The underlying hyperbolic polynomial of a family at (state, covector)."""
+def eval_factor_base(family: str, s: StatePoint, xi):
+    """The underlying hyperbolic polynomial of a family at (state, covector).
+
+    xi is one covector (4,), giving a float, or a batch (4, K), giving K
+    values.  A batched value agrees with the single-covector one to
+    rounding; the two contract in different summation orders.
+    """
     uxi, xixi, uu = _contractions(s, xi)
     a2 = s.transport.a2
     if family == "flow":
@@ -198,11 +211,14 @@ def quartic_coefficients(a1: float, a2: float, u, g, seed: int = 0,
     """Coefficients (A, B, C) of the quartic in X = (u.xi)^2, Y = xi.xi.
 
     The general sound-sector polynomial has the form A X^2 + B X Y + C Y^2.
-    The coefficients are recovered numerically: evaluate at three sampled
-    covectors, solve the 3x3 Vandermonde-like system, and validate on a
-    held-out fourth sample (relative residual <= 1e-8 required).  Sampling
-    retries on an ill-conditioned draw; u must be non-null so that X and Y
-    are independent.
+    C is read off a covector orthogonal to u: there X = 0, so the
+    polynomial is C Y^2 alone, and C carries no error from fitting A and B.
+    (A 3x3 fit of all three coefficients at once leaves C at 1e-10 where
+    it vanishes, a1 = 4.)  A and B then solve the 2x2 system of the
+    remainder A X^2 + B X Y at two sampled covectors, and the fit is
+    validated on a held-out third sample (relative residual <= 1e-8
+    required).  Sampling retries on an ill-conditioned draw; u must be
+    non-null so that X and Y are independent.
     """
     if isinstance(g, Metric4):
         metric = g
@@ -210,7 +226,8 @@ def quartic_coefficients(a1: float, a2: float, u, g, seed: int = 0,
         metric = Metric4.from_components(np.asarray(g, dtype=float))
     gmat, ginv = metric.components, metric.inverse
     u = np.asarray(u, dtype=float).reshape(4)
-    uu = float(u @ gmat @ u)
+    u_dn = gmat @ u
+    uu = float(u @ u_dn)
     if abs(uu) < 1e-12:
         raise ValueError("u must be non-null for coefficient extraction")
     probe = StatePoint(eps=1.0, u=u, g=metric,
@@ -219,22 +236,29 @@ def quartic_coefficients(a1: float, a2: float, u, g, seed: int = 0,
     last_err = None
     for _ in range(retries):
         xis = rng.uniform(-1.0, 1.0, size=(4, 4))
+        # u.perp = 0 up to rounding, and exactly when u is a basis vector
+        perp = xis[0] - float(u @ xis[0]) / uu * u_dn
+        y_perp = float(perp @ ginv @ perp)
+        if abs(y_perp) < 1e-3:
+            last_err = "orthogonal sample too close to the light cone"
+            continue
+        C = sound_quartic_general(probe, perp, a1, a2) / y_perp ** 2
         rows = []
         vals = []
-        for xi in xis:
+        for xi in xis[1:]:
             X = float(u @ xi) ** 2
             Y = float(xi @ ginv @ xi)
             rows.append([X ** 2, X * Y, Y ** 2])
             vals.append(sound_quartic_general(probe, xi, a1, a2))
-        M3 = np.array(rows[:3])
-        if np.linalg.cond(M3) > 1e10:
+        rows, vals = np.array(rows), np.array(vals)
+        if np.linalg.cond(rows[:2, :2]) > 1e10:
             last_err = "ill-conditioned sample system"
             continue
-        A, B, C = np.linalg.solve(M3, np.array(vals[:3]))
-        recon = A * rows[3][0] + B * rows[3][1] + C * rows[3][2]
-        scale = max(1.0, abs(vals[3]), abs(A * rows[3][0]), abs(B * rows[3][1]),
-                    abs(C * rows[3][2]))
-        resid = abs(recon - vals[3]) / scale
+        A, B = np.linalg.solve(rows[:2, :2], vals[:2] - C * rows[:2, 2])
+        recon = A * rows[2][0] + B * rows[2][1] + C * rows[2][2]
+        scale = max(1.0, abs(vals[2]), abs(A * rows[2][0]), abs(B * rows[2][1]),
+                    abs(C * rows[2][2]))
+        resid = abs(recon - vals[2]) / scale
         if resid <= 1e-8:
             return QuarticCoefficients(A=float(A), B=float(B), C=float(C),
                                        residual=float(resid))
@@ -325,16 +349,27 @@ def bisection_roots(s: StatePoint, xibar, family: str,
     The base polynomial is affine or quadratic in t, so its coefficients are
     recovered from three evaluations and give a Cauchy bound for the scan
     interval.  Sign changes on a uniform grid are refined by bisection to
-    absolute tolerance `tol`.  A count mismatch against the base degree is
-    reported through the returned scan, never dropped.
+    absolute tolerance `tol`.  The grid is evaluated in one batched call,
+    and every bracket is halved in the same batched call per step; each
+    bracket follows its own rules, as if bisected alone.  A count mismatch
+    against the base degree is reported through the returned scan, never
+    dropped.
     """
     xibar = np.asarray(xibar, dtype=float).reshape(3)
     if not np.any(xibar != 0.0):
         raise ValueError("spatial covector must be nonzero")
 
-    def p(t: float) -> float:
-        return eval_factor_base(family, s, np.array([t, *xibar]))
+    def p(t):
+        """base at xi = (t, xibar); t a float or an array of K times."""
+        if np.ndim(t) == 0:
+            return eval_factor_base(family, s, np.array([t, *xibar]))
+        xi = np.empty((4, len(t)))
+        xi[0] = t
+        xi[1:] = xibar[:, None]
+        return eval_factor_base(family, s, xi)
 
+    # single-covector probes: a batched contraction rounds differently, and
+    # these three values fix the bound and with it every grid point's bits
     pm1, p0, pp1 = p(-1.0), p(0.0), p(1.0)
     c2 = 0.5 * (pp1 + pm1) - p0
     c1 = 0.5 * (pp1 - pm1)
@@ -348,30 +383,25 @@ def bisection_roots(s: StatePoint, xibar, family: str,
         bound = 2.0 * (1.0 + abs(c0) / max(abs(c1), 1e-300))
 
     ts = np.linspace(-bound, bound, grid + 1)
-    vals = np.array([p(t) for t in ts])
-    roots = []
-    for i in range(grid):
-        a, b = ts[i], ts[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            roots.append(float(a))
-            continue
-        if fa * fb < 0.0:
-            lo, hi, flo = a, b, fa
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                fm = p(mid)
-                if fm == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fm < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fm
-            roots.append(0.5 * (lo + hi))
+    vals = p(ts)
+    fa, fb = vals[:-1], vals[1:]
+    roots = [float(t) for t in ts[:-1][fa == 0.0]]
     if vals[-1] == 0.0:
         roots.append(float(ts[-1]))
-    roots = sorted(roots)
+    brackets = np.flatnonzero((fa != 0.0) & (fa * fb < 0.0))
+    lo, hi, flo = ts[brackets], ts[brackets + 1], fa[brackets]
+    live = np.flatnonzero(hi - lo > tol)
+    while live.size:
+        mid = 0.5 * (lo[live] + hi[live])
+        fm = p(mid)
+        zero = fm == 0.0
+        left = flo[live] * fm < 0.0
+        right = ~left & ~zero
+        hi[live[left]] = mid[left]
+        lo[live[right]], flo[live[right]] = mid[right], fm[right]
+        lo[live[zero]] = hi[live[zero]] = mid[zero]
+        live = live[hi[live] - lo[live] > tol]
+    roots = sorted(roots + [float(r) for r in 0.5 * (lo + hi)])
     merged = []
     for r in roots:
         if not merged or r - merged[-1] > tol * 10.0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .solver1d import (SolverConfig, bump_perturbation, evolve,
+from .solver1d import (SolverConfig, _grid_v_max, bump_perturbation, evolve,
                        gaussian_pulse, make_grid, shear_pulse)
 
 __all__ = [
@@ -77,6 +77,17 @@ class DodReport:
         a, b = self.inside_diffs[-2], self.inside_diffs[-1]
         return abs(a - b) <= 0.1 * max(abs(a), abs(b))
 
+    @property
+    def passed(self) -> bool:
+        """Criterion 09's verdict: outside influence converges away at about
+        fourth order (every ratio >= 8), inside influence settles on a limit
+        far above it, and a zero-amplitude bump changes nothing."""
+        return (all(r >= 8.0 for r in self.outside_ratios)
+                and 3.5 <= self.outside_order <= 5.5
+                and self.inside_stable
+                and self.inside_limit > 1e3 * self.outside_diffs[-1]
+                and self.zero_amplitude_diff == 0.0)
+
 
 def _probe_difference(base_v: np.ndarray, pert_v: np.ndarray, x: np.ndarray,
                       probe_x: float, window: float) -> float:
@@ -101,8 +112,7 @@ def dod_experiment(cfg: SolverConfig, probe_t: float, probe_x: float,
     base_cfg = replace(cfg, filter_strength=0.0, t_end=probe_t)
     grid0 = make_grid(replace(base_cfg, n_cells=min(resolutions)))
     h0 = grid0.spacing
-    base_run0 = evolve(replace(base_cfg, n_cells=min(resolutions)))
-    v_max = base_run0.v_max
+    v_max = _grid_v_max(grid0, cfg.transport)
     cone = v_max * probe_t
 
     out_center = probe_x + cone + radius + probe_window + margin
@@ -119,6 +129,8 @@ def dod_experiment(cfg: SolverConfig, probe_t: float, probe_x: float,
                 raise ValueError(f"{name} bump support too close to the cone")
         if cone + radius + 2.0 * h0 > 0.5 * length:
             raise ValueError("cone exits the domain before the probe time")
+    if len(resolutions) < 2:
+        raise ValueError("need at least two resolutions to measure convergence")
 
     out_margin = (abs(out_center - probe_x) - radius - cone) / h0
     in_margin = (cone - (abs(in_center - probe_x) + radius)) / h0

@@ -115,27 +115,37 @@ def fluid_symbol(s: StatePoint, xi) -> np.ndarray:
                              float(chi), s.g.components, s.g.inverse, xi)
 
 
-def det_by_elimination(m: np.ndarray) -> float:
+def det_by_elimination(m: np.ndarray):
     """Determinant by partial-pivoted Gaussian elimination.
 
-    Pivot choice is the largest magnitude with the lowest index on ties,
-    which makes the result deterministic for identical inputs.
+    m is one (n, n) matrix, giving a float, or a stack (K, n, n), giving
+    K determinants.  Pivot choice is the largest magnitude with the lowest
+    index on ties, which makes the result deterministic for identical
+    inputs; every matrix of a stack goes through exactly the operations it
+    would alone, so a stacked result equals the single-matrix one bitwise.
+    A zero pivot gives 0 for its matrix only.
     """
     a = np.array(m, dtype=float)
-    n = a.shape[0]
-    det = 1.0
+    single = a.ndim == 2
+    if single:
+        a = a[None]
+    k, n, _ = a.shape
+    ks = np.arange(k)
+    det = np.ones(k)
     for col in range(n):
-        piv = col + int(np.argmax(np.abs(a[col:, col])))
-        if a[piv, col] == 0.0:
-            return 0.0
-        if piv != col:
-            a[[col, piv]] = a[[piv, col]]
-            det = -det
-        det *= a[col, col]
-        for row in range(col + 1, n):
-            factor = a[row, col] / a[col, col]
-            a[row, col:] -= factor * a[col, col:]
-    return float(det)
+        piv = col + np.abs(a[:, col:, col]).argmax(axis=1)
+        top = a[:, col].copy()
+        a[:, col] = a[ks, piv]
+        a[ks, piv] = top
+        np.negative(det, out=det, where=piv != col)
+        pivot = a[:, col, col]
+        det *= pivot
+        # a zero pivot means a zero column below it: dividing by 1 instead
+        # keeps that matrix finite, and its determinant is zeroed below
+        factor = a[:, col + 1:, col] / np.where(pivot == 0.0, 1.0, pivot)[:, None]
+        a[:, col + 1:, col:] -= factor[:, :, None] * a[:, None, col, col:]
+    det[(np.diagonal(a, axis1=1, axis2=2) == 0.0).any(axis=1)] = 0.0
+    return float(det[0]) if single else det
 
 
 def fluid_char_det(s: StatePoint, xi) -> float:

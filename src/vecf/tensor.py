@@ -109,9 +109,16 @@ class Covec4:
         object.__setattr__(self, "components", a)
 
 
+_MINKOWSKI = Metric4.from_components(np.diag([-1.0, 1.0, 1.0, 1.0]))
+
+
 def minkowski() -> Metric4:
-    """Flat metric diag(-1, 1, 1, 1); the inverse is exact."""
-    return Metric4.from_components(np.diag([-1.0, 1.0, 1.0, 1.0]))
+    """Flat metric diag(-1, 1, 1, 1); the inverse is exact.
+
+    One validated instance shared by every caller: Metric4 is frozen and
+    its component arrays are read-only.
+    """
+    return _MINKOWSKI
 
 
 def random_lorentzian_near_minkowski(delta: float, seed: int) -> Metric4:

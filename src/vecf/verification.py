@@ -81,14 +81,17 @@ def _magnitude_scale(m: np.ndarray) -> float:
 
 def _factorization_chunk(args):
     seed, indices, a2_range, delta = args
+    symbols = np.empty((len(indices), 5, 5))
+    prods = np.empty(len(indices))
+    for j, idx in enumerate(indices):
+        s, xi = _sample_state(idx, seed, a2_range, delta)
+        symbols[j] = fluid_symbol(s, xi)
+        prods[j] = (eval_factor("flow", s, xi) * eval_factor("shear", s, xi)
+                    * eval_factor("sound", s, xi))
+    dets = det_by_elimination(symbols)
     worst = 0.0
     worst_idx = -1
-    for idx in indices:
-        s, xi = _sample_state(idx, seed, a2_range, delta)
-        m = fluid_symbol(s, xi)
-        det = det_by_elimination(m)
-        prod = (eval_factor("flow", s, xi) * eval_factor("shear", s, xi)
-                * eval_factor("sound", s, xi))
+    for idx, m, det, prod in zip(indices, symbols, dets, prods):
         err = abs(det - prod) / max(_magnitude_scale(m), abs(det), abs(prod))
         if err > worst:
             worst, worst_idx = err, idx
@@ -314,8 +317,8 @@ def time_matrix_suite(samples: int = 1000, seed: int = 17) -> TimeMatrixReport:
     Domain of the closed form: Minkowski metric, normalized u, a1 = 4.
     Positivity over the sampled a2 >= 4 regime is asserted as well.
     """
-    worst = 0.0
-    min_cf = np.inf
+    closed = np.empty(samples)
+    matrices = np.empty((samples, 5, 5))
     g = minkowski()
     for idx in range(samples):
         rng = np.random.default_rng((seed, idx))
@@ -326,10 +329,10 @@ def time_matrix_suite(samples: int = 1000, seed: int = 17) -> TimeMatrixReport:
         w = rng.uniform(-3.0, 3.0, 3)
         u = np.array([np.sqrt(1.0 + w @ w), *w])
         s = StatePoint(eps=rng.uniform(0.5, 2.0), u=u, g=g, transport=model)
-        closed = det_time_matrix_formula(s)
-        numeric = det_by_elimination(time_matrix(s))
-        worst = max(worst, abs(closed - numeric) / abs(closed))
-        min_cf = min(min_cf, closed)
+        closed[idx] = det_time_matrix_formula(s)
+        matrices[idx] = time_matrix(s)
+    numeric = det_by_elimination(matrices)
+    worst = np.max(np.abs(closed - numeric) / np.abs(closed), initial=0.0)
     return TimeMatrixReport(samples=samples, seed=seed, tolerance=TIME_MATRIX_TOL,
                             max_relative_error=float(worst),
-                            min_closed_form=float(min_cf))
+                            min_closed_form=float(np.min(closed, initial=np.inf)))

@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from vecf import characteristics
 from vecf.characteristics import (COUPLED_FACTORS, FLUID_FACTORS,
                                   bisection_roots, eval_factor,
                                   eval_factor_base, gevrey_index,
@@ -12,6 +15,7 @@ from vecf.characteristics import (COUPLED_FACTORS, FLUID_FACTORS,
 from vecf.constitutive import TransportModel
 from vecf.symbol import StatePoint, det_by_elimination, fluid_symbol
 from vecf.tensor import minkowski, random_lorentzian_near_minkowski
+from vecf.verification import COEFF_ZERO_TOL, ROOT_TOL
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
 E1 = np.array([0.0, 1.0, 0.0, 0.0])
@@ -269,3 +273,112 @@ def test_all_families_hyperbolic_above_boundary():
     for family in ("flow", "shear", "sound", "light"):
         rep = is_hyperbolic(s, family, samples=64, seed=7)
         assert rep.is_hyperbolic, family
+
+
+def test_quartic_coefficients_c_at_a1_4_every_suite_seed():
+    # collapse_suite extracts C at rest with its own seed as sampling seed,
+    # so every suite seed must give |C| <= COEFF_ZERO_TOL at a1 = 4
+    u = np.array([1.0, 0.0, 0.0, 0.0])
+    worst = max(abs(quartic_coefficients(4.0, 6.0, u, minkowski(), seed=seed).C)
+                for seed in range(2000))
+    assert worst <= COEFF_ZERO_TOL
+    for seed in range(0, 2000, 97):
+        for a1 in (1.0, 2.0, 6.0):
+            co = quartic_coefficients(a1, 6.0, u, minkowski(), seed=seed)
+            assert co.C == pytest.approx(6.0 * (a1 - 4.0), rel=1e-12)
+
+
+def test_quartic_coefficients_c_at_a1_4_boosted():
+    rng = np.random.default_rng(12)
+    for seed in range(100):
+        w = rng.uniform(-3.0, 3.0, 3)
+        u = np.array([np.sqrt(1.0 + w @ w), *w])
+        g = minkowski() if seed % 2 else random_lorentzian_near_minkowski(0.05, seed)
+        co = quartic_coefficients(4.0, rng.uniform(4.0, 12.0), u, g, seed=seed)
+        assert abs(co.C) <= COEFF_ZERO_TOL
+        assert co.residual <= 1e-8
+
+
+admissible = st.tuples(
+    st.floats(4.0, 12.0),                                   # a2
+    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),  # boost direction
+    st.floats(0.0, 3.0),                                    # |w|
+    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),  # spatial covector
+)
+
+
+def admissible_case(a2, wdir, wnorm, xdir):
+    """Normalized Minkowski state with |w| <= 3 and a unit spatial covector."""
+    wdir, xdir = np.array(wdir), np.array(xdir)
+    assume(np.linalg.norm(wdir) >= 1e-3 and np.linalg.norm(xdir) >= 1e-3)
+    w = wnorm * wdir / np.linalg.norm(wdir)
+    s = StatePoint(eps=1.0, u=np.array([np.sqrt(1.0 + w @ w), *w]), g=minkowski(),
+                   transport=TransportModel(a1=4.0, a2=a2))
+    return s, xdir / np.linalg.norm(xdir)
+
+
+def term_scale(family, s, xi):
+    """Bound on every term of the base polynomial at xi: the error scale."""
+    uxi = np.abs(s.u) @ np.abs(xi)
+    xixi = np.abs(xi) @ np.abs(s.g.inverse) @ np.abs(xi)
+    uu = abs(float(s.u @ s.g.components @ s.u))
+    a2 = s.transport.a2
+    return {"flow": uxi,
+            "shear": (a2 - 1.0) * uxi ** 2 + xixi,
+            "sound": (6.0 * ((a2 + 5.0) * a2 + abs(a2 ** 2 + 7.0 * a2 - 8.0) * uu) * uxi ** 2
+                      + 6.0 * (a2 + 2.0) * (1.0 + 5.0 * uu) * xixi),
+            "light": xixi}[family]
+
+
+@settings(max_examples=100, deadline=None)
+@given(admissible, st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=8))
+def test_batched_base_matches_scalar_columns(case, times):
+    s, xibar = admissible_case(*case)
+    xis = np.array([[t, *xibar] for t in times]).T
+    for family in ("flow", "shear", "sound", "light"):
+        batch = eval_factor_base(family, s, xis)
+        assert batch.shape == (len(times),)
+        for k in range(len(times)):
+            scalar = eval_factor_base(family, s, xis[:, k])
+            assert isinstance(scalar, float)
+            scale = max(abs(scalar), term_scale(family, s, xis[:, k]))
+            assert abs(batch[k] - scalar) <= 1e-14 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(admissible)
+def test_bisection_matches_closed_forms_admissible(case):
+    s, xibar = admissible_case(*case)
+    for family, closed in (("shear", shear_cone_roots), ("sound", sound_cone_roots)):
+        scan = bisection_roots(s, xibar, family)
+        assert scan.complete
+        exact = sorted(closed(xibar, s.u, s.transport.a2).as_set())
+        assert np.abs(np.array(scan.roots) - exact).max() <= ROOT_TOL
+
+
+def test_bisection_flow_root_boosted():
+    # degree-1 family: one root, at xi0 = -(w.xibar) / u^0
+    s = rest(a2=6.0).boosted([0.8, -1.5, 0.3])
+    xibar = np.array([0.6, 0.0, -0.8])
+    scan = bisection_roots(s, xibar, "flow")
+    assert scan.complete and scan.found_count == 1
+    assert abs(scan.roots[0] + s.u[1:] @ xibar / s.u[0]) <= ROOT_TOL
+    assert scan.min_gap == np.inf
+
+
+def test_bisection_roots_on_grid_points_are_exact():
+    # light cone at rest: bound 4, grid step 1/128, so +-1 are grid points
+    # where the base polynomial is exactly zero; no bracket is bisected
+    scan = bisection_roots(rest(), np.array([1.0, 0.0, 0.0]), "light")
+    assert scan.roots == (-1.0, 1.0)
+
+
+def test_bisection_roots_at_both_grid_ends(monkeypatch):
+    # t^3 - 4t posing as the affine flow family: the Cauchy bound for degree
+    # 1 is then 2, so its roots -2, 0, 2 are the first, middle and last
+    # grid points, and the last one is caught only by the end-point rule
+    monkeypatch.setattr(characteristics, "eval_factor_base",
+                        lambda family, s, xi: xi[0] ** 3 - 4.0 * xi[0])
+    scan = bisection_roots(rest(), np.array([1.0, 0.0, 0.0]), "flow")
+    assert scan.roots == (-2.0, 0.0, 2.0)
+    assert not scan.complete

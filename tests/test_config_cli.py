@@ -158,3 +158,20 @@ def test_factorization_suite_worker_count_independent():
     two = factorization_suite(samples=240, seed=5, threads=2)
     assert one.max_scaled_error == two.max_scaled_error
     assert one.worst_index == two.worst_index
+
+
+@pytest.mark.parametrize("override,command", [
+    ("transport.a1=5", "evolve"),
+    ("solver.ic_amplitude=-2", "evolve"),
+    ("transport.a1=5", "dod-test"),
+    ("dod.resolutions=128", "dod-test"),
+    ("dod.radius=0.9", "dod-test"),
+    ("transport.a1=5", "convergence"),
+    ("convergence.resolutions=64,100,200", "convergence"),
+])
+def test_cli_solver_commands_reject_bad_config(tmp_path, capsys, override, command):
+    assert main(["--out", str(tmp_path), "--set", override, command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1          # one line, no traceback
+    assert not any(tmp_path.iterdir())

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -86,3 +88,26 @@ def test_convergence_with_filter_is_reported():
     report = convergence_study(cfg, resolutions=(64, 128, 256))
     assert report.observed_order is not None
     assert np.isfinite(report.observed_order)
+
+
+def test_dod_report_verdict_takes_ratio_8_inclusive():
+    from vecf.experiments import DodPlacement, DodReport
+    pl = DodPlacement(center=1.0, radius=0.1, amplitude=0.02, inside=False,
+                      margin_cells=3.0)
+    rep = DodReport(probe_t=0.35, probe_x=0.5, v_max=1.0, cone_radius=0.35,
+                    resolutions=(128, 256, 512), outside=pl, inside=pl,
+                    outside_diffs=(2.0 ** -16, 2.0 ** -19, 2.0 ** -24),
+                    inside_diffs=(0.0241, 0.0242, 0.0242),
+                    zero_amplitude_diff=0.0)
+    assert rep.outside_ratios == (8.0, 32.0) and rep.outside_order == 4.0
+    assert rep.passed
+    assert not replace(rep, zero_amplitude_diff=1e-18).passed
+    assert not replace(rep, outside_diffs=(2.0 ** -16, 2.0 ** -18.9, 2.0 ** -24)).passed
+    assert not replace(rep, inside_diffs=(0.0241, 0.03, 0.0242)).passed
+
+
+def test_dod_rejects_single_resolution():
+    cfg = SolverConfig(transport=TransportModel(a2=6.0), n_cells=64, length=2.0,
+                       t_end=0.35, ic=constant_state(), filter_strength=0.0)
+    with pytest.raises(ValueError, match="two resolutions"):
+        dod_experiment(cfg, probe_t=0.35, probe_x=0.5, resolutions=(64,))

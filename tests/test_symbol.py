@@ -197,3 +197,46 @@ def test_det_by_elimination_reference():
     for _ in range(200):
         m = rng.uniform(-3, 3, (5, 5))
         assert det_by_elimination(m) == pytest.approx(np.linalg.det(m), rel=1e-10)
+
+
+def det_loop_reference(m: np.ndarray) -> float:
+    """One matrix at a time, row by row: the elimination the stack must equal."""
+    a = np.array(m, dtype=float)
+    n = a.shape[0]
+    det = 1.0
+    for col in range(n):
+        piv = col + int(np.argmax(np.abs(a[col:, col])))
+        if a[piv, col] == 0.0:
+            return 0.0
+        if piv != col:
+            a[[col, piv]] = a[[piv, col]]
+            det = -det
+        det *= a[col, col]
+        for row in range(col + 1, n):
+            factor = a[row, col] / a[col, col]
+            a[row, col:] -= factor * a[col, col:]
+    return float(det)
+
+
+def test_det_by_elimination_stack_bitwise():
+    rng = np.random.default_rng(31)
+    stack = rng.uniform(-3, 3, (40, 5, 5))
+    stack[1, 3] = stack[1, 0]                     # singular: repeated row
+    stack[2, :, 2] = 2.0 * stack[2, :, 4]         # singular: dependent columns
+    stack[3] = np.round(stack[3])                 # integer entries: pivot ties
+    stack[4, :, 0] = [2.0, -2.0, 2.0, -2.0, 1.0]  # tie on the first pivot
+    stack[5, :, 0] = 0.0                          # zero pivot in column 0
+    stack[6] = np.triu(stack[6])                  # zero pivot in column 2,
+    stack[6, 2, 2] = 0.0                          # after two elimination steps
+    stack[7] = 1.0                                # rank one
+    stack[8] = 0.0
+    for k in range(9, 40, 3):
+        stack[k] = fluid_symbol(fixed_state(seed=k, mink=(k % 2 == 0)),
+                                rng.uniform(-2, 2, 4))
+    dets = det_by_elimination(stack)
+    reference = np.array([det_loop_reference(m) for m in stack])
+    assert np.array_equal(dets, reference)
+    assert all(det_by_elimination(m) == r for m, r in zip(stack, reference))
+    assert (dets[[5, 6, 8]] == 0.0).all()
+    # a zero pivot zeroes its own matrix only
+    assert (dets[9:] != 0.0).all()

@@ -105,3 +105,13 @@ def test_non_lorentzian_rejected():
         Metric4.from_components(np.diag([-1.0, 1.0, 1.0, 0.0]))
     with pytest.raises(ValueError):
         Metric4.from_components(np.arange(16.0).reshape(4, 4))
+
+
+def test_minkowski_is_one_validated_read_only_instance():
+    g = minkowski()
+    assert g is minkowski()
+    assert isinstance(g, Metric4) and g.is_minkowski
+    assert not g.components.flags.writeable
+    assert not g.inverse.flags.writeable
+    with pytest.raises(ValueError):
+        g.components[0, 0] = 1.0
