@@ -10,6 +10,7 @@ import configparser
 from dataclasses import dataclass
 
 from .constitutive import TransportModel
+from .solver1d import COURANT_MAX
 
 __all__ = ["ConfigError", "RunConfig", "load_config", "SCHEMA"]
 
@@ -85,7 +86,7 @@ SCHEMA = {
     "solver": {
         "n_cells": (_int_range(lo=16), 512),
         "length": (_float_range(lo=0.0, lo_open=True), 2.0),
-        "cfl": (_float_range(lo=0.0, hi=1.0, lo_open=True), 0.25),
+        "cfl": (_float_range(lo=0.0, hi=COURANT_MAX, lo_open=True), 0.25),
         "t_end": (_float_range(lo=0.0, lo_open=True), 0.5),
         "ic": (_choice("constant", "gaussian-eps-pulse", "shear-pulse"),
                "gaussian-eps-pulse"),

@@ -2,9 +2,10 @@
 
 The five evolution rows are the four components of the stress-tensor
 divergence (indices raised) plus the normalization-constraint row.  Each row
-splits into a principal part (second derivatives, coefficients read off the
-fluid symbol by polarization) and a first-order remainder B assembled here
-term by term from the constitutive tensor's divergence.
+splits into a principal part (second derivatives, whose coefficients are the
+fluid symbol's blocks at pairs of basis covectors) and a first-order
+remainder B assembled here term by term from the constitutive tensor's
+divergence, each term contracted down to vectors before it is summed.
 
 The divergence oracle pins all of it at once: the assembled rows must agree
 with a finite-difference divergence of the stress tensor on manufactured
@@ -22,12 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constitutive import SGN, TransportModel, stress_tensor_fields
-from .symbol import symbol_components
+from .constitutive import SGN, TransportModel, stress_tensor_fields, transport
 
 __all__ = [
     "MUTATION_KEYS",
+    "dx4",
     "FieldJet1",
+    "symbol_block",
     "principal_blocks",
     "principal_pair_coefficients",
     "assemble_lower_order",
@@ -37,8 +39,6 @@ __all__ = [
     "divergence_residual",
     "DivergenceReport",
 ]
-
-_GDIAG = np.diag(SGN)
 
 MUTATION_KEYS = (
     "shear",                  # grad(eta pi pi) . shear-rate group
@@ -51,8 +51,20 @@ MUTATION_KEYS = (
     "ideal",                  # divergence of the ideal part
 )
 
-_E0 = np.array([1.0, 0.0, 0.0, 0.0])
-_E1 = np.array([0.0, 1.0, 0.0, 0.0])
+# flat positions of the entries (b, b), b <= 3, of a row-major 5x5 block
+_DIAG_5X5 = np.arange(4) * 6
+
+
+def dx4(f: np.ndarray, h: float) -> np.ndarray:
+    """Fourth-order centered first derivative along the last axis, periodic.
+
+    The periodic neighbours are slices of one copy padded by two cells on
+    each side: p[..., j] = f[..., (j - 2) mod n].
+    """
+    n = f.shape[-1]
+    p = np.concatenate([f[..., -2:], f, f[..., :2]], axis=-1)
+    return (p[..., :n] - 8.0 * p[..., 1:n + 1]
+            + 8.0 * p[..., 3:n + 3] - p[..., 4:]) / (12.0 * h)
 
 
 @dataclass
@@ -68,41 +80,65 @@ class FieldJet1:
     deps: np.ndarray
 
 
-def _flat_symbol(u, eps, model: TransportModel, xi):
-    eta = model.eta(eps)
-    return symbol_components(u, eps, eta, model.a2 * eta, model.a1 * eta,
-                             _GDIAG, _GDIAG, xi)
+def symbol_block(u, eps, eta, lam, chi, a: int, c: int) -> np.ndarray:
+    """Symmetrized coefficient of xi_a xi_c in the flat-metric symbol m(xi).
+
+    u (4, N), eps/eta/lam/chi (N,).  Returns (5, 5, N) with m(xi) equal to
+    the sum of xi_a xi_c times this block over all ordered pairs (a, c).
+    It is `symbol.symbol_components`' formula with xi = e_a and zeta = e_c
+    substituted into the symmetric bilinear form whose diagonal is m, so
+    xi.xi becomes g^{ac}, (u.xi)^2 becomes u^a u^c, and xi_n picks column
+    a or c: only those two columns, the diagonal and the constraint row
+    are filled.
+    """
+    g_ac = SGN[a] if a == c else 0.0
+    uac = u[a] * u[c]
+    blk = np.zeros((5, 5) + eps.shape)
+    flat = blk.reshape((25,) + eps.shape)
+    flat[_DIAG_5X5] = -eta * g_ac + (lam - eta) * uac
+    # row_c xi_n: [(lam + chi) u^b + (chi - eta)/3 u^b] (u.xi) xi_n, with
+    # (u.xi) xi_n split evenly between u^a in column c and u^c in column a,
+    # and (chi - eta)/3 xi^b xi_n split between entries (a, c) and (c, a)
+    k = 0.5 * ((lam + chi) + (chi - eta) / 3.0)
+    blk[:4, c] += (k * u[a]) * u
+    blk[:4, a] += (k * u[c]) * u
+    blk[a, c] += (chi - eta) / 6.0 * SGN[a]
+    blk[c, a] += (chi - eta) / 6.0 * SGN[c]
+    inv4e = 1.0 / (4.0 * eps)
+    blk[:4, 4] = u * ((lam * g_ac + (2.0 * lam + 4.0 * chi) * uac) * inv4e)
+    blk[a, 4] += 0.5 * SGN[a] * (lam + chi) * u[c] * inv4e
+    blk[c, 4] += 0.5 * SGN[c] * (lam + chi) * u[a] * inv4e
+    blk[4, :4] = SGN[:, None] * u * uac
+    return blk
 
 
 def principal_blocks(u, eps, model: TransportModel):
     """(a, m01, m11): coefficients of dtt, dt dx, dxx for 1+1D fields.
 
-    a is the time-coefficient matrix (the symbol at e0); the mixed block is
-    the polarization remainder symbol(e0+e1) - a - symbol(e1), i.e. exactly
-    the summed coefficient of xi_0 xi_1.  The three symbol evaluations share
-    one set of transport coefficients; this is the stepper's hot path.
+    a = B(e0, e0) is the time-coefficient matrix (the symbol at e0),
+    m01 = 2 B(e0, e1) the summed coefficient of xi_0 xi_1 and
+    m11 = B(e1, e1), with B the blocks of `symbol_block`; each is an
+    (N, 5, 5) view.  This is the stepper's hot path.
     """
-    eta = model.eta(eps)
-    lam, chi = model.a2 * eta, model.a1 * eta
-    a = symbol_components(u, eps, eta, lam, chi, _GDIAG, _GDIAG, _E0)
-    m11 = symbol_components(u, eps, eta, lam, chi, _GDIAG, _GDIAG, _E1)
-    m01 = symbol_components(u, eps, eta, lam, chi, _GDIAG, _GDIAG, _E0 + _E1) - a - m11
-    return a, m01, m11
+    eta, lam, chi = transport(eps, model)
+    a = symbol_block(u, eps, eta, lam, chi, 0, 0)
+    m01 = 2.0 * symbol_block(u, eps, eta, lam, chi, 0, 1)
+    m11 = symbol_block(u, eps, eta, lam, chi, 1, 1)
+    return a.transpose(2, 0, 1), m01.transpose(2, 0, 1), m11.transpose(2, 0, 1)
 
 
 def principal_pair_coefficients(u, eps, model: TransportModel) -> dict:
     """Coefficient matrices for all ten unordered derivative pairs.
 
     C[(a, a)] multiplies d^2_{aa}; C[(a, m)] with a < m multiplies
-    d^2_{am} once (it already contains both cross terms).
+    d^2_{am} once (it already contains both cross terms).  Each is (N, 5, 5).
     """
-    basis = np.eye(4)
-    diag = {a: _flat_symbol(u, eps, model, basis[a]) for a in range(4)}
-    coeffs = {(a, a): diag[a] for a in range(4)}
+    eta, lam, chi = transport(eps, model)
+    coeffs = {}
     for a in range(4):
-        for m in range(a + 1, 4):
-            coeffs[(a, m)] = (_flat_symbol(u, eps, model, basis[a] + basis[m])
-                              - diag[a] - diag[m])
+        for m in range(a, 4):
+            blk = symbol_block(u, eps, eta, lam, chi, a, m)
+            coeffs[(a, m)] = (blk if a == m else 2.0 * blk).transpose(2, 0, 1)
     return coeffs
 
 
@@ -130,8 +166,6 @@ def assemble_lower_order(jet: FieldJet1, model: TransportModel,
     oracle's sensitivity test only.
     """
     u, du, eps, deps = jet.u, jet.du, jet.eps, jet.deps
-    if np.any(eps <= 0.0):
-        raise ValueError("energy density must be positive")
     scale = dict.fromkeys(MUTATION_KEYS, 1.0)
     if mutation is not None:
         key, factor = mutation
@@ -139,87 +173,93 @@ def assemble_lower_order(jet: FieldJet1, model: TransportModel,
             raise KeyError(f"unknown mutation key {key!r}; use one of {MUTATION_KEYS}")
         scale[key] = factor
 
-    eta = model.eta(eps)
+    eta, lam, chi = transport(eps, model)
+    # every coefficient gradient is a multiple of deps:
+    # d eta = etap deps, d lam = a2 etap deps, d chi = a1 etap deps
     etap = model.eta_prime(eps)
-    lam, chi = model.a2 * eta, model.a1 * eta
-    deta = etap * deps
-    dlam, dchi = model.a2 * deta, model.a1 * deta
+    a1, a2 = model.a1, model.a2
+
+    # every (4, 4) object of the derivation is contracted with a vector
+    # before it is formed: x @ M and M @ x are the two vector-matrix products
+    def vm(x, m):
+        return np.einsum('an,abn->bn', x, m)
+
+    def mv(m, x):
+        return np.einsum('abn,bn->an', m, x)
+
+    def dot(x, y):
+        return np.einsum('an,an->n', x, y)
 
     u_dn = SGN[:, None] * u
     du_dn = du * SGN[None, :, None]
     theta = np.einsum('aan->n', du)
-    acc = np.einsum('an,abn->bn', u, du)
-    acc_dn = SGN[:, None] * acc
-    udeps = np.einsum('an,an->n', u, deps)
-    pi_up = _GDIAG[:, :, None] + u[:, None, :] * u[None, :, :]
-    pi_mix = np.eye(4)[:, :, None] + u[:, None, :] * u_dn[None, :, :]
-    shear_rate = du_dn + du_dn.transpose(1, 0, 2) - (2.0 / 3.0) * _GDIAG[:, :, None] * theta
+    acc = vm(u, du)
+    acc_dn = SGN[:, None] * acc          # also u @ du_dn
+    acc_acc = dot(acc, acc_dn)
+    udeps = dot(u, deps)
+    acc_deps = dot(acc, deps)
+    deps_up = SGN[:, None] * deps
+    du_du = np.einsum('amn,man->n', du, du)          # d_a u^m d_m u^a
+
+    def shear_dot(x):
+        """S_{mv} x^v for the shear rate S = du_dn + du_dn^T - (2/3) g theta."""
+        return mv(du_dn, x) + vm(x, du_dn) - (2.0 / 3.0) * theta * SGN[:, None] * x
 
     # shear term: two gradient-square groups plus the product-rule group,
-    # the latter with the minus sign fixed by the divergence oracle;
-    # multi-factor contractions are chained pairwise to keep the work
-    # linear in the batch size (a plain einsum loops over all free indices)
-    dudu = np.einsum('avn,mvn->amn', du_dn, du)
-    quad_a = np.einsum('amn,amn->n', pi_up, dudu)
-    quad_b = np.einsum('mn,vmn->vn', acc, du_dn)
-    pi_s = np.einsum('amn,mvn->avn', pi_up, shear_rate)        # pi^{am} S_{m nu}
-    g_iso = (np.einsum('an,avn->vn', deta, pi_s)
-             + eta * np.einsum('mn,mvn->vn', theta * u + acc, shear_rate))
+    # the latter with the minus sign fixed by the divergence oracle.
+    # quad_a = pi^{am} d_a u_v d_m u^v = d^a u^v d_a u_v + acc.acc_dn
+    grad_sq = np.einsum('avn,avn->n', du_dn * SGN[:, None, None], du)
+    quad_a = grad_sq + acc_acc
+    quad_b = mv(du_dn, acc)                          # u @ quad_b = acc_acc
+    s_u = shear_dot(u)
+    # d_a eta pi^{am} S_{mv} + eta (theta u + acc)^m S_{mv}
+    g_iso = shear_dot(etap * deps_up + (etap * udeps + eta * theta) * u
+                      + eta * acc)
     # d_a pi^v_b expands to du[a,v] u_b + u^v du_dn[a,b]; both pieces contract
-    # against pi^{am} S_{mv}
-    pis_du = np.einsum('avn,avn->n', pi_s, du)
-    pis_u = np.einsum('avn,vn->an', pi_s, u)
-    grad_group = (np.einsum('vn,vbn->bn', g_iso, pi_mix)
-                  + eta * (u_dn * pis_du
-                           + np.einsum('an,abn->bn', pis_u, du_dn)))
-    b_shear = scale["shear"] * (eta * u_dn * quad_a
-                                + eta * np.einsum('vbn,vn->bn', pi_mix, quad_b)
-                                - grad_group)
+    # against pi^{am} S_{mv}, and pi^{am} du[a,v] = SGN_m du[m,v] + u^m acc^v
+    pis_du = grad_sq + du_du - (2.0 / 3.0) * theta ** 2 + dot(s_u, acc)
+    u_s_u = dot(u, s_u)
+    # pi^{am} S_{mv} u^v @ du_dn, with u @ du_dn = acc_dn
+    pis_u_du = vm(SGN[:, None] * s_u, du_dn) + u_s_u * acc_dn
+    b_shear = scale["shear"] * (
+        eta * (quad_a + acc_acc - pis_du) * u_dn + eta * quad_b
+        - (g_iso + dot(g_iso, u) * u_dn) - eta * pis_u_du)
 
-    dlu = np.einsum('an,an->n', dlam, u)
-    flux = dlu * u + lam * theta * u + lam * acc
+    flux_u = a2 * etap * udeps + lam * theta        # d lam.u + lam theta
     b_relax = scale["momentum_relax"] * (
-        np.einsum('mn,mbn->bn', flux, du_dn)
-        + u_dn * np.einsum('an,mn,man->n', dlam, u, du)
-        + lam * np.einsum('abn,mn,man->bn', du_dn, u, du)
-        + lam * u_dn * np.einsum('amn,man->n', du, du))
+        flux_u * acc_dn + 2.0 * lam * vm(acc, du_dn)
+        + (a2 * etap * acc_deps + lam * du_du) * u_dn)
 
-    dcu = np.einsum('an,an->n', dchi, u)
+    dchi_u = a1 * etap * udeps
     b_exp_iso = scale["expansion_iso"] * (theta / 3.0) * (
-        dchi + dcu * u_dn + chi * (theta * u_dn + acc_dn))
+        a1 * etap * deps + (dchi_u + chi * theta) * u_dn + chi * acc_dn)
     b_exp_uu = scale["expansion_uu"] * theta * (
-        dcu * u_dn + chi * theta * u_dn + chi * acc_dn)
+        (dchi_u + chi * theta) * u_dn + chi * acc_dn)
 
-    fc = lam / (4.0 * eps)
-    dfc = dlam / (4.0 * eps) - lam * deps / (4.0 * eps ** 2)
-    dfu = np.einsum('an,an->n', dfc, u)
-    dfc_up = SGN[:, None] * dfc
-    mixed = (dfu * pi_mix
-             + u_dn[None, :, :] * (dfc_up + dfu * u)[:, None, :]
-             + fc * (theta * pi_mix
-                     + acc[:, None, :] * u_dn[None, :, :]
-                     + u[:, None, :] * acc_dn[None, :, :]
-                     + np.einsum('abn,amn->mbn', du_dn, pi_up)
-                     + u_dn[None, :, :] * (theta * u + acc)[:, None, :]))
-    b_en_mixed = scale["energy_gradient_mixed"] * np.einsum('mbn,mn->bn', mixed, deps)
+    # the three energy-gradient fluxes, each contracted with deps; their
+    # coefficient gradients d(c / 4 eps) are c' deps with c' scalar
+    inv4e = 1.0 / (4.0 * eps)
+    fc = lam * inv4e
+    dfc = (a2 * etap - lam / eps) * inv4e
+    b_en_mixed = scale["energy_gradient_mixed"] * (
+        (dfc * udeps + fc * theta) * deps
+        + (dfc * (dot(deps_up, deps) + 2.0 * udeps ** 2)
+           + 2.0 * fc * (theta * udeps + acc_deps)) * u_dn
+        + 2.0 * fc * udeps * acc_dn
+        + fc * vm(deps_up, du_dn))
 
-    hc = 3.0 * chi / (4.0 * eps)
-    dhc = 3.0 * dchi / (4.0 * eps) - 3.0 * chi * deps / (4.0 * eps ** 2)
-    dhu = np.einsum('an,an->n', dhc, u)
-    uu_flux = (dhu * (u_dn[None, :, :] * u[:, None, :])
-               + hc * (theta * u_dn[None, :, :] * u[:, None, :]
-                       + acc_dn[None, :, :] * u[:, None, :]
-                       + u_dn[None, :, :] * acc[:, None, :]))
-    b_en_uu = scale["energy_gradient_uu"] * np.einsum('mbn,mn->bn', uu_flux, deps)
+    hc = 3.0 * chi * inv4e
+    dhc = 3.0 * (a1 * etap - chi / eps) * inv4e
+    b_en_uu = scale["energy_gradient_uu"] * (
+        ((dhc * udeps + hc * theta) * udeps + hc * acc_deps) * u_dn
+        + hc * udeps * acc_dn)
 
-    kc = chi / (4.0 * eps)
-    dkc = dchi / (4.0 * eps) - chi * deps / (4.0 * eps ** 2)
-    dku = np.einsum('an,an->n', dkc, u)
-    iso_flux = ((dkc + dku * u_dn)[None, :, :] * u[:, None, :]
-                + kc * ((theta * u_dn + acc_dn)[None, :, :] * u[:, None, :]
-                        + du.transpose(1, 0, 2)
-                        + u_dn[None, :, :] * acc[:, None, :]))
-    b_en_iso = scale["energy_gradient_iso"] * np.einsum('mbn,mn->bn', iso_flux, deps)
+    kc = chi * inv4e
+    dkc = (a1 * etap - chi / eps) * inv4e
+    b_en_iso = scale["energy_gradient_iso"] * (
+        dkc * udeps * deps
+        + (dkc * udeps ** 2 + kc * (theta * udeps + acc_deps)) * u_dn
+        + kc * (udeps * acc_dn + mv(du, deps)))
 
     b_ideal = scale["ideal"] * (
         (4.0 / 3.0) * (theta * u_dn * eps + acc_dn * eps + u_dn * udeps)
@@ -227,8 +267,7 @@ def assemble_lower_order(jet: FieldJet1, model: TransportModel,
 
     b_low = (b_shear + b_relax + b_exp_iso + b_exp_uu
              + b_en_mixed + b_en_uu + b_en_iso + b_ideal)
-    constraint = np.einsum('ln,ln->n', acc_dn, acc)
-    return np.concatenate([SGN[:, None] * b_low, constraint[None, :]], axis=0)
+    return np.concatenate([SGN[:, None] * b_low, acc_acc[None, :]], axis=0)
 
 
 def equation_rows(jet2, model: TransportModel, mutation=None) -> np.ndarray:
@@ -312,11 +351,6 @@ class SinusoidalField:
         return u, du, d2u, eps, deps, d2eps
 
 
-def _dx4(f: np.ndarray, h: float) -> np.ndarray:
-    return (np.roll(f, 2, -1) - 8.0 * np.roll(f, 1, -1)
-            + 8.0 * np.roll(f, -1, -1) - np.roll(f, -2, -1)) / (12.0 * h)
-
-
 @dataclass(frozen=True)
 class DivergenceReport:
     resolution: int
@@ -347,7 +381,7 @@ def divergence_residual(fields: SinusoidalField, resolution: int,
         levels.append(SGN[:, None, None] * stress_tensor_fields(u, du, eps, deps, model))
     dt_t = (levels[0] - 8.0 * levels[1] + 8.0 * levels[3] - levels[4]) / (12.0 * h)
     mid = levels[2]
-    dx_t = _dx4(mid, h)
+    dx_t = dx4(mid, h)
     div = dt_t[0] + dx_t[1]                       # (4, N): d_a T^a_beta, beta low
 
     jet2 = fields.jet2(t0, x)

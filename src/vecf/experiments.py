@@ -131,6 +131,9 @@ def dod_experiment(cfg: SolverConfig, probe_t: float, probe_x: float,
             raise ValueError("cone exits the domain before the probe time")
     if len(resolutions) < 2:
         raise ValueError("need at least two resolutions to measure convergence")
+    for a, b in zip(resolutions, resolutions[1:]):
+        if b != 2 * a:
+            raise ValueError("resolutions must double")
 
     out_margin = (abs(out_center - probe_x) - radius - cone) / h0
     in_margin = (cone - (abs(in_center - probe_x) + radius)) / h0

@@ -32,7 +32,7 @@ import numpy as np
 
 from .causality import max_characteristic_speed
 from .constitutive import SGN, TransportModel, complete_initial_data, stress_tensor_fields
-from .equations import FieldJet1, assemble_lower_order, principal_blocks
+from .equations import FieldJet1, assemble_lower_order, dx4, principal_blocks
 from .symbol import StatePoint
 from .tensor import minkowski
 
@@ -170,6 +170,11 @@ def bump_perturbation(base: InitialData, amplitude: float, center: float,
                        v0=base.v0, v1=base.v1)
 
 
+# the largest Courant number dt v_max / h a run may reach: SolverConfig holds
+# cfl to it at t = 0, and evolve checks it again at every diagnostic
+COURANT_MAX = 1.0
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     transport: TransportModel = TransportModel()
@@ -182,8 +187,8 @@ class SolverConfig:
     output_every: int = 0          # 0: first/last snapshot only
 
     def __post_init__(self):
-        if not 0.0 < self.cfl <= 1.0:
-            raise ValueError("cfl must lie in (0, 1]")
+        if not 0.0 < self.cfl <= COURANT_MAX:
+            raise ValueError(f"cfl must lie in (0, {COURANT_MAX:g}]")
         if abs(self.transport.a1 - 4.0) > 1e-12:
             raise ValueError("the evolution system requires a1 = 4")
         if self.transport.a2 < 4.0:
@@ -248,11 +253,6 @@ class Trajectory:
         return self.drift_max
 
 
-def _dx(f: np.ndarray, h: float) -> np.ndarray:
-    return (np.roll(f, 2, -1) - 8.0 * np.roll(f, 1, -1)
-            + 8.0 * np.roll(f, -1, -1) - np.roll(f, -2, -1)) / (12.0 * h)
-
-
 def _filter_factors(n: int, strength: float) -> np.ndarray:
     k = np.fft.rfftfreq(n) * 2.0          # |k| / k_max in [0, 1]
     return np.exp(-strength * k ** 16)
@@ -271,9 +271,8 @@ def _rhs(V: np.ndarray, W: np.ndarray, h: float, model: TransportModel,
     if eps.min() <= 0.0:
         raise ValueError("energy density lost positivity inside a stage")
     n = V.shape[1]
-    dxV = _dx(V, h)
-    dxxV = _dx(dxV, h)
-    dxW = _dx(W, h)
+    dxV, dxW = np.split(dx4(np.concatenate([V, W]), h), 2)
+    dxxV = dx4(dxV, h)
     du = np.zeros((4, 4, n))
     deps = np.zeros((4, n))
     du[0] = W[:4]
@@ -338,15 +337,34 @@ def _grid_v_max(grid: FieldGrid, model: TransportModel) -> float:
     return max_characteristic_speed(s)
 
 
+def _check_courant(grid: FieldGrid, model: TransportModel, dt: float,
+                   step_index: int) -> None:
+    """Abort when the current v_max pushes dt v_max / h past COURANT_MAX.
+
+    dt is fixed from v_max at t = 0, and v_max grows with the flow speed
+    |w|, so the Courant number of a run drifts upward as the flow develops.
+    """
+    try:
+        v_max = _grid_v_max(grid, model)
+    except ValueError as exc:          # the state left the causal regime
+        raise SolverAbort(str(exc), grid.t, step_index, grid) from exc
+    courant = dt * v_max / grid.spacing
+    if courant > COURANT_MAX:
+        raise SolverAbort(f"CFL violated: dt v_max / h = {courant:.6g} > "
+                          f"{COURANT_MAX:g} with v_max = {v_max:.6g}",
+                          grid.t, step_index, grid)
+
+
 def _diagnose(grid: FieldGrid, model: TransportModel) -> Diagnostics:
     u, eps = grid.V[:4], grid.V[4]
     n = grid.n_cells
     du = np.zeros((4, 4, n))
     deps = np.zeros((4, n))
     du[0] = grid.W[:4]
-    du[1] = _dx(grid.V, grid.spacing)[:4]
+    dxV = dx4(grid.V, grid.spacing)
+    du[1] = dxV[:4]
     deps[0] = grid.W[4]
-    deps[1] = _dx(grid.V[4], grid.spacing)
+    deps[1] = dxV[4]
     T = stress_tensor_fields(u, du, eps, deps, model)
     t00_up = T[0, 0]                       # T^{00} = g^{0a} g^{0b} T_ab = T_00
     a, _, _ = principal_blocks(u, eps, model)
@@ -367,7 +385,8 @@ def _diagnose(grid: FieldGrid, model: TransportModel) -> Diagnostics:
 
 
 def evolve(cfg: SolverConfig, snapshot_times=None) -> Trajectory:
-    """Run to t_end; abort with a state dump on NaN or non-positive eps.
+    """Run to t_end; abort with a state dump on NaN, non-positive eps, or a
+    Courant number above COURANT_MAX at a diagnostic.
 
     dt is cfl * h / v_max rounded so t_end is hit exactly; snapshots are
     stored at the requested times (rounded to steps), plus first and last.
@@ -401,6 +420,7 @@ def evolve(cfg: SolverConfig, snapshot_times=None) -> Trajectory:
             raise SolverAbort("energy density reached zero", grid.t, i, grid)
         drift_max = max(drift_max, grid.constraint_drift())
         if i % cadence == 0 or i == n_steps or i in want:
+            _check_courant(grid, model, dt, i)
             diags.append(_diagnose(grid, model))
             if i in want or i == n_steps:
                 times.append(grid.t)

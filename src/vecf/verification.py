@@ -219,6 +219,11 @@ def collapse_suite(samples: int = 1000, seed: int = 11) -> CollapseReport:
                           c_zero_tolerance=COEFF_ZERO_TOL, c_off_values=c_off)
 
 
+# roots_suite keeps the per-sample rows of this many leading samples: the
+# table that `vecf roots` writes next to its report
+ROOTS_ROW_SAMPLES = 200
+
+
 @dataclass(frozen=True)
 class RootsReport:
     samples: int
@@ -228,6 +233,9 @@ class RootsReport:
     max_root_error: dict
     min_gap: dict
     failures: int
+    # (family, a2, |w|^2, closed roots -/+, numeric roots -/+, abs error) per
+    # family of each of the first ROOTS_ROW_SAMPLES samples
+    rows: tuple = field(default=(), repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -249,6 +257,20 @@ class RootsReport:
         }
 
 
+def _roots_sample(idx: int, seed: int):
+    """State and unit spatial covector of roots sample idx: a normalized
+    boost with |w| <= 3, a2 in [4, 12] and eps in [0.5, 2]."""
+    rng = np.random.default_rng((seed, idx))
+    a2 = rng.uniform(4.0, 12.0)
+    w = rng.uniform(-3.0, 3.0, 3) * rng.uniform(0.0, 1.0)
+    u = np.array([np.sqrt(1.0 + w @ w), *w])
+    s = StatePoint(eps=rng.uniform(0.5, 2.0), u=u, g=minkowski(),
+                   transport=TransportModel(a1=4.0, a2=a2))
+    xibar = rng.normal(size=3)
+    xibar /= np.linalg.norm(xibar)
+    return s, xibar
+
+
 def roots_suite(samples: int = 1000, seed: int = 13) -> RootsReport:
     """Closed-form shear/sound roots vs the bisection oracle on unit directions.
 
@@ -259,31 +281,29 @@ def roots_suite(samples: int = 1000, seed: int = 13) -> RootsReport:
     max_err = {"shear": 0.0, "sound": 0.0}
     min_gap = {"shear": np.inf, "sound": np.inf}
     failures = 0
-    g = minkowski()
+    rows = []
     for idx in range(samples):
-        rng = np.random.default_rng((seed, idx))
-        a2 = rng.uniform(4.0, 12.0)
-        model = TransportModel(a1=4.0, a2=a2)
-        w = rng.uniform(-3.0, 3.0, 3) * rng.uniform(0.0, 1.0)
-        u = np.array([np.sqrt(1.0 + w @ w), *w])
-        s = StatePoint(eps=rng.uniform(0.5, 2.0), u=u, g=g, transport=model)
-        xibar = rng.normal(size=3)
-        xibar /= np.linalg.norm(xibar)
+        s, xibar = _roots_sample(idx, seed)
+        a2 = s.transport.a2
         for family, closed in (("shear", shear_cone_roots), ("sound", sound_cone_roots)):
-            pair = closed(xibar, u, a2)
+            exact = sorted(closed(xibar, s.u, a2).as_set())
             scan = bisection_roots(s, xibar, family)
+            numeric = list(scan.roots) + [np.nan] * (2 - len(scan.roots))
+            found = min(2, len(scan.roots))
+            err = max((abs(exact[i] - numeric[i]) for i in range(found)), default=np.nan)
+            if idx < ROOTS_ROW_SAMPLES:
+                rows.append((family, a2, s.u[1:] @ s.u[1:], exact[0], exact[1],
+                             numeric[0], numeric[1], err))
             if not scan.complete:
                 failures += 1
                 continue
-            exact = sorted(pair.as_set())
-            err = max(abs(exact[0] - scan.roots[0]), abs(exact[1] - scan.roots[1]))
             max_err[family] = max(max_err[family], err)
             min_gap[family] = min(min_gap[family], exact[1] - exact[0])
     return RootsReport(samples=samples, seed=seed, tolerance=ROOT_TOL,
                        gap_tolerance=GAP_TOL,
                        max_root_error={k: float(v) for k, v in max_err.items()},
                        min_gap={k: float(v) for k, v in min_gap.items()},
-                       failures=failures)
+                       failures=failures, rows=tuple(rows))
 
 
 @dataclass(frozen=True)

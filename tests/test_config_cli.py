@@ -141,6 +141,22 @@ def test_cli_roots(tmp_path):
     assert len(lines) == 101      # 50 samples x 2 families + header
 
 
+def test_cli_roots_bisects_each_sample_once(tmp_path, monkeypatch):
+    from vecf import verification
+    calls = []
+    original = verification.bisection_roots
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(verification, "bisection_roots", counted)
+    assert main(["--out", str(tmp_path), "roots", "--samples", "250"]) == 0
+    assert len(calls) == 500      # the table reuses the suite's own scans
+    lines = (tmp_path / "roots.csv").read_text().splitlines()
+    assert len(lines) == 401      # the first 200 samples x 2 families + header
+
+
 def test_cli_oracle_divergence(tmp_path):
     code = main(["--out", str(tmp_path),
                  "--set", "oracle.resolutions=64 128 256",
@@ -165,6 +181,7 @@ def test_factorization_suite_worker_count_independent():
     ("solver.ic_amplitude=-2", "evolve"),
     ("transport.a1=5", "dod-test"),
     ("dod.resolutions=128", "dod-test"),
+    ("dod.resolutions=64,96", "dod-test"),
     ("dod.radius=0.9", "dod-test"),
     ("transport.a1=5", "convergence"),
     ("convergence.resolutions=64,100,200", "convergence"),

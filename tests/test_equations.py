@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vecf.constitutive import SGN, TransportModel
 from vecf.equations import (MUTATION_KEYS, FieldJet1, SinusoidalField,
@@ -10,6 +12,191 @@ from vecf.symbol import StatePoint, fluid_symbol
 from vecf.tensor import minkowski
 
 MODEL = TransportModel(a1=4.0, a2=6.0)
+GDIAG = np.diag(SGN)
+
+
+def reference_lower_order(jet, model, mutation=None):
+    """The term-by-term assembly with every (4, 4, N) intermediate formed.
+
+    Slow reference for the contracted `assemble_lower_order`: the same rows
+    with pi, the shear rate and the three energy-gradient fluxes built as
+    whole tensors and contracted last.
+    """
+    u, du, eps, deps = jet.u, jet.du, jet.eps, jet.deps
+    if np.any(eps <= 0.0):
+        raise ValueError("energy density must be positive")
+    scale = dict.fromkeys(MUTATION_KEYS, 1.0)
+    if mutation is not None:
+        key, factor = mutation
+        if key not in scale:
+            raise KeyError(f"unknown mutation key {key!r}; use one of {MUTATION_KEYS}")
+        scale[key] = factor
+
+    eta = model.eta(eps)
+    etap = model.eta_prime(eps)
+    lam, chi = model.a2 * eta, model.a1 * eta
+    deta = etap * deps
+    dlam, dchi = model.a2 * deta, model.a1 * deta
+
+    u_dn = SGN[:, None] * u
+    du_dn = du * SGN[None, :, None]
+    theta = np.einsum('aan->n', du)
+    acc = np.einsum('an,abn->bn', u, du)
+    acc_dn = SGN[:, None] * acc
+    udeps = np.einsum('an,an->n', u, deps)
+    pi_up = GDIAG[:, :, None] + u[:, None, :] * u[None, :, :]
+    pi_mix = np.eye(4)[:, :, None] + u[:, None, :] * u_dn[None, :, :]
+    shear_rate = du_dn + du_dn.transpose(1, 0, 2) - (2.0 / 3.0) * GDIAG[:, :, None] * theta
+
+    # shear term: two gradient-square groups plus the product-rule group,
+    # the latter with the minus sign fixed by the divergence oracle;
+    # multi-factor contractions are chained pairwise to keep the work
+    # linear in the batch size (a plain einsum loops over all free indices)
+    dudu = np.einsum('avn,mvn->amn', du_dn, du)
+    quad_a = np.einsum('amn,amn->n', pi_up, dudu)
+    quad_b = np.einsum('mn,vmn->vn', acc, du_dn)
+    pi_s = np.einsum('amn,mvn->avn', pi_up, shear_rate)        # pi^{am} S_{m nu}
+    g_iso = (np.einsum('an,avn->vn', deta, pi_s)
+             + eta * np.einsum('mn,mvn->vn', theta * u + acc, shear_rate))
+    # d_a pi^v_b expands to du[a,v] u_b + u^v du_dn[a,b]; both pieces contract
+    # against pi^{am} S_{mv}
+    pis_du = np.einsum('avn,avn->n', pi_s, du)
+    pis_u = np.einsum('avn,vn->an', pi_s, u)
+    grad_group = (np.einsum('vn,vbn->bn', g_iso, pi_mix)
+                  + eta * (u_dn * pis_du
+                           + np.einsum('an,abn->bn', pis_u, du_dn)))
+    b_shear = scale["shear"] * (eta * u_dn * quad_a
+                                + eta * np.einsum('vbn,vn->bn', pi_mix, quad_b)
+                                - grad_group)
+
+    dlu = np.einsum('an,an->n', dlam, u)
+    flux = dlu * u + lam * theta * u + lam * acc
+    b_relax = scale["momentum_relax"] * (
+        np.einsum('mn,mbn->bn', flux, du_dn)
+        + u_dn * np.einsum('an,mn,man->n', dlam, u, du)
+        + lam * np.einsum('abn,mn,man->bn', du_dn, u, du)
+        + lam * u_dn * np.einsum('amn,man->n', du, du))
+
+    dcu = np.einsum('an,an->n', dchi, u)
+    b_exp_iso = scale["expansion_iso"] * (theta / 3.0) * (
+        dchi + dcu * u_dn + chi * (theta * u_dn + acc_dn))
+    b_exp_uu = scale["expansion_uu"] * theta * (
+        dcu * u_dn + chi * theta * u_dn + chi * acc_dn)
+
+    fc = lam / (4.0 * eps)
+    dfc = dlam / (4.0 * eps) - lam * deps / (4.0 * eps ** 2)
+    dfu = np.einsum('an,an->n', dfc, u)
+    dfc_up = SGN[:, None] * dfc
+    mixed = (dfu * pi_mix
+             + u_dn[None, :, :] * (dfc_up + dfu * u)[:, None, :]
+             + fc * (theta * pi_mix
+                     + acc[:, None, :] * u_dn[None, :, :]
+                     + u[:, None, :] * acc_dn[None, :, :]
+                     + np.einsum('abn,amn->mbn', du_dn, pi_up)
+                     + u_dn[None, :, :] * (theta * u + acc)[:, None, :]))
+    b_en_mixed = scale["energy_gradient_mixed"] * np.einsum('mbn,mn->bn', mixed, deps)
+
+    hc = 3.0 * chi / (4.0 * eps)
+    dhc = 3.0 * dchi / (4.0 * eps) - 3.0 * chi * deps / (4.0 * eps ** 2)
+    dhu = np.einsum('an,an->n', dhc, u)
+    uu_flux = (dhu * (u_dn[None, :, :] * u[:, None, :])
+               + hc * (theta * u_dn[None, :, :] * u[:, None, :]
+                       + acc_dn[None, :, :] * u[:, None, :]
+                       + u_dn[None, :, :] * acc[:, None, :]))
+    b_en_uu = scale["energy_gradient_uu"] * np.einsum('mbn,mn->bn', uu_flux, deps)
+
+    kc = chi / (4.0 * eps)
+    dkc = dchi / (4.0 * eps) - chi * deps / (4.0 * eps ** 2)
+    dku = np.einsum('an,an->n', dkc, u)
+    iso_flux = ((dkc + dku * u_dn)[None, :, :] * u[:, None, :]
+                + kc * ((theta * u_dn + acc_dn)[None, :, :] * u[:, None, :]
+                        + du.transpose(1, 0, 2)
+                        + u_dn[None, :, :] * acc[:, None, :]))
+    b_en_iso = scale["energy_gradient_iso"] * np.einsum('mbn,mn->bn', iso_flux, deps)
+
+    b_ideal = scale["ideal"] * (
+        (4.0 / 3.0) * (theta * u_dn * eps + acc_dn * eps + u_dn * udeps)
+        + deps / 3.0)
+
+    b_low = (b_shear + b_relax + b_exp_iso + b_exp_uu
+             + b_en_mixed + b_en_uu + b_en_iso + b_ideal)
+    constraint = np.einsum('ln,ln->n', acc_dn, acc)
+    return np.concatenate([SGN[:, None] * b_low, constraint[None, :]], axis=0)
+
+
+def random_jet(rng, n):
+    """Unnormalized 3+1D jet: u.u != -1 and every derivative nonzero."""
+    u = np.concatenate([rng.uniform(0.9, 3.0, (1, n)), rng.uniform(-2, 2, (3, n))])
+    return FieldJet1(u=u, du=rng.uniform(-1, 1, (4, 4, n)),
+                     eps=rng.uniform(0.5, 2.0, n), deps=rng.uniform(-1, 1, (4, n)))
+
+
+@pytest.mark.parametrize("mutation", [None] + [(k, 1.7) for k in MUTATION_KEYS])
+def test_lower_order_matches_reference(mutation):
+    # the contracted assembly and the whole-tensor reference agree row by
+    # row, with every term group (scaled alone by `mutation`) in play
+    rng = np.random.default_rng(29)
+    for trial in range(6):
+        model = TransportModel(a1=rng.uniform(2.0, 6.0), a2=rng.uniform(4.0, 12.0),
+                               eta_form=("power", "constant")[trial % 2],
+                               eta0=rng.uniform(0.5, 2.0))
+        jet = random_jet(rng, 64)
+        new = assemble_lower_order(jet, model, mutation=mutation)
+        ref = reference_lower_order(jet, model, mutation=mutation)
+        assert np.all(np.abs(new - ref).max(axis=1) <= 1e-13 * np.abs(ref).max(axis=1))
+
+
+admissible_state = st.tuples(
+    st.floats(4.0, 12.0),                                    # a2
+    st.sampled_from(["power", "constant"]),
+    st.floats(0.5, 2.0),                                     # eps
+    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),  # boost direction
+    st.floats(0.0, 3.0),                                     # |w|
+    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),  # spatial covector
+    st.floats(-1e-6, 1e-6),                                  # distance from null
+    st.sampled_from([-1.0, 1.0]),
+)
+
+
+def _admissible(a2, eta_form, eps, wdir, wnorm, xdir, off_null, sign):
+    wdir, xdir = np.array(wdir), np.array(xdir)
+    assume(np.linalg.norm(wdir) >= 1e-3 and np.linalg.norm(xdir) >= 1e-3)
+    w = wnorm * wdir / np.linalg.norm(wdir)
+    s = StatePoint(eps=eps, u=np.array([np.sqrt(1.0 + w @ w), *w]), g=minkowski(),
+                   transport=TransportModel(a1=4.0, a2=a2, eta_form=eta_form))
+    xi = np.array([sign * (1.0 + off_null) * np.linalg.norm(xdir), *xdir])
+    return s, xi
+
+
+def _close(block, reference, scale):
+    return np.abs(block - reference).max() <= 1e-14 * scale
+
+
+@settings(max_examples=80, deadline=None)
+@given(admissible_state)
+def test_blocks_match_fluid_symbol(case):
+    # basis-covector blocks against fluid_symbol and its polarization, and
+    # m(xi) rebuilt from the ten pair blocks at a near-null covector
+    s, xi = _admissible(*case)
+    u, eps = s.u[:, None], np.array([s.eps])
+    basis = np.eye(4)
+    sym = {(a, c): fluid_symbol(s, basis[a] + basis[c]) if a != c
+           else fluid_symbol(s, basis[a]) for a in range(4) for c in range(a, 4)}
+    # a polarized block is a difference of three symbols: their largest
+    # entry is the scale of its rounding error
+    scale = {(a, c): max(np.abs(sym[k]).max() for k in ((a, c), (a, a), (c, c)))
+             for (a, c) in sym}
+    pairs = principal_pair_coefficients(u, eps, s.transport)
+    for (a, c), blk in pairs.items():
+        ref = sym[(a, c)] if a == c else sym[(a, c)] - sym[(a, a)] - sym[(c, c)]
+        assert _close(blk[0], ref, scale[(a, c)])
+    a, m01, m11 = principal_blocks(u, eps, s.transport)
+    assert _close(a[0], sym[(0, 0)], scale[(0, 0)])
+    assert _close(m01[0], sym[(0, 1)] - sym[(0, 0)] - sym[(1, 1)], scale[(0, 1)])
+    assert _close(m11[0], sym[(1, 1)], scale[(1, 1)])
+    total = sum(blk[0] * xi[a] * xi[c] for (a, c), blk in pairs.items())
+    terms = sum(np.abs(blk[0]) * abs(xi[a] * xi[c]) for (a, c), blk in pairs.items())
+    assert _close(total, fluid_symbol(s, xi), terms.max())
 
 
 def test_constant_state_has_zero_lower_order():

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from vecf.causality import max_characteristic_speed
 from vecf.constitutive import TransportModel
-from vecf.solver1d import (FieldGrid, SolverAbort, SolverConfig, constant_state,
-                           evolve, gaussian_pulse, make_grid, shear_pulse, step)
+from vecf.solver1d import (FieldGrid, SolverAbort, SolverConfig, _grid_v_max,
+                           constant_state, evolve, gaussian_pulse, make_grid,
+                           shear_pulse, step)
 from vecf.symbol import StatePoint, det_time_matrix_formula
 
 
@@ -79,6 +83,58 @@ def test_abort_during_run_dumps_state():
     assert isinstance(err.value.grid, FieldGrid)
     assert err.value.step_index >= 1
     assert err.value.t >= 0.0
+
+
+def test_cfl_violation_aborts():
+    # the run starts at Courant number 0.9999; the pulse speeds the flow up,
+    # v_max grows with |w|, and the first diagnostic finds dt v_max / h > 1
+    n, a2 = 64, 6.0
+    v_rest = np.sqrt(2.0 * (2.0 + a2) / (3.0 * a2))     # sound speed at rest
+    h = 2.0 / n
+    cfg = small_cfg(transport=TransportModel(a2=a2), n_cells=n, cfl=1.0,
+                    t_end=20 * h / v_rest * (1.0 - 1e-4),
+                    ic=gaussian_pulse(amplitude=0.2), output_every=5)
+    with pytest.raises(SolverAbort, match="CFL violated") as err:
+        evolve(cfg)
+    assert err.value.step_index == 5
+    assert isinstance(err.value.grid, FieldGrid)
+
+
+def _unit(v):
+    v = np.array(v)
+    assume(np.linalg.norm(v) >= 1e-3)
+    return v / np.linalg.norm(v)
+
+
+direction = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(4.0, 12.0), st.floats(0.0, 3.0), st.floats(0.0, 3.0),
+       direction, direction)
+def test_max_speed_monotone_in_boost(a2, r1, r2, d1, d2):
+    # _grid_v_max evaluates only the cell with the largest |w|: that bounds
+    # the grid because the speed grows with |w| whatever the direction
+    lo, hi = sorted((r1, r2))
+    rest = StatePoint.rest(a2=a2)
+    slow = max_characteristic_speed(rest.boosted(lo * _unit(d1)))
+    fast = max_characteristic_speed(rest.boosted(hi * _unit(d2)))
+    assert slow <= fast + 1e-14
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(4.0, 12.0),
+       st.lists(st.floats(-2.0, 2.0), min_size=48, max_size=48))
+def test_grid_v_max_bounds_every_cell(a2, ws):
+    w = np.array(ws).reshape(3, 16)
+    V = np.concatenate([np.sqrt(1.0 + (w * w).sum(0))[None], w,
+                        np.ones((1, 16))])
+    grid = FieldGrid(n_cells=16, length=2.0, V=V, W=np.zeros_like(V))
+    model = TransportModel(a2=a2)
+    cells = [max_characteristic_speed(StatePoint(
+        eps=1.0, u=V[:4, j], g=StatePoint.rest().g, transport=model))
+        for j in range(16)]
+    assert abs(_grid_v_max(grid, model) - max(cells)) <= 1e-14
 
 
 def test_diagnostics_fields():
