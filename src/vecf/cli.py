@@ -204,6 +204,7 @@ def cmd_evolve(cfg, args) -> int:
             fh.write(json.dumps({
                 "t": d.t, "constraint_drift": d.constraint_drift,
                 "min_eps": d.min_eps, "energy_integral": d.energy_integral,
+                "momentum_integral": d.momentum_integral,
                 "min_abs_det_time_matrix": d.min_abs_det_time_matrix,
                 "det_shortfall_rel": d.det_shortfall_rel,
             }) + "\n")

@@ -118,11 +118,6 @@ SCHEMA = {
         "resolutions": (_int_list, [64, 128, 256, 512]),
         "t0": (_float_range(), 0.37),
     },
-    "speeds": {
-        "sound_a2": (_float_range(lo=4.0), 6.0),
-        "shear_a2": (_float_range(lo=4.0), 4.0),
-        "n_cells": (_int_range(lo=64), 1024),
-    },
     "output": {
         "dir": (str, "out"),
     },

@@ -29,8 +29,9 @@ __all__ = [
     "MUTATION_KEYS",
     "dx4",
     "FieldJet1",
+    "symbol_apply",
     "symbol_block",
-    "principal_blocks",
+    "time_matrix_solve",
     "principal_pair_coefficients",
     "assemble_lower_order",
     "apply_principal",
@@ -50,10 +51,6 @@ MUTATION_KEYS = (
     "energy_gradient_iso",    # (chi/4eps) pi u grad eps
     "ideal",                  # divergence of the ideal part
 )
-
-# flat positions of the entries (b, b), b <= 3, of a row-major 5x5 block
-_DIAG_5X5 = np.arange(4) * 6
-
 
 def dx4(f: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order centered first derivative along the last axis, periodic.
@@ -80,51 +77,103 @@ class FieldJet1:
     deps: np.ndarray
 
 
-def symbol_block(u, eps, eta, lam, chi, a: int, c: int) -> np.ndarray:
-    """Symmetrized coefficient of xi_a xi_c in the flat-metric symbol m(xi).
+def symbol_apply(u, eps, eta, lam, chi, a: int, c: int, x) -> np.ndarray:
+    """B(e_a, e_c) x, without forming the block: (5, N).
 
-    u (4, N), eps/eta/lam/chi (N,).  Returns (5, 5, N) with m(xi) equal to
-    the sum of xi_a xi_c times this block over all ordered pairs (a, c).
-    It is `symbol.symbol_components`' formula with xi = e_a and zeta = e_c
-    substituted into the symmetric bilinear form whose diagonal is m, so
-    xi.xi becomes g^{ac}, (u.xi)^2 becomes u^a u^c, and xi_n picks column
-    a or c: only those two columns, the diagonal and the constraint row
-    are filled.
+    u (4, N), eps/eta/lam/chi (N,), x (5, N).  B(e_a, e_c) is the
+    symmetrized coefficient of xi_a xi_c in the flat-metric symbol m(xi),
+    so m(xi) is the sum of xi_a xi_c B(e_a, e_c) over all ordered pairs
+    (a, c).  It is `symbol.symbol_components`' formula with xi = e_a and
+    zeta = e_c substituted into the symmetric bilinear form whose diagonal
+    is m: xi.xi becomes g^{ac}, (u.xi)^2 becomes u^a u^c, and xi_n picks
+    column a or c.  Only the velocity diagonal, columns a and c, the eps
+    column and the constraint row are nonzero.  This is the one formula for
+    the symbol's coefficients; `symbol_block` reads its columns off it.
     """
     g_ac = SGN[a] if a == c else 0.0
     uac = u[a] * u[c]
-    blk = np.zeros((5, 5) + eps.shape)
-    flat = blk.reshape((25,) + eps.shape)
-    flat[_DIAG_5X5] = -eta * g_ac + (lam - eta) * uac
-    # row_c xi_n: [(lam + chi) u^b + (chi - eta)/3 u^b] (u.xi) xi_n, with
+    xv, xe = x[:4], x[4]
+    inv4e = 1.0 / (4.0 * eps)
+    # row_b xi_n: [(lam + chi) u^b + (chi - eta)/3 u^b] (u.xi) xi_n, with
     # (u.xi) xi_n split evenly between u^a in column c and u^c in column a,
     # and (chi - eta)/3 xi^b xi_n split between entries (a, c) and (c, a)
     k = 0.5 * ((lam + chi) + (chi - eta) / 3.0)
-    blk[:4, c] += (k * u[a]) * u
-    blk[:4, a] += (k * u[c]) * u
-    blk[a, c] += (chi - eta) / 6.0 * SGN[a]
-    blk[c, a] += (chi - eta) / 6.0 * SGN[c]
-    inv4e = 1.0 / (4.0 * eps)
-    blk[:4, 4] = u * ((lam * g_ac + (2.0 * lam + 4.0 * chi) * uac) * inv4e)
-    blk[a, 4] += 0.5 * SGN[a] * (lam + chi) * u[c] * inv4e
-    blk[c, 4] += 0.5 * SGN[c] * (lam + chi) * u[a] * inv4e
-    blk[4, :4] = SGN[:, None] * u * uac
-    return blk
+    h = (chi - eta) / 6.0
+    f = 0.5 * (lam + chi) * inv4e * xe
+    out = np.empty(x.shape)
+    out[:4] = ((lam - eta) * uac - eta * g_ac) * xv + u * (
+        k * (u[a] * x[c] + u[c] * x[a])
+        + (lam * g_ac + (2.0 * lam + 4.0 * chi) * uac) * inv4e * xe)
+    out[a] += SGN[a] * (h * x[c] + f * u[c])
+    out[c] += SGN[c] * (h * x[a] + f * u[a])
+    out[4] = uac * (SGN @ (u * xv))
+    return out
 
 
-def principal_blocks(u, eps, model: TransportModel):
-    """(a, m01, m11): coefficients of dtt, dt dx, dxx for 1+1D fields.
+def symbol_block(u, eps, eta, lam, chi, a: int, c: int) -> np.ndarray:
+    """B(e_a, e_c) as a (5, 5, N) block, column j = `symbol_apply` of e_j."""
+    cols = []
+    for j in range(5):
+        e_j = np.zeros((5,) + eps.shape)
+        e_j[j] = 1.0
+        cols.append(symbol_apply(u, eps, eta, lam, chi, a, c, e_j))
+    return np.stack(cols, axis=1)
 
-    a = B(e0, e0) is the time-coefficient matrix (the symbol at e0),
-    m01 = 2 B(e0, e1) the summed coefficient of xi_0 xi_1 and
-    m11 = B(e1, e1), with B the blocks of `symbol_block`; each is an
-    (N, 5, 5) view.  This is the stepper's hot path.
+
+def time_matrix_solve(u, eps, eta, lam, chi, r=None, det_floor=None):
+    """Solve a x = r cellwise for the time-coefficient matrix a = B(e0, e0).
+
+    Returns (x, det): x (5, N), or None when r is None, and det a (N,).
+    Inputs as `symbol_apply`, r (5, N).  The matrix is a rank-one update of
+    a diagonal, bordered by one row and one column:
+
+        a = [[A, p], [q^T, 0]],   A = D I + c e0^T,
+
+        D = eta + (lam - eta) u0^2,
+        c = 2k u0 u - (chi - eta)/3 e0,   2k = lam + chi + (chi - eta)/3,
+        p = [lam (2 u0^2 - 1) + 4 chi u0^2] u / (4 eps)
+            - (lam + chi) u0 / (4 eps) e0,
+        q = SGN u u0^2.
+
+    Sherman-Morrison gives A^{-1} v = (v - c v0 / P) / D with the pivot
+    P = D + c0, and the Schur complement of A is the scalar -q.A^{-1}p =
+    -S / (D P) with S = P q.p - (q.c) p0.  Hence
+
+        x4 = (P q.r - (q.c) r0 - D P r4) / S,   x_v = A^{-1} (r_v - p x4),
+        det a = D^3 P (-q.A^{-1}p) = -D^2 S.
+
+    det is formed before any division.  With det_floor set, a cell with
+    |det| <= det_floor (or a non-finite det) raises ValueError before any
+    pivot is divided by.  That guards every pivot: at a1 = 4,
+    P = 2 (lam + 2 eta) u0^2 vanishes only with u0, which zeroes q, S and
+    det.
     """
-    eta, lam, chi = transport(eps, model)
-    a = symbol_block(u, eps, eta, lam, chi, 0, 0)
-    m01 = 2.0 * symbol_block(u, eps, eta, lam, chi, 0, 1)
-    m11 = symbol_block(u, eps, eta, lam, chi, 1, 1)
-    return a.transpose(2, 0, 1), m01.transpose(2, 0, 1), m11.transpose(2, 0, 1)
+    u0 = u[0]
+    u00 = u0 * u0
+    inv4e = 1.0 / (4.0 * eps)
+    d = eta + (lam - eta) * u00
+    c = (lam + chi + (chi - eta) / 3.0) * u0 * u
+    c[0] -= (chi - eta) / 3.0
+    p = ((2.0 * lam + 4.0 * chi) * u00 - lam) * inv4e * u
+    p[0] -= (lam + chi) * u0 * inv4e
+    q = SGN[:, None] * u * u00
+    piv = d + c[0]
+    qc = np.einsum('an,an->n', q, c)
+    s = piv * np.einsum('an,an->n', q, p) - qc * p[0]
+    det = -(d * d) * s
+    if det_floor is not None and not np.all(np.abs(det) > det_floor):
+        raise ValueError("time-coefficient matrix degenerate: min |det| = "
+                         f"{np.abs(det).min():.6g} <= {det_floor:g}")
+    if r is None:
+        return None, det
+    rv = r[:4]
+    x4 = (piv * np.einsum('an,an->n', q, rv) - qc * rv[0] - d * piv * r[4]) / s
+    v = rv - p * x4
+    v -= c * (v[0] / piv)
+    x = np.empty(r.shape)
+    x[:4] = v / d
+    x[4] = x4
+    return x, det
 
 
 def principal_pair_coefficients(u, eps, model: TransportModel) -> dict:

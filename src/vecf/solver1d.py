@@ -2,12 +2,16 @@
 
 Five unknowns (u^0, u^1, u^2, u^3, eps) on a periodic grid, evolved as a
 first-order-in-time system (V, W = dt V).  The second time derivative is
-obtained by inverting the time-coefficient matrix cell by cell:
+obtained by inverting the time-coefficient matrix a = B(e0, e0) cell by
+cell:
 
-    a dtW = -(m01 dx W + m11 dx dx V + B)
+    a dtW = -(2 B(e0, e1) dx W + B(e1, e1) dx dx V + B)
 
-with the coefficient blocks read off the fluid symbol and B the assembled
-first-order terms.  All four velocity components are kept so transverse
+with B(e_a, e_c) the symbol's coefficient of xi_a xi_c, applied to the
+derivative vectors without forming a block (`equations.symbol_apply`), and
+B the assembled first-order terms.  a is inverted in closed form
+(`equations.time_matrix_solve`), and its determinant comes out of the same
+elimination.  All four velocity components are kept so transverse
 (shear-family) pulses are representable; y and z derivatives vanish.
 
 Spatial derivatives use the 4th-order centered five-point stencil, and the
@@ -31,8 +35,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .causality import max_characteristic_speed
-from .constitutive import SGN, TransportModel, complete_initial_data, stress_tensor_fields
-from .equations import FieldJet1, assemble_lower_order, dx4, principal_blocks
+from .constitutive import (SGN, TransportModel, complete_initial_data,
+                           stress_tensor_fields, transport)
+from .equations import (FieldJet1, assemble_lower_order, dx4, symbol_apply,
+                        time_matrix_solve)
 from .symbol import StatePoint
 from .tensor import minkowski
 
@@ -42,7 +48,6 @@ __all__ = [
     "constant_state",
     "gaussian_pulse",
     "shear_pulse",
-    "tabulated_state",
     "bump_perturbation",
     "SolverConfig",
     "FieldGrid",
@@ -122,37 +127,6 @@ def shear_pulse(amplitude: float = 0.05, width: float = 0.1,
     )
 
 
-def tabulated_state(x_nodes, eps0, eps1, v0, v1, length: float) -> InitialData:
-    """Custom initial data from sampled tables, periodically interpolated.
-
-    x_nodes (M,) with values eps0/eps1 (M,) and v0/v1 (3, M); evaluation on
-    any solver grid uses periodic linear interpolation, so a table sampled
-    on one resolution seeds runs at every resolution.
-    """
-    x_nodes = np.asarray(x_nodes, dtype=float)
-    eps0 = np.asarray(eps0, dtype=float)
-    eps1 = np.asarray(eps1, dtype=float)
-    v0 = np.asarray(v0, dtype=float)
-    v1 = np.asarray(v1, dtype=float)
-    if v0.shape != (3, x_nodes.size) or v1.shape != (3, x_nodes.size):
-        raise ValueError("v0 and v1 tables must have shape (3, len(x_nodes))")
-
-    def interp(values):
-        def fn(x):
-            return np.interp(np.mod(x, length), x_nodes, values,
-                             period=length)
-        return fn
-
-    def interp3(values):
-        def fn(x):
-            return np.stack([np.interp(np.mod(x, length), x_nodes, values[i],
-                                       period=length) for i in range(3)])
-        return fn
-
-    return InitialData(name="tabulated", eps0=interp(eps0), eps1=interp(eps1),
-                       v0=interp3(v0), v1=interp3(v1))
-
-
 def bump_perturbation(base: InitialData, amplitude: float, center: float,
                       radius: float, power: int = 4) -> InitialData:
     """Add a compactly supported (1 - s^2)^power bump to eps0.
@@ -177,6 +151,15 @@ COURANT_MAX = 1.0
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Settings of one 1+1D run.
+
+    cfl is the Courant number dt v_max / h at t = 0: evolve fixes dt from
+    the maximal characteristic speed of the initial data.  v_max grows with
+    the flow speed |w|, so a run may exceed cfl as its flow develops (by up
+    to 0.5% in the acceptance runs); COURANT_MAX bounds the Courant number
+    for the whole run, and evolve aborts when a diagnostic finds it passed.
+    """
+
     transport: TransportModel = TransportModel()
     n_cells: int = 512
     length: float = 2.0
@@ -228,11 +211,12 @@ class Diagnostics:
     t: float
     constraint_drift: float
     min_eps: float
-    energy_integral: float     # integral of T^{00} dx; reported, not asserted conserved
+    energy_integral: float     # integral of T^{00} dx, conserved up to truncation error
+    momentum_integral: float   # integral of T^{01} dx, conserved up to truncation error
     min_abs_det_time_matrix: float
-    det_shortfall_rel: float   # max over cells of (closed-form - |det|)/closed-form;
-    # the closed form assumes normalized u, so the shortfall rides on the
-    # constraint drift and refines away with it
+    det_shortfall_rel: float   # max over cells of (closed-form - |det|)/closed-form,
+    # det from the solver's elimination; the closed form assumes normalized
+    # u, so the shortfall rides on the constraint drift and refines away with it
 
 
 @dataclass
@@ -265,8 +249,7 @@ def _spectral_filter(W: np.ndarray, factors: np.ndarray) -> np.ndarray:
 DET_FLOOR = 1e-10
 
 
-def _rhs(V: np.ndarray, W: np.ndarray, h: float, model: TransportModel,
-         det_check: bool = False):
+def _rhs(V: np.ndarray, W: np.ndarray, h: float, model: TransportModel):
     u, eps = V[:4], V[4]
     if eps.min() <= 0.0:
         raise ValueError("energy density lost positivity inside a stage")
@@ -279,13 +262,11 @@ def _rhs(V: np.ndarray, W: np.ndarray, h: float, model: TransportModel,
     du[1] = dxV[:4]
     deps[0] = W[4]
     deps[1] = dxV[4]
-    a, m01, m11 = principal_blocks(u, eps, model)
-    if det_check and np.abs(np.linalg.det(a)).min() <= DET_FLOOR:
-        raise ValueError("time-coefficient matrix degenerate")
+    eta, lam, chi = transport(eps, model)
     B = assemble_lower_order(FieldJet1(u=u, du=du, eps=eps, deps=deps), model)
-    rhs_w = -(np.einsum('nrc,cn->rn', m01, dxW)
-              + np.einsum('nrc,cn->rn', m11, dxxV) + B)
-    dtW = np.linalg.solve(a, rhs_w.T[:, :, None])[:, :, 0].T
+    rhs_w = -(symbol_apply(u, eps, eta, lam, chi, 0, 1, 2.0 * dxW)
+              + symbol_apply(u, eps, eta, lam, chi, 1, 1, dxxV) + B)
+    dtW, _ = time_matrix_solve(u, eps, eta, lam, chi, rhs_w, det_floor=DET_FLOOR)
     return W, dtW
 
 
@@ -293,14 +274,14 @@ def step(grid: FieldGrid, cfg: SolverConfig, dt: float,
          filter_factors: np.ndarray | None = None) -> FieldGrid:
     """One classical RK4 step; optional spectral filter applied to W after it.
 
-    The first stage asserts |det a| > DET_FLOOR at every cell before the
-    update is accepted; in the admissible regime the closed-form value
-    keeps the determinant far above the floor.
+    Every stage asserts |det a| > DET_FLOOR at every cell before it divides
+    by a pivot of a, and raises ValueError otherwise; in the admissible
+    regime the closed-form value keeps the determinant far above the floor.
     """
     h = grid.spacing
     model = cfg.transport
     V, W = grid.V, grid.W
-    k1v, k1w = _rhs(V, W, h, model, det_check=True)
+    k1v, k1w = _rhs(V, W, h, model)
     k2v, k2w = _rhs(V + 0.5 * dt * k1v, W + 0.5 * dt * k1w, h, model)
     k3v, k3w = _rhs(V + 0.5 * dt * k2v, W + 0.5 * dt * k2w, h, model)
     k4v, k4w = _rhs(V + dt * k3v, W + dt * k3w, h, model)
@@ -367,10 +348,11 @@ def _diagnose(grid: FieldGrid, model: TransportModel) -> Diagnostics:
     deps[1] = dxV[4]
     T = stress_tensor_fields(u, du, eps, deps, model)
     t00_up = T[0, 0]                       # T^{00} = g^{0a} g^{0b} T_ab = T_00
-    a, _, _ = principal_blocks(u, eps, model)
-    dets = np.abs(np.linalg.det(a))
+    t01_up = -T[0, 1]                      # T^{01} = g^{00} g^{11} T_01
+    eta, lam, chi = transport(eps, model)
+    _, det = time_matrix_solve(u, eps, eta, lam, chi)
+    dets = np.abs(det)
     w2 = np.einsum('in,in->n', u[1:], u[1:])
-    eta = model.eta(eps)
     a2 = model.a2
     closed = (eta ** 4 / eps * (1.0 + w2) ** 2
               * (3.0 * a2 + (a2 - 4.0) * w2) * (a2 + (a2 - 1.0) * w2) ** 2)
@@ -379,6 +361,7 @@ def _diagnose(grid: FieldGrid, model: TransportModel) -> Diagnostics:
         constraint_drift=grid.constraint_drift(),
         min_eps=float(eps.min()),
         energy_integral=float(t00_up.sum() * grid.spacing),
+        momentum_integral=float(t01_up.sum() * grid.spacing),
         min_abs_det_time_matrix=float(dets.min()),
         det_shortfall_rel=float(((closed - dets) / closed).max()),
     )

@@ -192,3 +192,12 @@ def test_cli_solver_commands_reject_bad_config(tmp_path, capsys, override, comma
     assert err.startswith("config error: ")
     assert err.count("\n") == 1          # one line, no traceback
     assert not any(tmp_path.iterdir())
+
+
+def test_cli_rejects_removed_speeds_section(tmp_path, capsys):
+    # no command reads pulse-speed settings, so the section does not exist
+    assert main(["--out", str(tmp_path), "--set", "speeds.n_cells=64", "gevrey"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+    assert "speeds" in err

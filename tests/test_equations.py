@@ -3,11 +3,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vecf.constitutive import SGN, TransportModel
+from vecf.constitutive import SGN, TransportModel, transport
 from vecf.equations import (MUTATION_KEYS, FieldJet1, SinusoidalField,
                             assemble_lower_order, divergence_residual,
-                            equation_rows, principal_blocks,
-                            principal_pair_coefficients)
+                            equation_rows, principal_pair_coefficients,
+                            symbol_apply, symbol_block, time_matrix_solve)
 from vecf.symbol import StatePoint, fluid_symbol
 from vecf.tensor import minkowski
 
@@ -190,13 +190,72 @@ def test_blocks_match_fluid_symbol(case):
     for (a, c), blk in pairs.items():
         ref = sym[(a, c)] if a == c else sym[(a, c)] - sym[(a, a)] - sym[(c, c)]
         assert _close(blk[0], ref, scale[(a, c)])
-    a, m01, m11 = principal_blocks(u, eps, s.transport)
-    assert _close(a[0], sym[(0, 0)], scale[(0, 0)])
-    assert _close(m01[0], sym[(0, 1)] - sym[(0, 0)] - sym[(1, 1)], scale[(0, 1)])
-    assert _close(m11[0], sym[(1, 1)], scale[(1, 1)])
     total = sum(blk[0] * xi[a] * xi[c] for (a, c), blk in pairs.items())
     terms = sum(np.abs(blk[0]) * abs(xi[a] * xi[c]) for (a, c), blk in pairs.items())
     assert _close(total, fluid_symbol(s, xi), terms.max())
+
+
+time_matrix_state = st.tuples(
+    st.floats(4.0, 12.0),                                    # a2
+    st.sampled_from(["power", "constant"]),
+    st.floats(0.5, 2.0),                                     # eps
+    st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),  # boost direction
+    st.floats(0.0, 3.0),                                     # |w|
+    st.floats(-1e-3, 1e-3),                                  # u0 off normalization
+    st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5),  # right-hand side
+)
+
+
+def _time_matrix_case(a2, eta_form, eps, wdir, wnorm, off_norm, rhs):
+    # one cell whose u0 is off normalization by up to 1e-3, as within an
+    # RK stage; returns the symbol's inputs and a right-hand side
+    wdir = np.array(wdir)
+    assume(np.linalg.norm(wdir) >= 1e-3)
+    w = wnorm * wdir / np.linalg.norm(wdir)
+    u = np.array([np.sqrt(1.0 + w @ w) * (1.0 + off_norm), *w])[:, None]
+    eps = np.array([eps])
+    model = TransportModel(a1=4.0, a2=a2, eta_form=eta_form)
+    return (u, eps, *transport(eps, model)), np.array(rhs)[:, None]
+
+
+@settings(max_examples=200, deadline=None)
+@given(time_matrix_state)
+def test_time_matrix_solve_matches_lapack(case):
+    args, r = _time_matrix_case(*case)
+    assume(np.abs(r).max() >= 1e-3)
+    a = symbol_block(*args, 0, 0)[:, :, 0]
+    x, det = time_matrix_solve(*args, r, det_floor=0.0)
+    ref = np.linalg.solve(a, r[:, 0])
+    assert np.abs(x[:, 0] - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert abs(det[0] - np.linalg.det(a)) <= 1e-12 * abs(np.linalg.det(a))
+    _, det_only = time_matrix_solve(*args)
+    assert det_only[0] == det[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(time_matrix_state)
+def test_symbol_apply_matches_block(case):
+    # within 1e-14 of the largest term max|B| max|x|: an entry of B can be
+    # a near-cancelling sum of terms of that size, so its own size is no scale
+    args, x = _time_matrix_case(*case)
+    for a in range(4):
+        for c in range(4):
+            blk = symbol_block(*args, a, c)[:, :, 0]
+            got = symbol_apply(*args, a, c, x)[:, 0]
+            scale = np.abs(blk).max() * np.abs(x).max()
+            assert np.abs(got - blk @ x[:, 0]).max() <= 1e-14 * scale
+
+
+def test_time_matrix_solve_rejects_degenerate_cell():
+    # u = 0 zeroes the constraint row q, so det a = 0: the floor trips
+    # before any pivot is divided by, and without a floor det reads 0
+    u = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    eps = np.ones(2)
+    args = (u, eps, *transport(eps, MODEL))
+    with pytest.raises(ValueError, match="degenerate"):
+        time_matrix_solve(*args, np.ones((5, 2)), det_floor=1e-10)
+    _, det = time_matrix_solve(*args)
+    assert det[1] == 0.0 and abs(det[0]) > 1e-10
 
 
 def test_constant_state_has_zero_lower_order():
@@ -233,20 +292,24 @@ def test_unknown_mutation_key():
 
 
 def test_principal_blocks_match_pointwise_symbol():
+    # the solver's principal part, 2 B(e0, e1) x + B(e1, e1) y applied
+    # without blocks, against the symbol at e0, e1 and e0 + e1
     rng = np.random.default_rng(11)
     n = 8
     u = np.concatenate([rng.uniform(0.9, 1.8, (1, n)), rng.uniform(-1, 1, (3, n))])
     eps = rng.uniform(0.5, 2.0, n)
-    a, m01, m11 = principal_blocks(u, eps, MODEL)
+    x, y = rng.uniform(-1, 1, (2, 5, n))
+    eta, lam, chi = transport(eps, MODEL)
+    got = (symbol_apply(u, eps, eta, lam, chi, 0, 1, 2.0 * x)
+           + symbol_apply(u, eps, eta, lam, chi, 1, 1, y))
     g = minkowski()
+    e0 = np.array([1.0, 0, 0, 0])
+    e1 = np.array([0.0, 1, 0, 0])
     for j in range(n):
         s = StatePoint(eps=float(eps[j]), u=u[:, j], g=g, transport=MODEL)
-        e0 = np.array([1.0, 0, 0, 0])
-        e1 = np.array([0.0, 1, 0, 0])
-        assert np.allclose(a[j], fluid_symbol(s, e0), atol=1e-14)
-        assert np.allclose(m11[j], fluid_symbol(s, e1), atol=1e-14)
-        assert np.allclose(m01[j], fluid_symbol(s, e0 + e1)
-                           - fluid_symbol(s, e0) - fluid_symbol(s, e1), atol=1e-13)
+        m01 = fluid_symbol(s, e0 + e1) - fluid_symbol(s, e0) - fluid_symbol(s, e1)
+        ref = m01 @ x[:, j] + fluid_symbol(s, e1) @ y[:, j]
+        assert np.allclose(got[:, j], ref, atol=1e-13)
 
 
 def test_pair_coefficients_reassemble_symbol():
