@@ -32,9 +32,7 @@ __all__ = [
     "symbol_apply",
     "symbol_block",
     "time_matrix_solve",
-    "principal_pair_coefficients",
     "assemble_lower_order",
-    "apply_principal",
     "equation_rows",
     "SinusoidalField",
     "divergence_residual",
@@ -176,35 +174,6 @@ def time_matrix_solve(u, eps, eta, lam, chi, r=None, det_floor=None):
     return x, det
 
 
-def principal_pair_coefficients(u, eps, model: TransportModel) -> dict:
-    """Coefficient matrices for all ten unordered derivative pairs.
-
-    C[(a, a)] multiplies d^2_{aa}; C[(a, m)] with a < m multiplies
-    d^2_{am} once (it already contains both cross terms).  Each is (N, 5, 5).
-    """
-    eta, lam, chi = transport(eps, model)
-    coeffs = {}
-    for a in range(4):
-        for m in range(a, 4):
-            blk = symbol_block(u, eps, eta, lam, chi, a, m)
-            coeffs[(a, m)] = (blk if a == m else 2.0 * blk).transpose(2, 0, 1)
-    return coeffs
-
-
-def apply_principal(coeffs: dict, d2u: np.ndarray, d2eps: np.ndarray) -> np.ndarray:
-    """Contract pair coefficients with exact second derivatives.
-
-    d2u (4, 4, 4, N) symmetric in the first two axes, d2eps (4, 4, N).
-    Returns the principal content of the five rows, (5, N).
-    """
-    n = d2eps.shape[-1]
-    out = np.zeros((5, n))
-    for (a, m), blk in coeffs.items():
-        v2 = np.concatenate([d2u[a, m], d2eps[a, m][None]], axis=0)
-        out += np.einsum('nrc,cn->rn', blk, v2)
-    return out
-
-
 def assemble_lower_order(jet: FieldJet1, model: TransportModel,
                          mutation: tuple | None = None) -> np.ndarray:
     """First-order (non-principal) content of the five equation rows, (5, N).
@@ -320,10 +289,21 @@ def assemble_lower_order(jet: FieldJet1, model: TransportModel,
 
 
 def equation_rows(jet2, model: TransportModel, mutation=None) -> np.ndarray:
-    """Full rows principal + B for a second-order jet (u, du, d2u, eps, deps, d2eps)."""
+    """Full rows principal + B for a second-order jet (u, du, d2u, eps, deps, d2eps).
+
+    d2u (4, 4, 4, N) and d2eps (4, 4, N) are symmetric in their first two
+    axes.  The principal part applies B(e_a, e_m) to d_a d_m (u, eps) over
+    all ordered pairs: each pair a < m once, to twice its derivatives.
+    """
     u, du, d2u, eps, deps, d2eps = jet2
-    coeffs = principal_pair_coefficients(u, eps, model)
-    principal = apply_principal(coeffs, d2u, d2eps)
+    eta, lam, chi = transport(eps, model)
+    principal = np.zeros((5,) + eps.shape)
+    for a in range(4):
+        for m in range(a, 4):
+            v2 = np.concatenate([d2u[a, m], d2eps[a, m][None]], axis=0)
+            if a < m:
+                v2 *= 2.0
+            principal += symbol_apply(u, eps, eta, lam, chi, a, m, v2)
     lower = assemble_lower_order(FieldJet1(u=u, du=du, eps=eps, deps=deps),
                                  model, mutation=mutation)
     return principal + lower

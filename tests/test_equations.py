@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from vecf.constitutive import SGN, TransportModel, transport
 from vecf.equations import (MUTATION_KEYS, FieldJet1, SinusoidalField,
                             assemble_lower_order, divergence_residual,
-                            equation_rows, principal_pair_coefficients,
-                            symbol_apply, symbol_block, time_matrix_solve)
+                            equation_rows, symbol_apply, symbol_block,
+                            time_matrix_solve)
 from vecf.symbol import StatePoint, fluid_symbol
 from vecf.tensor import minkowski
 
@@ -168,6 +168,17 @@ def _admissible(a2, eta_form, eps, wdir, wnorm, xdir, off_null, sign):
     return s, xi
 
 
+def pair_coefficients(u, eps, model):
+    """(N, 5, 5) coefficient of d_a d_m for the ten unordered pairs a <= m.
+
+    A pair a < m stands for both orders, so its block is 2 B(e_a, e_m).
+    """
+    args = (u, eps, *transport(eps, model))
+    return {(a, m): (1.0 if a == m else 2.0)
+            * symbol_block(*args, a, m).transpose(2, 0, 1)
+            for a in range(4) for m in range(a, 4)}
+
+
 def _close(block, reference, scale):
     return np.abs(block - reference).max() <= 1e-14 * scale
 
@@ -186,7 +197,7 @@ def test_blocks_match_fluid_symbol(case):
     # entry is the scale of its rounding error
     scale = {(a, c): max(np.abs(sym[k]).max() for k in ((a, c), (a, a), (c, c)))
              for (a, c) in sym}
-    pairs = principal_pair_coefficients(u, eps, s.transport)
+    pairs = pair_coefficients(u, eps, s.transport)
     for (a, c), blk in pairs.items():
         ref = sym[(a, c)] if a == c else sym[(a, c)] - sym[(a, a)] - sym[(c, c)]
         assert _close(blk[0], ref, scale[(a, c)])
@@ -318,7 +329,7 @@ def test_pair_coefficients_reassemble_symbol():
     n = 4
     u = np.concatenate([rng.uniform(0.9, 1.8, (1, n)), rng.uniform(-1, 1, (3, n))])
     eps = rng.uniform(0.5, 2.0, n)
-    coeffs = principal_pair_coefficients(u, eps, MODEL)
+    coeffs = pair_coefficients(u, eps, MODEL)
     xi = rng.uniform(-2, 2, 4)
     total = np.zeros((n, 5, 5))
     for (a, m), blk in coeffs.items():
