@@ -3,9 +3,10 @@
 The five evolution rows are the four components of the stress-tensor
 divergence (indices raised) plus the normalization-constraint row.  Each row
 splits into a principal part (second derivatives, whose coefficients are the
-fluid symbol's blocks at pairs of basis covectors) and a first-order
-remainder B assembled here term by term from the constitutive tensor's
-divergence, each term contracted down to vectors before it is summed.
+fluid symbol's coefficients at pairs of basis covectors, applied to the
+derivative vectors without forming blocks) and a first-order remainder B
+assembled here term by term from the constitutive tensor's divergence, each
+term contracted down to vectors before it is summed.
 
 The divergence oracle pins all of it at once: the assembled rows must agree
 with a finite-difference divergence of the stress tensor on manufactured
@@ -109,7 +110,11 @@ def symbol_apply(u, eps, eta, lam, chi, a: int, c: int, x) -> np.ndarray:
 
 
 def symbol_block(u, eps, eta, lam, chi, a: int, c: int) -> np.ndarray:
-    """B(e_a, e_c) as a (5, 5, N) block, column j = `symbol_apply` of e_j."""
+    """B(e_a, e_c) as a (5, 5, N) block, column j = `symbol_apply` of e_j.
+
+    The block view of the symbol, for checks against the full symbol and a
+    dense solve; the solver and the oracle apply `symbol_apply` directly.
+    """
     cols = []
     for j in range(5):
         e_j = np.zeros((5,) + eps.shape)
