@@ -7,23 +7,23 @@ machine-checkable numerical facts, and evolves the flat-space equations in
 """
 
 from .causality import (ConeReport, causality_scan, cone_containment,
-                        critical_angle_check, hyperbolicity_region_map,
-                        max_characteristic_speed, shear_slopes, sound_slopes)
+                        cone_slopes, critical_angle_check,
+                        hyperbolicity_region_map, max_characteristic_speed,
+                        shear_slopes, sound_slopes)
 from .characteristics import (COUPLED_FACTORS, FLUID_FACTORS, FactorSet,
-                              RootPair, bisection_roots, eval_factor,
+                              RootPair, bisection_roots, cone_coefficients,
+                              cone_roots, cone_xi0, eval_factor,
                               eval_factor_base, gevrey_index, is_hyperbolic,
-                              quartic_coefficients, shear_cone_roots,
-                              sound_cone_roots, sound_quartic_general)
-from .constitutive import (StateJet1, TransportModel, complete_initial_data,
-                           stress_tensor, transport)
+                              quartic_coefficients, sound_quartic_general)
+from .constitutive import (TransportModel, complete_initial_data,
+                           stress_tensor_fields, transport)
 from .equations import (SinusoidalField, assemble_lower_order,
                         divergence_residual)
 from .solver1d import (FieldGrid, SolverAbort, SolverConfig, constant_state,
                        evolve, gaussian_pulse, shear_pulse, step)
 from .symbol import (StatePoint, coupled_char_det, det_time_matrix_formula,
                      fluid_char_det, fluid_symbol, time_matrix)
-from .tensor import (Covec4, Metric4, Vec4, inner, lower, minkowski,
-                     raise_index, random_lorentzian_near_minkowski)
+from .tensor import Metric4, minkowski, random_lorentzian_near_minkowski
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

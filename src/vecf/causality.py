@@ -12,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristics import quartic_coefficients
+from .characteristics import (FAMILIES, cone_coefficients, cone_xi0,
+                              quartic_coefficients)
 from .constitutive import TransportModel
 from .symbol import StatePoint
 from .tensor import minkowski
@@ -21,10 +22,9 @@ __all__ = [
     "BOUNDARY_TOL",
     "FamilyCone",
     "ConeReport",
+    "cone_slopes",
     "shear_slopes",
     "sound_slopes",
-    "shear_axis_slopes",
-    "flow_slope",
     "critical_angle_check",
     "cone_containment",
     "causality_scan",
@@ -35,52 +35,29 @@ __all__ = [
 BOUNDARY_TOL = 1e-12
 
 
-def shear_slopes(u2: float, theta, a2: float):
-    """Slopes s+-(u, theta) of the shear-family cone halves.
+def cone_slopes(family: str, u2: float, theta, a2: float):
+    """Slopes (s-, s+) of a family's cone halves, xi0 / |xibar| at unit xibar.
 
     u2 is the squared spatial velocity |w|^2 of a normalized u; theta the
-    angle between w and the spatial covector.  Valid for the Minkowski
-    metric.
+    angle between w and the spatial covector, so w.xibar = |w| cos(theta).
+    Valid for the Minkowski metric.
     """
     if u2 < 0.0:
         raise ValueError("u2 must be non-negative")
-    theta = np.asarray(theta, dtype=float)
-    denom = 1.0 + (a2 - 1.0) * (1.0 + u2)
-    cos = np.cos(theta)
-    radicand = a2 + (a2 - 1.0) * u2 - (a2 - 1.0) * u2 * cos ** 2
-    if np.any(radicand < 0.0):
-        raise ValueError("negative radicand in shear slope")
-    drift = (a2 - 1.0) * np.sqrt(u2) * cos * np.sqrt(1.0 + u2)
-    root = np.sqrt(radicand)
-    return -(drift + root) / denom, -(drift - root) / denom
+    alpha, beta = cone_coefficients(family, a2)
+    wxi = np.sqrt(u2) * np.cos(np.asarray(theta, dtype=float))
+    lo, hi, _ = cone_xi0(alpha, beta, u2, wxi)
+    return lo, hi
+
+
+def shear_slopes(u2: float, theta, a2: float):
+    """Slopes of the shear-family cone halves; see `cone_slopes`."""
+    return cone_slopes("shear", u2, theta, a2)
 
 
 def sound_slopes(u2: float, theta, a2: float):
-    """Slopes of the sound-family cone halves, same variables as shear_slopes."""
-    if u2 < 0.0:
-        raise ValueError("u2 must be non-negative")
-    theta = np.asarray(theta, dtype=float)
-    denom = -2.0 * (2.0 + a2) - (a2 - 4.0) * (1.0 + u2)
-    q = a2 ** 2 - 2.0 * a2 - 8.0
-    cos = np.cos(theta)
-    radicand = 3.0 * a2 * (2.0 + a2) + q * u2 - q * u2 * cos ** 2
-    if np.any(radicand < 0.0):
-        raise ValueError("negative radicand in sound slope")
-    drift = (a2 - 4.0) * np.sqrt(u2) * cos * np.sqrt(1.0 + u2)
-    root = np.sqrt(2.0) * np.sqrt(radicand)
-    return (drift + root) / denom, (drift - root) / denom
-
-
-def shear_axis_slopes(u2: float, a2: float):
-    """Shear slopes at theta = 0 (equivalently 2 pi) in closed form."""
-    denom = 1.0 + (a2 - 1.0) * (1.0 + u2)
-    drift = (a2 - 1.0) * np.sqrt(u2 * (1.0 + u2))
-    return (-(np.sqrt(a2) + drift) / denom, -(-np.sqrt(a2) + drift) / denom)
-
-
-def flow_slope(u2: float, theta) -> float:
-    """Slope of the flow-line cone u.xi = 0: always strictly inside the light cone."""
-    return float(-np.sqrt(u2) * np.cos(theta) / np.sqrt(1.0 + u2))
+    """Slopes of the sound-family cone halves; see `cone_slopes`."""
+    return cone_slopes("sound", u2, theta, a2)
 
 
 @dataclass(frozen=True)
@@ -94,9 +71,9 @@ class CriticalAngleReport:
     on_axis: bool
 
 
-def _max_abs_slope(slope_fn, u2, a2, n_theta=720):
+def _max_abs_slope(family, u2, a2, n_theta=720):
     thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    sp, sm = slope_fn(u2, thetas, a2)
+    sp, sm = cone_slopes(family, u2, thetas, a2)
     vals = np.maximum(np.abs(sp), np.abs(sm))
     j = int(np.argmax(vals))
     return thetas, vals, j
@@ -110,17 +87,15 @@ def critical_angle_check(u2: float, a2: float, family: str = "shear",
     reported.  Otherwise the maximizer must land within 1e-6 of
     {0, pi, 2 pi}: the angular extrema sit on the axis sin(theta) = 0.
     """
-    slope_fn = {"shear": shear_slopes, "sound": sound_slopes}[family]
-
     def score(th):
-        sp, sm = slope_fn(u2, th, a2)
+        sp, sm = cone_slopes(family, u2, th, a2)
         return max(abs(float(sp)), abs(float(sm)))
 
     if u2 == 0.0:
         return CriticalAngleReport(family, u2, a2, theta_max=0.0,
                                    slope_at_max=score(0.0),
                                    flat_profile=True, on_axis=True)
-    thetas, vals, j = _max_abs_slope(slope_fn, u2, a2, n_theta)
+    thetas, vals, j = _max_abs_slope(family, u2, a2, n_theta)
     lo = thetas[j] - 2.0 * np.pi / n_theta
     hi = thetas[j] + 2.0 * np.pi / n_theta
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -174,22 +149,20 @@ def cone_containment(s: StatePoint, n_theta: int = 720) -> ConeReport:
     """Family-by-family light-cone containment for one state.
 
     u is re-normalized through its spatial part (u^0 recomputed as
-    sqrt(1 + w^2)); the slope formulas assume normalization.  The flow
-    family and the gravitational light cone are always reported, the
-    latter as a boundary touch by convention.
+    sqrt(1 + w^2)); the slope formulas assume normalization.  All four
+    families are reported; the gravitational light cone is a boundary touch
+    and does not enter the fluid verdict.
     """
     w = np.asarray(s.u[1:], dtype=float)
     u2 = float(w @ w)
     a2 = s.transport.a2
     thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+    wxi = np.sqrt(u2) * np.cos(thetas)     # cone_slopes' w.xibar, shared
 
     fams = {}
-    smax_flow = float(np.sqrt(u2 / (1.0 + u2)))
-    fams["flow"] = FamilyCone("flow", smax_flow, _verdict(smax_flow),
-                              0.0 if u2 == 0 else np.pi)
-    for name, fn in (("shear", shear_slopes), ("sound", sound_slopes)):
+    for name in FAMILIES:
         try:
-            sp, sm = fn(u2, thetas, a2)
+            sp, sm, _ = cone_xi0(*cone_coefficients(name, a2), u2, wxi)
         except ValueError:
             fams[name] = FamilyCone(name, np.inf, "violated", np.nan)
             continue
@@ -197,7 +170,6 @@ def cone_containment(s: StatePoint, n_theta: int = 720) -> ConeReport:
         j = int(np.argmax(vals))
         fams[name] = FamilyCone(name, float(vals[j]), _verdict(float(vals[j])),
                                 float(thetas[j]))
-    fams["light"] = FamilyCone("light", 1.0, "boundary", 0.0)
 
     fluid = [fams[k] for k in ("flow", "shear", "sound")]
     if any(f.verdict == "violated" for f in fluid):
@@ -267,30 +239,21 @@ class RegionCell:
 def _quadratic_factor_slopes(r: float, u2_samples, n_theta: int):
     """Root slopes of (u.xi)^2 - r (xi.xi) over sampled boosts and angles.
 
-    Returns (hyperbolic, max_abs_slope): the factor is hyperbolic iff every
-    sampled direction yields two real roots separated beyond the
-    distinctness gap.
+    Returns (hyperbolic, max_abs_slope).  r ~ 0 is the flow cone u.xi = 0,
+    whose double root is a hyperbolic degree-1 factor.  Otherwise the
+    factor is hyperbolic iff every sampled direction yields two real roots
+    separated beyond the distinctness gap.
     """
+    flow = abs(r) < 1e-12
     thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    cos = np.cos(thetas)
-    smax = 0.0
-    for u2 in u2_samples:
-        u0sq = 1.0 + u2
-        A = u0sq + r
-        Bq = 2.0 * np.sqrt(u0sq * u2) * cos
-        Cq = u2 * cos ** 2 - r
-        disc = Bq ** 2 - 4.0 * A * Cq
-        if abs(A) < 1e-14:
-            return False, np.inf
-        if np.any(disc < 0.0):
-            return False, np.inf
-        root = np.sqrt(disc)
-        s1 = (-Bq + root) / (2.0 * A)
-        s2 = (-Bq - root) / (2.0 * A)
-        if np.any(np.abs(s1 - s2) < 1e-8):
-            return False, np.inf
-        smax = max(smax, float(np.abs(s1).max()), float(np.abs(s2).max()))
-    return True, smax
+    u2 = np.asarray(u2_samples, dtype=float)[:, None]
+    try:
+        s1, s2, _ = cone_xi0(1.0, 0.0 if flow else r, u2, np.sqrt(u2) * np.cos(thetas))
+    except ValueError:                 # a degenerate or complex root pair
+        return False, np.inf
+    if not flow and np.any(np.abs(s1 - s2) < 1e-8):
+        return False, np.inf
+    return True, float(max(np.abs(s1).max(), np.abs(s2).max()))
 
 
 def hyperbolicity_region_map(a1_grid, a2_grid, u_samples=None, n_theta: int = 64,
@@ -338,10 +301,7 @@ def hyperbolicity_region_map(a1_grid, a2_grid, u_samples=None, n_theta: int = 64
             hyperbolic = True
             smax = 1.0 if light_cone_factors else 0.0
             for r in factors:
-                # factor (u.xi)^2 - r xi.xi; r = 0 is the flow cone, always causal
-                if abs(r) < 1e-12:
-                    smax = max(smax, np.sqrt(max(u_samples) / (1.0 + max(u_samples))))
-                    continue
+                # factor (u.xi)^2 - r xi.xi
                 ok, fmax = _quadratic_factor_slopes(float(r), u_samples, n_theta)
                 if not ok:
                     hyperbolic = False

@@ -15,6 +15,19 @@ thing whose real-root structure defines hyperbolicity):
 The flow factor enters the determinant as eta^4/(12 eps) (u.xi)^4 and the
 light factor (gravitational block) as (xi.xi)^10.  u.u is kept explicit in
 the sound factor; it is not replaced by -1.
+
+At normalized u on the Minkowski metric every family's characteristic cone
+is alpha (u.xi)^2 - beta xi.xi = 0, with
+
+    family   alpha      beta
+    flow     1          0
+    shear    a2 - 1     1
+    sound    a2 - 4     2 (a2 + 2)
+    light    0          1
+
+and `cone_xi0` is the one closed form for its xi0 roots: every closed-form
+root, slope, containment verdict and CFL speed evaluates it.  The bisection
+oracle evaluates the base polynomials instead, so it checks this table.
 """
 
 from __future__ import annotations
@@ -43,8 +56,9 @@ __all__ = [
     "factor_power",
     "sound_quartic_general",
     "quartic_coefficients",
-    "shear_cone_roots",
-    "sound_cone_roots",
+    "cone_coefficients",
+    "cone_xi0",
+    "cone_roots",
     "bisection_roots",
     "is_hyperbolic",
     "gevrey_index",
@@ -54,6 +68,15 @@ FAMILIES = ("flow", "shear", "sound", "light")
 
 _BASE_DEGREE = {"flow": 1, "shear": 2, "sound": 2, "light": 2}
 _POWER = {"flow": 4, "shear": 2, "sound": 1, "light": 10}
+# (alpha, beta) of the cone alpha (u.xi)^2 - beta xi.xi = 0 at normalized u on
+# Minkowski: the base polynomial up to a nonzero factor (sound's is 12, light's
+# is -1), and for flow its square
+_CONE = {
+    "flow": lambda a2: (1.0, 0.0),
+    "shear": lambda a2: (a2 - 1.0, 1.0),
+    "sound": lambda a2: (a2 - 4.0, 2.0 * (a2 + 2.0)),
+    "light": lambda a2: (0.0, 1.0),
+}
 
 DISTINCTNESS_GAP = 1e-8  # absolute, for unit-sphere spatial directions
 
@@ -101,6 +124,13 @@ def factor_power(family: str) -> int:
     if family not in _POWER:
         raise ValueError(f"unknown factor family {family!r}")
     return _POWER[family]
+
+
+def cone_coefficients(family: str, a2: float) -> tuple:
+    """(alpha, beta) of a family's cone alpha (u.xi)^2 - beta xi.xi = 0."""
+    if family not in _CONE:
+        raise ValueError(f"unknown factor family {family!r}")
+    return _CONE[family](a2)
 
 
 def _contractions(s: StatePoint, xi):
@@ -269,7 +299,11 @@ def quartic_coefficients(a1: float, a2: float, u, g, seed: int = 0,
 
 @dataclass(frozen=True)
 class RootPair:
-    """Real roots of a quadratic-in-xi0 factor at fixed spatial direction."""
+    """Real xi0 roots of a cone at fixed spatial direction.
+
+    plus and minus take +sqrt R and -sqrt R in `cone_xi0`, and
+    discriminant is R; the flow cone's two roots coincide.
+    """
 
     plus: float
     minus: float
@@ -279,7 +313,32 @@ class RootPair:
         return (self.plus, self.minus)
 
 
-def _check_closed_form_domain(xibar, u, a2):
+def cone_xi0(alpha, beta, w2, wxi, xb2=1.0):
+    """xi0 roots of alpha (u.xi)^2 - beta xi.xi = 0 at u = (sqrt(1 + w2), w).
+
+    Minkowski metric and normalized u; w2 = |w|^2, wxi = w.xibar and
+    xb2 = |xibar|^2 are scalars or broadcasting arrays.  In xi0 the cone is
+    D xi0^2 + 2 alpha u0 (w.xibar) xi0 + alpha (w.xibar)^2 - beta |xibar|^2
+    with D = alpha (1 + w2) + beta, whose reduced discriminant is
+    R = beta (D |xibar|^2 - alpha (w.xibar)^2).  Returns
+    ((-alpha u0 w.xibar - sqrt R) / D, (-alpha u0 w.xibar + sqrt R) / D, R).
+    Raises ValueError where the pair is not real and finite: R < 0 or
+    |D| < 1e-14.
+    """
+    D = alpha * (1.0 + w2) + beta
+    if np.any(np.abs(D) < 1e-14):
+        raise ValueError("vanishing xi0^2 coefficient; degenerate cone")
+    R = beta * (D * xb2 - alpha * wxi ** 2)
+    if np.any(R < 0.0):
+        raise ValueError(f"negative radicand {np.min(R):.3e}; no real closed-form roots")
+    drift = alpha * wxi * np.sqrt(1.0 + w2)
+    root = np.sqrt(R)
+    return -(drift + root) / D, -(drift - root) / D, R
+
+
+def cone_roots(family: str, xibar, u, a2: float) -> RootPair:
+    """Closed-form xi0 roots of a family's cone (Minkowski, normalized u)."""
+    alpha, beta = cone_coefficients(family, a2)
     xibar = np.asarray(xibar, dtype=float).reshape(3)
     u = np.asarray(u, dtype=float).reshape(4)
     uu = -u[0] ** 2 + u[1] ** 2 + u[2] ** 2 + u[3] ** 2
@@ -288,35 +347,9 @@ def _check_closed_form_domain(xibar, u, a2):
     if not np.any(xibar != 0.0):
         raise ValueError("spatial covector must be nonzero")
     w = u[1:]
-    return xibar, w, float(w @ w), float(w @ xibar), float(xibar @ xibar)
-
-
-def shear_cone_roots(xibar, u, a2: float) -> RootPair:
-    """Closed-form xi0 roots of the shear factor (Minkowski, normalized u)."""
-    xibar, w, w2, wxi, xb2 = _check_closed_form_domain(xibar, u, a2)
-    denom = 1.0 + (a2 - 1.0) * (1.0 + w2)
-    radicand = (a2 + (a2 - 1.0) * w2) * xb2 - (a2 - 1.0) * wxi ** 2
-    if radicand < 0.0:
-        raise ValueError(f"negative radicand {radicand:.3e}; no real closed-form roots")
-    root = np.sqrt(radicand)
-    drift = (a2 - 1.0) * wxi * np.sqrt(1.0 + w2)
-    return RootPair(plus=float(-(drift + root) / denom),
-                    minus=float(-(drift - root) / denom),
-                    discriminant=float(radicand))
-
-
-def sound_cone_roots(xibar, u, a2: float) -> RootPair:
-    """Closed-form xi0 roots of the sound factor (Minkowski, normalized u)."""
-    xibar, w, w2, wxi, xb2 = _check_closed_form_domain(xibar, u, a2)
-    denom = -2.0 * (2.0 + a2) - (a2 - 4.0) * (1.0 + w2)
-    q = a2 ** 2 - 2.0 * a2 - 8.0
-    radicand = (3.0 * a2 * (2.0 + a2) + q * w2) * xb2 - q * wxi ** 2
-    if radicand < 0.0:
-        raise ValueError(f"negative radicand {radicand:.3e}; no real closed-form roots")
-    root = np.sqrt(2.0) * np.sqrt(radicand)
-    drift = (a2 - 4.0) * wxi * np.sqrt(1.0 + w2)
-    return RootPair(plus=float((drift + root) / denom),
-                    minus=float((drift - root) / denom),
+    minus, plus, radicand = cone_xi0(alpha, beta, float(w @ w), float(w @ xibar),
+                                     float(xibar @ xibar))
+    return RootPair(plus=float(plus), minus=float(minus),
                     discriminant=float(radicand))
 
 

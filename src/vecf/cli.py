@@ -194,11 +194,12 @@ def cmd_evolve(cfg, args) -> int:
         raise ConfigError(str(exc)) from exc
     out = _outdir(cfg, args)
     x = np.arange(scfg.n_cells) * (scfg.length / scfg.n_cells)
-    rows = []
-    for t, snap in zip(traj.times, traj.snapshots):
-        for j in range(scfg.n_cells):
-            rows.append([t, x[j], *snap[:, j]])
-    _write_csv(out / "evolve.csv", ["t", "x", "u0", "u1", "u2", "u3", "eps"], rows)
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "evolve.csv", "w") as fh:
+        fh.write("t,x,u0,u1,u2,u3,eps\n")
+        for t, snap in zip(traj.times, traj.snapshots):
+            np.savetxt(fh, np.column_stack([np.full(scfg.n_cells, t), x, snap.T]),
+                       fmt="%.17g", delimiter=",")
     with open(out / "evolve_diagnostics.jsonl", "w") as fh:
         for d in traj.diagnostics:
             fh.write(json.dumps({
@@ -236,8 +237,9 @@ def cmd_dod_test(cfg, args) -> int:
                        "probe_t": report.probe_t, "probe_x": report.probe_x,
                        "v_max": report.v_max, "cone_radius": report.cone_radius},
         "seed": None,
-        "tolerances": {"outside_ratio_min": 8.0, "outside_order": [3.5, 5.5],
-                       "inside_stability": 0.1},
+        "tolerances": {"outside_ratio_min": experiments.DOD_OUTSIDE_RATIO_MIN,
+                       "outside_order": list(experiments.DOD_OUTSIDE_ORDER),
+                       "inside_stability": experiments.DOD_INSIDE_STABILITY},
         "resolutions": list(report.resolutions),
         "outside_diffs": list(report.outside_diffs),
         "outside_ratios": list(report.outside_ratios),

@@ -13,13 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Metric4, minkowski
-
 __all__ = [
     "TransportModel",
-    "StateJet1",
     "transport",
-    "stress_tensor",
     "stress_tensor_fields",
     "complete_initial_data",
 ]
@@ -69,35 +65,6 @@ def transport(eps, model: TransportModel):
     return eta, model.a2 * eta, model.a1 * eta
 
 
-@dataclass(frozen=True)
-class StateJet1:
-    """Pointwise first-derivative data (eps, d eps, u, d u) on a flat metric.
-
-    du[alpha, beta] = d_alpha u^beta.  The metric is stored for interface
-    symmetry but must be Minkowski; curved assembly is out of scope.
-    """
-
-    eps: float
-    deps: np.ndarray      # (4,) covariant gradient d_alpha eps
-    u: np.ndarray         # (4,) contravariant
-    du: np.ndarray        # (4,4)
-    g: Metric4 = None
-
-    def __post_init__(self):
-        if self.eps <= 0.0:
-            raise ValueError("energy density must be positive")
-        g = self.g if self.g is not None else minkowski()
-        if not g.is_minkowski:
-            raise ValueError("StateJet1 supports the flat Cartesian metric only")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "deps", np.asarray(self.deps, dtype=float).reshape(4))
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=float).reshape(4))
-        object.__setattr__(self, "du", np.asarray(self.du, dtype=float).reshape(4, 4))
-
-    def normalization_residual(self) -> float:
-        return float(abs(np.sum(SGN * self.u * self.u) + 1.0))
-
-
 def stress_tensor_fields(u, du, eps, deps, model: TransportModel) -> np.ndarray:
     """T_{alpha beta} on batched states; trailing axes broadcast.
 
@@ -140,11 +107,6 @@ def stress_tensor_fields(u, du, eps, deps, model: TransportModel) -> np.ndarray:
     T = T + (3.0 * chi / (4.0 * eps)) * uu * udeps
     T = T + (chi / (4.0 * eps)) * pi_dn * udeps
     return T
-
-
-def stress_tensor(jet: StateJet1, model: TransportModel) -> np.ndarray:
-    """Pointwise T_{alpha beta} (4, 4) for a flat-space first-derivative jet."""
-    return stress_tensor_fields(jet.u, jet.du, jet.eps, jet.deps, model)
 
 
 def complete_initial_data(eps0, eps1, v0, v1):

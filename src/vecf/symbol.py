@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constitutive import TransportModel, transport
-from .tensor import Covec4, Metric4, minkowski
+from .tensor import Metric4, minkowski
 
 __all__ = [
     "StatePoint",
@@ -65,8 +65,6 @@ class StatePoint:
 
 
 def _as_covector(xi) -> np.ndarray:
-    if isinstance(xi, Covec4):
-        return xi.components
     return np.asarray(xi, dtype=float).reshape(4)
 
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristics import (bisection_roots, eval_factor, eval_factor_base,
-                              quartic_coefficients, shear_cone_roots,
-                              sound_cone_roots, sound_quartic_general)
+from .characteristics import (bisection_roots, cone_roots, eval_factor,
+                              eval_factor_base, quartic_coefficients,
+                              sound_quartic_general)
 from .constitutive import TransportModel
 from .symbol import (StatePoint, det_by_elimination, det_time_matrix_formula,
                      fluid_symbol, time_matrix)
@@ -285,8 +285,8 @@ def roots_suite(samples: int = 1000, seed: int = 13) -> RootsReport:
     for idx in range(samples):
         s, xibar = _roots_sample(idx, seed)
         a2 = s.transport.a2
-        for family, closed in (("shear", shear_cone_roots), ("sound", sound_cone_roots)):
-            exact = sorted(closed(xibar, s.u, a2).as_set())
+        for family in ("shear", "sound"):
+            exact = sorted(cone_roots(family, xibar, s.u, a2).as_set())
             scan = bisection_roots(s, xibar, family)
             numeric = list(scan.roots) + [np.nan] * (2 - len(scan.roots))
             found = min(2, len(scan.roots))

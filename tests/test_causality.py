@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from vecf.causality import (cone_containment, causality_scan,
-                            critical_angle_check, flow_slope,
-                            hyperbolicity_region_map, max_characteristic_speed,
-                            shear_axis_slopes, shear_slopes, sound_slopes)
+from vecf.causality import (cone_containment, cone_slopes, causality_scan,
+                            critical_angle_check, hyperbolicity_region_map,
+                            max_characteristic_speed, shear_slopes, sound_slopes)
 from vecf.constitutive import TransportModel
 from vecf.symbol import StatePoint
 from vecf.tensor import minkowski
@@ -27,6 +26,13 @@ def test_shear_slopes_boosted_axis():
     assert sp == pytest.approx(-(2.0 + 3.0 * np.sqrt(2.0)) / 7.0, abs=1e-14)
     assert sm == pytest.approx((2.0 - 3.0 * np.sqrt(2.0)) / 7.0, abs=1e-14)
     assert sm == pytest.approx(-0.32037, abs=1e-5)
+
+
+def shear_axis_slopes(u2, a2):
+    """Shear slopes at theta = 0 (equivalently 2 pi), where R = a2."""
+    denom = 1.0 + (a2 - 1.0) * (1.0 + u2)
+    drift = (a2 - 1.0) * np.sqrt(u2 * (1.0 + u2))
+    return (-(np.sqrt(a2) + drift) / denom, -(-np.sqrt(a2) + drift) / denom)
 
 
 def test_shear_slope_endpoint_identity():
@@ -66,8 +72,18 @@ def test_sound_slopes_strict_at_a2_10():
 
 
 def test_flow_slope_strictly_inside():
+    # the flow cone u.xi = 0 is a double root at -|w| cos(theta) / u^0
     for u2 in (0.0, 1.0, 100.0):
-        assert abs(flow_slope(u2, 0.0)) < 1.0
+        sp, sm = cone_slopes("flow", u2, 0.0, 6.0)
+        assert sp == sm
+        assert abs(sp + np.sqrt(u2 / (1.0 + u2))) <= 1e-15
+        assert abs(sp) < 1.0
+
+
+def test_light_slopes_are_unit():
+    rng = np.random.default_rng(2)
+    sp, sm = cone_slopes("light", rng.uniform(0.0, 100.0), rng.uniform(0.0, 7.0, 50), 6.0)
+    assert np.all(sp == -1.0) and np.all(sm == 1.0)
 
 
 def test_critical_angle_on_axis():

@@ -6,11 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vecf import characteristics
-from vecf.characteristics import (COUPLED_FACTORS, FLUID_FACTORS,
-                                  bisection_roots, eval_factor,
+from vecf.characteristics import (COUPLED_FACTORS, FAMILIES, FLUID_FACTORS,
+                                  bisection_roots, cone_roots, eval_factor,
                                   eval_factor_base, gevrey_index,
                                   is_hyperbolic, quartic_coefficients,
-                                  shear_cone_roots, sound_cone_roots,
                                   sound_quartic_general)
 from vecf.constitutive import TransportModel
 from vecf.symbol import StatePoint, det_by_elimination, fluid_symbol
@@ -134,20 +133,20 @@ def test_quartic_needs_non_null_u():
 
 
 def test_shear_roots_rest():
-    pair = shear_cone_roots(np.array([1.0, 0, 0]), np.array([1.0, 0, 0, 0]), 4.0)
+    pair = cone_roots("shear", np.array([1.0, 0, 0]), np.array([1.0, 0, 0, 0]), 4.0)
     assert sorted(pair.as_set()) == pytest.approx([-0.5, 0.5], abs=1e-14)
 
 
 def test_sound_roots_rest_a2_6():
-    pair = sound_cone_roots(np.array([1.0, 0, 0]), np.array([1.0, 0, 0, 0]), 6.0)
+    pair = cone_roots("sound", np.array([1.0, 0, 0]), np.array([1.0, 0, 0, 0]), 6.0)
     expect = np.sqrt(2.0 * (2.0 + 6.0) / (3.0 * 6.0))
     assert sorted(pair.as_set()) == pytest.approx([-expect, expect], abs=1e-14)
     assert expect == pytest.approx(0.94280904, abs=1e-8)
 
 
 def test_sound_roots_rest_a2_4_on_light_cone():
-    pair = sound_cone_roots(np.array([1.0, 0, 0]), np.array([1.0, 0, 0, 0]), 4.0)
-    assert sorted(pair.as_set()) == pytest.approx([-1.0, 1.0], abs=1e-15)
+    pair = cone_roots("sound", np.array([1.0, 0, 0]), np.array([1.0, 0, 0, 0]), 4.0)
+    assert sorted(pair.as_set()) == [-1.0, 1.0]
 
 
 def test_closed_form_roots_zero_their_factor():
@@ -160,9 +159,8 @@ def test_closed_form_roots_zero_their_factor():
                        transport=TransportModel(a2=a2))
         xibar = rng.normal(size=3)
         xibar /= np.linalg.norm(xibar)
-        for family, closed in (("shear", shear_cone_roots),
-                               ("sound", sound_cone_roots)):
-            pair = closed(xibar, u, a2)
+        for family in FAMILIES:
+            pair = cone_roots(family, xibar, u, a2)
             for root in pair.as_set():
                 val = eval_factor_base(family, s, np.array([root, *xibar]))
                 assert abs(val) <= 1e-9 * max(1.0, abs(
@@ -177,17 +175,24 @@ def test_roots_real_distinct_in_regime():
         u = np.array([np.sqrt(1.0 + w @ w), *w])
         xibar = rng.normal(size=3)
         xibar /= np.linalg.norm(xibar)
-        for closed in (shear_cone_roots, sound_cone_roots):
-            pair = closed(xibar, u, a2)
+        for family in ("shear", "sound", "light"):
+            pair = cone_roots(family, xibar, u, a2)
             assert pair.discriminant >= 0.0          # Cauchy-Schwarz guard
             assert abs(pair.plus - pair.minus) >= 1e-8
 
 
 def test_closed_form_domain_rejections():
     with pytest.raises(ValueError):
-        shear_cone_roots(np.zeros(3), np.array([1.0, 0, 0, 0]), 4.0)
+        cone_roots("shear", np.zeros(3), np.array([1.0, 0, 0, 0]), 4.0)
     with pytest.raises(ValueError):
-        shear_cone_roots(np.array([1.0, 0, 0]), np.array([2.0, 0, 0, 0]), 4.0)
+        cone_roots("shear", np.array([1.0, 0, 0]), np.array([2.0, 0, 0, 0]), 4.0)
+    with pytest.raises(ValueError):
+        cone_roots("entropy", np.array([1.0, 0, 0]), np.array([1.0, 0, 0, 0]), 4.0)
+    # sound at a2 = 3 with |w| = 3: D = 0; with |w| = 4 across w: R < 0
+    with pytest.raises(ValueError, match="degenerate"):
+        cone_roots("sound", np.array([0.0, 1, 0]), np.array([np.sqrt(10.0), 3.0, 0, 0]), 3.0)
+    with pytest.raises(ValueError, match="negative radicand"):
+        cone_roots("sound", np.array([0.0, 1, 0]), np.array([np.sqrt(17.0), 4.0, 0, 0]), 3.0)
 
 
 def test_bisection_matches_closed_forms():
@@ -200,11 +205,10 @@ def test_bisection_matches_closed_forms():
                        transport=TransportModel(a2=a2))
         xibar = rng.normal(size=3)
         xibar /= np.linalg.norm(xibar)
-        for family, closed in (("shear", shear_cone_roots),
-                               ("sound", sound_cone_roots)):
+        for family in ("shear", "sound"):
             scan = bisection_roots(s, xibar, family)
             assert scan.complete
-            exact = sorted(closed(xibar, u, a2).as_set())
+            exact = sorted(cone_roots(family, xibar, u, a2).as_set())
             assert np.abs(np.array(scan.roots) - exact).max() < 1e-9
 
 
@@ -349,11 +353,25 @@ def test_batched_base_matches_scalar_columns(case, times):
 @given(admissible)
 def test_bisection_matches_closed_forms_admissible(case):
     s, xibar = admissible_case(*case)
-    for family, closed in (("shear", shear_cone_roots), ("sound", sound_cone_roots)):
+    for family in ("shear", "sound"):
         scan = bisection_roots(s, xibar, family)
         assert scan.complete
-        exact = sorted(closed(xibar, s.u, s.transport.a2).as_set())
+        exact = sorted(cone_roots(family, xibar, s.u, s.transport.a2).as_set())
         assert np.abs(np.array(scan.roots) - exact).max() <= ROOT_TOL
+
+
+@settings(max_examples=200, deadline=None)
+@given(admissible, st.floats(0.1, 10.0))
+def test_table_roots_zero_every_base_polynomial(case, size):
+    # the (alpha, beta) table against the base polynomials it stands for
+    s, xibar = admissible_case(*case)
+    xibar = size * xibar
+    for family in FAMILIES:
+        pair = cone_roots(family, xibar, s.u, s.transport.a2)
+        for root in pair.as_set():
+            xi = np.array([root, *xibar])
+            resid = eval_factor_base(family, s, xi)
+            assert abs(resid) <= 1e-12 * term_scale(family, s, xi)
 
 
 def test_bisection_flow_root_boosted():

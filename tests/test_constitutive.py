@@ -3,19 +3,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vecf.constitutive import (SGN, StateJet1, TransportModel,
-                               complete_initial_data, stress_tensor,
+from vecf.constitutive import (SGN, TransportModel, complete_initial_data,
                                stress_tensor_fields, transport)
 
 
 def random_normalized_jet(rng, grad_scale=1.0):
+    """(u, du, eps, deps) of one normalized flat-space state, (4,)-shaped."""
     w = rng.uniform(-2.0, 2.0, 3)
     u = np.array([np.sqrt(1.0 + w @ w), *w])
     du = rng.uniform(-1.0, 1.0, (4, 4)) * grad_scale
     # enforce d_a (u.u) = 0 by solving for the u^0 gradient column
     du[:, 0] = (u[1] * du[:, 1] + u[2] * du[:, 2] + u[3] * du[:, 3]) / u[0]
-    return StateJet1(eps=rng.uniform(0.5, 2.0), deps=rng.uniform(-1, 1, 4),
-                     u=u, du=du)
+    return u, du, rng.uniform(0.5, 2.0), rng.uniform(-1, 1, 4)
 
 
 def test_transport_constant():
@@ -44,27 +43,27 @@ def test_unknown_eta_form_rejected():
 
 
 def test_stress_tensor_rest_state():
-    jet = StateJet1(eps=1.0, deps=np.zeros(4), u=np.array([1.0, 0, 0, 0]),
-                    du=np.zeros((4, 4)))
-    T = stress_tensor(jet, TransportModel(eta_form="constant", eta0=1.0))
+    T = stress_tensor_fields(np.array([1.0, 0, 0, 0]), np.zeros((4, 4)), 1.0,
+                             np.zeros(4), TransportModel(eta_form="constant", eta0=1.0))
+    assert T.shape == (4, 4)
     assert np.allclose(T, np.diag([1.0, 1 / 3, 1 / 3, 1 / 3]), atol=1e-15)
 
 
 def test_stress_tensor_ideal_limit():
     # every viscous term carries eta, lam, or chi: eta0 = 0 leaves the ideal part
     rng = np.random.default_rng(5)
-    jet = random_normalized_jet(rng)
-    T = stress_tensor(jet, TransportModel(eta_form="constant", eta0=0.0))
-    u_dn = SGN * jet.u
-    ideal = (4.0 / 3.0) * np.outer(u_dn, u_dn) * jet.eps \
-        + (1.0 / 3.0) * np.diag(SGN) * jet.eps
+    u, du, eps, deps = random_normalized_jet(rng)
+    T = stress_tensor_fields(u, du, eps, deps,
+                             TransportModel(eta_form="constant", eta0=0.0))
+    u_dn = SGN * u
+    ideal = (4.0 / 3.0) * np.outer(u_dn, u_dn) * eps + (1.0 / 3.0) * np.diag(SGN) * eps
     assert np.allclose(T, ideal, atol=1e-15)
 
 
 def test_stress_tensor_symmetry_exact():
     rng = np.random.default_rng(7)
     for _ in range(50):
-        T = stress_tensor(random_normalized_jet(rng), TransportModel(a2=6))
+        T = stress_tensor_fields(*random_normalized_jet(rng), TransportModel(a2=6))
         assert np.array_equal(T, T.T)
 
 
@@ -73,16 +72,15 @@ def test_stress_tensor_trace_free():
     rng = np.random.default_rng(11)
     model = TransportModel(a1=4, a2=7, eta_form="power")
     for _ in range(500):
-        jet = random_normalized_jet(rng)
-        T = stress_tensor(jet, model)
+        T = stress_tensor_fields(*random_normalized_jet(rng), model)
         trace = float(np.sum(SGN * np.diag(T)))
         assert abs(trace) <= 1e-10 * np.abs(T).max()
 
 
 def test_stress_tensor_rejects_nonpositive_eps():
     with pytest.raises(ValueError):
-        StateJet1(eps=0.0, deps=np.zeros(4), u=np.array([1.0, 0, 0, 0]),
-                  du=np.zeros((4, 4)))
+        stress_tensor_fields(np.array([1.0, 0, 0, 0]), np.zeros((4, 4)), 0.0,
+                             np.zeros(4), TransportModel())
     with pytest.raises(ValueError):
         stress_tensor_fields(np.array([[1.0], [0], [0], [0]]),
                              np.zeros((4, 4, 1)), np.array([-1.0]),

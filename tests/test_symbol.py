@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from vecf.characteristics import eval_factor
 from vecf.constitutive import TransportModel
@@ -7,6 +9,7 @@ from vecf.symbol import (StatePoint, coupled_char_det, det_by_elimination,
                          det_time_matrix_formula, fluid_char_det, fluid_symbol,
                          time_matrix)
 from vecf.tensor import minkowski, random_lorentzian_near_minkowski
+from vecf.verification import DET_TOL, _magnitude_scale
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -126,6 +129,37 @@ def test_char_det_homogeneity():
     d1 = fluid_char_det(s, xi)
     d2 = fluid_char_det(s, 2.0 * xi)
     assert d2 == pytest.approx(2.0 ** 10 * d1, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(4.0, 12.0),                                    # a2
+       st.sampled_from(["constant", "power"]),                  # eta form
+       st.floats(0.5, 2.0),                                     # eps
+       st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),  # boost direction
+       st.floats(0.0, 10.0),                                    # |w|
+       st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),  # covector
+       st.sampled_from([None, 1.0, -1.0]),   # or xi0 = +-|xibar| (1 + 1e-6 d)
+       st.floats(-1.0, 1.0),                                    # d
+       st.floats(0.1, 10.0))                                    # t
+def test_factorization_and_homogeneity_admissible(a2, eta_form, eps, wdir, wnorm,
+                                                  xi, sign, d, t):
+    wdir, xi = np.array(wdir), np.array(xi)
+    assume(np.linalg.norm(wdir) >= 1e-3 and np.linalg.norm(xi[1:]) >= 1e-3)
+    s = StatePoint(eps=eps, u=E0, g=minkowski(),
+                   transport=TransportModel(a1=4.0, a2=a2, eta_form=eta_form)
+                   ).boosted(wnorm * wdir / np.linalg.norm(wdir))
+    if sign is not None:                 # within 1e-6 relative of the light cone
+        xi[0] = sign * np.linalg.norm(xi[1:]) * (1.0 + 1e-6 * d)
+    m = fluid_symbol(s, xi)
+    det = det_by_elimination(m)
+    prod = (eval_factor("flow", s, xi) * eval_factor("shear", s, xi)
+            * eval_factor("sound", s, xi))
+    assert abs(det - prod) <= DET_TOL * max(_magnitude_scale(m), abs(det), abs(prod))
+    m_t = fluid_symbol(s, t * xi)
+    det_t = det_by_elimination(m_t)
+    expect = t ** 10 * det
+    assert abs(det_t - expect) <= DET_TOL * max(_magnitude_scale(m_t), abs(det_t),
+                                                abs(expect))
 
 
 def test_coupled_det_null_covector():
