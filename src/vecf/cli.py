@@ -269,14 +269,16 @@ def cmd_convergence(cfg, args) -> int:
     _write_csv(out / "convergence.csv",
                ["field", "coarse_error", "fine_error", "order"], rows)
     order = report.observed_order
-    ok = order is None or (scfg.filter_strength == 0.0 and 3.7 <= order <= 4.3) \
+    lo, hi = experiments.ORDER_WINDOW
+    ok = order is None or (scfg.filter_strength == 0.0 and lo <= order <= hi) \
         or scfg.filter_strength > 0.0
     payload = {
         "check": "self-convergence",
         "parameters": {"a1": cfg["transport"]["a1"], "a2": cfg["transport"]["a2"],
                        "filter_strength": scfg.filter_strength},
         "seed": None,
-        "tolerances": {"order": [3.7, 4.3] if scfg.filter_strength == 0.0 else None},
+        "tolerances": {"order": list(experiments.ORDER_WINDOW)
+                       if scfg.filter_strength == 0.0 else None},
         "resolutions": list(res),
         "orders": report.orders,
         "drift": {str(k): v for k, v in report.drift.items()},
@@ -300,7 +302,8 @@ def cmd_oracle_divergence(cfg, args) -> int:
     mutated = divergence_residual(fields, resolutions[-1], model, t0=t0,
                                   mutation=("expansion_iso", 1.01))
     clean = reports[-1].max_discrepancy
-    ok = (all(3.7 <= o <= 4.3 for o in orders[-2:])
+    lo, hi = experiments.ORDER_WINDOW
+    ok = (all(lo <= o <= hi for o in orders[-2:])
           and mutated.max_discrepancy > 100.0 * clean)
     out = _outdir(cfg, args)
     _write_csv(out / "oracle_divergence.csv",
@@ -311,7 +314,8 @@ def cmd_oracle_divergence(cfg, args) -> int:
         "check": "divergence-oracle",
         "parameters": {"a1": model.a1, "a2": model.a2, "t0": t0},
         "seed": None,
-        "tolerances": {"order": [3.7, 4.3], "mutation_amplification_min": 100.0},
+        "tolerances": {"order": list(experiments.ORDER_WINDOW),
+                       "mutation_amplification_min": 100.0},
         "resolutions": list(resolutions),
         "discrepancies": [r.max_discrepancy for r in reports],
         "orders": orders,

@@ -179,14 +179,15 @@ def time_matrix_solve(u, eps, eta, lam, chi, r=None, det_floor=None):
     return x, det
 
 
-def assemble_lower_order(jet: FieldJet1, model: TransportModel,
+def assemble_lower_order(jet: FieldJet1, model: TransportModel, coeffs: tuple,
                          mutation: tuple | None = None) -> np.ndarray:
     """First-order (non-principal) content of the five equation rows, (5, N).
 
     Rows 0-3 are the raised first-order remainder of the divergence
     equations; row 4 is the constraint row's u^a u^m d_a u_l d_m u^l.
-    `mutation` = (key, factor) scales one named term group, for the
-    oracle's sensitivity test only.
+    coeffs is `transport(jet.eps, model)`, which the caller has already
+    evaluated for the principal part.  `mutation` = (key, factor) scales
+    one named term group, for the oracle's sensitivity test only.
     """
     u, du, eps, deps = jet.u, jet.du, jet.eps, jet.deps
     scale = dict.fromkeys(MUTATION_KEYS, 1.0)
@@ -196,7 +197,7 @@ def assemble_lower_order(jet: FieldJet1, model: TransportModel,
             raise KeyError(f"unknown mutation key {key!r}; use one of {MUTATION_KEYS}")
         scale[key] = factor
 
-    eta, lam, chi = transport(eps, model)
+    eta, lam, chi = coeffs
     # every coefficient gradient is a multiple of deps:
     # d eta = etap deps, d lam = a2 etap deps, d chi = a1 etap deps
     etap = model.eta_prime(eps)
@@ -244,19 +245,21 @@ def assemble_lower_order(jet: FieldJet1, model: TransportModel,
     u_s_u = dot(u, s_u)
     # pi^{am} S_{mv} u^v @ du_dn, with u @ du_dn = acc_dn
     pis_u_du = vm(SGN[:, None] * s_u, du_dn) + u_s_u * acc_dn
-    b_shear = scale["shear"] * (
+    # b_low sums the term groups in MUTATION_KEYS order, each added in place
+    # as it is formed, so no group's (4, N) array outlives its own term
+    b_low = scale["shear"] * (
         eta * (quad_a + acc_acc - pis_du) * u_dn + eta * quad_b
         - (g_iso + dot(g_iso, u) * u_dn) - eta * pis_u_du)
 
     flux_u = a2 * etap * udeps + lam * theta        # d lam.u + lam theta
-    b_relax = scale["momentum_relax"] * (
+    b_low += scale["momentum_relax"] * (
         flux_u * acc_dn + 2.0 * lam * vm(acc, du_dn)
         + (a2 * etap * acc_deps + lam * du_du) * u_dn)
 
     dchi_u = a1 * etap * udeps
-    b_exp_iso = scale["expansion_iso"] * (theta / 3.0) * (
+    b_low += scale["expansion_iso"] * (theta / 3.0) * (
         a1 * etap * deps + (dchi_u + chi * theta) * u_dn + chi * acc_dn)
-    b_exp_uu = scale["expansion_uu"] * theta * (
+    b_low += scale["expansion_uu"] * theta * (
         (dchi_u + chi * theta) * u_dn + chi * acc_dn)
 
     # the three energy-gradient fluxes, each contracted with deps; their
@@ -264,7 +267,7 @@ def assemble_lower_order(jet: FieldJet1, model: TransportModel,
     inv4e = 1.0 / (4.0 * eps)
     fc = lam * inv4e
     dfc = (a2 * etap - lam / eps) * inv4e
-    b_en_mixed = scale["energy_gradient_mixed"] * (
+    b_low += scale["energy_gradient_mixed"] * (
         (dfc * udeps + fc * theta) * deps
         + (dfc * (dot(deps_up, deps) + 2.0 * udeps ** 2)
            + 2.0 * fc * (theta * udeps + acc_deps)) * u_dn
@@ -273,23 +276,21 @@ def assemble_lower_order(jet: FieldJet1, model: TransportModel,
 
     hc = 3.0 * chi * inv4e
     dhc = 3.0 * (a1 * etap - chi / eps) * inv4e
-    b_en_uu = scale["energy_gradient_uu"] * (
+    b_low += scale["energy_gradient_uu"] * (
         ((dhc * udeps + hc * theta) * udeps + hc * acc_deps) * u_dn
         + hc * udeps * acc_dn)
 
     kc = chi * inv4e
     dkc = (a1 * etap - chi / eps) * inv4e
-    b_en_iso = scale["energy_gradient_iso"] * (
+    b_low += scale["energy_gradient_iso"] * (
         dkc * udeps * deps
         + (dkc * udeps ** 2 + kc * (theta * udeps + acc_deps)) * u_dn
         + kc * (udeps * acc_dn + mv(du, deps)))
 
-    b_ideal = scale["ideal"] * (
+    b_low += scale["ideal"] * (
         (4.0 / 3.0) * (theta * u_dn * eps + acc_dn * eps + u_dn * udeps)
         + deps / 3.0)
 
-    b_low = (b_shear + b_relax + b_exp_iso + b_exp_uu
-             + b_en_mixed + b_en_uu + b_en_iso + b_ideal)
     return np.concatenate([SGN[:, None] * b_low, acc_acc[None, :]], axis=0)
 
 
@@ -301,7 +302,8 @@ def equation_rows(jet2, model: TransportModel, mutation=None) -> np.ndarray:
     all ordered pairs: each pair a < m once, to twice its derivatives.
     """
     u, du, d2u, eps, deps, d2eps = jet2
-    eta, lam, chi = transport(eps, model)
+    coeffs = transport(eps, model)
+    eta, lam, chi = coeffs
     principal = np.zeros((5,) + eps.shape)
     for a in range(4):
         for m in range(a, 4):
@@ -310,7 +312,7 @@ def equation_rows(jet2, model: TransportModel, mutation=None) -> np.ndarray:
                 v2 *= 2.0
             principal += symbol_apply(u, eps, eta, lam, chi, a, m, v2)
     lower = assemble_lower_order(FieldJet1(u=u, du=du, eps=eps, deps=deps),
-                                 model, mutation=mutation)
+                                 model, coeffs, mutation=mutation)
     return principal + lower
 
 

@@ -26,11 +26,17 @@ grid-scale rate.
 Normalization u.u = -1 is imposed only at t = 0 and its drift is monitored
 every step; the drift converging away with resolution is itself a check of
 constraint propagation.
+
+Runs that differ only in their initial data evolve together as one
+ensemble: a member axis sits before the cell axis, V and W are (5, B, N),
+the stencils and the filter act on the last axis, and the pointwise layers
+see the cells of every member as one flat batch.  A single run is the
+ensemble of one member.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -39,7 +45,7 @@ from .constitutive import (SGN, TransportModel, complete_initial_data,
                            stress_tensor_fields, transport)
 from .equations import (FieldJet1, assemble_lower_order, dx4, symbol_apply,
                         time_matrix_solve)
-from .symbol import StatePoint
+from .symbol import StatePoint, det_time_matrix_closed_form
 from .tensor import minkowski
 
 __all__ = [
@@ -184,7 +190,11 @@ class SolverConfig:
 
 @dataclass
 class FieldGrid:
-    """Periodic grid state: V = (u^0..u^3, eps), W = dt V."""
+    """Periodic grid state: V = (u^0..u^3, eps), W = dt V.
+
+    V and W are (5, N) for one run, or (5, B, N) for an ensemble of B
+    members; the cells are always on the last axis.
+    """
 
     n_cells: int
     length: float
@@ -200,10 +210,18 @@ class FieldGrid:
     def spacing(self) -> float:
         return self.length / self.n_cells
 
-    def constraint_drift(self) -> float:
-        u = self.V[:4]
+    def constraint_drift(self) -> np.ndarray:
+        """max |u.u + 1| over the cells of each member, (B,)."""
+        u = self.V[:4].reshape(4, -1)
         uu = np.einsum('a,an,an->n', SGN, u, u)
-        return float(np.abs(uu + 1.0).max())
+        return np.abs(uu + 1.0).reshape(-1, self.n_cells).max(axis=1)
+
+    def members(self) -> list:
+        """The (5, N) grid of each member, viewing this grid's arrays."""
+        n = self.n_cells
+        V, W = self.V.reshape(5, -1, n), self.W.reshape(5, -1, n)
+        return [FieldGrid(n_cells=n, length=self.length, V=V[:, b], W=W[:, b],
+                          t=self.t) for b in range(V.shape[1])]
 
 
 @dataclass(frozen=True)
@@ -225,7 +243,7 @@ class Trajectory:
     times: list
     snapshots: list           # V arrays
     diagnostics: list
-    v_max: float
+    v_max: float              # the speed dt was set from, shared by an ensemble
     dt: float
     drift_max: float          # max over every step, not just output steps
 
@@ -249,25 +267,46 @@ def _spectral_filter(W: np.ndarray, factors: np.ndarray) -> np.ndarray:
 DET_FLOOR = 1e-10
 
 
+def _members(bad: np.ndarray) -> str:
+    """' in member i, j' naming the flagged members of an ensemble; '' for one."""
+    if bad.size == 1:
+        return ""
+    return " in member " + ", ".join(str(b) for b in np.flatnonzero(bad))
+
+
+def _eps_lost(V: np.ndarray) -> np.ndarray:
+    """Whether eps <= 0 at some cell, for each member of V (5, N) or (5, B, N)."""
+    return V[4].reshape(-1, V.shape[-1]).min(axis=1) <= 0.0
+
+
 def _rhs(V: np.ndarray, W: np.ndarray, h: float, model: TransportModel):
-    u, eps = V[:4], V[4]
-    if eps.min() <= 0.0:
-        raise ValueError("energy density lost positivity inside a stage")
-    n = V.shape[1]
+    """dt (V, W) of one run (5, N) or of an ensemble (5, B, N).
+
+    The stencils act on the cell axis; every pointwise layer gets the cells
+    of all members as one flat (5, B N) batch, so each cell's arithmetic is
+    the same as in a run of its member alone.
+    """
+    bad = _eps_lost(V)
+    if bad.any():
+        raise ValueError("energy density lost positivity inside a stage"
+                         + _members(bad))
     dxV, dxW = np.split(dx4(np.concatenate([V, W]), h), 2)
     dxxV = dx4(dxV, h)
-    du = np.zeros((4, 4, n))
-    deps = np.zeros((4, n))
-    du[0] = W[:4]
-    du[1] = dxV[:4]
-    deps[0] = W[4]
-    deps[1] = dxV[4]
-    eta, lam, chi = transport(eps, model)
-    B = assemble_lower_order(FieldJet1(u=u, du=du, eps=eps, deps=deps), model)
-    rhs_w = -(symbol_apply(u, eps, eta, lam, chi, 0, 1, 2.0 * dxW)
-              + symbol_apply(u, eps, eta, lam, chi, 1, 1, dxxV) + B)
-    dtW, _ = time_matrix_solve(u, eps, eta, lam, chi, rhs_w, det_floor=DET_FLOOR)
-    return W, dtW
+    v, w, dxv, dxw, dxxv = (f.reshape(5, -1) for f in (V, W, dxV, dxW, dxxV))
+    u, eps = v[:4], v[4]
+    du = np.zeros((4, 4) + eps.shape)
+    deps = np.zeros((4,) + eps.shape)
+    du[0] = w[:4]
+    du[1] = dxv[:4]
+    deps[0] = w[4]
+    deps[1] = dxv[4]
+    coeffs = transport(eps, model)
+    B = assemble_lower_order(FieldJet1(u=u, du=du, eps=eps, deps=deps), model,
+                             coeffs)
+    rhs_w = -(symbol_apply(u, eps, *coeffs, 0, 1, 2.0 * dxw)
+              + symbol_apply(u, eps, *coeffs, 1, 1, dxxv) + B)
+    dtW, _ = time_matrix_solve(u, eps, *coeffs, rhs_w, det_floor=DET_FLOOR)
+    return W, dtW.reshape(V.shape)
 
 
 def step(grid: FieldGrid, cfg: SolverConfig, dt: float,
@@ -295,24 +334,31 @@ def step(grid: FieldGrid, cfg: SolverConfig, dt: float,
                      t=grid.t + dt)
 
 
-def make_grid(cfg: SolverConfig) -> FieldGrid:
-    x = np.arange(cfg.n_cells) * (cfg.length / cfg.n_cells)
-    V, W = cfg.ic.build(x)
-    if np.any(V[4] <= 0.0):
-        raise ValueError("initial data drives eps non-positive")
-    return FieldGrid(n_cells=cfg.n_cells, length=cfg.length, V=V, W=W, t=0.0)
+def make_grid(cfg: SolverConfig, ics=None) -> FieldGrid:
+    """The grid at t = 0: cfg.ic on (5, N), or ics stacked on (5, B, N)."""
+    n = cfg.n_cells
+    x = np.arange(n) * (cfg.length / n)
+    if ics is None:
+        V, W = cfg.ic.build(x)
+    else:
+        V, W = (np.stack(f, axis=1) for f in zip(*(ic.build(x) for ic in ics)))
+    bad = _eps_lost(V)
+    if bad.any():
+        raise ValueError("initial data drives eps non-positive" + _members(bad))
+    return FieldGrid(n_cells=n, length=cfg.length, V=V, W=W, t=0.0)
 
 
 def _grid_v_max(grid: FieldGrid, model: TransportModel) -> float:
     """CFL speed: max characteristic speed over cells (fluid families only).
 
     At a1 = 4 the slope extrema are monotone in |w|, so evaluating at the
-    fastest cell bounds the grid.
+    fastest cell bounds the grid, every member of an ensemble included.
     """
-    u = grid.V[:4]
+    V = grid.V.reshape(5, -1)
+    u = V[:4]
     w2 = np.einsum('in,in->n', u[1:], u[1:])
     j = int(np.argmax(w2))
-    s = StatePoint(eps=float(grid.V[4, j]),
+    s = StatePoint(eps=float(V[4, j]),
                    u=np.array([np.sqrt(1.0 + w2[j]), *u[1:, j]]),
                    g=minkowski(), transport=model)
     return max_characteristic_speed(s)
@@ -337,6 +383,12 @@ def _check_courant(grid: FieldGrid, model: TransportModel, dt: float,
 
 
 def _diagnose(grid: FieldGrid, model: TransportModel) -> Diagnostics:
+    """Diagnostics of a one-member grid.
+
+    evolve diagnoses an ensemble one member at a time: diagnostics run only
+    at the output cadence, and the stress tensor's (4, 4, N) temporaries
+    over a whole ensemble would set the run's peak memory.
+    """
     u, eps = grid.V[:4], grid.V[4]
     n = grid.n_cells
     du = np.zeros((4, 4, n))
@@ -353,12 +405,11 @@ def _diagnose(grid: FieldGrid, model: TransportModel) -> Diagnostics:
     _, det = time_matrix_solve(u, eps, eta, lam, chi)
     dets = np.abs(det)
     w2 = np.einsum('in,in->n', u[1:], u[1:])
-    a2 = model.a2
-    closed = (eta ** 4 / eps * (1.0 + w2) ** 2
-              * (3.0 * a2 + (a2 - 4.0) * w2) * (a2 + (a2 - 1.0) * w2) ** 2)
+    closed = det_time_matrix_closed_form(eta, eps, w2, model.a2)
+    (drift,) = grid.constraint_drift()
     return Diagnostics(
         t=grid.t,
-        constraint_drift=grid.constraint_drift(),
+        constraint_drift=float(drift),
         min_eps=float(eps.min()),
         energy_integral=float(t00_up.sum() * grid.spacing),
         momentum_integral=float(t01_up.sum() * grid.spacing),
@@ -367,14 +418,25 @@ def _diagnose(grid: FieldGrid, model: TransportModel) -> Diagnostics:
     )
 
 
-def evolve(cfg: SolverConfig, snapshot_times=None) -> Trajectory:
+def evolve(cfg: SolverConfig, snapshot_times=None, ics=None):
     """Run to t_end; abort with a state dump on NaN, non-positive eps, or a
     Courant number above COURANT_MAX at a diagnostic.
 
     dt is cfl * h / v_max rounded so t_end is hit exactly; snapshots are
     stored at the requested times (rounded to steps), plus first and last.
+
+    Without ics this is one run of cfg and returns its Trajectory.  With
+    ics, a sequence of InitialData, it runs cfg once with each as its
+    initial data, all together on one (5, B, N) grid, and returns one
+    Trajectory per member.  The members share dt, set from the largest
+    v_max among them, so a member's results equal its solo run bitwise
+    when its own v_max is that largest one.  At a1 = 4 the speed does not
+    depend on eps, so members that differ only in eps always qualify.  An
+    abort for non-positive eps or non-finite values names the members it
+    concerns.
     """
-    grid = make_grid(cfg)
+    member_ics = [cfg.ic] if ics is None else list(ics)
+    grid = make_grid(cfg, member_ics)
     model = cfg.transport
     v_max = _grid_v_max(grid, model)
     h = grid.spacing
@@ -388,8 +450,8 @@ def evolve(cfg: SolverConfig, snapshot_times=None) -> Trajectory:
         want = {min(n_steps, max(0, int(round(t / dt)))) for t in snapshot_times}
     times = [0.0]
     snaps = [grid.V.copy()]
-    diags = [_diagnose(grid, model)]
-    drift_max = diags[0].constraint_drift
+    diags = [[_diagnose(m, model) for m in grid.members()]]
+    drift_max = grid.constraint_drift()
     cadence = cfg.output_every if cfg.output_every > 0 else n_steps
 
     for i in range(1, n_steps + 1):
@@ -397,16 +459,25 @@ def evolve(cfg: SolverConfig, snapshot_times=None) -> Trajectory:
             grid = step(grid, cfg, dt, factors)
         except ValueError as exc:
             raise SolverAbort(str(exc), grid.t, i, grid) from exc
-        if not (np.all(np.isfinite(grid.V)) and np.all(np.isfinite(grid.W))):
-            raise SolverAbort("non-finite field values", grid.t, i, grid)
-        if grid.V[4].min() <= 0.0:
-            raise SolverAbort("energy density reached zero", grid.t, i, grid)
-        drift_max = max(drift_max, grid.constraint_drift())
+        bad = ~(np.isfinite(grid.V).all(axis=(0, 2))
+                & np.isfinite(grid.W).all(axis=(0, 2)))
+        if bad.any():
+            raise SolverAbort("non-finite field values" + _members(bad),
+                              grid.t, i, grid)
+        bad = _eps_lost(grid.V)
+        if bad.any():
+            raise SolverAbort("energy density reached zero" + _members(bad),
+                              grid.t, i, grid)
+        drift_max = np.maximum(drift_max, grid.constraint_drift())
         if i % cadence == 0 or i == n_steps or i in want:
             _check_courant(grid, model, dt, i)
-            diags.append(_diagnose(grid, model))
+            diags.append([_diagnose(m, model) for m in grid.members()])
             if i in want or i == n_steps:
                 times.append(grid.t)
                 snaps.append(grid.V.copy())
-    return Trajectory(config=cfg, times=times, snapshots=snaps,
-                      diagnostics=diags, v_max=v_max, dt=dt, drift_max=drift_max)
+    trajs = [Trajectory(config=cfg if ics is None else replace(cfg, ic=ic),
+                        times=list(times), snapshots=[v[:, b] for v in snaps],
+                        diagnostics=[d[b] for d in diags], v_max=v_max, dt=dt,
+                        drift_max=float(drift_max[b]))
+             for b, ic in enumerate(member_ics)]
+    return trajs[0] if ics is None else trajs

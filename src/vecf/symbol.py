@@ -21,6 +21,7 @@ __all__ = [
     "fluid_char_det",
     "coupled_char_det",
     "time_matrix",
+    "det_time_matrix_closed_form",
     "det_time_matrix_formula",
     "det_by_elimination",
     "symbol_components",
@@ -169,15 +170,28 @@ def time_matrix(s: StatePoint) -> np.ndarray:
     return fluid_symbol(s, np.array([1.0, 0.0, 0.0, 0.0]))
 
 
-def det_time_matrix_formula(s: StatePoint) -> float:
-    """Closed-form determinant of the time matrix.
+def det_time_matrix_closed_form(eta, eps, w2, a2: float):
+    """Closed-form determinant of the time matrix, elementwise.
 
         (eta^4 / eps) (1 + w^2)^2 (3 a2 + (a2 - 4) w^2) (a2 + (a2 - 1) w^2)^2
 
-    with w^2 = (u^1)^2 + (u^2)^2 + (u^3)^2.  Valid on the formula's domain:
-    Minkowski metric, normalized u, and a1 = 4.  Positive throughout
-    a2 >= 4, eps > 0, so the time matrix is invertible in the whole
-    admissible regime.
+    with w^2 = (u^1)^2 + (u^2)^2 + (u^3)^2; eta, eps and w2 are scalars or
+    arrays of one shape.  It is flow.shear.sound at xi = e0: the factors
+    are the flow, shear and sound cones' leading coefficients D.  It holds
+    on the formula's domain only, Minkowski metric, normalized u and
+    a1 = 4, which `det_time_matrix_formula` checks and this does not.
+    Positive throughout a2 >= 4, eps > 0, so the time matrix is invertible
+    in the whole admissible regime.
+    """
+    return (eta ** 4 / eps * (1.0 + w2) ** 2
+            * (3.0 * a2 + (a2 - 4.0) * w2) * (a2 + (a2 - 1.0) * w2) ** 2)
+
+
+def det_time_matrix_formula(s: StatePoint) -> float:
+    """`det_time_matrix_closed_form` at a state point, inside its domain.
+
+    Raises ValueError off the domain: a curved metric, unnormalized u or
+    a1 != 4.
     """
     if not s.g.is_minkowski:
         raise ValueError("closed form requires the Minkowski metric")
@@ -186,8 +200,5 @@ def det_time_matrix_formula(s: StatePoint) -> float:
     if abs(s.transport.a1 - 4.0) > 1e-12:
         raise ValueError("closed form requires a1 = 4")
     eta, _, _ = s.coefficients()
-    a2 = s.transport.a2
     w2 = float(s.u[1] ** 2 + s.u[2] ** 2 + s.u[3] ** 2)
-    return float(eta ** 4 / s.eps * (1.0 + w2) ** 2
-                 * (3.0 * a2 + (a2 - 4.0) * w2)
-                 * (a2 + (a2 - 1.0) * w2) ** 2)
+    return float(det_time_matrix_closed_form(eta, s.eps, w2, s.transport.a2))

@@ -4,6 +4,7 @@ import pytest
 
 from vecf.cli import main
 from vecf.config import ConfigError, load_config
+from vecf.experiments import ORDER_WINDOW
 
 
 def test_defaults_encode_causal_regime():
@@ -165,7 +166,8 @@ def test_cli_oracle_divergence(tmp_path):
     assert code == 0
     payload = json.loads((tmp_path / "oracle_divergence.json").read_text())
     assert payload["passed"] is True
-    assert all(3.7 <= o <= 4.3 for o in payload["orders"][-2:])
+    lo, hi = ORDER_WINDOW
+    assert all(lo <= o <= hi for o in payload["orders"][-2:])
 
 
 def test_factorization_suite_worker_count_independent():

@@ -8,6 +8,7 @@ from vecf.equations import (MUTATION_KEYS, FieldJet1, SinusoidalField,
                             assemble_lower_order, divergence_residual,
                             equation_rows, symbol_apply, symbol_block,
                             time_matrix_solve)
+from vecf.experiments import ORDER_WINDOW
 from vecf.symbol import StatePoint, fluid_symbol
 from vecf.tensor import minkowski
 
@@ -141,7 +142,8 @@ def test_lower_order_matches_reference(mutation):
                                eta_form=("power", "constant")[trial % 2],
                                eta0=rng.uniform(0.5, 2.0))
         jet = random_jet(rng, 64)
-        new = assemble_lower_order(jet, model, mutation=mutation)
+        new = assemble_lower_order(jet, model, transport(jet.eps, model),
+                                   mutation=mutation)
         ref = reference_lower_order(jet, model, mutation=mutation)
         assert np.all(np.abs(new - ref).max(axis=1) <= 1e-13 * np.abs(ref).max(axis=1))
 
@@ -274,7 +276,7 @@ def test_constant_state_has_zero_lower_order():
     jet = FieldJet1(u=np.tile(np.array([1.0, 0, 0, 0])[:, None], n),
                     du=np.zeros((4, 4, n)), eps=np.ones(n),
                     deps=np.zeros((4, n)))
-    assert np.abs(assemble_lower_order(jet, MODEL)).max() == 0.0
+    assert np.abs(assemble_lower_order(jet, MODEL, transport(jet.eps, MODEL))).max() == 0.0
 
 
 def test_ideal_limit_reduces_to_ideal_divergence():
@@ -285,7 +287,7 @@ def test_ideal_limit_reduces_to_ideal_divergence():
                     du=rng.uniform(-1, 1, (4, 4, n)), eps=rng.uniform(0.5, 2, n),
                     deps=rng.uniform(-1, 1, (4, n)))
     ideal_model = TransportModel(eta_form="constant", eta0=0.0)
-    rows = assemble_lower_order(jet, ideal_model)
+    rows = assemble_lower_order(jet, ideal_model, transport(jet.eps, ideal_model))
     u_dn = SGN[:, None] * jet.u
     theta = np.einsum('aan->n', jet.du)
     acc_dn = SGN[:, None] * np.einsum('an,abn->bn', jet.u, jet.du)
@@ -299,7 +301,8 @@ def test_unknown_mutation_key():
     jet = FieldJet1(u=np.tile(np.array([1.0, 0, 0, 0])[:, None], 4),
                     du=np.zeros((4, 4, 4)), eps=np.ones(4), deps=np.zeros((4, 4)))
     with pytest.raises(KeyError):
-        assemble_lower_order(jet, MODEL, mutation=("bogus", 1.01))
+        assemble_lower_order(jet, MODEL, transport(jet.eps, MODEL),
+                             mutation=("bogus", 1.01))
 
 
 def test_principal_blocks_match_pointwise_symbol():
@@ -345,7 +348,8 @@ def test_divergence_oracle_converges_fourth_order():
     reports = [divergence_residual(fields, n, MODEL) for n in (64, 128, 256)]
     orders = [np.log2(a.max_discrepancy / b.max_discrepancy)
               for a, b in zip(reports, reports[1:])]
-    assert all(3.7 <= o <= 4.3 for o in orders)
+    lo, hi = ORDER_WINDOW
+    assert all(lo <= o <= hi for o in orders)
 
 
 def test_divergence_oracle_constraint_row_vanishes():
@@ -382,9 +386,10 @@ def test_all_mutation_keys_are_live():
     du = rng.uniform(-1, 1, (4, 4, n))
     jet = FieldJet1(u=u, du=du, eps=rng.uniform(0.5, 2, n),
                     deps=rng.uniform(-1, 1, (4, n)))
-    base = assemble_lower_order(jet, MODEL)
+    base = assemble_lower_order(jet, MODEL, transport(jet.eps, MODEL))
     for key in MUTATION_KEYS:
-        mutated = assemble_lower_order(jet, MODEL, mutation=(key, 2.0))
+        mutated = assemble_lower_order(jet, MODEL, transport(jet.eps, MODEL),
+                                       mutation=(key, 2.0))
         assert np.abs(mutated - base).max() > 0.0
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,9 +7,9 @@ from hypothesis import strategies as st
 
 from vecf.causality import max_characteristic_speed
 from vecf.constitutive import TransportModel
-from vecf.solver1d import (FieldGrid, SolverAbort, SolverConfig, _grid_v_max,
-                           _rhs, constant_state, evolve, gaussian_pulse, make_grid,
-                           shear_pulse, step)
+from vecf.solver1d import (FieldGrid, InitialData, SolverAbort, SolverConfig,
+                           _grid_v_max, _rhs, bump_perturbation, constant_state,
+                           evolve, gaussian_pulse, make_grid, shear_pulse, step)
 from vecf.symbol import StatePoint, det_time_matrix_formula
 
 
@@ -217,3 +219,57 @@ def test_det_shortfall_tracks_constraint_drift():
         shortfalls[n] = worst
         assert worst <= 1e-8 + 10.0 * traj.max_constraint_drift()
     assert shortfalls[256] < shortfalls[128]
+
+
+def _bumped(base, *amplitudes):
+    """base plus one eps bump per amplitude, each at its own place."""
+    return [base] + [bump_perturbation(base, a, center=0.4 + 0.5 * k, radius=0.2)
+                     for k, a in enumerate(amplitudes)]
+
+
+@pytest.mark.parametrize("filter_strength", (0.0, 1.0))
+@pytest.mark.parametrize("members", (
+    _bumped(constant_state(), 0.02),
+    _bumped(constant_state(), 0.02, -0.03, 0.05),
+    _bumped(shear_pulse(amplitude=0.05), 0.02, -0.03),
+), ids=("constant-2", "constant-4", "shear-3"))
+def test_ensemble_members_equal_solo_runs(filter_strength, members):
+    # eps bumps leave v_max alone at a1 = 4, so every member steps with its
+    # solo dt and its pointwise arithmetic is its solo arithmetic
+    cfg = small_cfg(filter_strength=filter_strength, n_cells=64, t_end=0.1,
+                    output_every=7)
+    trajs = evolve(cfg, snapshot_times=[0.05], ics=members)
+    assert len(trajs) == len(members)
+    for ic, traj in zip(members, trajs):
+        solo = evolve(replace(cfg, ic=ic), snapshot_times=[0.05])
+        assert traj.config == solo.config
+        assert (traj.dt, traj.v_max, traj.times) == (solo.dt, solo.v_max, solo.times)
+        assert all(np.array_equal(a, b) for a, b in zip(traj.snapshots, solo.snapshots))
+        assert traj.diagnostics == solo.diagnostics
+        assert traj.drift_max == solo.drift_max
+
+
+def test_zero_amplitude_member_equals_base():
+    base = gaussian_pulse(amplitude=0.03)
+    cfg = small_cfg(n_cells=64, t_end=0.1, output_every=5)
+    first, null = evolve(cfg, ics=[base, bump_perturbation(base, 0.0, 0.5, 0.2)])
+    assert np.array_equal(first.final, null.final)
+    assert first.diagnostics == null.diagnostics
+
+
+def test_ensemble_abort_names_the_member():
+    # member 1 starts with d_t eps = -1000 on a patch: eps is negative by
+    # the second stage of the first step, while members 0 and 2 stay at rest
+    def sink(x):
+        return np.where(np.abs(x - 1.0) < 0.2, -1000.0, 0.0)
+    collapsing = InitialData(name="sink", eps0=np.ones_like, eps1=sink,
+                             v0=lambda x: np.zeros((3,) + x.shape),
+                             v1=lambda x: np.zeros((3,) + x.shape))
+    cfg = small_cfg()
+    members = [constant_state(), collapsing, constant_state()]
+    with pytest.raises(SolverAbort, match=r"positivity .* in member 1 at") as err:
+        evolve(cfg, ics=members)
+    assert err.value.step_index == 1
+    assert err.value.grid.V.shape == (5, 3, cfg.n_cells)
+    with pytest.raises(SolverAbort, match=r"positivity inside a stage at"):
+        evolve(replace(cfg, ic=collapsing))
