@@ -5,8 +5,10 @@ divergence (indices raised) plus the normalization-constraint row.  Each row
 splits into a principal part (second derivatives, whose coefficients are the
 fluid symbol's coefficients at pairs of basis covectors, applied to the
 derivative vectors without forming blocks) and a first-order remainder B
-assembled here term by term from the constitutive tensor's divergence, each
-term contracted down to vectors before it is summed.
+from the constitutive tensor's divergence.  B's eight term groups are
+collected into three scalar coefficients per cell, of u, the acceleration
+and grad eps, and two vectors contracted once each with the velocity
+gradient; the jet carries only the derivative rows that exist.
 
 The divergence oracle pins all of it at once: the assembled rows must agree
 with a finite-difference divergence of the stress tensor on manufactured
@@ -32,6 +34,7 @@ __all__ = [
     "FieldJet1",
     "symbol_apply",
     "symbol_block",
+    "DegenerateTimeMatrix",
     "time_matrix_solve",
     "assemble_lower_order",
     "equation_rows",
@@ -67,13 +70,21 @@ def dx4(f: np.ndarray, h: float) -> np.ndarray:
 class FieldJet1:
     """First-order jet of the five fields on a batch of points.
 
-    u (4, N), du (4, 4, N) with du[a, b] = d_a u^b, eps (N,), deps (4, N).
+    u (4, N), du (k, 4, N) with du[a, b] = d_a u^b, eps (N,), deps (k, N).
+    The jet carries the first k derivative rows, k in {2, 4}: the 1+1D
+    solver passes the (t, x) rows, the oracle all four.  Rows it does not
+    carry are zero.
     """
 
     u: np.ndarray
     du: np.ndarray
     eps: np.ndarray
     deps: np.ndarray
+
+    def __post_init__(self):
+        if len(self.du) != len(self.deps):
+            raise ValueError(f"du carries {len(self.du)} derivative rows and "
+                             f"deps {len(self.deps)}")
 
 
 def symbol_apply(u, eps, eta, lam, chi, a: int, c: int, x) -> np.ndarray:
@@ -123,6 +134,14 @@ def symbol_block(u, eps, eta, lam, chi, a: int, c: int) -> np.ndarray:
     return np.stack(cols, axis=1)
 
 
+class DegenerateTimeMatrix(ValueError):
+    """|det a| is at or below the floor, or not finite, at the flagged cells."""
+
+    def __init__(self, message: str, cells: np.ndarray):
+        super().__init__(message)
+        self.cells = cells
+
+
 def time_matrix_solve(u, eps, eta, lam, chi, r=None, det_floor=None):
     """Solve a x = r cellwise for the time-coefficient matrix a = B(e0, e0).
 
@@ -146,10 +165,10 @@ def time_matrix_solve(u, eps, eta, lam, chi, r=None, det_floor=None):
         det a = D^3 P (-q.A^{-1}p) = -D^2 S.
 
     det is formed before any division.  With det_floor set, a cell with
-    |det| <= det_floor (or a non-finite det) raises ValueError before any
-    pivot is divided by.  That guards every pivot: at a1 = 4,
-    P = 2 (lam + 2 eta) u0^2 vanishes only with u0, which zeroes q, S and
-    det.
+    |det| <= det_floor (or a non-finite det) raises DegenerateTimeMatrix, a
+    ValueError that flags those cells, before any pivot is divided by.
+    That guards every pivot: at a1 = 4, P = 2 (lam + 2 eta) u0^2 vanishes
+    only with u0, which zeroes q, S and det.
     """
     u0 = u[0]
     u00 = u0 * u0
@@ -164,9 +183,10 @@ def time_matrix_solve(u, eps, eta, lam, chi, r=None, det_floor=None):
     qc = np.einsum('an,an->n', q, c)
     s = piv * np.einsum('an,an->n', q, p) - qc * p[0]
     det = -(d * d) * s
-    if det_floor is not None and not np.all(np.abs(det) > det_floor):
-        raise ValueError("time-coefficient matrix degenerate: min |det| = "
-                         f"{np.abs(det).min():.6g} <= {det_floor:g}")
+    ok = det_floor is None or np.abs(det) > det_floor
+    if not np.all(ok):
+        raise DegenerateTimeMatrix("time-coefficient matrix degenerate: min |det| = "
+                                   f"{np.abs(det).min():.6g} <= {det_floor:g}", ~ok)
     if r is None:
         return None, det
     rv = r[:4]
@@ -183,19 +203,27 @@ def assemble_lower_order(jet: FieldJet1, model: TransportModel, coeffs: tuple,
                          mutation: tuple | None = None) -> np.ndarray:
     """First-order (non-principal) content of the five equation rows, (5, N).
 
-    Rows 0-3 are the raised first-order remainder of the divergence
+    Rows 0-3 are the raised first-order remainder b_low of the divergence
     equations; row 4 is the constraint row's u^a u^m d_a u_l d_m u^l.
     coeffs is `transport(jet.eps, model)`, which the caller has already
     evaluated for the principal part.  `mutation` = (key, factor) scales
     one named term group, for the oracle's sensitivity test only.
+
+    Every term group collapses into one sum,
+
+        b_low = c_u u_dn + c_acc acc_dn + c_deps deps + du_dn @ z + y @ du_dn,
+
+    with c_u, c_acc, c_deps scalar per cell and z, y vectors; a group's
+    scale multiplies its share of each.  Every contraction over a
+    derivative index runs over the jet's k rows.
     """
     u, du, eps, deps = jet.u, jet.du, jet.eps, jet.deps
-    scale = dict.fromkeys(MUTATION_KEYS, 1.0)
-    if mutation is not None:
-        key, factor = mutation
-        if key not in scale:
-            raise KeyError(f"unknown mutation key {key!r}; use one of {MUTATION_KEYS}")
-        scale[key] = factor
+    k = len(deps)
+    key, factor = (None, 1.0) if mutation is None else mutation
+    if mutation is not None and key not in MUTATION_KEYS:
+        raise KeyError(f"unknown mutation key {key!r}; use one of {MUTATION_KEYS}")
+    s_shear, s_relax, s_iso, s_uu, s_en_mixed, s_en_uu, s_en_iso, s_ideal = (
+        factor if name == key else 1.0 for name in MUTATION_KEYS)
 
     eta, lam, chi = coeffs
     # every coefficient gradient is a multiple of deps:
@@ -203,94 +231,65 @@ def assemble_lower_order(jet: FieldJet1, model: TransportModel, coeffs: tuple,
     etap = model.eta_prime(eps)
     a1, a2 = model.a1, model.a2
 
-    # every (4, 4) object of the derivation is contracted with a vector
-    # before it is formed: x @ M and M @ x are the two vector-matrix products
-    def vm(x, m):
-        return np.einsum('an,abn->bn', x, m)
-
-    def mv(m, x):
-        return np.einsum('abn,bn->an', m, x)
-
     def dot(x, y):
         return np.einsum('an,an->n', x, y)
 
     u_dn = SGN[:, None] * u
-    du_dn = du * SGN[None, :, None]
-    theta = np.einsum('aan->n', du)
-    acc = vm(u, du)
+    du_dn = du * SGN[:, None]
+    theta = np.einsum('aan->n', du[:, :k])
+    acc = np.einsum('an,abn->bn', u[:k], du)
     acc_dn = SGN[:, None] * acc          # also u @ du_dn
     acc_acc = dot(acc, acc_dn)
-    udeps = dot(u, deps)
-    acc_deps = dot(acc, deps)
-    deps_up = SGN[:, None] * deps
-    du_du = np.einsum('amn,man->n', du, du)          # d_a u^m d_m u^a
-
-    def shear_dot(x):
-        """S_{mv} x^v for the shear rate S = du_dn + du_dn^T - (2/3) g theta."""
-        return mv(du_dn, x) + vm(x, du_dn) - (2.0 / 3.0) * theta * SGN[:, None] * x
+    udeps = dot(u[:k], deps)
+    acc_deps = dot(acc[:k], deps)
+    deps_up = SGN[:k, None] * deps
+    du_du = np.einsum('amn,man->n', du[:, :k], du[:, :k])  # d_a u^m d_m u^a
+    eu = etap * udeps                    # d eta . u
 
     # shear term: two gradient-square groups plus the product-rule group,
-    # the latter with the minus sign fixed by the divergence oracle.
-    # quad_a = pi^{am} d_a u_v d_m u^v = d^a u^v d_a u_v + acc.acc_dn
-    grad_sq = np.einsum('avn,avn->n', du_dn * SGN[:, None, None], du)
-    quad_a = grad_sq + acc_acc
-    quad_b = mv(du_dn, acc)                          # u @ quad_b = acc_acc
-    s_u = shear_dot(u)
-    # d_a eta pi^{am} S_{mv} + eta (theta u + acc)^m S_{mv}
-    g_iso = shear_dot(etap * deps_up + (etap * udeps + eta * theta) * u
-                      + eta * acc)
-    # d_a pi^v_b expands to du[a,v] u_b + u^v du_dn[a,b]; both pieces contract
-    # against pi^{am} S_{mv}, and pi^{am} du[a,v] = SGN_m du[m,v] + u^m acc^v
-    pis_du = grad_sq + du_du - (2.0 / 3.0) * theta ** 2 + dot(s_u, acc)
-    u_s_u = dot(u, s_u)
-    # pi^{am} S_{mv} u^v @ du_dn, with u @ du_dn = acc_dn
-    pis_u_du = vm(SGN[:, None] * s_u, du_dn) + u_s_u * acc_dn
-    # b_low sums the term groups in MUTATION_KEYS order, each added in place
-    # as it is formed, so no group's (4, N) array outlives its own term
-    b_low = scale["shear"] * (
-        eta * (quad_a + acc_acc - pis_du) * u_dn + eta * quad_b
-        - (g_iso + dot(g_iso, u) * u_dn) - eta * pis_u_du)
+    # the latter with the minus sign fixed by the divergence oracle.  The
+    # shear rate S = du_dn + du_dn^T - (2/3) g theta is symmetric, so
+    # s_u = S u, and u.(S x) = x.s_u for the vector x it is applied to,
+    # x = d_a eta pi^{am} + eta (theta u + acc)^m.  The gradient square
+    # d^a u^v d_a u_v enters pi^{am} d_a u_v d_m u^v and pi^{am} S_{mv}
+    # d_a u^v with the same coefficient and opposite signs, so it cancels.
+    s_u = acc_dn - (2.0 / 3.0) * theta * u_dn
+    s_u[:k] += np.einsum('abn,bn->an', du_dn, u)
+    xu = (eu + eta * theta) * u
+    x = xu + eta * acc
+    x[:k] += etap * deps_up
 
-    flux_u = a2 * etap * udeps + lam * theta        # d lam.u + lam theta
-    b_low += scale["momentum_relax"] * (
-        flux_u * acc_dn + 2.0 * lam * vm(acc, du_dn)
-        + (a2 * etap * acc_deps + lam * du_du) * u_dn)
+    # the three energy-gradient fluxes carry lam/4eps, 3chi/4eps and
+    # chi/4eps, i.e. a2 q, 3 a1 q and a1 q, with gradients a2, 3 a1, a1
+    # times dq deps; their shares of c_u and c_acc come in one weight
+    q = eta / (4.0 * eps)
+    dq = (etap - eta / eps) / (4.0 * eps)
+    w_en = 2.0 * a2 * s_en_mixed + a1 * (3.0 * s_en_uu + s_en_iso)
+    w_exp = s_iso / 3.0 + s_uu           # (chi/3) pi theta + chi u u theta
 
-    dchi_u = a1 * etap * udeps
-    b_low += scale["expansion_iso"] * (theta / 3.0) * (
-        a1 * etap * deps + (dchi_u + chi * theta) * u_dn + chi * acc_dn)
-    b_low += scale["expansion_uu"] * theta * (
-        (dchi_u + chi * theta) * u_dn + chi * acc_dn)
+    c_u = (s_shear * (eta * (2.0 * acc_acc - du_du + (4.0 / 3.0) * theta ** 2)
+                      + (2.0 / 3.0) * theta * eu - dot(x + eta * acc, s_u))
+           + s_relax * (a2 * etap * acc_deps + lam * du_du)
+           + w_exp * theta * (a1 * eu + chi * theta)
+           + w_en * (dq * udeps ** 2 + q * (theta * udeps + acc_deps))
+           + a2 * s_en_mixed * dq * dot(deps_up, deps)
+           + (4.0 / 3.0) * s_ideal * (theta * eps + udeps))
+    c_acc = (s_shear * eta * ((2.0 / 3.0) * theta - dot(u, s_u))
+             + s_relax * (a2 * eu + lam * theta)
+             + w_exp * chi * theta
+             + w_en * q * udeps
+             + (4.0 / 3.0) * s_ideal * eps)
+    c_deps = ((2.0 / 3.0 * s_shear + a1 / 3.0 * s_iso) * etap * theta
+              + (a2 * s_en_mixed + a1 * s_en_iso) * dq * udeps
+              + a2 * s_en_mixed * q * theta
+              + s_ideal / 3.0)
+    z = -s_shear * xu
+    z[:k] += (a1 * s_en_iso * q - s_shear * etap) * deps_up
+    y = (2.0 * s_relax * lam * acc[:k] + a2 * s_en_mixed * q * deps_up
+         - s_shear * (x[:k] + eta * SGN[:k, None] * s_u[:k]))
 
-    # the three energy-gradient fluxes, each contracted with deps; their
-    # coefficient gradients d(c / 4 eps) are c' deps with c' scalar
-    inv4e = 1.0 / (4.0 * eps)
-    fc = lam * inv4e
-    dfc = (a2 * etap - lam / eps) * inv4e
-    b_low += scale["energy_gradient_mixed"] * (
-        (dfc * udeps + fc * theta) * deps
-        + (dfc * (dot(deps_up, deps) + 2.0 * udeps ** 2)
-           + 2.0 * fc * (theta * udeps + acc_deps)) * u_dn
-        + 2.0 * fc * udeps * acc_dn
-        + fc * vm(deps_up, du_dn))
-
-    hc = 3.0 * chi * inv4e
-    dhc = 3.0 * (a1 * etap - chi / eps) * inv4e
-    b_low += scale["energy_gradient_uu"] * (
-        ((dhc * udeps + hc * theta) * udeps + hc * acc_deps) * u_dn
-        + hc * udeps * acc_dn)
-
-    kc = chi * inv4e
-    dkc = (a1 * etap - chi / eps) * inv4e
-    b_low += scale["energy_gradient_iso"] * (
-        dkc * udeps * deps
-        + (dkc * udeps ** 2 + kc * (theta * udeps + acc_deps)) * u_dn
-        + kc * (udeps * acc_dn + mv(du, deps)))
-
-    b_low += scale["ideal"] * (
-        (4.0 / 3.0) * (theta * u_dn * eps + acc_dn * eps + u_dn * udeps)
-        + deps / 3.0)
-
+    b_low = c_u * u_dn + c_acc * acc_dn + np.einsum('an,abn->bn', y, du_dn)
+    b_low[:k] += c_deps * deps + np.einsum('abn,bn->an', du_dn, z)
     return np.concatenate([SGN[:, None] * b_low, acc_acc[None, :]], axis=0)
 
 

@@ -43,8 +43,8 @@ import numpy as np
 from .causality import max_characteristic_speed
 from .constitutive import (SGN, TransportModel, complete_initial_data,
                            stress_tensor_fields, transport)
-from .equations import (FieldJet1, assemble_lower_order, dx4, symbol_apply,
-                        time_matrix_solve)
+from .equations import (DegenerateTimeMatrix, FieldJet1, assemble_lower_order,
+                        dx4, symbol_apply, time_matrix_solve)
 from .symbol import StatePoint, det_time_matrix_closed_form
 from .tensor import minkowski
 
@@ -290,22 +290,22 @@ def _rhs(V: np.ndarray, W: np.ndarray, h: float, model: TransportModel):
     if bad.any():
         raise ValueError("energy density lost positivity inside a stage"
                          + _members(bad))
-    dxV, dxW = np.split(dx4(np.concatenate([V, W]), h), 2)
+    d = dx4(np.concatenate([V, W]), h)
+    dxV, dxW = d[:5], d[5:]
     dxxV = dx4(dxV, h)
     v, w, dxv, dxw, dxxv = (f.reshape(5, -1) for f in (V, W, dxV, dxW, dxxV))
     u, eps = v[:4], v[4]
-    du = np.zeros((4, 4) + eps.shape)
-    deps = np.zeros((4,) + eps.shape)
-    du[0] = w[:4]
-    du[1] = dxv[:4]
-    deps[0] = w[4]
-    deps[1] = dxv[4]
+    jet = np.stack([w, dxv])             # the (t, x) rows of d_a (u, eps)
     coeffs = transport(eps, model)
-    B = assemble_lower_order(FieldJet1(u=u, du=du, eps=eps, deps=deps), model,
-                             coeffs)
+    B = assemble_lower_order(FieldJet1(u=u, du=jet[:, :4], eps=eps,
+                                       deps=jet[:, 4]), model, coeffs)
     rhs_w = -(symbol_apply(u, eps, *coeffs, 0, 1, 2.0 * dxw)
               + symbol_apply(u, eps, *coeffs, 1, 1, dxxv) + B)
-    dtW, _ = time_matrix_solve(u, eps, *coeffs, rhs_w, det_floor=DET_FLOOR)
+    try:
+        dtW, _ = time_matrix_solve(u, eps, *coeffs, rhs_w, det_floor=DET_FLOOR)
+    except DegenerateTimeMatrix as exc:
+        bad = exc.cells.reshape(-1, V.shape[-1]).any(axis=1)
+        raise ValueError(str(exc) + _members(bad)) from None
     return W, dtW.reshape(V.shape)
 
 
@@ -432,8 +432,8 @@ def evolve(cfg: SolverConfig, snapshot_times=None, ics=None):
     v_max among them, so a member's results equal its solo run bitwise
     when its own v_max is that largest one.  At a1 = 4 the speed does not
     depend on eps, so members that differ only in eps always qualify.  An
-    abort for non-positive eps or non-finite values names the members it
-    concerns.
+    abort for non-positive eps, non-finite values or a degenerate time
+    matrix names the members it concerns.
     """
     member_ics = [cfg.ic] if ics is None else list(ics)
     grid = make_grid(cfg, member_ics)

@@ -148,6 +148,36 @@ def test_lower_order_matches_reference(mutation):
         assert np.all(np.abs(new - ref).max(axis=1) <= 1e-13 * np.abs(ref).max(axis=1))
 
 
+@pytest.mark.parametrize("mutation", [None] + [(k, 1.7) for k in MUTATION_KEYS])
+def test_two_row_jet_matches_padded_jet(mutation):
+    # the solver's (t, x) jet carries k = 2 derivative rows; the same jet
+    # padded with zero y and z rows, and the whole-tensor reference on it,
+    # give the same rows
+    rng = np.random.default_rng(31)
+    for trial in range(6):
+        model = TransportModel(a1=rng.uniform(2.0, 6.0), a2=rng.uniform(4.0, 12.0),
+                               eta_form=("power", "constant")[trial % 2],
+                               eta0=rng.uniform(0.5, 2.0))
+        full = random_jet(rng, 64)
+        full.du[2:] = 0.0
+        full.deps[2:] = 0.0
+        two = FieldJet1(u=full.u, du=full.du[:2].copy(), eps=full.eps,
+                        deps=full.deps[:2].copy())
+        coeffs = transport(full.eps, model)
+        got = assemble_lower_order(two, model, coeffs, mutation=mutation)
+        ref = reference_lower_order(full, model, mutation=mutation)
+        padded = assemble_lower_order(full, model, coeffs, mutation=mutation)
+        row_scale = 1e-13 * np.abs(ref).max(axis=1)
+        assert np.all(np.abs(got - padded).max(axis=1) <= row_scale)
+        assert np.all(np.abs(got - ref).max(axis=1) <= row_scale)
+
+
+def test_jet_rows_must_agree():
+    with pytest.raises(ValueError, match="derivative rows"):
+        FieldJet1(u=np.ones((4, 3)), du=np.zeros((2, 4, 3)), eps=np.ones(3),
+                  deps=np.zeros((4, 3)))
+
+
 admissible_state = st.tuples(
     st.floats(4.0, 12.0),                                    # a2
     st.sampled_from(["power", "constant"]),

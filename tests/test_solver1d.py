@@ -273,3 +273,21 @@ def test_ensemble_abort_names_the_member():
     assert err.value.grid.V.shape == (5, 3, cfg.n_cells)
     with pytest.raises(SolverAbort, match=r"positivity inside a stage at"):
         evolve(replace(cfg, ic=collapsing))
+
+
+def test_ensemble_det_floor_abort_names_the_member():
+    # member 1 has eps = 1e-8 on a patch, where det a ~ 648 eps^2 lies
+    # below the det floor: the first stage aborts and names it, and its
+    # solo run aborts with no member in the message
+    def thin(x):
+        return np.where(np.abs(x - 1.0) < 0.2, 1e-8, 1.0)
+    degenerate = InitialData(name="thin", eps0=thin, eps1=np.zeros_like,
+                             v0=lambda x: np.zeros((3,) + x.shape),
+                             v1=lambda x: np.zeros((3,) + x.shape))
+    cfg = small_cfg()
+    members = [constant_state(), degenerate, constant_state()]
+    with pytest.raises(SolverAbort, match=r"degenerate: .* <= 1e-10 in member 1 at") as err:
+        evolve(cfg, ics=members)
+    assert err.value.step_index == 1
+    with pytest.raises(SolverAbort, match=r"degenerate: min \|det\| = \S+ <= 1e-10 at t=0 "):
+        evolve(replace(cfg, ic=degenerate))
