@@ -52,6 +52,8 @@ __all__ = [
     "HyperbolicityReport",
     "eval_factor",
     "eval_factor_base",
+    "factor_base_values",
+    "factor_values",
     "base_degree",
     "factor_power",
     "sound_quartic_general",
@@ -149,15 +151,12 @@ def _contractions(s: StatePoint, xi):
     return uxi, xixi, uu
 
 
-def eval_factor_base(family: str, s: StatePoint, xi):
-    """The underlying hyperbolic polynomial of a family at (state, covector).
+def factor_base_values(family: str, uxi, xixi, uu, a2):
+    """A family's base polynomial from the contractions (u.xi, xi.xi, u.u) and a2.
 
-    xi is one covector (4,), giving a float, or a batch (4, K), giving K
-    values.  A batched value agrees with the single-covector one to
-    rounding; the two contract in different summation orders.
+    The one copy of the table's formulas; the arguments are scalars or
+    arrays that broadcast together.
     """
-    uxi, xixi, uu = _contractions(s, xi)
-    a2 = s.transport.a2
     if family == "flow":
         return uxi
     if family == "shear":
@@ -170,12 +169,14 @@ def eval_factor_base(family: str, s: StatePoint, xi):
     raise ValueError(f"unknown factor family {family!r}")
 
 
-def eval_factor(family: str, s: StatePoint, xi) -> float:
-    """The factor as it appears in the characteristic determinant."""
-    base = eval_factor_base(family, s, xi)
+def factor_values(family: str, base, eta, eps):
+    """The factor as it enters the determinant, from its base polynomial.
+
+    Only flow's prefactor eta^4 / (12 eps) reads eta and eps; arguments
+    are scalars or arrays that broadcast together.
+    """
     if family == "flow":
-        eta, _, _ = s.coefficients()
-        return float(eta) ** 4 / (12.0 * s.eps) * base ** 4
+        return eta ** 4 / (12.0 * eps) * base ** 4
     if family == "shear":
         return base ** 2
     if family == "sound":
@@ -183,6 +184,24 @@ def eval_factor(family: str, s: StatePoint, xi) -> float:
     if family == "light":
         return base ** 10
     raise ValueError(f"unknown factor family {family!r}")
+
+
+def eval_factor_base(family: str, s: StatePoint, xi):
+    """The underlying hyperbolic polynomial of a family at (state, covector).
+
+    xi is one covector (4,), giving a float, or a batch (4, K), giving K
+    values.  A batched value agrees with the single-covector one to
+    rounding; the two contract in different summation orders.
+    """
+    uxi, xixi, uu = _contractions(s, xi)
+    return factor_base_values(family, uxi, xixi, uu, s.transport.a2)
+
+
+def eval_factor(family: str, s: StatePoint, xi) -> float:
+    """The factor as it appears in the characteristic determinant."""
+    base = eval_factor_base(family, s, xi)
+    eta, _, _ = s.coefficients()
+    return factor_values(family, base, float(eta), s.eps)
 
 
 def sound_quartic_general(s: StatePoint, xi, a1: float, a2: float) -> float:

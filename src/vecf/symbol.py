@@ -25,6 +25,8 @@ __all__ = [
     "det_time_matrix_formula",
     "det_by_elimination",
     "symbol_components",
+    "symbol_contractions",
+    "check_time_matrix_domain",
 ]
 
 
@@ -61,20 +63,39 @@ class StatePoint:
     def coefficients(self):
         return transport(self.eps, self.transport)
 
-    def normalization_residual(self) -> float:
-        return float(abs(self.u @ self.g.components @ self.u + 1.0))
-
 
 def _as_covector(xi) -> np.ndarray:
     return np.asarray(xi, dtype=float).reshape(4)
 
 
-def symbol_components(u, eps, eta, lam, chi, g: np.ndarray, ginv: np.ndarray,
-                      xi: np.ndarray) -> np.ndarray:
+def _dot(a, b):
+    """Sum over the last axis (length 4) of a * b, term by term in index order.
+
+    Spelled out rather than left to einsum or BLAS, whose summation order
+    can depend on the batch shape: a contraction of one state has the same
+    bits alone as in a stack.
+    """
+    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]
+            + a[..., 2] * b[..., 2] + a[..., 3] * b[..., 3])
+
+
+def symbol_contractions(u, xi, g, ginv):
+    """(xi^a, u_a, u.xi, xi.xi, u.u) for u (..., 4), xi (..., 4), g and ginv (..., 4, 4).
+
+    Leading axes broadcast; every contraction is a `_dot`.
+    """
+    xiup = _dot(ginv, xi[..., None, :])
+    u_dn = _dot(g, u[..., None, :])
+    return xiup, u_dn, _dot(u, xi), _dot(xi, xiup), _dot(u, u_dn)
+
+
+def symbol_components(u, eps, eta, lam, chi, g, ginv, xi) -> np.ndarray:
     """Assemble the symbol for batched states; plain-array core.
 
-    u (4, ...), eps/eta/lam/chi (...), g and ginv fixed (4, 4), xi (4,).
-    Returns (..., 5, 5).  For row b <= 3 and column n <= 3 the entry is
+    u (..., 4), eps/eta/lam/chi (...), g and ginv (..., 4, 4), xi (..., 4);
+    leading axes broadcast, so one metric or covector may serve a whole
+    batch.  Returns (..., 5, 5).  For row b <= 3 and column n <= 3 the
+    entry is
 
         delta_bn * [-eta xi.xi + (lam - eta)(u.xi)^2]
         + [(lam + chi) u^b (u.xi) + (chi - eta)/3 (xi^b + u^b (u.xi))] xi_n
@@ -82,27 +103,29 @@ def symbol_components(u, eps, eta, lam, chi, g: np.ndarray, ginv: np.ndarray,
     which reproduces the divergence-equation coefficients of d^2 u^n; the
     first bracket collects the wave-operator part, the second the
     gradient-of-divergence part (no-sum diagonal convention included).
+    A state's symbol has the same bits whatever batch it is assembled in.
     """
     u = np.asarray(u, dtype=float)
-    eps = np.asarray(eps, dtype=float)
-    shape = eps.shape
-    xiup = ginv @ xi
-    uxi = np.einsum('a,a...->...', xi, u)
-    xixi = float(xi @ xiup)
-    u_dn = np.einsum('ab,b...->a...', g, u)
-
-    Q = -eta * xixi + (lam - eta) * uxi ** 2
-    m = np.zeros(shape + (5, 5))
-    for b in range(4):
-        row_c = (lam + chi) * u[b] * uxi + (chi - eta) / 3.0 * (xiup[b] + u[b] * uxi)
-        for n in range(4):
-            m[..., b, n] = row_c * xi[n]
-        m[..., b, b] += Q
-        m[..., b, 4] = (u[b] * (lam * xixi + (lam + 3.0 * chi) * uxi ** 2)
-                        + (lam + chi) * (uxi * xiup[b] + u[b] * uxi ** 2)) / (4.0 * eps)
+    xi = np.asarray(xi, dtype=float)
+    # scalars gain a trailing axis, to broadcast against the index axis
+    eps, eta, lam, chi = (np.asarray(v, dtype=float)[..., None]
+                          for v in (eps, eta, lam, chi))
+    xiup, u_dn, uxi, xixi, _ = symbol_contractions(u, xi, g, ginv)
+    uxi, xixi = uxi[..., None], xixi[..., None]
     uxi2 = uxi ** 2
-    for n in range(4):
-        m[..., 4, n] = u_dn[n] * uxi2
+
+    Q = -eta * xixi + (lam - eta) * uxi2
+    row_c = (lam + chi) * u * uxi + (chi - eta) / 3.0 * (xiup + u * uxi)
+    energy = (u * (lam * xixi + (lam + 3.0 * chi) * uxi2)
+              + (lam + chi) * (uxi * xiup + u * uxi2)) / (4.0 * eps)
+    constraint = u_dn * uxi2
+    shape = np.broadcast_shapes(row_c.shape, energy.shape, constraint.shape)[:-1]
+    m = np.zeros(shape + (5, 5))
+    m[..., :4, :4] = row_c[..., :, None] * xi[..., None, :]
+    diag = np.arange(4)
+    m[..., diag, diag] += Q
+    m[..., :4, 4] = energy
+    m[..., 4, :4] = constraint
     return m
 
 
@@ -110,8 +133,7 @@ def fluid_symbol(s: StatePoint, xi) -> np.ndarray:
     """5x5 principal symbol m(U, xi) at a state point."""
     xi = _as_covector(xi)
     eta, lam, chi = s.coefficients()
-    return symbol_components(s.u, np.asarray(s.eps), float(eta), float(lam),
-                             float(chi), s.g.components, s.g.inverse, xi)
+    return symbol_components(s.u, s.eps, eta, lam, chi, s.g.components, s.g.inverse, xi)
 
 
 def det_by_elimination(m: np.ndarray):
@@ -187,18 +209,31 @@ def det_time_matrix_closed_form(eta, eps, w2, a2: float):
             * (3.0 * a2 + (a2 - 4.0) * w2) * (a2 + (a2 - 1.0) * w2) ** 2)
 
 
+def check_time_matrix_domain(g: Metric4, u, a1: float) -> None:
+    """Raise ValueError unless the closed form holds: Minkowski g, u.u = -1, a1 = 4.
+
+    u is one four-velocity (4,) or a batch (K, 4); the normalization
+    residual |u.u + 1| may be at most 1e-10, and for a batch the message
+    names the first failing member, "... in member k".
+    """
+    if not g.is_minkowski:
+        raise ValueError("closed form requires the Minkowski metric")
+    u = np.asarray(u, dtype=float)
+    resid = np.abs(_dot(u, _dot(g.components, u[..., None, :])) + 1.0)
+    if np.any(resid > 1e-10):
+        where = "" if u.ndim == 1 else f" in member {int(np.flatnonzero(resid > 1e-10)[0])}"
+        raise ValueError("closed form requires normalized u" + where)
+    if abs(a1 - 4.0) > 1e-12:
+        raise ValueError("closed form requires a1 = 4")
+
+
 def det_time_matrix_formula(s: StatePoint) -> float:
     """`det_time_matrix_closed_form` at a state point, inside its domain.
 
     Raises ValueError off the domain: a curved metric, unnormalized u or
-    a1 != 4.
+    a1 != 4 (`check_time_matrix_domain`).
     """
-    if not s.g.is_minkowski:
-        raise ValueError("closed form requires the Minkowski metric")
-    if s.normalization_residual() > 1e-10:
-        raise ValueError("closed form requires normalized u")
-    if abs(s.transport.a1 - 4.0) > 1e-12:
-        raise ValueError("closed form requires a1 = 4")
+    check_time_matrix_domain(s.g, s.u, s.transport.a1)
     eta, _, _ = s.coefficients()
     w2 = float(s.u[1] ** 2 + s.u[2] ** 2 + s.u[3] ** 2)
     return float(det_time_matrix_closed_form(eta, s.eps, w2, s.transport.a2))

@@ -13,13 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristics import (bisection_roots, cone_roots, eval_factor,
-                              eval_factor_base, quartic_coefficients,
-                              sound_quartic_general)
+from .characteristics import (bisection_roots, cone_roots, eval_factor_base,
+                              factor_base_values, factor_values,
+                              quartic_coefficients, sound_quartic_general)
 from .constitutive import TransportModel
-from .symbol import (StatePoint, det_by_elimination, det_time_matrix_formula,
-                     fluid_symbol, time_matrix)
-from .tensor import minkowski, random_lorentzian_near_minkowski
+from .symbol import (StatePoint, check_time_matrix_domain, det_by_elimination,
+                     det_time_matrix_closed_form, symbol_components,
+                     symbol_contractions)
+from .tensor import (minkowski, near_minkowski_components,
+                     random_lorentzian_near_minkowski, validate_metrics)
 
 __all__ = [
     "FactorizationReport",
@@ -40,62 +42,103 @@ GAP_TOL = 1e-8
 TIME_MATRIX_TOL = 1e-10
 
 
-def _sample_state(idx: int, seed: int, a2_range, delta: float):
-    """Deterministic per-index sample; independent of chunking."""
-    rng = np.random.default_rng((seed, idx))
-    a2 = rng.uniform(*a2_range)
-    eps = rng.uniform(0.5, 2.0)
-    model = TransportModel(a1=4.0, a2=a2, eta_form="power", eta0=1.0, p_exp=0.75)
-    if idx % 2 == 0:
-        g = minkowski()
-    else:
-        g = random_lorentzian_near_minkowski(delta, int(rng.integers(0, 2 ** 31)))
-    w = rng.uniform(-3.0, 3.0, 3)
-    if idx % 3 == 0:
-        # normalized with respect to g: solve the quadratic for u^0
-        g00 = g.components[0, 0]
-        g0i = g.components[0, 1:]
-        gij = g.components[1:, 1:]
-        b = 2.0 * float(g0i @ w)
-        c = float(w @ gij @ w) + 1.0
-        disc = b * b - 4.0 * g00 * c
-        u0 = (-b - np.sqrt(disc)) / (2.0 * g00)
-        u = np.array([u0, *w])
-    else:
-        u = np.array([rng.uniform(0.5, 3.0), *w])
-    xi = rng.uniform(-2.0, 2.0, 4)
-    return StatePoint(eps=eps, u=u, g=g, transport=model), xi
+# the factorization suite's viscosity model; a2 is drawn per sample, and
+# eta does not depend on it
+FACTORIZATION_MODEL = TransportModel(a1=4.0, eta_form="power", eta0=1.0, p_exp=0.75)
 
 
-def _magnitude_scale(m: np.ndarray) -> float:
-    """Error scale for a 5x5 determinant comparison.
+def _factorization_draws(seed: int, indices, a2_range, delta: float):
+    """Per-index draws of the factorization suite, as arrays.
+
+    Sample idx draws from its own generator default_rng((seed, idx)), in
+    this order: a2, eps, for odd idx the seed of its perturbed metric,
+    the spatial velocity w, for idx % 3 != 0 the time component u^0, and
+    the covector xi.  For idx % 3 == 0, u^0 solves g(u, u) = -1 instead.
+    Even idx use the Minkowski metric.  Returns a2, eps (K,), u, xi
+    (K, 4) and the unvalidated metric components (K, 4, 4).
+    """
+    k = len(indices)
+    a2, eps = np.empty(k), np.empty(k)
+    u, xi = np.empty((k, 4)), np.empty((k, 4))
+    g = np.empty((k, 4, 4))
+    flat = minkowski().components
+    for j, idx in enumerate(indices):
+        rng = np.random.default_rng((seed, idx))
+        a2[j] = rng.uniform(*a2_range)
+        eps[j] = rng.uniform(0.5, 2.0)
+        gj = flat if idx % 2 == 0 else near_minkowski_components(
+            delta, int(rng.integers(0, 2 ** 31)))
+        w = rng.uniform(-3.0, 3.0, 3)
+        if idx % 3 == 0:
+            # normalized with respect to g: solve the quadratic for u^0
+            g00 = gj[0, 0]
+            b = 2.0 * float(gj[0, 1:] @ w)
+            c = float(w @ gj[1:, 1:] @ w) + 1.0
+            disc = b * b - 4.0 * g00 * c
+            u[j, 0] = (-b - np.sqrt(disc)) / (2.0 * g00)
+        else:
+            u[j, 0] = rng.uniform(0.5, 3.0)
+        u[j, 1:] = w
+        xi[j] = rng.uniform(-2.0, 2.0, 4)
+        g[j] = gj
+    return a2, eps, u, xi, g
+
+
+def _magnitude_scale(m: np.ndarray):
+    """Error scale for 5x5 determinant comparisons, per matrix of (..., 5, 5).
 
     max(1, E^5) with E the largest entry magnitude: a five-fold product of
     entries bounds every elimination intermediate, so 1e-9 of this scale
     sits far above the achievable cancellation noise while still scaling
     like |xi|^10 times the state-dependent coefficients.
     """
-    e = float(np.abs(m).max())
-    return max(1.0, e ** 5)
+    return np.maximum(1.0, np.abs(m).max(axis=(-2, -1)) ** 5)
+
+
+def _first_worst(errors, indices):
+    """(largest error, the lowest index that reaches it).
+
+    A NaN error counts as the largest.  With no positive error the index
+    is -1.  Chunk results reduce by the same rule, so the answer does not
+    depend on how the indices were chunked.
+    """
+    errors = np.asarray(errors, dtype=float)
+    indices = np.asarray(indices)
+    nan = np.isnan(errors)
+    if nan.any():
+        return float("nan"), int(indices[nan].min())
+    worst = errors.max(initial=0.0)
+    if worst <= 0.0:
+        return 0.0, -1
+    return float(worst), int(indices[errors == worst].min())
+
+
+def _factorization_batch(seed: int, indices, a2_range, delta: float):
+    """Symbols (K, 5, 5) and flow * shear * sound products (K,) of the samples.
+
+    The metrics are validated as one stack; the symbols and the factors
+    read the same contractions.
+    """
+    a2, eps, u, xi, g = _factorization_draws(seed, indices, a2_range, delta)
+    g, ginv = validate_metrics(g)
+    eta = FACTORIZATION_MODEL.eta(eps)
+    symbols = symbol_components(u, eps, eta, a2 * eta, FACTORIZATION_MODEL.a1 * eta,
+                                g, ginv, xi)
+    _, _, uxi, xixi, uu = symbol_contractions(u, xi, g, ginv)
+    prods = np.ones(len(indices))
+    for family in ("flow", "shear", "sound"):
+        prods *= factor_values(family, factor_base_values(family, uxi, xixi, uu, a2),
+                               eta, eps)
+    return symbols, prods
 
 
 def _factorization_chunk(args):
     seed, indices, a2_range, delta = args
-    symbols = np.empty((len(indices), 5, 5))
-    prods = np.empty(len(indices))
-    for j, idx in enumerate(indices):
-        s, xi = _sample_state(idx, seed, a2_range, delta)
-        symbols[j] = fluid_symbol(s, xi)
-        prods[j] = (eval_factor("flow", s, xi) * eval_factor("shear", s, xi)
-                    * eval_factor("sound", s, xi))
+    symbols, prods = _factorization_batch(seed, indices, a2_range, delta)
     dets = det_by_elimination(symbols)
-    worst = 0.0
-    worst_idx = -1
-    for idx, m, det, prod in zip(indices, symbols, dets, prods):
-        err = abs(det - prod) / max(_magnitude_scale(m), abs(det), abs(prod))
-        if err > worst:
-            worst, worst_idx = err, idx
-    return worst, worst_idx
+    errors = np.abs(dets - prods) / np.maximum(
+        np.maximum(_magnitude_scale(symbols), np.abs(dets)), np.abs(prods))
+    return _first_worst(errors, indices)
 
 
 @dataclass(frozen=True)
@@ -146,7 +189,7 @@ def factorization_suite(samples: int = 10000, seed: int = 7,
         args = [(seed, c, a2_range, delta) for c in chunks if len(c)]
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_factorization_chunk, args))
-        worst, worst_idx = max(results)
+        worst, worst_idx = _first_worst([r[0] for r in results], [r[1] for r in results])
     return FactorizationReport(
         samples=samples, seed=seed, tolerance=DET_TOL,
         max_scaled_error=float(worst), worst_index=int(worst_idx),
@@ -336,21 +379,31 @@ def time_matrix_suite(samples: int = 1000, seed: int = 17) -> TimeMatrixReport:
 
     Domain of the closed form: Minkowski metric, normalized u, a1 = 4.
     Positivity over the sampled a2 >= 4 regime is asserted as well.
+    Sample idx draws from default_rng((seed, idx)): a2, then eta0 (with
+    eta_form "power" for even idx and "constant" for odd), the spatial
+    velocity w, and eps.
     """
-    closed = np.empty(samples)
-    matrices = np.empty((samples, 5, 5))
-    g = minkowski()
+    a2, eta0, eps = np.empty(samples), np.empty(samples), np.empty(samples)
+    u = np.empty((samples, 4))
     for idx in range(samples):
         rng = np.random.default_rng((seed, idx))
-        a2 = rng.uniform(4.0, 12.0)
-        eta_form = "power" if idx % 2 == 0 else "constant"
-        model = TransportModel(a1=4.0, a2=a2, eta_form=eta_form,
-                               eta0=rng.uniform(0.5, 2.0))
+        a2[idx] = rng.uniform(4.0, 12.0)
+        eta0[idx] = rng.uniform(0.5, 2.0)
         w = rng.uniform(-3.0, 3.0, 3)
-        u = np.array([np.sqrt(1.0 + w @ w), *w])
-        s = StatePoint(eps=rng.uniform(0.5, 2.0), u=u, g=g, transport=model)
-        closed[idx] = det_time_matrix_formula(s)
-        matrices[idx] = time_matrix(s)
+        u[idx] = np.sqrt(1.0 + w @ w), *w
+        eps[idx] = rng.uniform(0.5, 2.0)
+    g = minkowski()
+    a1 = 4.0
+    check_time_matrix_domain(g, u, a1)
+    # eta is linear in eta0: eta0 times the eta0 = 1 model of each form
+    power = np.arange(samples) % 2 == 0
+    eta = eta0 * np.where(power, TransportModel(eta_form="power").eta(eps),
+                          TransportModel(eta_form="constant").eta(eps))
+    e0 = np.array([1.0, 0.0, 0.0, 0.0])
+    matrices = symbol_components(u, eps, eta, a2 * eta, a1 * eta,
+                                 g.components, g.inverse, e0)
+    closed = det_time_matrix_closed_form(eta, eps, u[:, 1] ** 2 + u[:, 2] ** 2
+                                         + u[:, 3] ** 2, a2)
     numeric = det_by_elimination(matrices)
     worst = np.max(np.abs(closed - numeric) / np.abs(closed), initial=0.0)
     return TimeMatrixReport(samples=samples, seed=seed, tolerance=TIME_MATRIX_TOL,

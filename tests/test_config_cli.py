@@ -170,6 +170,32 @@ def test_cli_oracle_divergence(tmp_path):
     assert all(lo <= o <= hi for o in payload["orders"][-2:])
 
 
+CONVERGENCE_SMALL = ["--set", "convergence.resolutions=32 64 128",
+                     "--set", "solver.t_end=0.1", "--set", "transport.a2=6"]
+
+
+def test_cli_convergence_filter_off_judges_the_order(tmp_path, capsys):
+    code = main(["--out", str(tmp_path), "--set", "solver.filter_strength=0"]
+                + CONVERGENCE_SMALL + ["convergence"])
+    out = capsys.readouterr().out
+    payload = json.loads((tmp_path / "convergence.json").read_text())
+    assert payload["tolerances"]["order"] == list(ORDER_WINDOW)
+    # the eps order on these coarse grids reads about 4.5, outside the window
+    assert payload["passed"] is False and code == 1
+    assert out.rstrip().endswith("-> FAIL")
+
+
+def test_cli_convergence_filter_on_judges_no_order(tmp_path, capsys):
+    code = main(["--out", str(tmp_path), "--set", "solver.filter_strength=1"]
+                + CONVERGENCE_SMALL + ["convergence"])
+    out = capsys.readouterr().out
+    payload = json.loads((tmp_path / "convergence.json").read_text())
+    assert payload["tolerances"]["order"] is None
+    assert payload["passed"] is True and code == 0
+    assert out.rstrip().endswith("-> not judged (filter on)")
+    assert "PASS" not in out
+
+
 def test_factorization_suite_worker_count_independent():
     from vecf.verification import factorization_suite
     one = factorization_suite(samples=240, seed=5, threads=1)

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from vecf.characteristics import eval_factor
 from vecf.constitutive import TransportModel
-from vecf.symbol import (StatePoint, coupled_char_det, det_by_elimination,
-                         det_time_matrix_formula, fluid_char_det, fluid_symbol,
-                         time_matrix)
+from vecf.symbol import (StatePoint, check_time_matrix_domain, coupled_char_det,
+                         det_by_elimination, det_time_matrix_formula,
+                         fluid_char_det, fluid_symbol, time_matrix)
 from vecf.tensor import minkowski, random_lorentzian_near_minkowski
 from vecf.verification import DET_TOL, _magnitude_scale
 
@@ -224,6 +224,17 @@ def test_time_matrix_formula_domain_rejections():
                           transport=TransportModel(a1=6.0))
     with pytest.raises(ValueError):
         det_time_matrix_formula(wrong_a1)
+
+
+def test_time_matrix_domain_names_the_unnormalized_member():
+    w = np.random.default_rng(4).uniform(-3.0, 3.0, (5, 3))
+    u = np.column_stack([np.sqrt(1.0 + (w * w).sum(axis=1)), w])
+    check_time_matrix_domain(minkowski(), u, 4.0)
+    u[2, 0] *= 1.0 + 1e-8
+    with pytest.raises(ValueError, match="normalized u in member 2$"):
+        check_time_matrix_domain(minkowski(), u, 4.0)
+    with pytest.raises(ValueError, match="normalized u$"):
+        check_time_matrix_domain(minkowski(), u[2], 4.0)
 
 
 def test_det_by_elimination_reference():

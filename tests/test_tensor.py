@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from vecf.tensor import Metric4, minkowski, random_lorentzian_near_minkowski
+from vecf.tensor import (Metric4, minkowski, random_lorentzian_near_minkowski,
+                         validate_metrics)
 
 
 def test_minkowski_components():
@@ -60,3 +61,38 @@ def test_minkowski_is_one_validated_read_only_instance():
     assert not g.inverse.flags.writeable
     with pytest.raises(ValueError):
         g.components[0, 0] = 1.0
+
+
+def _stack_with(member, k):
+    stack = np.array([random_lorentzian_near_minkowski(0.05, seed).components
+                      for seed in range(5)])
+    stack[k] = member
+    return stack
+
+
+@pytest.mark.parametrize("member,reason", [
+    (np.diag([-1.0, 1.0, 1.0, 1.0]) + np.triu(np.full((4, 4), 0.01), 1),
+     "metric components must be symmetric"),
+    (np.diag([-1.0, 1.0, 1.0, 0.0]), "metric determinant .* below guard"),
+    (np.eye(4), "metric is not Lorentzian"),
+])
+@pytest.mark.parametrize("k", [0, 3])
+def test_stack_validation_names_the_failing_member(member, reason, k):
+    with pytest.raises(ValueError, match=reason) as exc:
+        validate_metrics(_stack_with(member, k))
+    assert str(exc.value).endswith(f" in member {k}")
+    # the same metric alone keeps the single-metric message
+    with pytest.raises(ValueError, match=reason) as exc:
+        Metric4.from_components(member)
+    assert "member" not in str(exc.value)
+
+
+def test_stack_validation_equals_one_at_a_time():
+    stack = _stack_with(np.diag([-1.0, 1.0, 1.0, 1.0]), 2)
+    g, inv = validate_metrics(stack)
+    for j, member in enumerate(stack):
+        one = Metric4.from_components(member)
+        assert np.array_equal(g[j], one.components)
+        assert np.array_equal(inv[j], one.inverse)
+    with pytest.raises(ValueError, match="metric must be 4x4"):
+        Metric4.from_components(stack)
