@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristics import (FAMILIES, cone_coefficients, cone_xi0,
+from .characteristics import (BATCH_VALUES, FAMILIES, cone_coefficients, cone_xi0,
                               quartic_coefficients)
-from .constitutive import TransportModel
 from .symbol import StatePoint
 from .tensor import minkowski
 
@@ -145,6 +144,46 @@ def _verdict(smax: float) -> str:
     return "violated"
 
 
+def _family_cones(family: str, a2: float, u2, thetas) -> list:
+    """A family's FamilyCone at each boost |w|^2 of u2 (n,), over the angles.
+
+    One `cone_xi0` call per chunk of at most BATCH_VALUES (boost, angle)
+    points; every point is elementwise, so a boost's cone has the same bits
+    in any chunk.  Where the pair is not real (`cone_xi0` raises) the cone
+    is violated with an infinite slope; a chunk that raises is redone boost
+    by boost to find where.
+    """
+    alpha, beta = cone_coefficients(family, a2)
+    cos = np.cos(thetas)
+    cones = []
+    rows = max(1, BATCH_VALUES // len(thetas))
+    for i in range(0, len(u2), rows):
+        w2 = np.asarray(u2[i:i + rows], dtype=float)[:, None]
+        try:
+            sp, sm, _ = cone_xi0(alpha, beta, w2, np.sqrt(w2) * cos)
+        except ValueError:
+            if len(w2) == 1:
+                cones.append(FamilyCone(family, np.inf, "violated", np.nan))
+            else:
+                cones += [c for row in w2 for c in _family_cones(family, a2, row, thetas)]
+            continue
+        vals = np.maximum(np.abs(sp), np.abs(sm))
+        j = vals.argmax(axis=1)
+        for smax, theta in zip(vals[np.arange(len(j)), j].tolist(), thetas[j].tolist()):
+            cones.append(FamilyCone(family, smax, _verdict(smax), theta))
+    return cones
+
+
+def _fluid_verdict(fams: dict) -> str:
+    """The overall verdict from the flow, shear and sound cones."""
+    fluid = [fams[k].verdict for k in ("flow", "shear", "sound")]
+    if "violated" in fluid:
+        return "violated"
+    if "boundary" in fluid:
+        return "causal (boundary)"
+    return "causal (strict)"
+
+
 def cone_containment(s: StatePoint, n_theta: int = 720) -> ConeReport:
     """Family-by-family light-cone containment for one state.
 
@@ -157,29 +196,9 @@ def cone_containment(s: StatePoint, n_theta: int = 720) -> ConeReport:
     u2 = float(w @ w)
     a2 = s.transport.a2
     thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    wxi = np.sqrt(u2) * np.cos(thetas)     # cone_slopes' w.xibar, shared
-
-    fams = {}
-    for name in FAMILIES:
-        try:
-            sp, sm, _ = cone_xi0(*cone_coefficients(name, a2), u2, wxi)
-        except ValueError:
-            fams[name] = FamilyCone(name, np.inf, "violated", np.nan)
-            continue
-        vals = np.maximum(np.abs(sp), np.abs(sm))
-        j = int(np.argmax(vals))
-        fams[name] = FamilyCone(name, float(vals[j]), _verdict(float(vals[j])),
-                                float(thetas[j]))
-
-    fluid = [fams[k] for k in ("flow", "shear", "sound")]
-    if any(f.verdict == "violated" for f in fluid):
-        overall = "violated"
-    elif any(f.verdict == "boundary" for f in fluid):
-        overall = "causal (boundary)"
-    else:
-        overall = "causal (strict)"
-    v_fluid = max(f.max_abs_slope for f in fluid)
-    return ConeReport(a2=a2, u2=u2, families=fams, verdict=overall,
+    fams = {name: _family_cones(name, a2, [u2], thetas)[0] for name in FAMILIES}
+    v_fluid = max(fams[k].max_abs_slope for k in ("flow", "shear", "sound"))
+    return ConeReport(a2=a2, u2=u2, families=fams, verdict=_fluid_verdict(fams),
                       v_max_fluid=v_fluid, v_max_coupled=max(v_fluid, 1.0))
 
 
@@ -208,22 +227,24 @@ def causality_scan(a2_list, u_max: float, n_u: int = 33, n_theta: int = 720,
 
     One row per (a2, |w|) cell with the theta-maximized shear and sound
     slopes; column names match the CSV contract of the command-line scan.
+    Each (a2, family) takes one `cone_xi0` call over its |w| x theta grid,
+    and a row has the bits of `cone_containment` at its state.
     """
     rows = []
     speeds = np.linspace(0.0, u_max, n_u)
-    g = minkowski()
+    u2 = speeds * speeds
+    thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
     for a2 in a2_list:
-        model = TransportModel(a1=a1, a2=a2)
-        for w in speeds:
-            u = np.array([np.sqrt(1.0 + w * w), w, 0.0, 0.0])
-            s = StatePoint(eps=1.0, u=u, g=g, transport=model)
-            rep = cone_containment(s, n_theta=n_theta)
+        cones = {name: _family_cones(name, a2, u2, thetas)
+                 for name in ("flow", "shear", "sound")}
+        for i, w2 in enumerate(u2.tolist()):
+            fams = {name: c[i] for name, c in cones.items()}
             rows.append(ScanRow(
-                a1=a1, a2=float(a2), u2=float(w * w),
-                theta_max_p2=rep.families["shear"].witness_theta,
-                smax_p2=rep.families["shear"].max_abs_slope,
-                smax_p3=rep.families["sound"].max_abs_slope,
-                verdict=rep.verdict,
+                a1=a1, a2=float(a2), u2=w2,
+                theta_max_p2=fams["shear"].witness_theta,
+                smax_p2=fams["shear"].max_abs_slope,
+                smax_p3=fams["sound"].max_abs_slope,
+                verdict=_fluid_verdict(fams),
             ))
     return rows
 
@@ -265,17 +286,21 @@ def hyperbolicity_region_map(a1_grid, a2_grid, u_samples=None, n_theta: int = 64
     (B^2 - 4AC >= 0, real quadratic factors), hyperbolicity of each factor
     over sampled boosts and directions, and slopes <= 1.  The degenerate
     leading coefficients (A ~ 0 or C ~ 0) reduce to light-cone or
-    flow-cone factors and are classified accordingly.
+    flow-cone factors and are classified accordingly.  The coefficients of
+    all cells come from one batched `quartic_coefficients` call, each with
+    the bits of its own extraction.
     """
     if u_samples is None:
         u_samples = [0.0, 0.25, 1.0, 4.0]
-    g = minkowski()
-    rest = np.array([1.0, 0.0, 0.0, 0.0])
+    a1_grid = np.asarray(a1_grid, dtype=float)
+    a2_grid = np.asarray(a2_grid, dtype=float)
+    co = quartic_coefficients(np.repeat(a1_grid, len(a2_grid)), np.tile(a2_grid, len(a1_grid)),
+                              np.array([1.0, 0.0, 0.0, 0.0]), minkowski(), seed=seed)
+    coeffs = zip(co.A.tolist(), co.B.tolist(), co.C.tolist())
     cells = []
     for a1 in a1_grid:
         for a2 in a2_grid:
-            co = quartic_coefficients(float(a1), float(a2), rest, g, seed=seed)
-            A, B, C = co.A, co.B, co.C
+            A, B, C = next(coeffs)
             scale = max(1.0, abs(A), abs(B), abs(C))
             factors = []       # list of r values: factor X - r Y
             light_cone_factors = 0

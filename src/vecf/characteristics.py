@@ -37,8 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .constitutive import TransportModel
-from .symbol import StatePoint, _as_covector
+from .symbol import StatePoint, _as_covector, symbol_contractions
 from .tensor import Metric4
 
 __all__ = [
@@ -81,6 +80,9 @@ _CONE = {
 }
 
 DISTINCTNESS_GAP = 1e-8  # absolute, for unit-sphere spatial directions
+# a batched oracle's temporaries hold at most about this many float64
+# values (0.25 MB); several are alive at once
+BATCH_VALUES = 32768
 
 
 @dataclass(frozen=True)
@@ -135,22 +137,6 @@ def cone_coefficients(family: str, a2: float) -> tuple:
     return _CONE[family](a2)
 
 
-def _contractions(s: StatePoint, xi):
-    """(u.xi, xi.xi, u.u) for one covector (4,) or a batch of columns (4, K)."""
-    if np.ndim(xi) == 2:
-        xi = np.asarray(xi, dtype=float)
-        if xi.shape[0] != 4:
-            raise ValueError(f"covector batch must have shape (4, K), got {xi.shape}")
-        uxi = s.u @ xi
-        xixi = np.einsum('ak,ak->k', xi, s.g.inverse @ xi)
-    else:
-        xi = _as_covector(xi)
-        uxi = float(s.u @ xi)
-        xixi = float(xi @ s.g.inverse @ xi)
-    uu = float(s.u @ s.g.components @ s.u)
-    return uxi, xixi, uu
-
-
 def factor_base_values(family: str, uxi, xixi, uu, a2):
     """A family's base polynomial from the contractions (u.xi, xi.xi, u.u) and a2.
 
@@ -190,11 +176,18 @@ def eval_factor_base(family: str, s: StatePoint, xi):
     """The underlying hyperbolic polynomial of a family at (state, covector).
 
     xi is one covector (4,), giving a float, or a batch (4, K), giving K
-    values.  A batched value agrees with the single-covector one to
-    rounding; the two contract in different summation orders.
+    values.  The contractions are `symbol_contractions` sums, so a batched
+    value has the bits of the single-covector one.
     """
-    uxi, xixi, uu = _contractions(s, xi)
-    return factor_base_values(family, uxi, xixi, uu, s.transport.a2)
+    xi = np.asarray(xi, dtype=float)
+    single = xi.ndim != 2
+    if single:
+        xi = _as_covector(xi)
+    elif xi.shape[0] != 4:
+        raise ValueError(f"covector batch must have shape (4, K), got {xi.shape}")
+    _, _, uxi, xixi, uu = symbol_contractions(s.u, xi.T, s.g.components, s.g.inverse)
+    base = factor_base_values(family, uxi, xixi, uu, s.transport.a2)
+    return float(base) if single else base
 
 
 def eval_factor(family: str, s: StatePoint, xi) -> float:
@@ -204,8 +197,16 @@ def eval_factor(family: str, s: StatePoint, xi) -> float:
     return factor_values(family, base, float(eta), s.eps)
 
 
-def sound_quartic_general(s: StatePoint, xi, a1: float, a2: float) -> float:
+def sound_quartic_general(u, xi, g, ginv, a1, a2):
     """Degree-4 sound-sector polynomial for arbitrary (a1, a2).
+
+    u (..., 4), xi (..., 4), g and g^-1 (..., 4, 4), a1 and a2 (...);
+    leading axes broadcast, so one state is the call without them and K
+    states the call with leading axis K.  The contractions are
+    `symbol_contractions` sums and every term is elementwise, so a state
+    has the same bits alone as in a batch.  Powers go through
+    np.float_power, which is libm's pow for scalars and arrays alike; `**`
+    on an array takes numpy's own routines, whose last bits differ.
 
     Transcribed term by term from the computer-algebra expansion of the
     symbol determinant, with no algebraic simplification: the eleven term
@@ -213,49 +214,51 @@ def sound_quartic_general(s: StatePoint, xi, a1: float, a2: float) -> float:
     exactly as generated.  For a1 = 4 the (xi.xi)^2 group vanishes and the
     whole expression collapses to (u.xi)^2 times the sound factor.
     """
-    xi = _as_covector(xi)
-    u = s.u
-    u_dn = s.g.components @ u
-    xi_up = s.g.inverse @ xi
-    uxi = float(u[0] * xi[0] + u[1] * xi[1] + u[2] * xi[2] + u[3] * xi[3])
-    xixi = float(xi[0] * xi_up[0] + xi[1] * xi_up[1] + xi[2] * xi_up[2] + xi[3] * xi_up[3])
+    u = np.asarray(u, dtype=float)
+    xi = np.asarray(xi, dtype=float)
+    a1 = np.asarray(a1, dtype=float)
+    a2 = np.asarray(a2, dtype=float)
+    xi_up, u_dn, uxi, xixi, _ = symbol_contractions(u, xi, g, ginv)
+    pw = np.float_power
 
     total = 0.0
     # group 1: quartic in u.xi, coefficient summed over u_mu u^mu components
     g1 = 0.0
     for mu in range(4):
-        g1 += ((-2.0 * a1 - a2 + 2.0 * a1 * a2 + a2 ** 2) * u_dn[mu] * u[mu])
-    total += -6.0 * g1 * uxi ** 4
+        g1 += ((-2.0 * a1 - a2 + 2.0 * a1 * a2 + pw(a2, 2)) * u_dn[..., mu] * u[..., mu])
+    total += -6.0 * g1 * pw(uxi, 4)
     # groups 2-5: cubic in u.xi times u_mu xi^mu, one group per component
     for mu in range(4):
-        total += (-2.0 * (-a2 + 4.0 * a1 * a2 + 3.0 * a2 ** 2) * u_dn[mu]
-                  * uxi ** 3 * xi_up[mu])
+        total += (-2.0 * (-a2 + 4.0 * a1 * a2 + 3.0 * pw(a2, 2)) * u_dn[..., mu]
+                  * pw(uxi, 3) * xi_up[..., mu])
     # group 6: quadratic in u.xi times xi.xi, coefficient summed over components
     g6 = 0.0
     for mu in range(4):
-        g6 += (3.0 * a1 + 2.0 * a2 + a1 * a2) * u_dn[mu] * u[mu]
-    total += 5.0 * g6 * uxi ** 2 * xixi
+        g6 += (3.0 * a1 + 2.0 * a2 + a1 * a2) * u_dn[..., mu] * u[..., mu]
+    total += 5.0 * g6 * pw(uxi, 2) * xixi
     # groups 7-10: linear in u.xi times u_mu xi^mu times xi.xi
     for mu in range(4):
-        total += ((3.0 * a1 + 2.0 * a2 + a1 * a2) * u_dn[mu]
-                  * uxi * xi_up[mu] * xixi)
+        total += ((3.0 * a1 + 2.0 * a2 + a1 * a2) * u_dn[..., mu]
+                  * uxi * xi_up[..., mu] * xixi)
     # group 11: (xi.xi)^2, the group that vanishes identically at a1 = 4
     g11 = 0.0
     for mu in range(4):
-        g11 += (4.0 * a2 - a1 * a2) * u_dn[mu] * u[mu]
-    total += g11 * xixi ** 2
-    return float(total)
+        g11 += (4.0 * a2 - a1 * a2) * u_dn[..., mu] * u[..., mu]
+    total += g11 * pw(xixi, 2)
+    return total
 
 
 @dataclass(frozen=True)
 class QuarticCoefficients:
-    A: float
-    B: float
-    C: float
-    residual: float
+    """A, B, C and the held-out residual: floats for one cell, arrays for K."""
+
+    A: object
+    B: object
+    C: object
+    residual: object
 
 
-def quartic_coefficients(a1: float, a2: float, u, g, seed: int = 0,
+def quartic_coefficients(a1, a2, u, g, seed: int = 0,
                          retries: int = 5) -> QuarticCoefficients:
     """Coefficients (A, B, C) of the quartic in X = (u.xi)^2, Y = xi.xi.
 
@@ -268,6 +271,11 @@ def quartic_coefficients(a1: float, a2: float, u, g, seed: int = 0,
     validated on a held-out third sample (relative residual <= 1e-8
     required).  Sampling retries on an ill-conditioned draw; u must be
     non-null so that X and Y are independent.
+
+    a1 and a2 are scalars, giving float coefficients, or 1-D arrays of K
+    cells, giving arrays.  The cells share u, g and the sampled
+    covectors, and each keeps the first attempt whose fit it passes, so a
+    cell's coefficients have the same bits as its call alone.
     """
     if isinstance(g, Metric4):
         metric = g
@@ -275,45 +283,58 @@ def quartic_coefficients(a1: float, a2: float, u, g, seed: int = 0,
         metric = Metric4.from_components(np.asarray(g, dtype=float))
     gmat, ginv = metric.components, metric.inverse
     u = np.asarray(u, dtype=float).reshape(4)
+    a1, a2 = np.broadcast_arrays(np.asarray(a1, dtype=float), np.asarray(a2, dtype=float))
+    single = a1.ndim == 0
+    a1, a2 = a1.reshape(-1), a2.reshape(-1)
     u_dn = gmat @ u
     uu = float(u @ u_dn)
     if abs(uu) < 1e-12:
         raise ValueError("u must be non-null for coefficient extraction")
-    probe = StatePoint(eps=1.0, u=u, g=metric,
-                       transport=TransportModel(a1=a1, a2=a2))
+    coeffs = np.full((4, len(a1)), np.nan)       # A, B, C, residual per cell
+    todo = np.arange(len(a1))
     rng = np.random.default_rng(seed)
     last_err = None
     for _ in range(retries):
         xis = rng.uniform(-1.0, 1.0, size=(4, 4))
         # u.perp = 0 up to rounding, and exactly when u is a basis vector
-        perp = xis[0] - float(u @ xis[0]) / uu * u_dn
-        y_perp = float(perp @ ginv @ perp)
+        xis[0] = xis[0] - float(u @ xis[0]) / uu * u_dn
+        y_perp = float(xis[0] @ ginv @ xis[0])
         if abs(y_perp) < 1e-3:
             last_err = "orthogonal sample too close to the light cone"
             continue
-        C = sound_quartic_general(probe, perp, a1, a2) / y_perp ** 2
         rows = []
-        vals = []
         for xi in xis[1:]:
             X = float(u @ xi) ** 2
             Y = float(xi @ ginv @ xi)
             rows.append([X ** 2, X * Y, Y ** 2])
-            vals.append(sound_quartic_general(probe, xi, a1, a2))
-        rows, vals = np.array(rows), np.array(vals)
+        rows = np.array(rows)
         if np.linalg.cond(rows[:2, :2]) > 1e10:
             last_err = "ill-conditioned sample system"
             continue
-        A, B = np.linalg.solve(rows[:2, :2], vals[:2] - C * rows[:2, 2])
-        recon = A * rows[2][0] + B * rows[2][1] + C * rows[2][2]
-        scale = max(1.0, abs(vals[2]), abs(A * rows[2][0]), abs(B * rows[2][1]),
-                    abs(C * rows[2][2]))
-        resid = abs(recon - vals[2]) / scale
-        if resid <= 1e-8:
-            return QuarticCoefficients(A=float(A), B=float(B), C=float(C),
-                                       residual=float(resid))
-        last_err = f"held-out residual {resid:.2e}"
-    raise RuntimeError(f"quartic coefficient extraction failed after {retries} "
-                       f"attempts: {last_err}")
+        # the perpendicular covector, then the three samples, for every cell
+        vals = sound_quartic_general(u, xis[:, None], gmat, ginv, a1[todo], a2[todo])
+        C = vals[0] / y_perp ** 2
+        # one 2x2 solve per cell, so each cell's LAPACK call is its solo call
+        A, B = np.linalg.solve(np.broadcast_to(rows[:2, :2], (len(todo), 2, 2)),
+                               (vals[1:3] - C * rows[:2, 2:]).T[..., None])[..., 0].T
+        recon = A * rows[2, 0] + B * rows[2, 1] + C * rows[2, 2]
+        scale = np.maximum.reduce([np.ones_like(C), np.abs(vals[3]), np.abs(A * rows[2, 0]),
+                                   np.abs(B * rows[2, 1]), np.abs(C * rows[2, 2])])
+        resid = np.abs(recon - vals[3]) / scale
+        ok = resid <= 1e-8
+        coeffs[:, todo[ok]] = A[ok], B[ok], C[ok], resid[ok]
+        if ok.all():
+            break
+        bad = int(np.flatnonzero(~ok)[0])
+        last_err = f"held-out residual {resid[bad]:.2e}" + (
+            "" if single else f" in cell {int(todo[bad])}")
+        todo = todo[~ok]
+    else:
+        raise RuntimeError(f"quartic coefficient extraction failed after {retries} "
+                           f"attempts: {last_err}")
+    if single:
+        return QuarticCoefficients(*(float(c[0]) for c in coeffs))
+    return QuarticCoefficients(*coeffs)
 
 
 @dataclass(frozen=True)
@@ -394,58 +415,96 @@ class RootScan:
         return self.found_count > 1 and self.min_gap < DISTINCTNESS_GAP
 
 
-def bisection_roots(s: StatePoint, xibar, family: str,
-                    grid: int = 1024, tol: float = 1e-12) -> RootScan:
-    """Roots of t -> base(family, s, (t, xibar)) by sign bracketing + bisection.
+def _base_on_lines(family, t, pairs, xibar, u, g, ginv, a2):
+    """A family's base polynomial at xi = (t, xibar) on lines of pairs.
+
+    t is (L, M): M times on each of L lines, and line l belongs to pair
+    pairs[l] of the per-pair arrays xibar (K, 3), u (K, 4), g and g^-1
+    (K, 4, 4) and a2 (K,).  Rows are evaluated in chunks of at most
+    BATCH_VALUES values: per row, 4 covector components per time and the
+    32 entries of its g and g^-1.
+    """
+    out = np.empty(t.shape)
+    rows = max(1, BATCH_VALUES // (4 * t.shape[1] + 32))
+    for i in range(0, len(t), rows):
+        p = pairs[i:i + rows]
+        xi = np.empty((len(p), t.shape[1], 4))
+        xi[..., 0] = t[i:i + rows]
+        xi[..., 1:] = xibar[p, None]
+        _, _, uxi, xixi, uu = symbol_contractions(u[p, None], xi, g[p, None], ginv[p, None])
+        out[i:i + rows] = factor_base_values(family, uxi, xixi, uu, a2[p, None])
+    return out
+
+
+def bisection_roots(s, xibar, family: str, grid: int = 1024, tol: float = 1e-12):
+    """Roots of t -> base(family, state, (t, xibar)) by sign bracketing + bisection.
+
+    s is one StatePoint or a sequence of K, and xibar one spatial
+    covector (3,) or K of them (K, 3); a single state or direction serves
+    every pair.  One state with one direction gives a RootScan, and any
+    other call a list of K, one per pair.
 
     The base polynomial is affine or quadratic in t, so its coefficients are
     recovered from three evaluations and give a Cauchy bound for the scan
     interval.  Sign changes on a uniform grid are refined by bisection to
-    absolute tolerance `tol`.  The grid is evaluated in one batched call,
-    and every bracket is halved in the same batched call per step; each
-    bracket follows its own rules, as if bisected alone.  A count mismatch
+    absolute tolerance `tol`.  The grids are evaluated in batched calls of
+    at most BATCH_VALUES covector values, and the brackets of every pair
+    are halved in one batched call per step.  Each bracket follows its own
+    rules, as if bisected alone, and every evaluation is elementwise, so a
+    pair's scan has the same bits alone as in a batch.  A count mismatch
     against the base degree is reported through the returned scan, never
     dropped.
     """
-    xibar = np.asarray(xibar, dtype=float).reshape(3)
-    if not np.any(xibar != 0.0):
+    states = [s] if isinstance(s, StatePoint) else list(s)
+    dirs = np.asarray(xibar, dtype=float)
+    single = isinstance(s, StatePoint) and dirs.ndim == 1
+    dirs = dirs.reshape(-1, 3)
+    if not np.all(np.any(dirs != 0.0, axis=1)):
         raise ValueError("spatial covector must be nonzero")
-
-    def p(t):
-        """base at xi = (t, xibar); t a float or an array of K times."""
-        if np.ndim(t) == 0:
-            return eval_factor_base(family, s, np.array([t, *xibar]))
-        xi = np.empty((4, len(t)))
-        xi[0] = t
-        xi[1:] = xibar[:, None]
-        return eval_factor_base(family, s, xi)
-
-    # single-covector probes: a batched contraction rounds differently, and
-    # these three values fix the bound and with it every grid point's bits
-    pm1, p0, pp1 = p(-1.0), p(0.0), p(1.0)
-    c2 = 0.5 * (pp1 + pm1) - p0
-    c1 = 0.5 * (pp1 - pm1)
-    c0 = p0
+    k = len(dirs) if len(states) == 1 else len(states)
+    if len(dirs) not in (1, k):
+        raise ValueError(f"{len(states)} states and {len(dirs)} directions do not pair up")
     deg = base_degree(family)
-    if deg == 2 and abs(c2) < 1e-14 * max(1.0, abs(c1), abs(c0)):
-        bound = 2.0 * (1.0 + abs(c0) / max(abs(c1), 1e-300))
-    elif deg == 2:
-        bound = 2.0 * (1.0 + max(abs(c1), abs(c0)) / abs(c2))
-    else:
-        bound = 2.0 * (1.0 + abs(c0) / max(abs(c1), 1e-300))
+    if k == 0:
+        return []
+    pairs = np.arange(k)
+    per_pair = tuple(np.broadcast_to(a, (k,) + a.shape[1:]) for a in (
+        dirs, np.array([st.u for st in states]),
+        np.array([st.g.components for st in states]),
+        np.array([st.g.inverse for st in states]),
+        np.array([float(st.transport.a2) for st in states])))
 
-    ts = np.linspace(-bound, bound, grid + 1)
-    vals = p(ts)
-    fa, fb = vals[:-1], vals[1:]
-    roots = [float(t) for t in ts[:-1][fa == 0.0]]
-    if vals[-1] == 0.0:
-        roots.append(float(ts[-1]))
-    brackets = np.flatnonzero((fa != 0.0) & (fa * fb < 0.0))
-    lo, hi, flo = ts[brackets], ts[brackets + 1], fa[brackets]
+    pm1, p0, pp1 = _base_on_lines(family, np.tile([-1.0, 0.0, 1.0], (k, 1)),
+                                  pairs, *per_pair).T
+    # magnitudes of the coefficients of t^2, t and 1
+    c2 = np.abs(0.5 * (pp1 + pm1) - p0)
+    c1 = np.abs(0.5 * (pp1 - pm1))
+    c0 = np.abs(p0)
+    affine = (np.full(k, True) if deg == 1
+              else c2 < 1e-14 * np.maximum(np.maximum(1.0, c1), c0))
+    quad = ~affine
+    bound = np.empty(k)
+    bound[affine] = 2.0 * (1.0 + c0[affine] / np.maximum(c1[affine], 1e-300))
+    bound[quad] = 2.0 * (1.0 + np.maximum(c1[quad], c0[quad]) / c2[quad])
+
+    # grid zeros are roots as they stand; sign changes become brackets
+    owners, roots, brackets = [], [], []
+    chunk = max(1, BATCH_VALUES // (4 * (grid + 1)))
+    for i in range(0, k, chunk):
+        p = pairs[i:i + chunk]
+        ts = np.linspace(-bound[p], bound[p], grid + 1, axis=1)
+        vals = _base_on_lines(family, ts, p, *per_pair)
+        row, col = np.nonzero(vals == 0.0)
+        owners.append(p[row])
+        roots.append(ts[row, col])
+        fa, fb = vals[:, :-1], vals[:, 1:]
+        row, col = np.nonzero((fa != 0.0) & (fa * fb < 0.0))
+        brackets.append((p[row], ts[row, col], ts[row, col + 1], fa[row, col]))
+    owner, lo, hi, flo = (np.concatenate(a) for a in zip(*brackets))
     live = np.flatnonzero(hi - lo > tol)
     while live.size:
         mid = 0.5 * (lo[live] + hi[live])
-        fm = p(mid)
+        fm = _base_on_lines(family, mid[:, None], owner[live], *per_pair)[:, 0]
         zero = fm == 0.0
         left = flo[live] * fm < 0.0
         right = ~left & ~zero
@@ -453,15 +512,21 @@ def bisection_roots(s: StatePoint, xibar, family: str,
         lo[live[right]], flo[live[right]] = mid[right], fm[right]
         lo[live[zero]] = hi[live[zero]] = mid[zero]
         live = live[hi[live] - lo[live] > tol]
-    roots = sorted(roots + [float(r) for r in 0.5 * (lo + hi)])
-    merged = []
-    for r in roots:
-        if not merged or r - merged[-1] > tol * 10.0:
-            merged.append(r)
-    gaps = [merged[i + 1] - merged[i] for i in range(len(merged) - 1)]
-    return RootScan(roots=tuple(merged), expected_count=deg,
-                    factor_multiplicity=factor_power(family),
-                    min_gap=float(min(gaps)) if gaps else np.inf)
+    owner = np.concatenate(owners + [owner])
+    roots = np.concatenate(roots + [0.5 * (lo + hi)])
+    # by pair, then by value; stable, so equal roots keep the order found
+    order = np.lexsort((roots, owner))
+    scans = []
+    for found in np.split(roots[order], np.searchsorted(owner[order], pairs[1:])):
+        merged = []
+        for r in found.tolist():
+            if not merged or r - merged[-1] > tol * 10.0:
+                merged.append(r)
+        gaps = [merged[i + 1] - merged[i] for i in range(len(merged) - 1)]
+        scans.append(RootScan(roots=tuple(merged), expected_count=deg,
+                              factor_multiplicity=factor_power(family),
+                              min_gap=float(min(gaps)) if gaps else np.inf))
+    return scans[0] if single else scans
 
 
 @dataclass(frozen=True)
@@ -481,21 +546,23 @@ def is_hyperbolic(s: StatePoint, family: str, samples: int = 64,
     pairwise separated by at least DISTINCTNESS_GAP.  The first failing
     direction is returned as a witness.  Directions whose roots sit on the
     light cone (|xi0| = |xibar|) are flagged; tangency alone is not a
-    failure as long as the roots stay distinct from each other.
+    failure as long as the roots stay distinct from each other.  All
+    directions are drawn first and scanned in one `bisection_roots` call.
     """
     rng = np.random.default_rng(seed)
+    dirs = rng.normal(size=(max(samples, 0), 3))
+    for v in dirs:
+        v /= np.linalg.norm(v)
     min_gap = np.inf
     tangent = samples > 0
     deg = base_degree(family)
-    for _ in range(samples):
-        v = rng.normal(size=3)
-        v /= np.linalg.norm(v)
-        scan = bisection_roots(s, v, family)
+    for v, scan in zip(dirs, bisection_roots(s, dirs, family)):
         if not scan.complete:
-            return HyperbolicityReport(False, v, float(min_gap), samples, False)
+            return HyperbolicityReport(False, v.copy(), float(min_gap), samples, False)
         if deg > 1:
             if scan.min_gap < DISTINCTNESS_GAP:
-                return HyperbolicityReport(False, v, float(scan.min_gap), samples, False)
+                return HyperbolicityReport(False, v.copy(), float(scan.min_gap), samples,
+                                           False)
             min_gap = min(min_gap, scan.min_gap)
         if not all(abs(abs(r) - 1.0) < 1e-6 for r in scan.roots):
             tangent = False

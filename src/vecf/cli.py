@@ -101,9 +101,18 @@ def cmd_gevrey(cfg, args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def cmd_verify_factorization(cfg, args) -> int:
-    samples = args.samples or cfg["verification"]["samples"]
+def _suite_size(cfg, args, default_samples: int):
+    """(samples, seed) of a sample suite: the flags, else the defaults.
+
+    main has already rejected --samples < 1 and --seed < 0.
+    """
+    samples = args.samples if args.samples is not None else default_samples
     seed = args.seed if args.seed is not None else cfg["verification"]["seed"]
+    return samples, seed
+
+
+def cmd_verify_factorization(cfg, args) -> int:
+    samples, seed = _suite_size(cfg, args, cfg["verification"]["samples"])
     report = verification.factorization_suite(samples=samples, seed=seed,
                                               threads=args.threads)
     _write_json(_outdir(cfg, args) / "verify_factorization.json", report.to_json())
@@ -114,9 +123,19 @@ def cmd_verify_factorization(cfg, args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
+def cmd_collapse(cfg, args) -> int:
+    samples, seed = _suite_size(cfg, args, 1000)
+    report = verification.collapse_suite(samples=samples, seed=seed)
+    _write_json(_outdir(cfg, args) / "collapse.json", report.to_json())
+    print(f"general-quartic collapse: {samples} samples, "
+          f"max relative error {report.max_relative_error:.3e} "
+          f"(tolerance {report.tolerance:.0e}), |C(a1=4)| = {abs(report.c_at_a1_4):.1e} -> "
+          f"{'PASS' if report.passed else 'FAIL'}")
+    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
+
+
 def cmd_roots(cfg, args) -> int:
-    samples = args.samples or 1000
-    seed = args.seed if args.seed is not None else cfg["verification"]["seed"]
+    samples, seed = _suite_size(cfg, args, 1000)
     report = verification.roots_suite(samples=samples, seed=seed)
     out = _outdir(cfg, args)
     _write_csv(out / "roots.csv",
@@ -334,6 +353,7 @@ def cmd_oracle_divergence(cfg, args) -> int:
 COMMANDS = {
     "gevrey": cmd_gevrey,
     "verify-factorization": cmd_verify_factorization,
+    "collapse": cmd_collapse,
     "roots": cmd_roots,
     "causality-scan": cmd_causality_scan,
     "region-map": cmd_region_map,
@@ -370,9 +390,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_suite_flags(args) -> None:
+    if args.samples is not None and args.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_suite_flags(args)
         cfg = load_config(args.config, args.overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -99,7 +99,7 @@ SCHEMA = {
     },
     "verification": {
         "samples": (_int_range(lo=1), 10000),
-        "seed": (_int_range(), 7),
+        "seed": (_int_range(lo=0), 7),
     },
     "dod": {
         "probe_t": (_float_range(lo=0.0, lo_open=True), 0.35),

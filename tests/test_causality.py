@@ -194,3 +194,127 @@ def test_region_map_off_regime_exploratory():
     assert all(c.label in ("causal-strict", "causal-boundary",
                            "hyperbolic-acausal", "non-hyperbolic")
                for c in cells)
+
+
+def reference_containment(s, n_theta):
+    """cone_containment as one scalar cone_xi0 call per family: per family
+    (max |slope|, verdict, witness theta), and the fluid verdict."""
+    from vecf.causality import _verdict
+    from vecf.characteristics import FAMILIES, cone_coefficients, cone_xi0
+    w = np.asarray(s.u[1:], dtype=float)
+    u2 = float(w @ w)
+    thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+    wxi = np.sqrt(u2) * np.cos(thetas)
+    fams = {}
+    for name in FAMILIES:
+        try:
+            sp, sm, _ = cone_xi0(*cone_coefficients(name, s.transport.a2), u2, wxi)
+        except ValueError:
+            fams[name] = (np.inf, "violated", np.nan)
+            continue
+        vals = np.maximum(np.abs(sp), np.abs(sm))
+        j = int(np.argmax(vals))
+        fams[name] = (float(vals[j]), _verdict(float(vals[j])), float(thetas[j]))
+    fluid = [fams[k][1] for k in ("flow", "shear", "sound")]
+    verdict = ("violated" if "violated" in fluid else
+               "causal (boundary)" if "boundary" in fluid else "causal (strict)")
+    return fams, verdict
+
+
+def reference_scan(a2_list, u_max, n_u, n_theta, a1=4.0):
+    """causality_scan one (a2, |w|) state at a time."""
+    rows = []
+    for a2 in a2_list:
+        for w in np.linspace(0.0, u_max, n_u):
+            s = StatePoint(eps=1.0, u=np.array([np.sqrt(1.0 + w * w), w, 0.0, 0.0]),
+                           g=minkowski(), transport=TransportModel(a1=a1, a2=a2))
+            fams, verdict = reference_containment(s, n_theta)
+            rows.append((a1, float(a2), float(w * w), fams["shear"][2], fams["shear"][0],
+                         fams["sound"][0], verdict))
+    return rows
+
+
+@pytest.mark.parametrize("a2_list,u_max,n_u,n_theta", [
+    ((4.0, 5.0, 6.0, 8.0, 10.0), 10.0, 41, 720),
+    ((3.0, 3.5, 4.0, 6.0), 6.0, 7, 90),      # a2 = 3: D = 0 at |w| = 3, R < 0 beyond
+])
+def test_causality_scan_matches_per_state_reference(a2_list, u_max, n_u, n_theta):
+    rows = causality_scan(a2_list, u_max, n_u=n_u, n_theta=n_theta)
+    got = [(r.a1, r.a2, r.u2, r.theta_max_p2, r.smax_p2, r.smax_p3, r.verdict) for r in rows]
+    assert repr(got) == repr(reference_scan(a2_list, u_max, n_u, n_theta))
+
+
+def test_causality_scan_finds_the_violated_rows_of_a_failing_chunk():
+    rows = causality_scan([3.0], 6.0, n_u=7, n_theta=90)
+    assert [r.verdict for r in rows][3:] == ["violated"] * 4
+    assert all(r.smax_p3 == np.inf for r in rows[3:])
+    assert all(np.isfinite(r.smax_p3) for r in rows[:3])
+
+
+def test_cone_containment_matches_reference():
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        s = state(rng.uniform(2.5, 12.0), rng.uniform(-3.0, 3.0, 3))
+        fams, verdict = reference_containment(s, 720)
+        rep = cone_containment(s)
+        assert rep.verdict == verdict
+        got = {k: (c.max_abs_slope, c.verdict, c.witness_theta)
+               for k, c in rep.families.items()}
+        assert repr(got) == repr(fams)
+
+
+def reference_region_map(a1_grid, a2_grid, u_samples=(0.0, 0.25, 1.0, 4.0), n_theta=64,
+                         seed=0):
+    """hyperbolicity_region_map one (a1, a2) cell at a time."""
+    from vecf.causality import BOUNDARY_TOL, _quadratic_factor_slopes
+    from vecf.characteristics import quartic_coefficients
+    cells = []
+    for a1 in a1_grid:
+        for a2 in a2_grid:
+            co = quartic_coefficients(float(a1), float(a2), np.array([1.0, 0.0, 0.0, 0.0]),
+                                      minkowski(), seed=seed)
+            A, B, C = co.A, co.B, co.C
+            scale = max(1.0, abs(A), abs(B), abs(C))
+            factors, light = [], 0
+            if abs(A) > 1e-9 * scale:
+                disc = B * B - 4.0 * A * C
+                if disc < 0.0:
+                    cells.append((float(a1), float(a2), "non-hyperbolic", np.inf))
+                    continue
+                rd = np.sqrt(disc)
+                factors = [(-B + rd) / (2.0 * A), (-B - rd) / (2.0 * A)]
+            elif abs(B) > 1e-9 * scale:
+                light, factors = 1, [-C / B]
+            elif abs(C) > 1e-9 * scale:
+                light = 2
+            else:
+                cells.append((float(a1), float(a2), "non-hyperbolic", np.inf))
+                continue
+            smax = 1.0 if light else 0.0
+            hyperbolic = True
+            for r in factors:
+                ok, fmax = _quadratic_factor_slopes(float(r), list(u_samples), n_theta)
+                if not ok:
+                    hyperbolic = False
+                    break
+                smax = max(smax, fmax)
+            if not hyperbolic:
+                label, smax = "non-hyperbolic", np.inf
+            elif smax > 1.0 + BOUNDARY_TOL:
+                label = "hyperbolic-acausal"
+            elif smax >= 1.0 - BOUNDARY_TOL:
+                label = "causal-boundary"
+            else:
+                label = "causal-strict"
+            cells.append((float(a1), float(a2), label, float(smax)))
+    return cells
+
+
+@pytest.mark.parametrize("a1_grid,a2_grid", [
+    (np.linspace(1.0, 6.0, 11), np.linspace(1.0, 12.0, 12)),
+    (np.linspace(0.0, 8.0, 17), np.linspace(0.5, 14.0, 28)),
+])
+def test_region_map_matches_per_cell_reference(a1_grid, a2_grid):
+    cells = hyperbolicity_region_map(a1_grid, a2_grid)
+    got = [(c.a1, c.a2, c.label, c.max_abs_slope) for c in cells]
+    assert repr(got) == repr(reference_region_map(a1_grid, a2_grid))

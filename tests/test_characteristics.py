@@ -84,8 +84,13 @@ def test_factor_product_equals_determinant():
         assert abs(det - prod) <= 1e-10 * scale
 
 
+def general_quartic(s, xi, a1, a2):
+    """The general quartic at one state point."""
+    return sound_quartic_general(s.u, xi, s.g.components, s.g.inverse, a1, a2)
+
+
 def test_general_quartic_zero_covector():
-    assert sound_quartic_general(random_state(2), np.zeros(4), 3.0, 5.0) == 0.0
+    assert general_quartic(random_state(2), np.zeros(4), 3.0, 5.0) == 0.0
 
 
 def test_general_quartic_collapse_at_a1_4():
@@ -93,7 +98,7 @@ def test_general_quartic_collapse_at_a1_4():
         s = random_state(seed, mink=(seed % 2 == 0))
         a2 = s.transport.a2
         xi = np.random.default_rng(seed + 900).uniform(-2, 2, 4)
-        general = sound_quartic_general(s, xi, 4.0, a2)
+        general = general_quartic(s, xi, 4.0, a2)
         collapsed = float(s.u @ xi) ** 2 * eval_factor_base("sound", s, xi)
         assert abs(general - collapsed) <= 1e-9 * max(1.0, abs(general), abs(collapsed))
 
@@ -122,7 +127,7 @@ def test_quartic_reconstruction_matches_direct():
             xi = rng.uniform(-1.5, 1.5, 4)
             X = float(u @ xi) ** 2
             Y = float(xi @ np.diag([-1.0, 1, 1, 1]) @ xi)
-            direct = sound_quartic_general(s, xi, a1, 7.0)
+            direct = general_quartic(s, xi, a1, 7.0)
             recon = co.A * X * X + co.B * X * Y + co.C * Y * Y
             assert recon == pytest.approx(direct, rel=1e-8, abs=1e-8)
 
@@ -345,8 +350,8 @@ def test_batched_base_matches_scalar_columns(case, times):
         for k in range(len(times)):
             scalar = eval_factor_base(family, s, xis[:, k])
             assert isinstance(scalar, float)
-            scale = max(abs(scalar), term_scale(family, s, xis[:, k]))
-            assert abs(batch[k] - scalar) <= 1e-14 * scale
+            # both contract through symbol_contractions: the same bits
+            assert batch[k] == scalar
 
 
 @settings(max_examples=60, deadline=None)
@@ -394,9 +399,133 @@ def test_bisection_roots_on_grid_points_are_exact():
 def test_bisection_roots_at_both_grid_ends(monkeypatch):
     # t^3 - 4t posing as the affine flow family: the Cauchy bound for degree
     # 1 is then 2, so its roots -2, 0, 2 are the first, middle and last
-    # grid points, and the last one is caught only by the end-point rule
-    monkeypatch.setattr(characteristics, "eval_factor_base",
-                        lambda family, s, xi: xi[0] ** 3 - 4.0 * xi[0])
+    # grid points, and the last one is caught only by the end-point rule.
+    # At rest u.xi is t exactly.
+    monkeypatch.setattr(characteristics, "factor_base_values",
+                        lambda family, uxi, xixi, uu, a2: uxi ** 3 - 4.0 * uxi)
     scan = bisection_roots(rest(), np.array([1.0, 0.0, 0.0]), "flow")
     assert scan.roots == (-2.0, 0.0, 2.0)
     assert not scan.complete
+
+
+def mixed_state(seed):
+    """A state with a2 in [4, 12], |w| <= 3 and, for odd seeds, a perturbed metric."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(-1.0, 1.0, 3) * rng.uniform(0.0, np.sqrt(3.0))
+    g = minkowski() if seed % 2 == 0 else random_lorentzian_near_minkowski(0.05, seed)
+    return StatePoint(eps=1.0, u=np.array([np.sqrt(1.0 + w @ w), *w]), g=g,
+                      transport=TransportModel(a1=4.0, a2=rng.uniform(4.0, 12.0)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(admissible, st.integers(0, 4), st.integers(0, 2 ** 16), st.floats(0.0, 8.0))
+def test_batched_oracles_match_single_state_calls_bitwise(case, position, seed, a1):
+    # a state's roots and general-quartic value are the same bits in a batch
+    # of other states and directions as in its call alone
+    s, xibar = admissible_case(*case)
+    states = [mixed_state(seed + j) for j in range(4)]
+    states.insert(position, s)
+    dirs = np.random.default_rng(seed).normal(size=(5, 3))
+    dirs[position] = xibar
+    for family in ("shear", "sound"):
+        batch = bisection_roots(states, dirs, family)
+        assert len(batch) == 5
+        assert batch[position] == bisection_roots(s, xibar, family)
+        assert bisection_roots([s], xibar[None], family) == [batch[position]]
+    xi = np.random.default_rng(seed + 1).uniform(-2.0, 2.0, (5, 4))
+    u = np.array([t.u for t in states])
+    g = np.array([t.g.components for t in states])
+    ginv = np.array([t.g.inverse for t in states])
+    a2 = np.array([t.transport.a2 for t in states])
+    a1s = np.full(5, a1)
+    batch = sound_quartic_general(u, xi, g, ginv, a1s, a2)
+    p = slice(position, position + 1)
+    alone = sound_quartic_general(u[p], xi[p], g[p], ginv[p], a1s[p], a2[p])
+    single = general_quartic(s, xi[position], a1, s.transport.a2)
+    assert batch[position] == alone[0] == single
+
+
+def test_bisection_roots_pairs_one_state_with_many_directions():
+    s = rest(a2=6.0).boosted([0.4, -0.3, 1.2])
+    dirs = np.random.default_rng(3).normal(size=(6, 3))
+    scans = bisection_roots(s, dirs, "sound")
+    assert scans == [bisection_roots(s, v, "sound") for v in dirs]
+    with pytest.raises(ValueError, match="pair up"):
+        bisection_roots([s, s], dirs, "sound")
+    with pytest.raises(ValueError, match="nonzero"):
+        bisection_roots([s, s], np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), "sound")
+
+
+def reference_is_hyperbolic(s, family, samples, seed):
+    """`is_hyperbolic` scanning one direction at a time, as it was written."""
+    rng = np.random.default_rng(seed)
+    min_gap = np.inf
+    tangent = samples > 0
+    deg = characteristics.base_degree(family)
+    for _ in range(samples):
+        v = rng.normal(size=3)
+        v /= np.linalg.norm(v)
+        scan = bisection_roots(s, v, family)
+        if not scan.complete:
+            return False, v, float(min_gap), False
+        if deg > 1:
+            if scan.min_gap < characteristics.DISTINCTNESS_GAP:
+                return False, v, float(scan.min_gap), False
+            min_gap = min(min_gap, scan.min_gap)
+        if not all(abs(abs(r) - 1.0) < 1e-6 for r in scan.roots):
+            tangent = False
+    return True, None, float(min_gap), tangent
+
+
+@pytest.mark.parametrize("a2,w,family,seed", [
+    (5.0, (0.5, -0.2, 0.1), "shear", 1),
+    (4.0, (0.0, 0.0, 0.0), "sound", 2),
+    (0.5, (1.0, 0.0, 0.0), "sound", 3),       # fails: a witness
+    (5.0, (1.0, -0.5, 0.0), "flow", 7),
+    (6.0, (2.0, 1.0, -1.0), "light", 4),
+])
+def test_is_hyperbolic_matches_direction_by_direction(a2, w, family, seed):
+    s = rest(a2=a2).boosted(w)
+    rep = is_hyperbolic(s, family, samples=32, seed=seed)
+    ok, witness, min_gap, tangent = reference_is_hyperbolic(s, family, 32, seed)
+    assert rep.is_hyperbolic == ok
+    assert (rep.witness is None) == (witness is None)
+    if witness is not None:
+        assert np.array_equal(rep.witness, witness)
+    assert rep.min_gap == min_gap
+    assert rep.light_cone_tangent == tangent
+
+
+def test_quartic_coefficients_batch_matches_each_cell_alone():
+    a1 = np.array([1.0, 2.0, 4.0, 6.0, 3.5])
+    a2 = np.array([6.0, 2.0, 9.0, 1.0, 12.0])
+    boosted = np.array([np.sqrt(2.25), 0.5, -1.0, 0.0])
+    for u, g in ((E0, minkowski()), (boosted, random_lorentzian_near_minkowski(0.05, 9))):
+        batch = quartic_coefficients(a1, a2, u, g, seed=5)
+        for k in range(len(a1)):
+            alone = quartic_coefficients(a1[k], a2[k], u, g, seed=5)
+            assert (batch.A[k], batch.B[k], batch.C[k], batch.residual[k]) == (
+                alone.A, alone.B, alone.C, alone.residual)
+
+
+def test_quartic_coefficients_retries_each_cell_on_its_own(monkeypatch):
+    # spoil the first attempt's held-out value for the a1 = 2 cell only: that
+    # cell retries on the next draw, alone, and the others keep attempt one
+    original = characteristics.sound_quartic_general
+    held_out = np.random.default_rng(0).uniform(-1.0, 1.0, size=(4, 4))[3]
+    seen = []
+
+    def spoiled(u, xi, g, ginv, a1, a2):
+        seen.append(np.asarray(a1).tolist())
+        vals = original(u, xi, g, ginv, a1, a2)
+        hit = np.all(np.asarray(xi) == held_out, axis=-1) & (np.asarray(a1) == 2.0)
+        return np.where(hit, vals * (1.0 + 1e-6), vals)
+
+    monkeypatch.setattr(characteristics, "sound_quartic_general", spoiled)
+    a1 = np.array([1.0, 2.0, 4.0, 6.0])
+    batch = quartic_coefficients(a1, 6.0, E0, minkowski(), seed=0)
+    assert seen == [[1.0, 2.0, 4.0, 6.0], [2.0]]
+    for k in range(len(a1)):
+        alone = quartic_coefficients(a1[k], 6.0, E0, minkowski(), seed=0)
+        assert (batch.A[k], batch.B[k], batch.C[k]) == (alone.A, alone.B, alone.C)
+    assert batch.C[1] == pytest.approx(-12.0, rel=1e-12)

@@ -144,18 +144,53 @@ def test_cli_roots(tmp_path):
 
 def test_cli_roots_bisects_each_sample_once(tmp_path, monkeypatch):
     from vecf import verification
-    calls = []
+    scans = []
     original = verification.bisection_roots
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return original(*args, **kwargs)
+    def counted(states, xibar, family, **kwargs):
+        result = original(states, xibar, family, **kwargs)
+        scans.extend(family for _ in result)
+        return result
 
     monkeypatch.setattr(verification, "bisection_roots", counted)
     assert main(["--out", str(tmp_path), "roots", "--samples", "250"]) == 0
-    assert len(calls) == 500      # the table reuses the suite's own scans
+    # one batched call per family returns one scan per sample, and the
+    # table reuses the suite's own scans
+    assert len(scans) == 500
+    assert scans.count("shear") == scans.count("sound") == 250
     lines = (tmp_path / "roots.csv").read_text().splitlines()
     assert len(lines) == 401      # the first 200 samples x 2 families + header
+
+
+def test_cli_collapse(tmp_path, capsys):
+    code = main(["--out", str(tmp_path), "collapse", "--samples", "200", "--seed", "11"])
+    assert code == 0
+    payload = json.loads((tmp_path / "collapse.json").read_text())
+    assert payload["passed"] is True
+    assert payload["c_at_a1_4"] == 0.0
+    assert payload["samples"] == 200 and payload["seed"] == 11
+    assert capsys.readouterr().out.rstrip().endswith("-> PASS")
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("roots", ["--samples", "-5"]),
+    ("roots", ["--samples", "0"]),
+    ("roots", ["--seed", "-1"]),
+    ("verify-factorization", ["--samples", "-3"]),
+    ("verify-factorization", ["--seed", "-2"]),
+    ("collapse", ["--samples", "0"]),
+])
+def test_cli_rejects_bad_samples_and_seed(tmp_path, capsys, command, flags):
+    assert main(["--out", str(tmp_path), command] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1          # one line, no traceback
+    assert not any(tmp_path.iterdir())
+
+
+def test_config_rejects_negative_seed():
+    with pytest.raises(ConfigError, match="verification.seed"):
+        load_config(overrides=["verification.seed=-1"])
 
 
 def test_cli_oracle_divergence(tmp_path):

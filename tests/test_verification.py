@@ -4,8 +4,8 @@ import pytest
 from vecf.constitutive import TransportModel
 from vecf.symbol import StatePoint, fluid_symbol
 from vecf.tensor import minkowski, random_lorentzian_near_minkowski, validate_metrics
-from vecf.verification import (_factorization_batch, _factorization_draws,
-                               _first_worst)
+from vecf.verification import (_collapse_draws, _factorization_batch,
+                               _factorization_draws, _first_worst, collapse_suite)
 
 A2_RANGE = (4.0, 12.0)
 DELTA = 0.05
@@ -69,3 +69,38 @@ def test_first_worst_edge_cases():
     assert _first_worst([0.0, 0.0], [0, 1]) == (0.0, -1)
     worst, idx = _first_worst([1e-17, np.nan, np.nan], [0, 8, 3])
     assert np.isnan(worst) and idx == 3
+
+
+def reference_collapse_sample(idx: int, seed: int):
+    """One collapse sample drawn on its own, in the order the suite keeps:
+    a2, the perturbed metric's seed (odd idx), u^0, w, xi."""
+    rng = np.random.default_rng((seed, idx))
+    a2 = rng.uniform(4.0, 12.0)
+    if idx % 2 == 0:
+        g = minkowski()
+    else:
+        g = random_lorentzian_near_minkowski(0.05, int(rng.integers(0, 2 ** 31)))
+    u = np.array([rng.uniform(0.5, 3.0), *rng.uniform(-3.0, 3.0, 3)])
+    xi = rng.uniform(-2.0, 2.0, 4)
+    return a2, g, u, xi
+
+
+@pytest.mark.parametrize("seed", [11, 2024])
+def test_collapse_draws_match_per_index_reference(seed):
+    indices = range(300)
+    a2, u, xi, g = _collapse_draws(seed, indices)
+    g, ginv = validate_metrics(g)
+    for j, idx in enumerate(indices):
+        a2_ref, g_ref, u_ref, xi_ref = reference_collapse_sample(idx, seed)
+        assert a2[j] == a2_ref
+        assert np.array_equal(u[j], u_ref) and np.array_equal(xi[j], xi_ref)
+        assert np.array_equal(g[j], g_ref.components)
+        assert np.array_equal(ginv[j], g_ref.inverse)
+
+
+def test_collapse_suite_chunking_does_not_change_the_result(monkeypatch):
+    from vecf import verification
+    whole = collapse_suite(samples=300, seed=11)
+    monkeypatch.setattr(verification, "BATCH_VALUES", 16 * 7)   # chunks of 7
+    assert collapse_suite(samples=300, seed=11) == whole
+    assert whole.c_at_a1_4 == 0.0 and whole.passed
