@@ -9,16 +9,17 @@ machine-checkable numerical facts, and evolves the flat-space equations in
 from .causality import (ConeReport, causality_scan, cone_containment,
                         cone_slopes, critical_angle_check,
                         hyperbolicity_region_map, max_characteristic_speed,
-                        shear_slopes, sound_slopes)
+                        scan_verdict, shear_slopes, sound_slopes)
 from .characteristics import (COUPLED_FACTORS, FLUID_FACTORS, FactorSet,
                               RootPair, bisection_roots, cone_coefficients,
                               cone_roots, cone_xi0, eval_factor,
-                              eval_factor_base, gevrey_index, is_hyperbolic,
-                              quartic_coefficients, sound_quartic_general)
+                              eval_factor_base, gevrey_check, gevrey_index,
+                              is_hyperbolic, quartic_coefficients,
+                              sound_quartic_general)
 from .constitutive import (TransportModel, complete_initial_data,
                            stress_tensor_fields, transport)
 from .equations import (SinusoidalField, assemble_lower_order,
-                        divergence_residual)
+                        divergence_oracle, divergence_residual)
 from .solver1d import (FieldGrid, SolverAbort, SolverConfig, constant_state,
                        evolve, gaussian_pulse, shear_pulse, step)
 from .symbol import (StatePoint, coupled_char_det, det_time_matrix_formula,

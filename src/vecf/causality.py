@@ -17,20 +17,6 @@ from .characteristics import (BATCH_VALUES, FAMILIES, cone_coefficients, cone_xi
 from .symbol import StatePoint
 from .tensor import minkowski
 
-__all__ = [
-    "BOUNDARY_TOL",
-    "FamilyCone",
-    "ConeReport",
-    "cone_slopes",
-    "shear_slopes",
-    "sound_slopes",
-    "critical_angle_check",
-    "cone_containment",
-    "causality_scan",
-    "hyperbolicity_region_map",
-    "max_characteristic_speed",
-]
-
 BOUNDARY_TOL = 1e-12
 
 
@@ -202,12 +188,12 @@ def cone_containment(s: StatePoint, n_theta: int = 720) -> ConeReport:
                       v_max_fluid=v_fluid, v_max_coupled=max(v_fluid, 1.0))
 
 
-def max_characteristic_speed(s: StatePoint, include_gravity: bool = False) -> float:
-    """Largest |slope| over the wave families; feeds the solver CFL bound."""
+def max_characteristic_speed(s: StatePoint) -> float:
+    """Largest |slope| over the fluid families; feeds the solver CFL bound."""
     report = cone_containment(s)
     if report.verdict == "violated":
         raise ValueError(f"state is not causal: {report.families}")
-    return report.v_max_coupled if include_gravity else report.v_max_fluid
+    return report.v_max_fluid
 
 
 @dataclass(frozen=True)
@@ -221,12 +207,12 @@ class ScanRow:
     verdict: str
 
 
-def causality_scan(a2_list, u_max: float, n_u: int = 33, n_theta: int = 720,
-                   a1: float = 4.0) -> list:
+def causality_scan(a2_list, u_max: float, n_u: int = 33, n_theta: int = 720) -> list:
     """Deterministic grid scan over |w| in [0, u_max] for each a2.
 
     One row per (a2, |w|) cell with the theta-maximized shear and sound
     slopes; column names match the CSV contract of the command-line scan.
+    The cone table holds at a1 = 4 only, and every row says so.
     Each (a2, family) takes one `cone_xi0` call over its |w| x theta grid,
     and a row has the bits of `cone_containment` at its state.
     """
@@ -240,13 +226,41 @@ def causality_scan(a2_list, u_max: float, n_u: int = 33, n_theta: int = 720,
         for i, w2 in enumerate(u2.tolist()):
             fams = {name: c[i] for name, c in cones.items()}
             rows.append(ScanRow(
-                a1=a1, a2=float(a2), u2=w2,
+                a1=4.0, a2=float(a2), u2=w2,
                 theta_max_p2=fams["shear"].witness_theta,
                 smax_p2=fams["shear"].max_abs_slope,
                 smax_p3=fams["sound"].max_abs_slope,
                 verdict=_fluid_verdict(fams),
             ))
     return rows
+
+
+@dataclass(frozen=True)
+class ScanVerdict:
+    """Criterion 04 over `causality_scan` rows: the slope maxima per a2, judged.
+
+    Every shear slope lies inside the light cone.  The sound cone touches
+    it at a2 = 4, to BOUNDARY_TOL, and lies inside it by more than
+    BOUNDARY_TOL at every other a2.
+    """
+
+    max_shear: dict        # a2 -> largest shear slope over its rows
+    max_sound: dict        # a2 -> largest sound slope over its rows
+
+    @property
+    def passed(self) -> bool:
+        return all(s < 1.0 for s in self.max_shear.values()) and all(
+            abs(s - 1.0) <= BOUNDARY_TOL if a2 == 4.0 else s < 1.0 - BOUNDARY_TOL
+            for a2, s in self.max_sound.items())
+
+
+def scan_verdict(rows) -> ScanVerdict:
+    """Criterion 04's verdict on the rows of `causality_scan`."""
+    max_shear, max_sound = {}, {}
+    for r in rows:
+        max_shear[r.a2] = max(max_shear.get(r.a2, r.smax_p2), r.smax_p2)
+        max_sound[r.a2] = max(max_sound.get(r.a2, r.smax_p3), r.smax_p3)
+    return ScanVerdict(max_shear, max_sound)
 
 
 @dataclass(frozen=True)

@@ -5,79 +5,33 @@ hyperbolic polynomials; each family is tracked here both as the full factor
 appearing in the determinant and as its underlying base polynomial (the
 thing whose real-root structure defines hyperbolicity):
 
-    family   base polynomial                          base deg  power in det
-    flow     u.xi                                        1          4
-    shear    (a2-1)(u.xi)^2 - xi.xi                      2          2
-    sound    -6[(a2+5)a2 + (a2^2+7a2-8) u.u](u.xi)^2
-             + 6(a2+2)(1 + 5 u.u) xi.xi                  2          1
-    light    xi.xi                                       2         10
+    family   base polynomial
+    flow     u.xi
+    shear    (a2-1)(u.xi)^2 - xi.xi
+    sound    -6[(a2+5)a2 + (a2^2+7a2-8) u.u](u.xi)^2 + 6(a2+2)(1 + 5 u.u) xi.xi
+    light    xi.xi
 
-The flow factor enters the determinant as eta^4/(12 eps) (u.xi)^4 and the
-light factor (gravitational block) as (xi.xi)^10.  u.u is kept explicit in
-the sound factor; it is not replaced by -1.
-
-At normalized u on the Minkowski metric every family's characteristic cone
-is alpha (u.xi)^2 - beta xi.xi = 0, with
-
-    family   alpha      beta
-    flow     1          0
-    shear    a2 - 1     1
-    sound    a2 - 4     2 (a2 + 2)
-    light    0          1
-
-and `cone_xi0` is the one closed form for its xi0 roots: every closed-form
+The factor is the base polynomial raised to its power in the determinant;
+flow's also carries the prefactor eta^4/(12 eps), and light's is the
+gravitational block.  u.u is kept explicit in the sound factor; it is not
+replaced by -1.  `FAMILY_TABLE` holds one record per family: the base
+degree, the power and the cone.  At normalized u on the Minkowski metric
+every family's characteristic cone is alpha (u.xi)^2 - beta xi.xi = 0, and
+`cone_xi0` is the one closed form for its xi0 roots: every closed-form
 root, slope, containment verdict and CFL speed evaluates it.  The bisection
-oracle evaluates the base polynomials instead, so it checks this table.
+oracle evaluates the base polynomials instead, so it checks the table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
 from .symbol import StatePoint, _as_covector, symbol_contractions
 from .tensor import Metric4
-
-__all__ = [
-    "FAMILIES",
-    "FactorEntry",
-    "FactorSet",
-    "FLUID_FACTORS",
-    "COUPLED_FACTORS",
-    "RootPair",
-    "RootScan",
-    "HyperbolicityReport",
-    "eval_factor",
-    "eval_factor_base",
-    "factor_base_values",
-    "factor_values",
-    "base_degree",
-    "factor_power",
-    "sound_quartic_general",
-    "quartic_coefficients",
-    "cone_coefficients",
-    "cone_xi0",
-    "cone_roots",
-    "bisection_roots",
-    "is_hyperbolic",
-    "gevrey_index",
-]
-
-FAMILIES = ("flow", "shear", "sound", "light")
-
-_BASE_DEGREE = {"flow": 1, "shear": 2, "sound": 2, "light": 2}
-_POWER = {"flow": 4, "shear": 2, "sound": 1, "light": 10}
-# (alpha, beta) of the cone alpha (u.xi)^2 - beta xi.xi = 0 at normalized u on
-# Minkowski: the base polynomial up to a nonzero factor (sound's is 12, light's
-# is -1), and for flow its square
-_CONE = {
-    "flow": lambda a2: (1.0, 0.0),
-    "shear": lambda a2: (a2 - 1.0, 1.0),
-    "sound": lambda a2: (a2 - 4.0, 2.0 * (a2 + 2.0)),
-    "light": lambda a2: (0.0, 1.0),
-}
 
 DISTINCTNESS_GAP = 1e-8  # absolute, for unit-sphere spatial directions
 # a batched oracle's temporaries hold at most about this many float64
@@ -87,9 +41,13 @@ BATCH_VALUES = 32768
 
 @dataclass(frozen=True)
 class FactorEntry:
+    """A factor family: its base polynomial's degree, its power in det m and,
+    for the four families of the table, its cone as a2 -> (alpha, beta)."""
+
     family: str
     degree: int
     multiplicity: int
+    cone: Callable | None = None
 
 
 @dataclass(frozen=True)
@@ -107,34 +65,34 @@ class FactorSet:
         return sum(e.multiplicity for e in self.entries)
 
 
-FLUID_FACTORS = FactorSet(entries=(
-    FactorEntry("flow", 1, 4),
-    FactorEntry("shear", 2, 2),
-    FactorEntry("sound", 2, 1),
-))
+# the cone alpha (u.xi)^2 - beta xi.xi = 0 at normalized u on Minkowski is
+# the base polynomial up to a nonzero factor (sound's is 12, light's is -1),
+# and for flow its square
+FAMILY_TABLE = {e.family: e for e in (
+    FactorEntry("flow", 1, 4, lambda a2: (1.0, 0.0)),
+    FactorEntry("shear", 2, 2, lambda a2: (a2 - 1.0, 1.0)),
+    FactorEntry("sound", 2, 1, lambda a2: (a2 - 4.0, 2.0 * (a2 + 2.0))),
+    FactorEntry("light", 2, 10, lambda a2: (0.0, 1.0)),
+)}
+FAMILIES = tuple(FAMILY_TABLE)
 
-COUPLED_FACTORS = FactorSet(entries=FLUID_FACTORS.entries + (
-    FactorEntry("light", 2, 10),
-))
+FLUID_FACTORS = FactorSet(entries=tuple(FAMILY_TABLE[f] for f in ("flow", "shear", "sound")))
+COUPLED_FACTORS = FactorSet(entries=FLUID_FACTORS.entries + (FAMILY_TABLE["light"],))
+
+
+def _family(family: str) -> FactorEntry:
+    if family not in FAMILY_TABLE:
+        raise ValueError(f"unknown factor family {family!r}")
+    return FAMILY_TABLE[family]
 
 
 def base_degree(family: str) -> int:
-    if family not in _BASE_DEGREE:
-        raise ValueError(f"unknown factor family {family!r}")
-    return _BASE_DEGREE[family]
-
-
-def factor_power(family: str) -> int:
-    if family not in _POWER:
-        raise ValueError(f"unknown factor family {family!r}")
-    return _POWER[family]
+    return _family(family).degree
 
 
 def cone_coefficients(family: str, a2: float) -> tuple:
     """(alpha, beta) of a family's cone alpha (u.xi)^2 - beta xi.xi = 0."""
-    if family not in _CONE:
-        raise ValueError(f"unknown factor family {family!r}")
-    return _CONE[family](a2)
+    return _family(family).cone(a2)
 
 
 def factor_base_values(family: str, uxi, xixi, uu, a2):
@@ -156,20 +114,15 @@ def factor_base_values(family: str, uxi, xixi, uu, a2):
 
 
 def factor_values(family: str, base, eta, eps):
-    """The factor as it enters the determinant, from its base polynomial.
+    """The factor as it enters the determinant: its base polynomial to its power.
 
     Only flow's prefactor eta^4 / (12 eps) reads eta and eps; arguments
     are scalars or arrays that broadcast together.
     """
+    p = _family(family).multiplicity
     if family == "flow":
-        return eta ** 4 / (12.0 * eps) * base ** 4
-    if family == "shear":
-        return base ** 2
-    if family == "sound":
-        return base
-    if family == "light":
-        return base ** 10
-    raise ValueError(f"unknown factor family {family!r}")
+        return eta ** p / (12.0 * eps) * base ** p
+    return base ** p
 
 
 def eval_factor_base(family: str, s: StatePoint, xi):
@@ -298,16 +251,15 @@ def quartic_coefficients(a1, a2, u, g, seed: int = 0,
         xis = rng.uniform(-1.0, 1.0, size=(4, 4))
         # u.perp = 0 up to rounding, and exactly when u is a basis vector
         xis[0] = xis[0] - float(u @ xis[0]) / uu * u_dn
-        y_perp = float(xis[0] @ ginv @ xis[0])
+        # y_perp and the fit rows take the quartic's own contractions, so
+        # C = quartic / y_perp^2 divides like by like
+        _, _, uxi, xixi, _ = symbol_contractions(u, xis, gmat, ginv)
+        y_perp = float(xixi[0])
         if abs(y_perp) < 1e-3:
             last_err = "orthogonal sample too close to the light cone"
             continue
-        rows = []
-        for xi in xis[1:]:
-            X = float(u @ xi) ** 2
-            Y = float(xi @ ginv @ xi)
-            rows.append([X ** 2, X * Y, Y ** 2])
-        rows = np.array(rows)
+        X, Y = uxi[1:] ** 2, xixi[1:]
+        rows = np.stack([X ** 2, X * Y, Y ** 2], axis=1)
         if np.linalg.cond(rows[:2, :2]) > 1e10:
             last_err = "ill-conditioned sample system"
             continue
@@ -409,10 +361,6 @@ class RootScan:
     @property
     def complete(self) -> bool:
         return self.found_count == self.expected_count
-
-    @property
-    def degenerate(self) -> bool:
-        return self.found_count > 1 and self.min_gap < DISTINCTNESS_GAP
 
 
 def _base_on_lines(family, t, pairs, xibar, u, g, ginv, a2):
@@ -524,7 +472,7 @@ def bisection_roots(s, xibar, family: str, grid: int = 1024, tol: float = 1e-12)
                 merged.append(r)
         gaps = [merged[i + 1] - merged[i] for i in range(len(merged) - 1)]
         scans.append(RootScan(roots=tuple(merged), expected_count=deg,
-                              factor_multiplicity=factor_power(family),
+                              factor_multiplicity=_family(family).multiplicity,
                               min_gap=float(min(gaps)) if gaps else np.inf))
     return scans[0] if single else scans
 
@@ -575,3 +523,18 @@ def gevrey_index(f: FactorSet) -> Fraction:
     if q < 2:
         raise ValueError(f"Gevrey index needs at least 2 factors, got {q}")
     return Fraction(q, q - 1)
+
+
+@dataclass(frozen=True)
+class GevreyReport:
+    fluid: Fraction
+    coupled: Fraction
+    passed: bool
+
+
+def gevrey_check() -> GevreyReport:
+    """Criterion 05: the indices of FLUID_FACTORS and COUPLED_FACTORS must be
+    the paper's 7/6 and 17/16."""
+    fluid, coupled = gevrey_index(FLUID_FACTORS), gevrey_index(COUPLED_FACTORS)
+    return GevreyReport(fluid, coupled,
+                        fluid == Fraction(7, 6) and coupled == Fraction(17, 16))

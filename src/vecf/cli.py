@@ -11,12 +11,11 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from . import causality, characteristics, experiments, solver1d, verification
+from . import causality, characteristics, equations, experiments, solver1d, verification
 from .config import ConfigError, load_config
 from .solver1d import SolverAbort, SolverConfig
 
@@ -76,8 +75,7 @@ def _solver_config(cfg) -> SolverConfig:
 
 
 def cmd_gevrey(cfg, args) -> int:
-    fluid = characteristics.gevrey_index(characteristics.FLUID_FACTORS)
-    coupled = characteristics.gevrey_index(characteristics.COUPLED_FACTORS)
+    report = characteristics.gevrey_check()
     print("factor bookkeeping:")
     for name, fs in (("fluid", characteristics.FLUID_FACTORS),
                      ("coupled", characteristics.COUPLED_FACTORS)):
@@ -85,20 +83,19 @@ def cmd_gevrey(cfg, args) -> int:
                           for e in fs.entries)
         print(f"  {name}: {parts}; Q = {fs.factor_count}, "
               f"total degree {fs.total_degree}")
-    print(f"fluid Gevrey index:   {fluid}")
-    print(f"coupled Gevrey index: {coupled}")
-    ok = fluid == Fraction(7, 6) and coupled == Fraction(17, 16)
+    print(f"fluid Gevrey index:   {report.fluid}")
+    print(f"coupled Gevrey index: {report.coupled}")
     payload = {
         "check": "gevrey-indices",
         "parameters": {"a1": cfg["transport"]["a1"], "a2": cfg["transport"]["a2"]},
         "seed": None,
         "tolerances": {"exact": True},
-        "fluid_index": str(fluid),
-        "coupled_index": str(coupled),
-        "passed": ok,
+        "fluid_index": str(report.fluid),
+        "coupled_index": str(report.coupled),
+        "passed": report.passed,
     }
     _write_json(_outdir(cfg, args) / "gevrey.json", payload)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 def _suite_size(cfg, args, default_samples: int):
@@ -150,9 +147,12 @@ def cmd_roots(cfg, args) -> int:
 
 def cmd_causality_scan(cfg, args) -> int:
     scan = cfg["scan"]
+    if cfg["transport"]["a1"] != 4.0:
+        raise ConfigError("causality-scan reads the cone table, which holds at "
+                          f"transport.a1 = 4 only; got {cfg['transport']['a1']:g}")
     rows = causality.causality_scan(scan["a2_list"], scan["u_max"],
-                                    n_u=scan["u_steps"], n_theta=scan["theta_steps"],
-                                    a1=cfg["transport"]["a1"])
+                                    n_u=scan["u_steps"], n_theta=scan["theta_steps"])
+    verdict = causality.scan_verdict(rows)
     out = _outdir(cfg, args)
     _write_csv(out / "causality_scan.csv",
                ["a1", "a2", "u2", "theta_max_p2", "smax_p2", "smax_p3", "verdict"],
@@ -171,12 +171,13 @@ def cmd_causality_scan(cfg, args) -> int:
         "max_smax_p2": worst_p2,
         "max_smax_p3": worst_p3,
         "violated_cells": n_violated,
-        "passed": n_violated == 0,
+        "passed": verdict.passed,
     }
     _write_json(out / "causality_scan.json", payload)
     print(f"causality scan: {len(rows)} cells, max shear slope {worst_p2:.6f}, "
-          f"max sound slope {worst_p3:.6f}, violations {n_violated}")
-    return EXIT_OK if n_violated == 0 else EXIT_CHECK_FAILED
+          f"max sound slope {worst_p3:.6f}, violations {n_violated} -> "
+          f"{'PASS' if verdict.passed else 'FAIL'}")
+    return EXIT_OK if verdict.passed else EXIT_CHECK_FAILED
 
 
 def cmd_region_map(cfg, args) -> int:
@@ -229,7 +230,7 @@ def cmd_evolve(cfg, args) -> int:
                 "det_shortfall_rel": d.det_shortfall_rel,
             }) + "\n")
     print(f"evolved to t={traj.times[-1]:.6g} with dt={traj.dt:.3e}; "
-          f"max constraint drift {traj.max_constraint_drift():.3e}")
+          f"max constraint drift {traj.drift_max:.3e}")
     return EXIT_OK
 
 
@@ -312,42 +313,23 @@ def cmd_convergence(cfg, args) -> int:
 
 
 def cmd_oracle_divergence(cfg, args) -> int:
-    from .equations import SinusoidalField, divergence_residual
-    model = cfg.transport_model()
-    resolutions = cfg["oracle"]["resolutions"]
-    t0 = cfg["oracle"]["t0"]
-    fields = SinusoidalField(length=cfg["solver"]["length"])
-    reports = [divergence_residual(fields, n, model, t0=t0) for n in resolutions]
-    orders = [float(np.log2(a.max_discrepancy / b.max_discrepancy))
-              for a, b in zip(reports, reports[1:])]
-    mutated = divergence_residual(fields, resolutions[-1], model, t0=t0,
-                                  mutation=("expansion_iso", 1.01))
-    clean = reports[-1].max_discrepancy
-    lo, hi = experiments.ORDER_WINDOW
-    ok = (all(lo <= o <= hi for o in orders[-2:])
-          and mutated.max_discrepancy > 100.0 * clean)
+    fields = equations.SinusoidalField(length=cfg["solver"]["length"])
+    try:
+        report = equations.divergence_oracle(fields, cfg.transport_model(),
+                                             cfg["oracle"]["resolutions"],
+                                             t0=cfg["oracle"]["t0"])
+    except ValueError as exc:          # resolutions rejected
+        raise ConfigError(str(exc)) from exc
     out = _outdir(cfg, args)
     _write_csv(out / "oracle_divergence.csv",
                ["resolution", "max_discrepancy", "constraint_row_max"],
                [[r.resolution, r.max_discrepancy, r.constraint_row_max]
-                for r in reports])
-    payload = {
-        "check": "divergence-oracle",
-        "parameters": {"a1": model.a1, "a2": model.a2, "t0": t0},
-        "seed": None,
-        "tolerances": {"order": list(experiments.ORDER_WINDOW),
-                       "mutation_amplification_min": 100.0},
-        "resolutions": list(resolutions),
-        "discrepancies": [r.max_discrepancy for r in reports],
-        "orders": orders,
-        "mutated_discrepancy": mutated.max_discrepancy,
-        "passed": bool(ok),
-    }
-    _write_json(out / "oracle_divergence.json", payload)
-    print(f"divergence oracle: orders {['%.2f' % o for o in orders]}, "
-          f"mutation amplification "
-          f"{mutated.max_discrepancy / clean:.1f}x -> {'PASS' if ok else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+                for r in report.clean])
+    _write_json(out / "oracle_divergence.json", report.to_json())
+    print(f"divergence oracle: orders {['%.2f' % o for o in report.orders]}, "
+          f"mutated order {report.mutated_order:.2f}, mutation amplification "
+          f"{report.amplification:.1f}x -> {'PASS' if report.passed else 'FAIL'}")
+    return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
 COMMANDS = {
@@ -375,10 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="SECTION.KEY=VALUE",
                         help="override one config value (repeatable)")
     parser.add_argument("--out", help="output directory (default from config)")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("VECF_THREADS", "1")),
-                        help="worker processes for the sample suites "
-                             "(default 1, or the VECF_THREADS variable)")
+    parser.add_argument("--threads", default=None,
+                        help="worker processes for the sample suites, 1 to the "
+                             "CPU count (default 1, or the VECF_THREADS variable)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
@@ -386,15 +367,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         # scalar global flags are accepted after the command too
         p.add_argument("--out", default=argparse.SUPPRESS)
-        p.add_argument("--threads", type=int, default=argparse.SUPPRESS)
+        p.add_argument("--threads", default=argparse.SUPPRESS)
     return parser
 
 
 def _check_suite_flags(args) -> None:
+    """Reject bad --samples and --seed, and resolve --threads to an int.
+
+    The thread count comes from --threads, else VECF_THREADS, else 1, and
+    must lie in [1, os.cpu_count()]; this runs before any pool starts.
+    """
     if args.samples is not None and args.samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+    raw = args.threads if args.threads is not None else os.environ.get("VECF_THREADS", "1")
+    cpus = os.cpu_count() or 1
+    try:
+        args.threads = int(raw)
+    except ValueError:
+        raise ConfigError(f"thread count must be an integer, got {raw!r}") from None
+    if not 1 <= args.threads <= cpus:
+        raise ConfigError(f"thread count must lie in [1, {cpus}], got {args.threads}")
 
 
 def main(argv=None) -> int:

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from .constitutive import TransportModel
 from .solver1d import COURANT_MAX
 
-__all__ = ["ConfigError", "RunConfig", "load_config", "SCHEMA"]
-
 
 class ConfigError(Exception):
     """Invalid configuration; message names the offending key."""

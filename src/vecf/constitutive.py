@@ -13,13 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "TransportModel",
-    "transport",
-    "stress_tensor_fields",
-    "complete_initial_data",
-]
-
 SGN = np.array([-1.0, 1.0, 1.0, 1.0])  # diagonal of the flat metric, -+++
 
 

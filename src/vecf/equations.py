@@ -28,21 +28,6 @@ import numpy as np
 
 from .constitutive import SGN, TransportModel, stress_tensor_fields, transport
 
-__all__ = [
-    "MUTATION_KEYS",
-    "dx4",
-    "FieldJet1",
-    "symbol_apply",
-    "symbol_block",
-    "DegenerateTimeMatrix",
-    "time_matrix_solve",
-    "assemble_lower_order",
-    "equation_rows",
-    "SinusoidalField",
-    "divergence_residual",
-    "DivergenceReport",
-]
-
 MUTATION_KEYS = (
     "shear",                  # grad(eta pi pi) . shear-rate group
     "momentum_relax",         # lam u u acceleration transport
@@ -53,6 +38,18 @@ MUTATION_KEYS = (
     "energy_gradient_iso",    # (chi/4eps) pi u grad eps
     "ideal",                  # divergence of the ideal part
 )
+
+# the window a measured fourth-order convergence order must fall in: every
+# refinement of the divergence oracle (criterion 07) and the unfiltered
+# self-convergence study (criterion 08d)
+ORDER_WINDOW = (3.7, 4.3)
+# criterion 07's sensitivity test: this coefficient corruption must break
+# the convergence (order below MUTATED_ORDER_MAX) and must raise the finest
+# discrepancy more than AMPLIFICATION_MIN times
+MUTATION = ("expansion_iso", 1.01)
+MUTATED_ORDER_MAX = 1.0
+AMPLIFICATION_MIN = 100.0
+
 
 def dx4(f: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order centered first derivative along the last axis, periodic.
@@ -428,3 +425,69 @@ def divergence_residual(fields: SinusoidalField, resolution: int,
         max_discrepancy=float(np.abs(assembled_low - div).max()),
         constraint_row_max=float(np.abs(rows[4]).max()),
     )
+
+
+def _order(coarse: DivergenceReport, fine: DivergenceReport) -> float:
+    return float(np.log2(coarse.max_discrepancy / fine.max_discrepancy))
+
+
+@dataclass(frozen=True)
+class OracleReport:
+    """Criterion 07: one DivergenceReport per resolution (clean) and, under
+    MUTATION, the two finest (mutated), with the criterion's verdict."""
+
+    model: TransportModel
+    t0: float
+    clean: tuple
+    mutated: tuple
+
+    @property
+    def orders(self) -> list:
+        return [_order(a, b) for a, b in zip(self.clean, self.clean[1:])]
+
+    @property
+    def mutated_order(self) -> float:
+        return _order(*self.mutated)
+
+    @property
+    def amplification(self) -> float:
+        return self.mutated[-1].max_discrepancy / self.clean[-1].max_discrepancy
+
+    @property
+    def passed(self) -> bool:
+        lo, hi = ORDER_WINDOW
+        return bool(all(lo <= o <= hi for o in self.orders)
+                    and self.mutated_order < MUTATED_ORDER_MAX
+                    and self.mutated[-1].max_discrepancy
+                    > AMPLIFICATION_MIN * self.clean[-1].max_discrepancy)
+
+    def to_json(self) -> dict:
+        return {
+            "check": "divergence-oracle",
+            "parameters": {"a1": self.model.a1, "a2": self.model.a2, "t0": self.t0},
+            "seed": None,
+            "tolerances": {"order": list(ORDER_WINDOW),
+                           "mutated_order_max": MUTATED_ORDER_MAX,
+                           "mutation_amplification_min": AMPLIFICATION_MIN},
+            "resolutions": [r.resolution for r in self.clean],
+            "discrepancies": [r.max_discrepancy for r in self.clean],
+            "orders": self.orders,
+            "mutated_discrepancy": self.mutated[-1].max_discrepancy,
+            "mutated_order": self.mutated_order,
+            "passed": self.passed,
+        }
+
+
+def divergence_oracle(fields: SinusoidalField, model: TransportModel, resolutions,
+                      t0: float = 0.37) -> OracleReport:
+    """Criterion 07 at these resolutions: at least two, positive, each double
+    the last, or the orders measure nothing (ValueError)."""
+    resolutions = [int(n) for n in resolutions]
+    if (len(resolutions) < 2 or resolutions[0] < 1
+            or any(b != 2 * a for a, b in zip(resolutions, resolutions[1:]))):
+        raise ValueError("oracle resolutions must be at least two positive grids, "
+                         f"each double the last; got {resolutions}")
+    clean = tuple(divergence_residual(fields, n, model, t0=t0) for n in resolutions)
+    mutated = tuple(divergence_residual(fields, n, model, t0=t0, mutation=MUTATION)
+                    for n in resolutions[-2:])
+    return OracleReport(model=model, t0=t0, clean=clean, mutated=mutated)

@@ -16,22 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .causality import cone_slopes
+from .equations import ORDER_WINDOW
 from .solver1d import (SolverConfig, _grid_v_max, bump_perturbation, evolve,
                        gaussian_pulse, make_grid, shear_pulse)
-
-__all__ = [
-    "DOD_OUTSIDE_RATIO_MIN",
-    "DOD_OUTSIDE_ORDER",
-    "DOD_INSIDE_STABILITY",
-    "ORDER_WINDOW",
-    "DodPlacement",
-    "DodReport",
-    "dod_experiment",
-    "ConvergenceReport",
-    "convergence_study",
-    "SpeedReport",
-    "pulse_speed_experiment",
-]
 
 FIELD_NAMES = ("u0", "u1", "u2", "u3", "eps")
 
@@ -41,11 +28,6 @@ FIELD_NAMES = ("u0", "u1", "u2", "u3", "eps")
 DOD_OUTSIDE_RATIO_MIN = 8.0
 DOD_OUTSIDE_ORDER = (3.5, 5.5)
 DOD_INSIDE_STABILITY = 0.1
-
-# the window a measured fourth-order convergence order must fall in: the
-# unfiltered self-convergence study (criterion 08d) and every refinement of
-# the divergence oracle (criterion 07)
-ORDER_WINDOW = (3.7, 4.3)
 
 
 def _coarsen(V: np.ndarray, factor: int) -> np.ndarray:
@@ -228,7 +210,7 @@ def convergence_study(cfg: SolverConfig, resolutions=(256, 512, 1024),
     for n in resolutions:
         traj = evolve(replace(cfg, n_cells=n))
         runs[n] = traj.final
-        drift[n] = traj.max_constraint_drift()
+        drift[n] = traj.drift_max
     n0, n1, n2 = resolutions[-3:]
     e1 = {}
     e2 = {}

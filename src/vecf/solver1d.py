@@ -48,22 +48,6 @@ from .equations import (DegenerateTimeMatrix, FieldJet1, assemble_lower_order,
 from .symbol import StatePoint, det_time_matrix_closed_form
 from .tensor import minkowski
 
-__all__ = [
-    "SolverAbort",
-    "InitialData",
-    "constant_state",
-    "gaussian_pulse",
-    "shear_pulse",
-    "bump_perturbation",
-    "SolverConfig",
-    "FieldGrid",
-    "Diagnostics",
-    "Trajectory",
-    "make_grid",
-    "step",
-    "evolve",
-]
-
 
 class SolverAbort(RuntimeError):
     """Evolution stopped: carries time, step index, and a state dump."""
@@ -203,10 +187,6 @@ class FieldGrid:
     t: float = 0.0
 
     @property
-    def x(self) -> np.ndarray:
-        return np.arange(self.n_cells) * self.spacing
-
-    @property
     def spacing(self) -> float:
         return self.length / self.n_cells
 
@@ -250,9 +230,6 @@ class Trajectory:
     @property
     def final(self) -> np.ndarray:
         return self.snapshots[-1]
-
-    def max_constraint_drift(self) -> float:
-        return self.drift_max
 
 
 def _filter_factors(n: int, strength: float) -> np.ndarray:

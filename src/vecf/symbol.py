@@ -15,20 +15,6 @@ import numpy as np
 from .constitutive import TransportModel, transport
 from .tensor import Metric4, minkowski
 
-__all__ = [
-    "StatePoint",
-    "fluid_symbol",
-    "fluid_char_det",
-    "coupled_char_det",
-    "time_matrix",
-    "det_time_matrix_closed_form",
-    "det_time_matrix_formula",
-    "det_by_elimination",
-    "symbol_components",
-    "symbol_contractions",
-    "check_time_matrix_domain",
-]
-
 
 @dataclass(frozen=True)
 class StatePoint:

@@ -10,14 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = [
-    "Metric4",
-    "minkowski",
-    "random_lorentzian_near_minkowski",
-    "near_minkowski_components",
-    "validate_metrics",
-]
-
 _DET_GUARD = 1e-10
 _INVERSE_TOL = 1e-12
 

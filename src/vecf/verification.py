@@ -13,25 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristics import (BATCH_VALUES, bisection_roots, cone_roots,
-                              factor_base_values, factor_values,
+from .characteristics import (BATCH_VALUES, FLUID_FACTORS, bisection_roots,
+                              cone_roots, factor_base_values, factor_values,
                               quartic_coefficients, sound_quartic_general)
 from .constitutive import TransportModel
 from .symbol import (StatePoint, check_time_matrix_domain, det_by_elimination,
                      det_time_matrix_closed_form, symbol_components,
                      symbol_contractions)
 from .tensor import minkowski, near_minkowski_components, validate_metrics
-
-__all__ = [
-    "FactorizationReport",
-    "factorization_suite",
-    "CollapseReport",
-    "collapse_suite",
-    "RootsReport",
-    "roots_suite",
-    "TimeMatrixReport",
-    "time_matrix_suite",
-]
 
 DET_TOL = 1e-9
 COLLAPSE_TOL = 1e-9
@@ -125,7 +114,7 @@ def _factorization_batch(seed: int, indices, a2_range, delta: float):
                                 g, ginv, xi)
     _, _, uxi, xixi, uu = symbol_contractions(u, xi, g, ginv)
     prods = np.ones(len(indices))
-    for family in ("flow", "shear", "sound"):
+    for family in (e.family for e in FLUID_FACTORS.entries):
         prods *= factor_values(family, factor_base_values(family, uxi, xixi, uu, a2),
                                eta, eps)
     return symbols, prods

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from vecf.causality import (cone_containment, cone_slopes, causality_scan,
                             critical_angle_check, hyperbolicity_region_map,
-                            max_characteristic_speed, shear_slopes, sound_slopes)
+                            max_characteristic_speed, scan_verdict, shear_slopes,
+                            sound_slopes)
 from vecf.constitutive import TransportModel
 from vecf.symbol import StatePoint
 from vecf.tensor import minkowski
@@ -145,7 +148,7 @@ def test_max_speed_rest_a2_9():
 def test_max_speed_coupled_mode():
     s = state(9.0)
     fluid = max_characteristic_speed(s)
-    coupled = max_characteristic_speed(s, include_gravity=True)
+    coupled = cone_containment(s).v_max_coupled
     assert coupled == 1.0
     assert coupled >= fluid
 
@@ -242,6 +245,16 @@ def test_causality_scan_matches_per_state_reference(a2_list, u_max, n_u, n_theta
     rows = causality_scan(a2_list, u_max, n_u=n_u, n_theta=n_theta)
     got = [(r.a1, r.a2, r.u2, r.theta_max_p2, r.smax_p2, r.smax_p3, r.verdict) for r in rows]
     assert repr(got) == repr(reference_scan(a2_list, u_max, n_u, n_theta))
+
+
+def test_scan_verdict_judges_criterion_04s_rules():
+    assert scan_verdict(causality_scan([4.0, 6.0], 10.0, n_u=9, n_theta=90)).passed
+    # the sound cone leaves the light cone below a2 = 4
+    assert not scan_verdict(causality_scan([3.0], 6.0, n_u=7, n_theta=90)).passed
+    # away from a2 = 4 the sound cone must lie strictly inside
+    rows = causality_scan([6.0], 10.0, n_u=9, n_theta=90)
+    touching = [replace(r, smax_p3=1.0) if i == 3 else r for i, r in enumerate(rows)]
+    assert not scan_verdict(touching).passed
 
 
 def test_causality_scan_finds_the_violated_rows_of_a_failing_chunk():

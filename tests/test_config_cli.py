@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -202,7 +203,48 @@ def test_cli_oracle_divergence(tmp_path):
     payload = json.loads((tmp_path / "oracle_divergence.json").read_text())
     assert payload["passed"] is True
     lo, hi = ORDER_WINDOW
-    assert all(lo <= o <= hi for o in payload["orders"][-2:])
+    assert all(lo <= o <= hi for o in payload["orders"])
+    assert payload["mutated_order"] < payload["tolerances"]["mutated_order_max"]
+
+
+@pytest.mark.parametrize("override,command", [
+    ("oracle.resolutions=0", "oracle-divergence"),
+    ("oracle.resolutions=-64,-128", "oracle-divergence"),
+    ("oracle.resolutions=64", "oracle-divergence"),
+    ("oracle.resolutions=64,100", "oracle-divergence"),
+    ("transport.a1=1", "causality-scan"),
+])
+def test_cli_claim_commands_reject_bad_config(tmp_path, capsys, override, command):
+    assert main(["--out", str(tmp_path), "--set", override, command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1          # one line, no traceback
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flags,env", [
+    (["--threads", "0"], None),
+    (["--threads", "two"], None),
+    # one above the CPU count: rejected before any pool could start
+    (["--threads", str((os.cpu_count() or 1) + 1)], None),
+    ([], "abc"),
+    ([], "0"),
+])
+def test_cli_rejects_bad_thread_count(tmp_path, capsys, monkeypatch, flags, env):
+    if env is None:
+        monkeypatch.delenv("VECF_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("VECF_THREADS", env)
+    assert main(["--out", str(tmp_path)] + flags + ["gevrey"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: thread count")
+    assert err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_thread_count_from_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("VECF_THREADS", "1")
+    assert main(["--out", str(tmp_path), "gevrey"]) == 0
 
 
 CONVERGENCE_SMALL = ["--set", "convergence.resolutions=32 64 128",

@@ -64,7 +64,7 @@ def test_constraint_drift_small_and_refining():
     drifts = {}
     for n in (64, 128):
         cfg = small_cfg(ic=gaussian_pulse(amplitude=0.05), n_cells=n, t_end=0.1)
-        drifts[n] = evolve(cfg).max_constraint_drift()
+        drifts[n] = evolve(cfg).drift_max
     assert drifts[128] < drifts[64]
     assert drifts[128] < 1e-5
 
@@ -202,7 +202,7 @@ def test_shear_pulse_runs():
                     transport=TransportModel(a2=4.0), n_cells=128, t_end=0.1)
     traj = evolve(cfg)
     assert np.abs(traj.final[2]).max() > 0.0    # u^2 carries the pulse
-    assert traj.max_constraint_drift() < 1e-6
+    assert traj.drift_max < 1e-6
 
 
 def test_det_shortfall_tracks_constraint_drift():
@@ -217,7 +217,7 @@ def test_det_shortfall_tracks_constraint_drift():
         traj = evolve(cfg)
         worst = max(d.det_shortfall_rel for d in traj.diagnostics)
         shortfalls[n] = worst
-        assert worst <= 1e-8 + 10.0 * traj.max_constraint_drift()
+        assert worst <= 1e-8 + 10.0 * traj.drift_max
     assert shortfalls[256] < shortfalls[128]
 
 
