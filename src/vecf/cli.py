@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -110,8 +109,7 @@ def _suite_size(cfg, args, default_samples: int):
 
 def cmd_verify_factorization(cfg, args) -> int:
     samples, seed = _suite_size(cfg, args, cfg["verification"]["samples"])
-    report = verification.factorization_suite(samples=samples, seed=seed,
-                                              threads=args.threads)
+    report = verification.factorization_suite(samples=samples, seed=seed)
     _write_json(_outdir(cfg, args) / "verify_factorization.json", report.to_json())
     print(f"determinant factorization: {samples} samples, "
           f"max scaled error {report.max_scaled_error:.3e} "
@@ -346,8 +344,15 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are config errors: one line, exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="vecf",
         description="Viscous conformal-fluid numerical laboratory: symbol "
                     "verification, characteristic cones, causality scans, and "
@@ -357,9 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="SECTION.KEY=VALUE",
                         help="override one config value (repeatable)")
     parser.add_argument("--out", help="output directory (default from config)")
-    parser.add_argument("--threads", default=None,
-                        help="worker processes for the sample suites, 1 to the "
-                             "CPU count (default 1, or the VECF_THREADS variable)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
@@ -367,33 +369,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         # scalar global flags are accepted after the command too
         p.add_argument("--out", default=argparse.SUPPRESS)
-        p.add_argument("--threads", default=argparse.SUPPRESS)
     return parser
 
 
 def _check_suite_flags(args) -> None:
-    """Reject bad --samples and --seed, and resolve --threads to an int.
-
-    The thread count comes from --threads, else VECF_THREADS, else 1, and
-    must lie in [1, os.cpu_count()]; this runs before any pool starts.
-    """
+    """Reject --samples below 1 and --seed below 0."""
     if args.samples is not None and args.samples < 1:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     if args.seed is not None and args.seed < 0:
         raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-    raw = args.threads if args.threads is not None else os.environ.get("VECF_THREADS", "1")
-    cpus = os.cpu_count() or 1
-    try:
-        args.threads = int(raw)
-    except ValueError:
-        raise ConfigError(f"thread count must be an integer, got {raw!r}") from None
-    if not 1 <= args.threads <= cpus:
-        raise ConfigError(f"thread count must lie in [1, {cpus}], got {args.threads}")
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_suite_flags(args)
         cfg = load_config(args.config, args.overrides)
     except ConfigError as exc:

@@ -88,25 +88,32 @@ def minkowski() -> Metric4:
     return _MINKOWSKI
 
 
-def near_minkowski_components(delta: float, seed: int) -> np.ndarray:
-    """Minkowski plus a seeded symmetric perturbation with max-norm <= delta.
+def near_minkowski_components(delta: float, uniforms) -> np.ndarray:
+    """Minkowski plus symmetric perturbations with max-norm <= delta.
 
-    Deterministic per seed; the components are exactly symmetric and not
-    validated.  delta is capped at 0.1, which keeps the signature (-,+,+,+)
-    with a wide margin (eigenvalue gap is 1 at delta=0 and perturbations
-    move eigenvalues by at most 4*delta).
+    uniforms is (K, 17) draws on [0, 1), one row per metric: columns 0-15
+    become the raw entries on [-delta, delta) in row-major order, and
+    column 16 the scale in [0.5, 1) that sets the perturbation's peak to
+    that fraction of delta.  Returns (K, 4, 4) components, exactly
+    symmetric and not validated.  delta is capped at 0.1, which keeps the
+    signature (-,+,+,+) with a wide margin (eigenvalue gap is 1 at
+    delta=0 and perturbations move eigenvalues by at most 4*delta).
     """
     if not 0.0 <= delta <= 0.1:
         raise ValueError(f"delta must lie in [0, 0.1], got {delta}")
-    rng = np.random.default_rng(seed)
-    raw = rng.uniform(-delta, delta, size=(4, 4))
-    pert = 0.5 * (raw + raw.T)
-    peak = np.abs(pert).max()
-    if delta > 0.0 and peak > 0.0:
-        pert *= delta / peak * rng.uniform(0.5, 1.0)
-    return _MINKOWSKI.components + pert
+    r = np.asarray(uniforms, dtype=float)
+    if r.ndim != 2 or r.shape[1] != 17:
+        raise ValueError(f"uniforms must be (K, 17), got shape {r.shape}")
+    raw = (-delta + 2.0 * delta * r[:, :16]).reshape(-1, 4, 4)
+    pert = 0.5 * (raw + raw.swapaxes(1, 2))
+    peak = np.abs(pert).max(axis=(1, 2))
+    # peak is 0 only at delta = 0: that perturbation stays zero, with no 0 / 0
+    scale = delta / np.where(peak > 0.0, peak, 1.0) * (0.5 + 0.5 * r[:, 16])
+    return _MINKOWSKI.components + pert * scale[:, None, None]
 
 
 def random_lorentzian_near_minkowski(delta: float, seed: int) -> Metric4:
-    """The validated metric of `near_minkowski_components`(delta, seed)."""
-    return Metric4.from_components(near_minkowski_components(delta, seed))
+    """The validated metric of `near_minkowski_components` on 17 uniforms
+    drawn by default_rng(seed)."""
+    uniforms = np.random.default_rng(seed).random((1, 17))
+    return Metric4.from_components(near_minkowski_components(delta, uniforms)[0])

@@ -1,14 +1,15 @@
 """Seeded verification suites: the facts the package exists to check.
 
-Every suite draws its samples from per-index seeded generators, so results
-are bit-identical regardless of chunking or worker count, and every report
-carries the tolerances it used.
+Every suite draws its samples as one (K, Q) array of uniforms from one
+generator, default_rng(seed), and maps each column to one quantity by an
+affine map; sample idx is row idx.  Numpy fills the array row by row, so
+the first n samples of a run of N >= n are exactly the run of n.  Every
+report carries the tolerances it used.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,7 @@ from .characteristics import (BATCH_VALUES, FLUID_FACTORS, bisection_roots,
                               cone_roots, factor_base_values, factor_values,
                               quartic_coefficients, sound_quartic_general)
 from .constitutive import TransportModel
-from .symbol import (StatePoint, check_time_matrix_domain, det_by_elimination,
+from .symbol import (StatePoint, _dot, check_time_matrix_domain, det_by_elimination,
                      det_time_matrix_closed_form, symbol_components,
                      symbol_contractions)
 from .tensor import minkowski, near_minkowski_components, validate_metrics
@@ -35,40 +36,51 @@ TIME_MATRIX_TOL = 1e-10
 FACTORIZATION_MODEL = TransportModel(a1=4.0, eta_form="power", eta0=1.0, p_exp=0.75)
 
 
-def _factorization_draws(seed: int, indices, a2_range, delta: float):
-    """Per-index draws of the factorization suite, as arrays.
+def _alternating_metrics(delta: float, uniforms):
+    """Unvalidated metrics (K, 4, 4): Minkowski on even rows, and on odd
+    rows `near_minkowski_components` of that row's 17 uniforms."""
+    odd = np.arange(len(uniforms)) % 2 == 1
+    return np.where(odd[:, None, None], near_minkowski_components(delta, uniforms),
+                    minkowski().components)
 
-    Sample idx draws from its own generator default_rng((seed, idx)), in
-    this order: a2, eps, for odd idx the seed of its perturbed metric,
-    the spatial velocity w, for idx % 3 != 0 the time component u^0, and
-    the covector xi.  For idx % 3 == 0, u^0 solves g(u, u) = -1 instead.
-    Even idx use the Minkowski metric.  Returns a2, eps (K,), u, xi
-    (K, 4) and the unvalidated metric components (K, 4, 4).
+
+def _normalized(g, w):
+    """u (K, 4) with spatial part w (K, 3), u^0 > 0 and g(u, u) = -1.
+
+    g is one metric (4, 4) or one per row (K, 4, 4); u^0 solves the
+    quadratic g00 (u^0)^2 + b u^0 + c = 0, each contraction summed term
+    by term, so a row's u has the same bits in any batch.
     """
-    k = len(indices)
-    a2, eps = np.empty(k), np.empty(k)
-    u, xi = np.empty((k, 4)), np.empty((k, 4))
-    g = np.empty((k, 4, 4))
-    flat = minkowski().components
-    for j, idx in enumerate(indices):
-        rng = np.random.default_rng((seed, idx))
-        a2[j] = rng.uniform(*a2_range)
-        eps[j] = rng.uniform(0.5, 2.0)
-        gj = flat if idx % 2 == 0 else near_minkowski_components(
-            delta, int(rng.integers(0, 2 ** 31)))
-        w = rng.uniform(-3.0, 3.0, 3)
-        if idx % 3 == 0:
-            # normalized with respect to g: solve the quadratic for u^0
-            g00 = gj[0, 0]
-            b = 2.0 * float(gj[0, 1:] @ w)
-            c = float(w @ gj[1:, 1:] @ w) + 1.0
-            disc = b * b - 4.0 * g00 * c
-            u[j, 0] = (-b - np.sqrt(disc)) / (2.0 * g00)
-        else:
-            u[j, 0] = rng.uniform(0.5, 3.0)
-        u[j, 1:] = w
-        xi[j] = rng.uniform(-2.0, 2.0, 4)
-        g[j] = gj
+    g = np.broadcast_to(g, (len(w), 4, 4))
+    s = np.column_stack([np.zeros(len(w)), w])
+    g00 = g[:, 0, 0]
+    b = 2.0 * _dot(g[:, 0], s)
+    c = _dot(s, _dot(g, s[:, None, :])) + 1.0
+    u0 = (-b - np.sqrt(b * b - 4.0 * g00 * c)) / (2.0 * g00)
+    return np.column_stack([u0, w])
+
+
+def _factorization_draws(seed: int, samples: int, a2_range, delta: float):
+    """Draws of the factorization suite, as arrays; sample idx is row idx.
+
+    One (samples, 27) array of uniforms r from default_rng(seed), by
+    column: 0 a2 in a2_range, 1 eps in [0.5, 2), 2-4 the spatial velocity
+    w in [-3, 3), 5 the time component u^0 in [0.5, 3), 6-9 the covector
+    xi in [-2, 2), 10-26 the perturbed metric of odd rows.  Even rows use
+    the Minkowski metric; rows with idx % 3 == 0 ignore column 5, and
+    their u^0 solves g(u, u) = -1.  Returns a2, eps (K,), u, xi (K, 4)
+    and the unvalidated metric components (K, 4, 4).
+    """
+    r = np.random.default_rng(seed).random((samples, 27))
+    lo, hi = a2_range
+    a2 = lo + (hi - lo) * r[:, 0]
+    eps = 0.5 + 1.5 * r[:, 1]
+    w = -3.0 + 6.0 * r[:, 2:5]
+    g = _alternating_metrics(delta, r[:, 10:27])
+    u = np.column_stack([0.5 + 2.5 * r[:, 5], w])
+    norm = np.arange(samples) % 3 == 0
+    u[norm] = _normalized(g[norm], w[norm])
+    xi = -2.0 + 4.0 * r[:, 6:10]
     return a2, eps, u, xi, g
 
 
@@ -83,50 +95,21 @@ def _magnitude_scale(m: np.ndarray):
     return np.maximum(1.0, np.abs(m).max(axis=(-2, -1)) ** 5)
 
 
-def _first_worst(errors, indices):
+def _first_worst(errors):
     """(largest error, the lowest index that reaches it).
 
     A NaN error counts as the largest.  With no positive error the index
-    is -1.  Chunk results reduce by the same rule, so the answer does not
-    depend on how the indices were chunked.
+    is -1.
     """
     errors = np.asarray(errors, dtype=float)
-    indices = np.asarray(indices)
-    nan = np.isnan(errors)
-    if nan.any():
-        return float("nan"), int(indices[nan].min())
-    worst = errors.max(initial=0.0)
-    if worst <= 0.0:
+    if errors.size == 0:
         return 0.0, -1
-    return float(worst), int(indices[errors == worst].min())
-
-
-def _factorization_batch(seed: int, indices, a2_range, delta: float):
-    """Symbols (K, 5, 5) and flow * shear * sound products (K,) of the samples.
-
-    The metrics are validated as one stack; the symbols and the factors
-    read the same contractions.
-    """
-    a2, eps, u, xi, g = _factorization_draws(seed, indices, a2_range, delta)
-    g, ginv = validate_metrics(g)
-    eta = FACTORIZATION_MODEL.eta(eps)
-    symbols = symbol_components(u, eps, eta, a2 * eta, FACTORIZATION_MODEL.a1 * eta,
-                                g, ginv, xi)
-    _, _, uxi, xixi, uu = symbol_contractions(u, xi, g, ginv)
-    prods = np.ones(len(indices))
-    for family in (e.family for e in FLUID_FACTORS.entries):
-        prods *= factor_values(family, factor_base_values(family, uxi, xixi, uu, a2),
-                               eta, eps)
-    return symbols, prods
-
-
-def _factorization_chunk(args):
-    seed, indices, a2_range, delta = args
-    symbols, prods = _factorization_batch(seed, indices, a2_range, delta)
-    dets = det_by_elimination(symbols)
-    errors = np.abs(dets - prods) / np.maximum(
-        np.maximum(_magnitude_scale(symbols), np.abs(dets)), np.abs(prods))
-    return _first_worst(errors, indices)
+    # argmax returns the first NaN if there is one, else the first maximum
+    idx = int(np.argmax(errors))
+    worst = float(errors[idx])
+    if worst > 0.0 or np.isnan(worst):
+        return worst, idx
+    return 0.0, -1
 
 
 @dataclass(frozen=True)
@@ -166,21 +149,30 @@ def factorization_suite(samples: int = 10000, seed: int = 7,
 
     States mix Minkowski with perturbed metrics and normalized with
     unnormalized u; errors are scaled by max(1, E^5, |det|, |product|)
-    with E the largest symbol entry.
+    with E the largest symbol entry.  The metrics are validated as one
+    stack, and the symbols and the factors read the same contractions.
     """
+    # accepted only as 1 until the benchmark stops passing it (ROADMAP item 1)
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads}")
     t0 = time.perf_counter()
-    indices = np.arange(samples)
-    if threads <= 1:
-        worst, worst_idx = _factorization_chunk((seed, indices, a2_range, delta))
-    else:
-        chunks = np.array_split(indices, threads * 4)
-        args = [(seed, c, a2_range, delta) for c in chunks if len(c)]
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_factorization_chunk, args))
-        worst, worst_idx = _first_worst([r[0] for r in results], [r[1] for r in results])
+    a2, eps, u, xi, g = _factorization_draws(seed, samples, a2_range, delta)
+    g, ginv = validate_metrics(g)
+    eta = FACTORIZATION_MODEL.eta(eps)
+    symbols = symbol_components(u, eps, eta, a2 * eta, FACTORIZATION_MODEL.a1 * eta,
+                                g, ginv, xi)
+    _, _, uxi, xixi, uu = symbol_contractions(u, xi, g, ginv)
+    prods = np.ones(samples)
+    for family in (e.family for e in FLUID_FACTORS.entries):
+        prods *= factor_values(family, factor_base_values(family, uxi, xixi, uu, a2),
+                               eta, eps)
+    dets = det_by_elimination(symbols)
+    errors = np.abs(dets - prods) / np.maximum(
+        np.maximum(_magnitude_scale(symbols), np.abs(dets)), np.abs(prods))
+    worst, worst_idx = _first_worst(errors)
     return FactorizationReport(
         samples=samples, seed=seed, tolerance=DET_TOL,
-        max_scaled_error=float(worst), worst_index=int(worst_idx),
+        max_scaled_error=worst, worst_index=worst_idx,
         runtime_seconds=time.perf_counter() - t0,
         a2_range=tuple(a2_range), metric_delta=delta,
     )
@@ -217,29 +209,21 @@ class CollapseReport:
         }
 
 
-def _collapse_draws(seed: int, indices):
-    """Per-index draws of the collapse suite, as arrays.
+def _collapse_draws(seed: int, samples: int):
+    """Draws of the collapse suite, as arrays; sample idx is row idx.
 
-    Sample idx draws from its own generator default_rng((seed, idx)), in
-    this order: a2, for odd idx the seed of its perturbed metric, u^0, the
-    spatial velocity w, and the covector xi.  Even idx use the Minkowski
-    metric.  Returns a2 (K,), u, xi (K, 4) and the unvalidated metric
-    components (K, 4, 4).
+    One (samples, 26) array of uniforms r from default_rng(seed), by
+    column: 0 a2 in [4, 12), 1 the time component u^0 in [0.5, 3), 2-4
+    the spatial velocity w in [-3, 3), 5-8 the covector xi in [-2, 2),
+    9-25 the perturbed metric (delta 0.05) of odd rows.  Even rows use
+    the Minkowski metric, and u is not normalized.  Returns a2 (K,), u,
+    xi (K, 4) and the unvalidated metric components (K, 4, 4).
     """
-    k = len(indices)
-    a2 = np.empty(k)
-    u, xi = np.empty((k, 4)), np.empty((k, 4))
-    g = np.empty((k, 4, 4))
-    flat = minkowski().components
-    for j, idx in enumerate(indices):
-        rng = np.random.default_rng((seed, idx))
-        a2[j] = rng.uniform(4.0, 12.0)
-        g[j] = flat if idx % 2 == 0 else near_minkowski_components(
-            0.05, int(rng.integers(0, 2 ** 31)))
-        u[j, 0] = rng.uniform(0.5, 3.0)
-        u[j, 1:] = rng.uniform(-3.0, 3.0, 3)
-        xi[j] = rng.uniform(-2.0, 2.0, 4)
-    return a2, u, xi, g
+    r = np.random.default_rng(seed).random((samples, 26))
+    a2 = 4.0 + 8.0 * r[:, 0]
+    u = np.column_stack([0.5 + 2.5 * r[:, 1], -3.0 + 6.0 * r[:, 2:5]])
+    xi = -2.0 + 4.0 * r[:, 5:9]
+    return a2, u, xi, _alternating_metrics(0.05, r[:, 9:26])
 
 
 def collapse_suite(samples: int = 1000, seed: int = 11) -> CollapseReport:
@@ -250,11 +234,13 @@ def collapse_suite(samples: int = 1000, seed: int = 11) -> CollapseReport:
     checked in batches of BATCH_VALUES / 16, each metric stack validated
     at once; a NaN error counts as the largest and fails the suite.
     """
+    a2_all, u_all, xi_all, g_all = _collapse_draws(seed, samples)
     worst = 0.0
     chunk = BATCH_VALUES // 16
     for start in range(0, samples, chunk):
-        a2, u, xi, g = _collapse_draws(seed, range(start, min(start + chunk, samples)))
-        g, ginv = validate_metrics(g)
+        part = slice(start, start + chunk)
+        a2, u, xi = a2_all[part], u_all[part], xi_all[part]
+        g, ginv = validate_metrics(g_all[part])
         general = sound_quartic_general(u, xi, g, ginv, 4.0, a2)
         _, _, uxi, xixi, uu = symbol_contractions(u, xi, g, ginv)
         collapsed = uxi ** 2 * factor_base_values("sound", uxi, xixi, uu, a2)
@@ -309,24 +295,23 @@ class RootsReport:
         }
 
 
-def _roots_draws(seed: int, indices):
-    """States and unit spatial covectors (K, 3) of roots samples.
+def _roots_draws(seed: int, samples: int):
+    """Draws of the roots suite, as arrays; sample idx is row idx.
 
-    Sample idx draws from default_rng((seed, idx)): a2 in [4, 12], a
-    normalized boost with |w| <= 3 (the direction, then its scale), eps in
-    [0.5, 2] and the covector direction.
+    One (samples, 8) array of uniforms r from default_rng(seed), by
+    column: 0 a2 in [4, 12), 1-3 the direction of the spatial velocity w
+    in [-3, 3), 4 its scale in [0, 1), 5 eps in [0.5, 2), 6 and 7 the
+    unit spatial covector's z = 2 r - 1 and azimuth 2 pi r, which is
+    uniform on the sphere.  u is normalized for the Minkowski metric.
+    Returns a2, eps (K,), u (K, 4) and the covectors (K, 3).
     """
-    states, xibar = [], np.empty((len(indices), 3))
-    for j, idx in enumerate(indices):
-        rng = np.random.default_rng((seed, idx))
-        a2 = rng.uniform(4.0, 12.0)
-        w = rng.uniform(-3.0, 3.0, 3) * rng.uniform(0.0, 1.0)
-        u = np.array([np.sqrt(1.0 + w @ w), *w])
-        states.append(StatePoint(eps=rng.uniform(0.5, 2.0), u=u, g=minkowski(),
-                                 transport=TransportModel(a1=4.0, a2=a2)))
-        v = rng.normal(size=3)
-        xibar[j] = v / np.linalg.norm(v)
-    return states, xibar
+    r = np.random.default_rng(seed).random((samples, 8))
+    a2 = 4.0 + 8.0 * r[:, 0]
+    u = _normalized(minkowski().components, (-3.0 + 6.0 * r[:, 1:4]) * r[:, 4:5])
+    eps = 0.5 + 1.5 * r[:, 5]
+    z, phi = 2.0 * r[:, 6] - 1.0, 2.0 * np.pi * r[:, 7]
+    rho = np.sqrt(1.0 - z * z)
+    return a2, eps, u, np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
 
 
 def roots_suite(samples: int = 1000, seed: int = 13) -> RootsReport:
@@ -337,7 +322,10 @@ def roots_suite(samples: int = 1000, seed: int = 13) -> RootsReport:
     separated by at least the distinctness gap.  The oracle scans every
     sample of a family in one call.
     """
-    states, xibar = _roots_draws(seed, range(samples))
+    a2s, eps, u, xibar = _roots_draws(seed, samples)
+    states = [StatePoint(eps=float(e), u=ui, g=minkowski(),
+                         transport=TransportModel(a1=4.0, a2=float(a)))
+              for a, e, ui in zip(a2s, eps, u)]
     scans = {family: bisection_roots(states, xibar, family)
              for family in ("shear", "sound")}
     max_err = {"shear": 0.0, "sound": 0.0}
@@ -392,24 +380,27 @@ class TimeMatrixReport:
         }
 
 
+def _time_matrix_draws(seed: int, samples: int):
+    """Draws of the time-matrix suite, as arrays; sample idx is row idx.
+
+    One (samples, 6) array of uniforms r from default_rng(seed), by
+    column: 0 a2 in [4, 12), 1 eta0 in [0.5, 2), 2-4 the spatial velocity
+    w in [-3, 3), 5 eps in [0.5, 2).  u is normalized for the Minkowski
+    metric.  Returns a2, eta0, eps (K,) and u (K, 4).
+    """
+    r = np.random.default_rng(seed).random((samples, 6))
+    u = _normalized(minkowski().components, -3.0 + 6.0 * r[:, 2:5])
+    return 4.0 + 8.0 * r[:, 0], 0.5 + 1.5 * r[:, 1], 0.5 + 1.5 * r[:, 5], u
+
+
 def time_matrix_suite(samples: int = 1000, seed: int = 17) -> TimeMatrixReport:
     """Closed-form time-matrix determinant vs pivoted elimination.
 
     Domain of the closed form: Minkowski metric, normalized u, a1 = 4.
     Positivity over the sampled a2 >= 4 regime is asserted as well.
-    Sample idx draws from default_rng((seed, idx)): a2, then eta0 (with
-    eta_form "power" for even idx and "constant" for odd), the spatial
-    velocity w, and eps.
+    eta_form is "power" for even idx and "constant" for odd.
     """
-    a2, eta0, eps = np.empty(samples), np.empty(samples), np.empty(samples)
-    u = np.empty((samples, 4))
-    for idx in range(samples):
-        rng = np.random.default_rng((seed, idx))
-        a2[idx] = rng.uniform(4.0, 12.0)
-        eta0[idx] = rng.uniform(0.5, 2.0)
-        w = rng.uniform(-3.0, 3.0, 3)
-        u[idx] = np.sqrt(1.0 + w @ w), *w
-        eps[idx] = rng.uniform(0.5, 2.0)
+    a2, eta0, eps, u = _time_matrix_draws(seed, samples)
     g = minkowski()
     a1 = 4.0
     check_time_matrix_domain(g, u, a1)

@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -222,29 +221,30 @@ def test_cli_claim_commands_reject_bad_config(tmp_path, capsys, override, comman
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("flags,env", [
-    (["--threads", "0"], None),
-    (["--threads", "two"], None),
-    # one above the CPU count: rejected before any pool could start
-    (["--threads", str((os.cpu_count() or 1) + 1)], None),
-    ([], "abc"),
-    ([], "0"),
+@pytest.mark.parametrize("argv", [
+    ["roots", "--samples", "abc"],
+    ["roots", "--seed", "1.5"],
+    ["--bogus", "gevrey"],
+    ["gevrey", "--bogus"],
+    ["no-such-command"],
+    [],
+    # the removed worker-count flag, before and after the command
+    ["--threads", "2", "gevrey"],
+    ["gevrey", "--threads", "2"],
 ])
-def test_cli_rejects_bad_thread_count(tmp_path, capsys, monkeypatch, flags, env):
-    if env is None:
-        monkeypatch.delenv("VECF_THREADS", raising=False)
-    else:
-        monkeypatch.setenv("VECF_THREADS", env)
-    assert main(["--out", str(tmp_path)] + flags + ["gevrey"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: thread count")
-    assert err.count("\n") == 1
+def test_cli_malformed_arguments_are_config_errors(tmp_path, capsys, argv):
+    assert main(["--out", str(tmp_path)] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
     assert not any(tmp_path.iterdir())
 
 
-def test_cli_thread_count_from_environment(tmp_path, monkeypatch):
-    monkeypatch.setenv("VECF_THREADS", "1")
-    assert main(["--out", str(tmp_path), "gevrey"]) == 0
+def test_cli_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "--threads" not in capsys.readouterr().out
 
 
 CONVERGENCE_SMALL = ["--set", "convergence.resolutions=32 64 128",
@@ -271,14 +271,6 @@ def test_cli_convergence_filter_on_judges_no_order(tmp_path, capsys):
     assert payload["passed"] is True and code == 0
     assert out.rstrip().endswith("-> not judged (filter on)")
     assert "PASS" not in out
-
-
-def test_factorization_suite_worker_count_independent():
-    from vecf.verification import factorization_suite
-    one = factorization_suite(samples=240, seed=5, threads=1)
-    two = factorization_suite(samples=240, seed=5, threads=2)
-    assert one.max_scaled_error == two.max_scaled_error
-    assert one.worst_index == two.worst_index
 
 
 @pytest.mark.parametrize("override,command", [

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from vecf.tensor import (Metric4, minkowski, random_lorentzian_near_minkowski,
-                         validate_metrics)
+from vecf.tensor import (Metric4, minkowski, near_minkowski_components,
+                         random_lorentzian_near_minkowski, validate_metrics)
 
 
 def test_minkowski_components():
@@ -36,6 +36,16 @@ def test_delta_out_of_range_rejected():
         random_lorentzian_near_minkowski(0.2, 1)
     with pytest.raises(ValueError):
         random_lorentzian_near_minkowski(-0.01, 1)
+
+
+def test_perturbed_metric_rows_are_independent():
+    # row j of a stack has the bits of its one-row call
+    r = np.random.default_rng(3).random((6, 17))
+    stack = near_minkowski_components(0.05, r)
+    for j in range(6):
+        assert np.array_equal(stack[j], near_minkowski_components(0.05, r[j:j + 1])[0])
+    with pytest.raises(ValueError, match="uniforms must be"):
+        near_minkowski_components(0.05, r[:, :16])
 
 
 def test_inverse_identity_residual():

@@ -1,101 +1,92 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vecf.constitutive import TransportModel
-from vecf.symbol import StatePoint, fluid_symbol
-from vecf.tensor import minkowski, random_lorentzian_near_minkowski, validate_metrics
-from vecf.verification import (_collapse_draws, _factorization_batch,
-                               _factorization_draws, _first_worst, collapse_suite)
+from vecf.symbol import StatePoint, fluid_symbol, symbol_components
+from vecf.tensor import Metric4, minkowski, validate_metrics
+from vecf.verification import (FACTORIZATION_MODEL, _collapse_draws, _factorization_draws,
+                               _first_worst, _roots_draws, _time_matrix_draws,
+                               collapse_suite, factorization_suite)
 
 A2_RANGE = (4.0, 12.0)
 DELTA = 0.05
+ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
+
+SUITE_DRAWS = {
+    "factorization": lambda seed, n: _factorization_draws(seed, n, A2_RANGE, DELTA),
+    "collapse": _collapse_draws,
+    "roots": _roots_draws,
+    "time_matrix": _time_matrix_draws,
+}
 
 
-def reference_sample(idx: int, seed: int):
-    """One factorization sample drawn on its own, one call at a time.
+def _metrics_and_velocities(name, draws):
+    """(metrics (K, 4, 4), u (K, 4), rows meant to be normalized) of a suite's draws."""
+    rows = np.arange(len(draws[0]))
+    if name == "factorization":
+        return draws[4], draws[2], rows % 3 == 0
+    if name == "collapse":
+        return draws[3], draws[1], rows < 0
+    u = draws[2] if name == "roots" else draws[3]
+    return np.broadcast_to(ETA, (len(rows), 4, 4)), u, rows >= 0
 
-    The draw order the batched suite must keep: a2, eps, the perturbed
-    metric's seed (odd idx), w, u^0 (idx % 3 != 0, else g(u, u) = -1),
-    xi, all from default_rng((seed, idx)).
-    """
-    rng = np.random.default_rng((seed, idx))
-    a2 = rng.uniform(*A2_RANGE)
-    eps = rng.uniform(0.5, 2.0)
-    if idx % 2 == 0:
-        g = minkowski()
-    else:
-        g = random_lorentzian_near_minkowski(DELTA, int(rng.integers(0, 2 ** 31)))
-    w = rng.uniform(-3.0, 3.0, 3)
-    if idx % 3 == 0:
-        g00 = g.components[0, 0]
-        b = 2.0 * float(g.components[0, 1:] @ w)
-        c = float(w @ g.components[1:, 1:] @ w) + 1.0
-        u0 = (-b - np.sqrt(b * b - 4.0 * g00 * c)) / (2.0 * g00)
-    else:
-        u0 = rng.uniform(0.5, 3.0)
-    xi = rng.uniform(-2.0, 2.0, 4)
-    model = TransportModel(a1=4.0, a2=a2, eta_form="power", eta0=1.0, p_exp=0.75)
-    return StatePoint(eps=eps, u=np.array([u0, *w]), g=g, transport=model), xi
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(SUITE_DRAWS)), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 300), st.integers(0, 300))
+def test_draws_are_prefixes_and_admissible(name, seed, n, extra):
+    big = min(n + extra, 300)
+    short, full = SUITE_DRAWS[name](seed, n), SUITE_DRAWS[name](seed, big)
+    # the n-sample draw is the first n rows of the larger one, bit for bit
+    for a, b in zip(short, full):
+        assert a.tobytes() == np.ascontiguousarray(b[:n]).tobytes()
+    g, u, normalized = _metrics_and_velocities(name, full)
+    g, _ = validate_metrics(np.array(g))
+    # 1e-15: the rounding of -1 + perturbation on the diagonal
+    assert np.abs(g - ETA).max() <= DELTA + 1e-15
+    uu = np.einsum("ki,kij,kj->k", u, g, u)
+    assert np.all(np.abs(uu[normalized] + 1.0) <= 1e-12)
+    assert np.all(u[normalized, 0] > 0.0)
+    if name == "roots":
+        assert np.all(np.abs(np.linalg.norm(full[3], axis=1) - 1.0) <= 1e-15)
 
 
 @pytest.mark.parametrize("seed", [7, 2024])
-def test_batched_draws_and_symbols_match_per_index_reference(seed):
-    indices = np.arange(300)
-    a2, eps, u, xi, g = _factorization_draws(seed, indices, A2_RANGE, DELTA)
-    g, ginv = validate_metrics(g)
-    symbols, _ = _factorization_batch(seed, indices, A2_RANGE, DELTA)
-    for j, idx in enumerate(indices):
-        s, xi_ref = reference_sample(idx, seed)
-        assert a2[j] == s.transport.a2 and eps[j] == s.eps
-        assert np.array_equal(u[j], s.u) and np.array_equal(xi[j], xi_ref)
-        assert np.array_equal(g[j], s.g.components)
-        assert np.array_equal(ginv[j], s.g.inverse)
+def test_batched_symbols_match_single_state_symbols(seed):
+    a2, eps, u, xi, g_raw = _factorization_draws(seed, 300, A2_RANGE, DELTA)
+    g, ginv = validate_metrics(g_raw)
+    eta = FACTORIZATION_MODEL.eta(eps)
+    symbols = symbol_components(u, eps, eta, a2 * eta, FACTORIZATION_MODEL.a1 * eta,
+                                g, ginv, xi)
+    for j in range(300):
+        metric = minkowski() if j % 2 == 0 else Metric4.from_components(g_raw[j])
+        assert np.array_equal(g[j], metric.components)
+        assert np.array_equal(ginv[j], metric.inverse)
+        model = TransportModel(a1=4.0, a2=float(a2[j]), eta_form="power", eta0=1.0,
+                               p_exp=0.75)
+        s = StatePoint(eps=float(eps[j]), u=u[j], g=metric, transport=model)
         # one formula, every contraction summed in index order: the batched
         # symbol has the bits of the single-state call
-        assert np.array_equal(symbols[j], fluid_symbol(s, xi_ref))
+        assert np.array_equal(symbols[j], fluid_symbol(s, xi[j]))
+
+
+def test_factorization_suite_accepts_only_one_thread():
+    assert factorization_suite(samples=30, seed=5, threads=1).passed
+    with pytest.raises(ValueError, match="threads must be 1"):
+        factorization_suite(samples=30, seed=5, threads=2)
 
 
 def test_first_worst_takes_the_lowest_index_of_a_tie():
-    # chunk results in any order: the tie at 3e-17 goes to index 40
-    errors = [1e-17, 3e-17, 0.0, 3e-17]
-    indices = [5, 97, -1, 40]
-    assert _first_worst(errors, indices) == (3e-17, 40)
-    # within one chunk, the first of equal errors wins
-    assert _first_worst(np.array([2e-17, 3e-17, 3e-17]), np.arange(3)) == (3e-17, 1)
+    assert _first_worst(np.array([2e-17, 3e-17, 3e-17])) == (3e-17, 1)
 
 
 def test_first_worst_edge_cases():
-    assert _first_worst([], []) == (0.0, -1)
-    assert _first_worst([0.0, 0.0], [0, 1]) == (0.0, -1)
-    worst, idx = _first_worst([1e-17, np.nan, np.nan], [0, 8, 3])
-    assert np.isnan(worst) and idx == 3
-
-
-def reference_collapse_sample(idx: int, seed: int):
-    """One collapse sample drawn on its own, in the order the suite keeps:
-    a2, the perturbed metric's seed (odd idx), u^0, w, xi."""
-    rng = np.random.default_rng((seed, idx))
-    a2 = rng.uniform(4.0, 12.0)
-    if idx % 2 == 0:
-        g = minkowski()
-    else:
-        g = random_lorentzian_near_minkowski(0.05, int(rng.integers(0, 2 ** 31)))
-    u = np.array([rng.uniform(0.5, 3.0), *rng.uniform(-3.0, 3.0, 3)])
-    xi = rng.uniform(-2.0, 2.0, 4)
-    return a2, g, u, xi
-
-
-@pytest.mark.parametrize("seed", [11, 2024])
-def test_collapse_draws_match_per_index_reference(seed):
-    indices = range(300)
-    a2, u, xi, g = _collapse_draws(seed, indices)
-    g, ginv = validate_metrics(g)
-    for j, idx in enumerate(indices):
-        a2_ref, g_ref, u_ref, xi_ref = reference_collapse_sample(idx, seed)
-        assert a2[j] == a2_ref
-        assert np.array_equal(u[j], u_ref) and np.array_equal(xi[j], xi_ref)
-        assert np.array_equal(g[j], g_ref.components)
-        assert np.array_equal(ginv[j], g_ref.inverse)
+    assert _first_worst([]) == (0.0, -1)
+    assert _first_worst([0.0, 0.0]) == (0.0, -1)
+    worst, idx = _first_worst([1e-17, np.nan, np.nan])
+    assert np.isnan(worst) and idx == 1
 
 
 def test_collapse_suite_chunking_does_not_change_the_result(monkeypatch):
