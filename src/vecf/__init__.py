@@ -14,8 +14,7 @@ from .characteristics import (COUPLED_FACTORS, FLUID_FACTORS, FactorSet,
                               RootPair, bisection_roots, cone_coefficients,
                               cone_roots, cone_xi0, eval_factor,
                               eval_factor_base, gevrey_check, gevrey_index,
-                              is_hyperbolic, quartic_coefficients,
-                              sound_quartic_general)
+                              quartic_coefficients, sound_quartic_general)
 from .constitutive import (TransportModel, complete_initial_data,
                            stress_tensor_fields, transport)
 from .equations import (SinusoidalField, assemble_lower_order,

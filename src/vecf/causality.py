@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .characteristics import (BATCH_VALUES, FAMILIES, cone_coefficients, cone_xi0,
-                              quartic_coefficients)
+from .characteristics import (BATCH_VALUES, DISTINCTNESS_GAP, FAMILIES, FLUID_FACTORS,
+                              cone_coefficients, cone_xi0, quartic_coefficients)
 from .symbol import StatePoint
 from .tensor import minkowski
 
@@ -162,7 +162,7 @@ def _family_cones(family: str, a2: float, u2, thetas) -> list:
 
 def _fluid_verdict(fams: dict) -> str:
     """The overall verdict from the flow, shear and sound cones."""
-    fluid = [fams[k].verdict for k in ("flow", "shear", "sound")]
+    fluid = [fams[k].verdict for k in FLUID_FACTORS.families]
     if "violated" in fluid:
         return "violated"
     if "boundary" in fluid:
@@ -183,9 +183,10 @@ def cone_containment(s: StatePoint, n_theta: int = 720) -> ConeReport:
     a2 = s.transport.a2
     thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
     fams = {name: _family_cones(name, a2, [u2], thetas)[0] for name in FAMILIES}
-    v_fluid = max(fams[k].max_abs_slope for k in ("flow", "shear", "sound"))
+    v_fluid = max(fams[k].max_abs_slope for k in FLUID_FACTORS.families)
     return ConeReport(a2=a2, u2=u2, families=fams, verdict=_fluid_verdict(fams),
-                      v_max_fluid=v_fluid, v_max_coupled=max(v_fluid, 1.0))
+                      v_max_fluid=v_fluid,
+                      v_max_coupled=max(v_fluid, fams["light"].max_abs_slope))
 
 
 def max_characteristic_speed(s: StatePoint) -> float:
@@ -221,8 +222,7 @@ def causality_scan(a2_list, u_max: float, n_u: int = 33, n_theta: int = 720) -> 
     u2 = speeds * speeds
     thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
     for a2 in a2_list:
-        cones = {name: _family_cones(name, a2, u2, thetas)
-                 for name in ("flow", "shear", "sound")}
+        cones = {name: _family_cones(name, a2, u2, thetas) for name in FLUID_FACTORS.families}
         for i, w2 in enumerate(u2.tolist()):
             fams = {name: c[i] for name, c in cones.items()}
             rows.append(ScanRow(
@@ -286,13 +286,12 @@ def _quadratic_factor_slopes(r: float, u2_samples, n_theta: int):
         s1, s2, _ = cone_xi0(1.0, 0.0 if flow else r, u2, np.sqrt(u2) * np.cos(thetas))
     except ValueError:                 # a degenerate or complex root pair
         return False, np.inf
-    if not flow and np.any(np.abs(s1 - s2) < 1e-8):
+    if not flow and np.any(np.abs(s1 - s2) < DISTINCTNESS_GAP):
         return False, np.inf
     return True, float(max(np.abs(s1).max(), np.abs(s2).max()))
 
 
-def hyperbolicity_region_map(a1_grid, a2_grid, u_samples=None, n_theta: int = 64,
-                             seed: int = 0) -> list:
+def hyperbolicity_region_map(a1_grid, a2_grid, u_samples=None, n_theta: int = 64) -> list:
     """Classify the sound-sector quartic over an (a1, a2) grid.
 
     Per cell: extract the quartic coefficients (A, B, C) in
@@ -300,16 +299,18 @@ def hyperbolicity_region_map(a1_grid, a2_grid, u_samples=None, n_theta: int = 64
     (B^2 - 4AC >= 0, real quadratic factors), hyperbolicity of each factor
     over sampled boosts and directions, and slopes <= 1.  The degenerate
     leading coefficients (A ~ 0 or C ~ 0) reduce to light-cone or
-    flow-cone factors and are classified accordingly.  The coefficients of
-    all cells come from one batched `quartic_coefficients` call, each with
-    the bits of its own extraction.
+    flow-cone factors and are classified accordingly; a light-cone
+    factor's slope is the light row of the cone table.  The coefficients
+    of all cells come from one batched `quartic_coefficients` call, each
+    with the bits of its own extraction.
     """
     if u_samples is None:
         u_samples = [0.0, 0.25, 1.0, 4.0]
     a1_grid = np.asarray(a1_grid, dtype=float)
     a2_grid = np.asarray(a2_grid, dtype=float)
     co = quartic_coefficients(np.repeat(a1_grid, len(a2_grid)), np.tile(a2_grid, len(a1_grid)),
-                              np.array([1.0, 0.0, 0.0, 0.0]), minkowski(), seed=seed)
+                              np.array([1.0, 0.0, 0.0, 0.0]), minkowski())
+    light_slope = max(abs(float(s)) for s in cone_slopes("light", 0.0, 0.0, 0.0))
     coeffs = zip(co.A.tolist(), co.B.tolist(), co.C.tolist())
     cells = []
     for a1 in a1_grid:
@@ -338,7 +339,7 @@ def hyperbolicity_region_map(a1_grid, a2_grid, u_samples=None, n_theta: int = 64
                 cells.append(RegionCell(float(a1), float(a2), "non-hyperbolic", np.inf))
                 continue
             hyperbolic = True
-            smax = 1.0 if light_cone_factors else 0.0
+            smax = light_slope if light_cone_factors else 0.0
             for r in factors:
                 # factor (u.xi)^2 - r xi.xi
                 ok, fmax = _quadratic_factor_slopes(float(r), u_samples, n_theta)

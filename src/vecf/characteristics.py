@@ -1,4 +1,4 @@
-"""Characteristic factors of the fluid symbol: closed forms, roots, hyperbolicity.
+"""Characteristic factors of the fluid symbol: closed forms, roots, Gevrey indices.
 
 The determinant of the 5x5 fluid symbol factors into four families of
 hyperbolic polynomials; each family is tracked here both as the full factor
@@ -33,7 +33,7 @@ import numpy as np
 from .symbol import StatePoint, _as_covector, symbol_contractions
 from .tensor import Metric4
 
-DISTINCTNESS_GAP = 1e-8  # absolute, for unit-sphere spatial directions
+DISTINCTNESS_GAP = 1e-8  # least separation of distinct roots, for unit directions
 # a batched oracle's temporaries hold at most about this many float64
 # values (0.25 MB); several are alive at once
 BATCH_VALUES = 32768
@@ -55,6 +55,10 @@ class FactorSet:
     """Bookkeeping of hyperbolic factors; drives the Gevrey-index arithmetic."""
 
     entries: tuple
+
+    @property
+    def families(self) -> tuple:
+        return tuple(e.family for e in self.entries)
 
     @property
     def total_degree(self) -> int:
@@ -129,18 +133,19 @@ def eval_factor_base(family: str, s: StatePoint, xi):
     """The underlying hyperbolic polynomial of a family at (state, covector).
 
     xi is one covector (4,), giving a float, or a batch (4, K), giving K
-    values.  The contractions are `symbol_contractions` sums, so a batched
-    value has the bits of the single-covector one.
+    values.  One covector is the batch K = 1: `**` on a numpy scalar can
+    differ in its last bit from `**` on an array, so a batched value has
+    the bits of the single-covector one only because both are arrays.
     """
     xi = np.asarray(xi, dtype=float)
     single = xi.ndim != 2
     if single:
-        xi = _as_covector(xi)
+        xi = _as_covector(xi)[:, None]
     elif xi.shape[0] != 4:
         raise ValueError(f"covector batch must have shape (4, K), got {xi.shape}")
     _, _, uxi, xixi, uu = symbol_contractions(s.u, xi.T, s.g.components, s.g.inverse)
     base = factor_base_values(family, uxi, xixi, uu, s.transport.a2)
-    return float(base) if single else base
+    return float(base[0]) if single else base
 
 
 def eval_factor(family: str, s: StatePoint, xi) -> float:
@@ -211,29 +216,24 @@ class QuarticCoefficients:
     residual: object
 
 
-def quartic_coefficients(a1, a2, u, g, seed: int = 0,
-                         retries: int = 5) -> QuarticCoefficients:
-    """Coefficients (A, B, C) of the quartic in X = (u.xi)^2, Y = xi.xi.
+def quartic_coefficients(a1, a2, u, g) -> QuarticCoefficients:
+    """Coefficients (A, B, C) of the sound quartic q = A X^2 + B X Y + C Y^2.
 
-    The general sound-sector polynomial has the form A X^2 + B X Y + C Y^2.
-    C is read off a covector orthogonal to u: there X = 0, so the
-    polynomial is C Y^2 alone, and C carries no error from fitting A and B.
-    (A 3x3 fit of all three coefficients at once leaves C at 1e-10 where
-    it vanishes, a1 = 4.)  A and B then solve the 2x2 system of the
-    remainder A X^2 + B X Y at two sampled covectors, and the fit is
-    validated on a held-out third sample (relative residual <= 1e-8
-    required).  Sampling retries on an ill-conditioned draw; u must be
-    non-null so that X and Y are independent.
+    X = (u.xi)^2 and Y = xi.xi, and q is read at four fixed covectors.
+    p = e1 - (u^1 / u.u) u_flat is orthogonal to u, so X = 0 there and
+    C = q(p) / Y_p^2.  u_flat + s p, s = 1, 2, 3, share X = (u.u)^2 and have
+    Y_s = u.u + s^2 Y_p.  With r_s = q_s - C Y_s^2, s = 1 and 2 give
+    B = (r_1 - r_2) / (X (Y_1 - Y_2)) and A = (r_1 - B X Y_1) / X^2; s = 3
+    is held out, and its relative residual must be <= 1e-8.  At u = e0 on
+    Minkowski, p = e1 and u_flat + p is null, so C and A are single quartic
+    values.  u must be non-null, and |Y_p| >= 1e-3, which fails only for
+    spacelike u.
 
     a1 and a2 are scalars, giving float coefficients, or 1-D arrays of K
-    cells, giving arrays.  The cells share u, g and the sampled
-    covectors, and each keeps the first attempt whose fit it passes, so a
-    cell's coefficients have the same bits as its call alone.
+    cells, giving arrays.  Every step is elementwise, so a cell has the
+    same bits alone as in a batch.
     """
-    if isinstance(g, Metric4):
-        metric = g
-    else:
-        metric = Metric4.from_components(np.asarray(g, dtype=float))
+    metric = g if isinstance(g, Metric4) else Metric4.from_components(np.asarray(g, float))
     gmat, ginv = metric.components, metric.inverse
     u = np.asarray(u, dtype=float).reshape(4)
     a1, a2 = np.broadcast_arrays(np.asarray(a1, dtype=float), np.asarray(a2, dtype=float))
@@ -243,50 +243,29 @@ def quartic_coefficients(a1, a2, u, g, seed: int = 0,
     uu = float(u @ u_dn)
     if abs(uu) < 1e-12:
         raise ValueError("u must be non-null for coefficient extraction")
-    coeffs = np.full((4, len(a1)), np.nan)       # A, B, C, residual per cell
-    todo = np.arange(len(a1))
-    rng = np.random.default_rng(seed)
-    last_err = None
-    for _ in range(retries):
-        xis = rng.uniform(-1.0, 1.0, size=(4, 4))
-        # u.perp = 0 up to rounding, and exactly when u is a basis vector
-        xis[0] = xis[0] - float(u @ xis[0]) / uu * u_dn
-        # y_perp and the fit rows take the quartic's own contractions, so
-        # C = quartic / y_perp^2 divides like by like
-        _, _, uxi, xixi, _ = symbol_contractions(u, xis, gmat, ginv)
-        y_perp = float(xixi[0])
-        if abs(y_perp) < 1e-3:
-            last_err = "orthogonal sample too close to the light cone"
-            continue
-        X, Y = uxi[1:] ** 2, xixi[1:]
-        rows = np.stack([X ** 2, X * Y, Y ** 2], axis=1)
-        if np.linalg.cond(rows[:2, :2]) > 1e10:
-            last_err = "ill-conditioned sample system"
-            continue
-        # the perpendicular covector, then the three samples, for every cell
-        vals = sound_quartic_general(u, xis[:, None], gmat, ginv, a1[todo], a2[todo])
-        C = vals[0] / y_perp ** 2
-        # one 2x2 solve per cell, so each cell's LAPACK call is its solo call
-        A, B = np.linalg.solve(np.broadcast_to(rows[:2, :2], (len(todo), 2, 2)),
-                               (vals[1:3] - C * rows[:2, 2:]).T[..., None])[..., 0].T
-        recon = A * rows[2, 0] + B * rows[2, 1] + C * rows[2, 2]
-        scale = np.maximum.reduce([np.ones_like(C), np.abs(vals[3]), np.abs(A * rows[2, 0]),
-                                   np.abs(B * rows[2, 1]), np.abs(C * rows[2, 2])])
-        resid = np.abs(recon - vals[3]) / scale
-        ok = resid <= 1e-8
-        coeffs[:, todo[ok]] = A[ok], B[ok], C[ok], resid[ok]
-        if ok.all():
-            break
-        bad = int(np.flatnonzero(~ok)[0])
-        last_err = f"held-out residual {resid[bad]:.2e}" + (
-            "" if single else f" in cell {int(todo[bad])}")
-        todo = todo[~ok]
-    else:
-        raise RuntimeError(f"quartic coefficient extraction failed after {retries} "
-                           f"attempts: {last_err}")
-    if single:
-        return QuarticCoefficients(*(float(c[0]) for c in coeffs))
-    return QuarticCoefficients(*coeffs)
+    p = np.array([0.0, 1.0, 0.0, 0.0]) - u[1] / uu * u_dn
+    xis = np.array([p, u_dn + p, u_dn + 2.0 * p, u_dn + 3.0 * p])
+    # Y_p and the X, Y of each covector take the quartic's own
+    # contractions, so C = q(p) / Y_p^2 divides like by like
+    _, _, uxi, xixi, _ = symbol_contractions(u, xis, gmat, ginv)
+    y_p = float(xixi[0])
+    if abs(y_p) < 1e-3:
+        raise ValueError(f"covector orthogonal to u near the light cone: Y_p = {y_p:.3e}")
+    X, Y = uxi[1:] ** 2, xixi[1:]
+    q = sound_quartic_general(u, xis[:, None], gmat, ginv, a1, a2)
+    C = q[0] / y_p ** 2
+    r = q[1:3] - C * Y[:2, None] ** 2
+    B = (r[0] - r[1]) / (X[0] * (Y[0] - Y[1]))
+    A = (r[0] - B * X[0] * Y[0]) / X[0] ** 2
+    terms = (A * X[2] ** 2, B * X[2] * Y[2], C * Y[2] ** 2)
+    scale = np.maximum.reduce([np.ones_like(C), np.abs(q[3])] + [np.abs(t) for t in terms])
+    resid = np.abs(sum(terms) - q[3]) / scale
+    bad = np.flatnonzero(~(resid <= 1e-8))
+    if bad.size:
+        k = bad[0]
+        raise RuntimeError(f"quartic coefficient extraction failed at a1 = {a1[k]:g}, "
+                           f"a2 = {a2[k]:g}: held-out residual {resid[k]:.2e}")
+    return QuarticCoefficients(*(float(c[0]) if single else c for c in (A, B, C, resid)))
 
 
 @dataclass(frozen=True)
@@ -328,21 +307,33 @@ def cone_xi0(alpha, beta, w2, wxi, xb2=1.0):
     return -(drift + root) / D, -(drift - root) / D, R
 
 
+def cone_roots_batch(family: str, xibar, u, a2):
+    """(minus, plus, R) of `cone_xi0` for a family's cone at K states.
+
+    xibar (K, 3), u (K, 4) and a2 (K,); Minkowski metric and normalized u,
+    checked for the whole batch.  |w|^2, w.xibar and |xibar|^2 are
+    stacked (1, 3) @ (3, 1) products, each the dot of one state's vectors,
+    so a state has the same bits alone as in a batch.
+    """
+    uu = -u[:, 0] ** 2 + u[:, 1] ** 2 + u[:, 2] ** 2 + u[:, 3] ** 2
+    off = np.flatnonzero(np.abs(uu + 1.0) > 1e-10)
+    if off.size:
+        raise ValueError(f"closed-form roots need normalized u; u.u = {uu[off[0]]}")
+    w, xb = u[:, None, 1:], xibar[:, None, :]
+    wT, xbT = u[:, 1:, None], xibar[:, :, None]
+    alpha, beta = cone_coefficients(family, a2)
+    return cone_xi0(alpha, beta, (w @ wT)[:, 0, 0], (w @ xbT)[:, 0, 0], (xb @ xbT)[:, 0, 0])
+
+
 def cone_roots(family: str, xibar, u, a2: float) -> RootPair:
     """Closed-form xi0 roots of a family's cone (Minkowski, normalized u)."""
-    alpha, beta = cone_coefficients(family, a2)
-    xibar = np.asarray(xibar, dtype=float).reshape(3)
-    u = np.asarray(u, dtype=float).reshape(4)
-    uu = -u[0] ** 2 + u[1] ** 2 + u[2] ** 2 + u[3] ** 2
-    if abs(uu + 1.0) > 1e-10:
-        raise ValueError(f"closed-form roots need normalized u; u.u = {uu}")
+    xibar = np.asarray(xibar, dtype=float).reshape(1, 3)
     if not np.any(xibar != 0.0):
         raise ValueError("spatial covector must be nonzero")
-    w = u[1:]
-    minus, plus, radicand = cone_xi0(alpha, beta, float(w @ w), float(w @ xibar),
-                                     float(xibar @ xibar))
-    return RootPair(plus=float(plus), minus=float(minus),
-                    discriminant=float(radicand))
+    minus, plus, radicand = cone_roots_batch(family, xibar,
+                                             np.asarray(u, dtype=float).reshape(1, 4), a2)
+    return RootPair(plus=float(plus[0]), minus=float(minus[0]),
+                    discriminant=float(radicand[0]))
 
 
 @dataclass(frozen=True)
@@ -475,46 +466,6 @@ def bisection_roots(s, xibar, family: str, grid: int = 1024, tol: float = 1e-12)
                               factor_multiplicity=_family(family).multiplicity,
                               min_gap=float(min(gaps)) if gaps else np.inf))
     return scans[0] if single else scans
-
-
-@dataclass(frozen=True)
-class HyperbolicityReport:
-    is_hyperbolic: bool
-    witness: np.ndarray | None
-    min_gap: float
-    samples: int
-    light_cone_tangent: bool
-
-
-def is_hyperbolic(s: StatePoint, family: str, samples: int = 64,
-                  seed: int = 0) -> HyperbolicityReport:
-    """Sample unit spatial directions and demand full real distinct roots.
-
-    True iff every sampled direction yields base_degree(family) real roots
-    pairwise separated by at least DISTINCTNESS_GAP.  The first failing
-    direction is returned as a witness.  Directions whose roots sit on the
-    light cone (|xi0| = |xibar|) are flagged; tangency alone is not a
-    failure as long as the roots stay distinct from each other.  All
-    directions are drawn first and scanned in one `bisection_roots` call.
-    """
-    rng = np.random.default_rng(seed)
-    dirs = rng.normal(size=(max(samples, 0), 3))
-    for v in dirs:
-        v /= np.linalg.norm(v)
-    min_gap = np.inf
-    tangent = samples > 0
-    deg = base_degree(family)
-    for v, scan in zip(dirs, bisection_roots(s, dirs, family)):
-        if not scan.complete:
-            return HyperbolicityReport(False, v.copy(), float(min_gap), samples, False)
-        if deg > 1:
-            if scan.min_gap < DISTINCTNESS_GAP:
-                return HyperbolicityReport(False, v.copy(), float(scan.min_gap), samples,
-                                           False)
-            min_gap = min(min_gap, scan.min_gap)
-        if not all(abs(abs(r) - 1.0) < 1e-6 for r in scan.roots):
-            tangent = False
-    return HyperbolicityReport(True, None, float(min_gap), samples, tangent)
 
 
 def gevrey_index(f: FactorSet) -> Fraction:

@@ -186,6 +186,12 @@ class ConvergenceReport:
         vals = [o for o in self.orders.values() if o is not None]
         return max(vals) if vals else None
 
+    @property
+    def passed(self) -> bool:
+        """Criterion 08d: an observed order, and in ORDER_WINDOW."""
+        order = self.observed_order
+        return order is not None and ORDER_WINDOW[0] <= order <= ORDER_WINDOW[1]
+
     def drift_orders(self) -> list:
         ns = sorted(self.drift)
         return [float(np.log2(self.drift[ns[i]] / self.drift[ns[i + 1]]))

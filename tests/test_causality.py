@@ -276,8 +276,7 @@ def test_cone_containment_matches_reference():
         assert repr(got) == repr(fams)
 
 
-def reference_region_map(a1_grid, a2_grid, u_samples=(0.0, 0.25, 1.0, 4.0), n_theta=64,
-                         seed=0):
+def reference_region_map(a1_grid, a2_grid, u_samples=(0.0, 0.25, 1.0, 4.0), n_theta=64):
     """hyperbolicity_region_map one (a1, a2) cell at a time."""
     from vecf.causality import BOUNDARY_TOL, _quadratic_factor_slopes
     from vecf.characteristics import quartic_coefficients
@@ -285,7 +284,7 @@ def reference_region_map(a1_grid, a2_grid, u_samples=(0.0, 0.25, 1.0, 4.0), n_th
     for a1 in a1_grid:
         for a2 in a2_grid:
             co = quartic_coefficients(float(a1), float(a2), np.array([1.0, 0.0, 0.0, 0.0]),
-                                      minkowski(), seed=seed)
+                                      minkowski())
             A, B, C = co.A, co.B, co.C
             scale = max(1.0, abs(A), abs(B), abs(C))
             factors, light = [], 0

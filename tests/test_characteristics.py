@@ -9,12 +9,11 @@ from vecf import characteristics
 from vecf.characteristics import (COUPLED_FACTORS, FAMILIES, FLUID_FACTORS,
                                   bisection_roots, cone_roots, eval_factor,
                                   eval_factor_base, gevrey_index,
-                                  is_hyperbolic, quartic_coefficients,
-                                  sound_quartic_general)
+                                  quartic_coefficients, sound_quartic_general)
 from vecf.constitutive import TransportModel
 from vecf.symbol import StatePoint, det_by_elimination, fluid_symbol
 from vecf.tensor import minkowski, random_lorentzian_near_minkowski
-from vecf.verification import COEFF_ZERO_TOL, ROOT_TOL
+from vecf.verification import COEFF_ZERO_TOL, ROOT_TOL, collapse_suite
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
 E1 = np.array([0.0, 1.0, 0.0, 0.0])
@@ -120,7 +119,7 @@ def test_quartic_reconstruction_matches_direct():
     rng = np.random.default_rng(8)
     for a1 in (1.0, 2.5, 4.0, 6.0):
         u = np.array([np.sqrt(1.0 + 1.25), 0.5, -1.0, 0.0])
-        co = quartic_coefficients(a1, 7.0, u, minkowski(), seed=3)
+        co = quartic_coefficients(a1, 7.0, u, minkowski())
         s = StatePoint(eps=1.0, u=u, g=minkowski(),
                        transport=TransportModel(a1=a1, a2=7.0))
         for _ in range(20):
@@ -135,6 +134,25 @@ def test_quartic_reconstruction_matches_direct():
 def test_quartic_needs_non_null_u():
     with pytest.raises(ValueError):
         quartic_coefficients(4.0, 6.0, np.array([1.0, 1.0, 0, 0]), minkowski())
+
+
+def test_quartic_coefficients_reject_a_null_p():
+    # u = e1 is spacelike, and the covector orthogonal to it built from e1 is 0
+    with pytest.raises(ValueError, match="light cone"):
+        quartic_coefficients(4.0, 6.0, E1, minkowski())
+
+
+def test_quartic_coefficients_held_out_failure_names_the_cell(monkeypatch):
+    original = characteristics.sound_quartic_general
+
+    def spoiled(u, xi, g, ginv, a1, a2):
+        vals = original(u, xi, g, ginv, a1, a2)
+        vals[3] = np.where(np.asarray(a1) == 2.0, vals[3] * (1.0 + 1e-6), vals[3])
+        return vals
+
+    monkeypatch.setattr(characteristics, "sound_quartic_general", spoiled)
+    with pytest.raises(RuntimeError, match="a1 = 2, a2 = 6: held-out residual"):
+        quartic_coefficients(np.array([1.0, 2.0, 4.0]), 6.0, E0, minkowski())
 
 
 def test_shear_roots_rest():
@@ -232,28 +250,6 @@ def test_bisection_flow_root_degenerate_multiplicity():
     assert scan.factor_multiplicity == 4
 
 
-def test_is_hyperbolic_in_regime():
-    s = rest(a2=5.0)
-    for family in ("shear", "sound"):
-        rep = is_hyperbolic(s, family, samples=32, seed=1)
-        assert rep.is_hyperbolic
-        assert rep.witness is None
-
-
-def test_is_hyperbolic_sound_boundary_flagged():
-    rep = is_hyperbolic(rest(a2=4.0), "sound", samples=16, seed=2)
-    assert rep.is_hyperbolic            # roots distinct from each other
-    assert rep.light_cone_tangent       # but they sit on the light cone
-
-
-def test_is_hyperbolic_fails_off_regime():
-    s = StatePoint(eps=1.0, u=np.array([np.sqrt(2.0), 1.0, 0, 0]),
-                   g=minkowski(), transport=TransportModel(a2=0.5))
-    rep = is_hyperbolic(s, "sound", samples=64, seed=3)
-    assert not rep.is_hyperbolic
-    assert rep.witness is not None
-
-
 def test_gevrey_indices():
     assert gevrey_index(FLUID_FACTORS) == Fraction(7, 6)
     assert gevrey_index(COUPLED_FACTORS) == Fraction(17, 16)
@@ -275,26 +271,37 @@ def test_factor_set_degrees():
 
 
 def test_all_families_hyperbolic_above_boundary():
-    # a2 > 4, Minkowski, normalized u: every factor family passes the
-    # 64-direction hyperbolicity test
+    # a2 > 4, Minkowski, normalized u: in every direction each family's base
+    # polynomial has its full count of real roots, pairwise distinct
     s = StatePoint(eps=1.2, u=np.array([np.sqrt(1.0 + 1.25), 1.0, -0.5, 0.0]),
                    g=minkowski(), transport=TransportModel(a2=5.0))
+    dirs = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0],
+                     [0.6, 0.8, 0], [1.0, 1.0, 1.0] / np.sqrt(3.0)])
     for family in ("flow", "shear", "sound", "light"):
-        rep = is_hyperbolic(s, family, samples=64, seed=7)
-        assert rep.is_hyperbolic, family
+        for scan in bisection_roots(s, dirs, family):
+            assert scan.complete, family
+            assert scan.min_gap >= characteristics.DISTINCTNESS_GAP, family
 
 
 def test_quartic_coefficients_c_at_a1_4_every_suite_seed():
-    # collapse_suite extracts C at rest with its own seed as sampling seed,
-    # so every suite seed must give |C| <= COEFF_ZERO_TOL at a1 = 4
-    u = np.array([1.0, 0.0, 0.0, 0.0])
-    worst = max(abs(quartic_coefficients(4.0, 6.0, u, minkowski(), seed=seed).C)
-                for seed in range(2000))
-    assert worst <= COEFF_ZERO_TOL
-    for seed in range(0, 2000, 97):
-        for a1 in (1.0, 2.0, 6.0):
-            co = quartic_coefficients(a1, 6.0, u, minkowski(), seed=seed)
-            assert co.C == pytest.approx(6.0 * (a1 - 4.0), rel=1e-12)
+    # collapse_suite's C values read no sample, so every suite seed reports
+    # C = a2 (a1 - 4) exactly
+    for seed in (0, 7, 11, 13, 2024):
+        rep = collapse_suite(samples=1, seed=seed)
+        assert rep.c_at_a1_4 == 0.0
+        assert rep.c_off_values == {"a1=1": -18.0, "a1=2": -12.0, "a1=6": 12.0}
+
+
+def test_quartic_coefficients_exact_at_rest():
+    # at u = e0 on Minkowski the covectors are e1 and (-1, s, 0, 0), and
+    # every coefficient of these (a1, a2) is an exact float
+    a1, a2 = (g.ravel() for g in np.meshgrid(np.arange(0.0, 8.25, 0.5),
+                                             np.arange(0.5, 12.25, 0.5), indexing="ij"))
+    co = quartic_coefficients(a1, a2, E0, minkowski())
+    assert len(a1) == 408
+    assert np.array_equal(co.C, a2 * (a1 - 4.0))
+    assert np.array_equal(co.A, 4.0 * (a1 * a2 - 3.0 * a1 - a2))
+    assert np.array_equal(co.B, -4.0 * (3.0 * a1 + 2.0 * a2 + a1 * a2))
 
 
 def test_quartic_coefficients_c_at_a1_4_boosted():
@@ -303,7 +310,7 @@ def test_quartic_coefficients_c_at_a1_4_boosted():
         w = rng.uniform(-3.0, 3.0, 3)
         u = np.array([np.sqrt(1.0 + w @ w), *w])
         g = minkowski() if seed % 2 else random_lorentzian_near_minkowski(0.05, seed)
-        co = quartic_coefficients(4.0, rng.uniform(4.0, 12.0), u, g, seed=seed)
+        co = quartic_coefficients(4.0, rng.uniform(4.0, 12.0), u, g)
         assert abs(co.C) <= COEFF_ZERO_TOL
         assert co.residual <= 1e-8
 
@@ -456,76 +463,13 @@ def test_bisection_roots_pairs_one_state_with_many_directions():
         bisection_roots([s, s], np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), "sound")
 
 
-def reference_is_hyperbolic(s, family, samples, seed):
-    """`is_hyperbolic` scanning one direction at a time, as it was written."""
-    rng = np.random.default_rng(seed)
-    min_gap = np.inf
-    tangent = samples > 0
-    deg = characteristics.base_degree(family)
-    for _ in range(samples):
-        v = rng.normal(size=3)
-        v /= np.linalg.norm(v)
-        scan = bisection_roots(s, v, family)
-        if not scan.complete:
-            return False, v, float(min_gap), False
-        if deg > 1:
-            if scan.min_gap < characteristics.DISTINCTNESS_GAP:
-                return False, v, float(scan.min_gap), False
-            min_gap = min(min_gap, scan.min_gap)
-        if not all(abs(abs(r) - 1.0) < 1e-6 for r in scan.roots):
-            tangent = False
-    return True, None, float(min_gap), tangent
-
-
-@pytest.mark.parametrize("a2,w,family,seed", [
-    (5.0, (0.5, -0.2, 0.1), "shear", 1),
-    (4.0, (0.0, 0.0, 0.0), "sound", 2),
-    (0.5, (1.0, 0.0, 0.0), "sound", 3),       # fails: a witness
-    (5.0, (1.0, -0.5, 0.0), "flow", 7),
-    (6.0, (2.0, 1.0, -1.0), "light", 4),
-])
-def test_is_hyperbolic_matches_direction_by_direction(a2, w, family, seed):
-    s = rest(a2=a2).boosted(w)
-    rep = is_hyperbolic(s, family, samples=32, seed=seed)
-    ok, witness, min_gap, tangent = reference_is_hyperbolic(s, family, 32, seed)
-    assert rep.is_hyperbolic == ok
-    assert (rep.witness is None) == (witness is None)
-    if witness is not None:
-        assert np.array_equal(rep.witness, witness)
-    assert rep.min_gap == min_gap
-    assert rep.light_cone_tangent == tangent
-
-
 def test_quartic_coefficients_batch_matches_each_cell_alone():
     a1 = np.array([1.0, 2.0, 4.0, 6.0, 3.5])
     a2 = np.array([6.0, 2.0, 9.0, 1.0, 12.0])
     boosted = np.array([np.sqrt(2.25), 0.5, -1.0, 0.0])
     for u, g in ((E0, minkowski()), (boosted, random_lorentzian_near_minkowski(0.05, 9))):
-        batch = quartic_coefficients(a1, a2, u, g, seed=5)
+        batch = quartic_coefficients(a1, a2, u, g)
         for k in range(len(a1)):
-            alone = quartic_coefficients(a1[k], a2[k], u, g, seed=5)
+            alone = quartic_coefficients(a1[k], a2[k], u, g)
             assert (batch.A[k], batch.B[k], batch.C[k], batch.residual[k]) == (
                 alone.A, alone.B, alone.C, alone.residual)
-
-
-def test_quartic_coefficients_retries_each_cell_on_its_own(monkeypatch):
-    # spoil the first attempt's held-out value for the a1 = 2 cell only: that
-    # cell retries on the next draw, alone, and the others keep attempt one
-    original = characteristics.sound_quartic_general
-    held_out = np.random.default_rng(0).uniform(-1.0, 1.0, size=(4, 4))[3]
-    seen = []
-
-    def spoiled(u, xi, g, ginv, a1, a2):
-        seen.append(np.asarray(a1).tolist())
-        vals = original(u, xi, g, ginv, a1, a2)
-        hit = np.all(np.asarray(xi) == held_out, axis=-1) & (np.asarray(a1) == 2.0)
-        return np.where(hit, vals * (1.0 + 1e-6), vals)
-
-    monkeypatch.setattr(characteristics, "sound_quartic_general", spoiled)
-    a1 = np.array([1.0, 2.0, 4.0, 6.0])
-    batch = quartic_coefficients(a1, 6.0, E0, minkowski(), seed=0)
-    assert seen == [[1.0, 2.0, 4.0, 6.0], [2.0]]
-    for k in range(len(a1)):
-        alone = quartic_coefficients(a1[k], 6.0, E0, minkowski(), seed=0)
-        assert (batch.A[k], batch.B[k], batch.C[k]) == (alone.A, alone.B, alone.C)
-    assert batch.C[1] == pytest.approx(-12.0, rel=1e-12)

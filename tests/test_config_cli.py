@@ -273,6 +273,18 @@ def test_cli_convergence_filter_on_judges_no_order(tmp_path, capsys):
     assert "PASS" not in out
 
 
+def test_cli_convergence_without_an_order_fails(tmp_path, capsys):
+    # constant data: every field's differences sit below round-off, so no
+    # order is observed, and criterion 08d's rule fails the run
+    code = main(["--out", str(tmp_path), "--set", "solver.filter_strength=0",
+                 "--set", "solver.ic=constant"] + CONVERGENCE_SMALL + ["convergence"])
+    out = capsys.readouterr().out
+    payload = json.loads((tmp_path / "convergence.json").read_text())
+    assert all(order is None for order in payload["orders"].values())
+    assert payload["passed"] is False and code == 1
+    assert out.rstrip().endswith("observed order exact -> FAIL")
+
+
 @pytest.mark.parametrize("override,command", [
     ("transport.a1=5", "evolve"),
     ("solver.ic_amplitude=-2", "evolve"),
