@@ -6,10 +6,8 @@ machine-checkable numerical facts, and evolves the flat-space equations in
 1+1D with empirical domain-of-dependence experiments.
 """
 
-from .causality import (ConeReport, causality_scan, cone_containment,
-                        cone_slopes, critical_angle_check,
-                        hyperbolicity_region_map, max_characteristic_speed,
-                        scan_verdict, shear_slopes, sound_slopes)
+from .causality import (causality_scan, cone_slopes, critical_angle_check,
+                        hyperbolicity_region_map, scan_verdict)
 from .characteristics import (COUPLED_FACTORS, FLUID_FACTORS, FactorSet,
                               RootPair, bisection_roots, cone_coefficients,
                               cone_roots, cone_xi0, eval_factor,

@@ -8,13 +8,12 @@ is the angle between the spatial velocity and the spatial covector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .characteristics import (BATCH_VALUES, DISTINCTNESS_GAP, FAMILIES, FLUID_FACTORS,
+from .characteristics import (BATCH_VALUES, DISTINCTNESS_GAP, FLUID_FACTORS,
                               cone_coefficients, cone_xi0, quartic_coefficients)
-from .symbol import StatePoint
 from .tensor import minkowski
 
 BOUNDARY_TOL = 1e-12
@@ -35,16 +34,6 @@ def cone_slopes(family: str, u2: float, theta, a2: float):
     return lo, hi
 
 
-def shear_slopes(u2: float, theta, a2: float):
-    """Slopes of the shear-family cone halves; see `cone_slopes`."""
-    return cone_slopes("shear", u2, theta, a2)
-
-
-def sound_slopes(u2: float, theta, a2: float):
-    """Slopes of the sound-family cone halves; see `cone_slopes`."""
-    return cone_slopes("sound", u2, theta, a2)
-
-
 @dataclass(frozen=True)
 class CriticalAngleReport:
     family: str
@@ -54,14 +43,6 @@ class CriticalAngleReport:
     slope_at_max: float
     flat_profile: bool
     on_axis: bool
-
-
-def _max_abs_slope(family, u2, a2, n_theta=720):
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    sp, sm = cone_slopes(family, u2, thetas, a2)
-    vals = np.maximum(np.abs(sp), np.abs(sm))
-    j = int(np.argmax(vals))
-    return thetas, vals, j
 
 
 def critical_angle_check(u2: float, a2: float, family: str = "shear",
@@ -80,11 +61,10 @@ def critical_angle_check(u2: float, a2: float, family: str = "shear",
         return CriticalAngleReport(family, u2, a2, theta_max=0.0,
                                    slope_at_max=score(0.0),
                                    flat_profile=True, on_axis=True)
-    thetas, vals, j = _max_abs_slope(family, u2, a2, n_theta)
-    lo = thetas[j] - 2.0 * np.pi / n_theta
-    hi = thetas[j] + 2.0 * np.pi / n_theta
+    thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+    theta_grid = _family_cones(family, a2, [u2], thetas)[0].witness_theta
+    a, b = theta_grid - 2.0 * np.pi / n_theta, theta_grid + 2.0 * np.pi / n_theta
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = score(c), score(d)
@@ -110,16 +90,6 @@ class FamilyCone:
     max_abs_slope: float
     verdict: str           # "strict" | "boundary" | "violated"
     witness_theta: float
-
-
-@dataclass(frozen=True)
-class ConeReport:
-    a2: float
-    u2: float
-    families: dict = field(default_factory=dict)
-    verdict: str = "causal (strict)"
-    v_max_fluid: float = 0.0
-    v_max_coupled: float = 1.0
 
 
 def _verdict(smax: float) -> str:
@@ -170,33 +140,6 @@ def _fluid_verdict(fams: dict) -> str:
     return "causal (strict)"
 
 
-def cone_containment(s: StatePoint, n_theta: int = 720) -> ConeReport:
-    """Family-by-family light-cone containment for one state.
-
-    u is re-normalized through its spatial part (u^0 recomputed as
-    sqrt(1 + w^2)); the slope formulas assume normalization.  All four
-    families are reported; the gravitational light cone is a boundary touch
-    and does not enter the fluid verdict.
-    """
-    w = np.asarray(s.u[1:], dtype=float)
-    u2 = float(w @ w)
-    a2 = s.transport.a2
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    fams = {name: _family_cones(name, a2, [u2], thetas)[0] for name in FAMILIES}
-    v_fluid = max(fams[k].max_abs_slope for k in FLUID_FACTORS.families)
-    return ConeReport(a2=a2, u2=u2, families=fams, verdict=_fluid_verdict(fams),
-                      v_max_fluid=v_fluid,
-                      v_max_coupled=max(v_fluid, fams["light"].max_abs_slope))
-
-
-def max_characteristic_speed(s: StatePoint) -> float:
-    """Largest |slope| over the fluid families; feeds the solver CFL bound."""
-    report = cone_containment(s)
-    if report.verdict == "violated":
-        raise ValueError(f"state is not causal: {report.families}")
-    return report.v_max_fluid
-
-
 @dataclass(frozen=True)
 class ScanRow:
     a1: float
@@ -215,7 +158,7 @@ def causality_scan(a2_list, u_max: float, n_u: int = 33, n_theta: int = 720) -> 
     slopes; column names match the CSV contract of the command-line scan.
     The cone table holds at a1 = 4 only, and every row says so.
     Each (a2, family) takes one `cone_xi0` call over its |w| x theta grid,
-    and a row has the bits of `cone_containment` at its state.
+    and a row has the bits of that state's cones alone.
     """
     rows = []
     speeds = np.linspace(0.0, u_max, n_u)
@@ -269,6 +212,10 @@ class RegionCell:
     a2: float
     label: str        # causal-strict | causal-boundary | hyperbolic-acausal | non-hyperbolic
     max_abs_slope: float
+
+
+_REGION_LABELS = {"strict": "causal-strict", "boundary": "causal-boundary",
+                  "violated": "hyperbolic-acausal"}
 
 
 def _quadratic_factor_slopes(r: float, u2_samples, n_theta: int):
@@ -344,17 +291,9 @@ def hyperbolicity_region_map(a1_grid, a2_grid, u_samples=None, n_theta: int = 64
                 # factor (u.xi)^2 - r xi.xi
                 ok, fmax = _quadratic_factor_slopes(float(r), u_samples, n_theta)
                 if not ok:
-                    hyperbolic = False
+                    hyperbolic, smax = False, np.inf
                     break
                 smax = max(smax, fmax)
-            if not hyperbolic:
-                label = "non-hyperbolic"
-                smax = np.inf
-            elif smax > 1.0 + BOUNDARY_TOL:
-                label = "hyperbolic-acausal"
-            elif smax >= 1.0 - BOUNDARY_TOL:
-                label = "causal-boundary"
-            else:
-                label = "causal-strict"
+            label = _REGION_LABELS[_verdict(smax)] if hyperbolic else "non-hyperbolic"
             cells.append(RegionCell(float(a1), float(a2), label, float(smax)))
     return cells

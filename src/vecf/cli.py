@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -97,21 +98,17 @@ def cmd_gevrey(cfg, args) -> int:
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
-def _suite_size(cfg, args, default_samples: int):
-    """(samples, seed) of a sample suite: the flags, else the defaults.
-
-    main has already rejected --samples < 1 and --seed < 0.
-    """
-    samples = args.samples if args.samples is not None else default_samples
-    seed = args.seed if args.seed is not None else cfg["verification"]["seed"]
-    return samples, seed
+def _suite_args(args) -> dict:
+    """The --samples and --seed flags given, as suite keywords; a suite runs
+    at its own criterion's samples and seed otherwise."""
+    return {k: v for k, v in (("samples", args.samples), ("seed", args.seed))
+            if v is not None}
 
 
 def cmd_verify_factorization(cfg, args) -> int:
-    samples, seed = _suite_size(cfg, args, cfg["verification"]["samples"])
-    report = verification.factorization_suite(samples=samples, seed=seed)
+    report = verification.factorization_suite(**_suite_args(args))
     _write_json(_outdir(cfg, args) / "verify_factorization.json", report.to_json())
-    print(f"determinant factorization: {samples} samples, "
+    print(f"determinant factorization: {report.samples} samples, "
           f"max scaled error {report.max_scaled_error:.3e} "
           f"(tolerance {report.tolerance:.0e}) -> "
           f"{'PASS' if report.passed else 'FAIL'}")
@@ -119,10 +116,9 @@ def cmd_verify_factorization(cfg, args) -> int:
 
 
 def cmd_collapse(cfg, args) -> int:
-    samples, seed = _suite_size(cfg, args, 1000)
-    report = verification.collapse_suite(samples=samples, seed=seed)
+    report = verification.collapse_suite(**_suite_args(args))
     _write_json(_outdir(cfg, args) / "collapse.json", report.to_json())
-    print(f"general-quartic collapse: {samples} samples, "
+    print(f"general-quartic collapse: {report.samples} samples, "
           f"max relative error {report.max_relative_error:.3e} "
           f"(tolerance {report.tolerance:.0e}), |C(a1=4)| = {abs(report.c_at_a1_4):.1e} -> "
           f"{'PASS' if report.passed else 'FAIL'}")
@@ -130,8 +126,7 @@ def cmd_collapse(cfg, args) -> int:
 
 
 def cmd_roots(cfg, args) -> int:
-    samples, seed = _suite_size(cfg, args, 1000)
-    report = verification.roots_suite(samples=samples, seed=seed)
+    report = verification.roots_suite(**_suite_args(args))
     out = _outdir(cfg, args)
     _write_csv(out / "roots.csv",
                ["family", "a2", "u2", "closed_minus", "closed_plus",
@@ -235,13 +230,10 @@ def cmd_evolve(cfg, args) -> int:
 def cmd_dod_test(cfg, args) -> int:
     scfg = _solver_config(cfg)
     d = cfg["dod"]
-    base = SolverConfig(transport=scfg.transport, n_cells=scfg.n_cells,
-                        length=scfg.length, cfl=scfg.cfl, t_end=d["probe_t"],
-                        ic=solver1d.constant_state(eps0=cfg["solver"]["eps0"]),
-                        filter_strength=0.0)
     try:
         report = experiments.dod_experiment(
-            base, probe_t=d["probe_t"], probe_x=d["probe_x"],
+            replace(scfg, ic=solver1d.constant_state(eps0=cfg["solver"]["eps0"])),
+            probe_t=d["probe_t"], probe_x=d["probe_x"],
             resolutions=tuple(d["resolutions"]), amplitude=d["amplitude"],
             radius=d["radius"], margin=d["margin"],
             probe_window=d["probe_window"], bump_power=d["bump_power"])

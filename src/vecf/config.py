@@ -7,6 +7,7 @@ rejected by name.  Defaults encode the causal regime a1 = 4, a2 = 4.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from .constitutive import TransportModel
@@ -17,9 +18,16 @@ class ConfigError(Exception):
     """Invalid configuration; message names the offending key."""
 
 
+def _finite(s) -> float:
+    x = float(s)
+    if not math.isfinite(x):
+        raise ValueError(f"must be finite, got {s!r}")
+    return x
+
+
 def _float_range(lo=None, hi=None, lo_open=False):
     def check(v):
-        x = float(v)
+        x = _finite(v)
         if lo is not None and (x <= lo if lo_open else x < lo):
             raise ValueError(f"must be {'>' if lo_open else '>='} {lo}")
         if hi is not None and x > hi:
@@ -55,7 +63,7 @@ def _int_list(v):
 
 
 def _float_list(v):
-    vals = [float(s) for s in str(v).replace(",", " ").split()]
+    vals = [_finite(s) for s in str(v).replace(",", " ").split()]
     if not vals:
         raise ValueError("must be a non-empty list of numbers")
     return vals
@@ -94,10 +102,6 @@ SCHEMA = {
         "eps0": (_float_range(lo=0.0, lo_open=True), 1.0),
         "filter_strength": (_float_range(lo=0.0), 1.0),
         "output_every": (_int_range(lo=0), 0),
-    },
-    "verification": {
-        "samples": (_int_range(lo=1), 10000),
-        "seed": (_int_range(lo=0), 7),
     },
     "dod": {
         "probe_t": (_float_range(lo=0.0, lo_open=True), 0.35),

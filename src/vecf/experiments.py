@@ -58,13 +58,17 @@ class DodReport:
 
     @property
     def outside_ratios(self) -> tuple:
+        """Successive outside-cone difference ratios; NaN over a zero."""
         d = self.outside_diffs
-        return tuple(d[i] / d[i + 1] for i in range(len(d) - 1))
+        return tuple(a / b if b > 0.0 else np.nan for a, b in zip(d, d[1:]))
 
     @property
     def outside_order(self) -> float:
-        """Geometric-mean convergence order of the outside-cone influence."""
+        """Geometric-mean order of the outside-cone influence; NaN if an end
+        difference is zero."""
         d = self.outside_diffs
+        if not (d[0] > 0.0 and d[-1] > 0.0):
+            return np.nan
         return float(np.log2(d[0] / d[-1]) / (len(d) - 1))
 
     @property
@@ -80,7 +84,8 @@ class DodReport:
     def passed(self) -> bool:
         """Criterion 09's verdict: outside influence converges away at about
         fourth order (every ratio >= 8), inside influence settles on a limit
-        far above it, and a zero-amplitude bump changes nothing."""
+        far above it, and a zero-amplitude bump changes nothing.  A NaN
+        ratio or order fails it."""
         lo, hi = DOD_OUTSIDE_ORDER
         return (all(r >= DOD_OUTSIDE_RATIO_MIN for r in self.outside_ratios)
                 and lo <= self.outside_order <= hi
@@ -103,11 +108,13 @@ def dod_experiment(cfg: SolverConfig, probe_t: float, probe_x: float,
 
     Placement geometry is validated against the backward cone
     {|x - probe_x| <= v_max (probe_t - t)} with at least a two-cell margin
-    on the coarsest grid; the probe "value" is the max-abs difference over
-    the five fields within a fixed small window around the probe point,
-    which keeps single-point node artifacts of the oscillatory precursor
-    out of the measured ratios.  Evolutions run unfiltered so the scheme's
-    own locality is what is measured.
+    on the coarsest grid.  Each bump's support must lie in [0, L), since
+    `bump_perturbation` does not wrap, and the amplitude must be nonzero;
+    a bad placement raises ValueError.  The probe "value" is the max-abs
+    difference over the five fields within a fixed small window around the
+    probe point, which keeps single-point node artifacts of the oscillatory
+    precursor out of the measured ratios.  Evolutions run unfiltered so the
+    scheme's own locality is what is measured.
     """
     base_cfg = replace(cfg, filter_strength=0.0, t_end=probe_t)
     grid0 = make_grid(replace(base_cfg, n_cells=min(resolutions)))
@@ -118,7 +125,12 @@ def dod_experiment(cfg: SolverConfig, probe_t: float, probe_x: float,
     out_center = probe_x + cone + radius + probe_window + margin
     in_center = probe_x
     length = cfg.length
+    if amplitude == 0.0:
+        raise ValueError("bump amplitude must be nonzero")
     for name, c, need_inside in (("outside", out_center, False), ("inside", in_center, True)):
+        if c - radius < 0.0 or c + radius > length:
+            raise ValueError(f"{name} bump support [{c - radius:.6g}, {c + radius:.6g}] "
+                             f"leaves the domain [0, {length:.6g})")
         direct = abs(c - probe_x)
         wrapped = length - direct
         if need_inside:

@@ -9,8 +9,8 @@ import time
 
 import numpy as np
 
-from vecf.causality import (BOUNDARY_TOL, causality_scan, critical_angle_check,
-                            scan_verdict, shear_slopes, sound_slopes)
+from vecf.causality import (BOUNDARY_TOL, causality_scan, cone_slopes,
+                            critical_angle_check, scan_verdict)
 from vecf.characteristics import gevrey_check
 from vecf.constitutive import SGN, TransportModel, stress_tensor_fields
 from vecf.equations import SinusoidalField, divergence_oracle
@@ -68,9 +68,9 @@ def test_criterion_04_causality_slopes():
         ok &= rep.on_axis
     # rest-state speeds reproduced to BOUNDARY_TOL by the slope functions
     for a2 in a2_values:
-        sp, _ = shear_slopes(0.0, 0.0, a2)
+        sp, _ = cone_slopes("shear", 0.0, 0.0, a2)
         ok &= abs(abs(float(sp)) - 1.0 / np.sqrt(a2)) <= BOUNDARY_TOL
-        sp, _ = sound_slopes(0.0, 0.0, a2)
+        sp, _ = cone_slopes("sound", 0.0, 0.0, a2)
         ok &= abs(abs(float(sp)) - np.sqrt(2.0 * (2.0 + a2) / (3.0 * a2))) <= BOUNDARY_TOL
     report(4, "causality-slopes", bool(ok), "; ".join(details))
 

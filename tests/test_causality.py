@@ -3,13 +3,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vecf.causality import (cone_containment, cone_slopes, causality_scan,
-                            critical_angle_check, hyperbolicity_region_map,
-                            max_characteristic_speed, scan_verdict, shear_slopes,
-                            sound_slopes)
+from vecf.causality import (_family_cones, _fluid_verdict, causality_scan, cone_slopes,
+                            critical_angle_check, hyperbolicity_region_map, scan_verdict)
+from vecf.characteristics import FAMILIES
 from vecf.constitutive import TransportModel
+from vecf.solver1d import FieldGrid, _grid_v_max
 from vecf.symbol import StatePoint
 from vecf.tensor import minkowski
+
+THETAS = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
 
 
 def state(a2, w=(0.0, 0.0, 0.0)):
@@ -18,14 +20,28 @@ def state(a2, w=(0.0, 0.0, 0.0)):
                       g=minkowski(), transport=TransportModel(a2=a2))
 
 
+def cones(a2, w=(0.0, 0.0, 0.0)):
+    """Each family's FamilyCone at one boost w, over 720 angles."""
+    w = np.asarray(w, dtype=float)
+    return {name: _family_cones(name, a2, [float(w @ w)], THETAS)[0] for name in FAMILIES}
+
+
+def v_max(a2, w=(0.0, 0.0, 0.0)):
+    """The solver's CFL speed on a one-cell grid at boost w."""
+    w = np.asarray(w, dtype=float)
+    V = np.array([np.sqrt(1.0 + w @ w), *w, 1.0])[:, None]
+    grid = FieldGrid(n_cells=1, length=1.0, V=V, W=np.zeros_like(V))
+    return _grid_v_max(grid, TransportModel(a2=a2))
+
+
 def test_shear_slopes_rest():
-    sp, sm = shear_slopes(0.0, 0.7, 4.0)
+    sp, sm = cone_slopes("shear", 0.0, 0.7, 4.0)
     assert sp == pytest.approx(-0.5, abs=1e-15)
     assert sm == pytest.approx(0.5, abs=1e-15)
 
 
 def test_shear_slopes_boosted_axis():
-    sp, sm = shear_slopes(1.0, 0.0, 4.0)
+    sp, sm = cone_slopes("shear", 1.0, 0.0, 4.0)
     assert sp == pytest.approx(-(2.0 + 3.0 * np.sqrt(2.0)) / 7.0, abs=1e-14)
     assert sm == pytest.approx((2.0 - 3.0 * np.sqrt(2.0)) / 7.0, abs=1e-14)
     assert sm == pytest.approx(-0.32037, abs=1e-5)
@@ -44,14 +60,14 @@ def test_shear_slope_endpoint_identity():
         for a2 in (4.0, 6.0, 9.0):
             axis = shear_axis_slopes(u2, a2)
             for theta in (0.0, 2.0 * np.pi):
-                sp, sm = shear_slopes(u2, theta, a2)
+                sp, sm = cone_slopes("shear", u2, theta, a2)
                 assert abs(sp - axis[0]) < 1e-12
                 assert abs(sm - axis[1]) < 1e-12
                 assert -1.0 < sp < 1.0 and -1.0 < sm < 1.0
 
 
 def test_sound_slopes_rest():
-    sp, sm = sound_slopes(0.0, 1.3, 6.0)
+    sp, sm = cone_slopes("sound", 0.0, 1.3, 6.0)
     expect = np.sqrt(8.0 / 9.0)
     assert sorted((sp, sm)) == pytest.approx([-expect, expect], abs=1e-14)
     assert expect == pytest.approx(0.94281, abs=1e-5)
@@ -62,7 +78,7 @@ def test_sound_slopes_boundary_family_at_a2_4():
     for _ in range(100):
         u2 = rng.uniform(0.0, 100.0)
         theta = rng.uniform(0.0, 2.0 * np.pi)
-        sp, sm = sound_slopes(u2, theta, 4.0)
+        sp, sm = cone_slopes("sound", u2, theta, 4.0)
         assert abs(abs(sp) - 1.0) < 1e-12
         assert abs(abs(sm) - 1.0) < 1e-12
 
@@ -70,7 +86,7 @@ def test_sound_slopes_boundary_family_at_a2_4():
 def test_sound_slopes_strict_at_a2_10():
     for u2 in np.linspace(0.0, 100.0, 40):
         thetas = np.linspace(0.0, 2 * np.pi, 25)
-        sp, sm = sound_slopes(float(u2), thetas, 10.0)
+        sp, sm = cone_slopes("sound", float(u2), thetas, 10.0)
         assert np.abs(sp).max() < 1.0 and np.abs(sm).max() < 1.0
 
 
@@ -114,56 +130,65 @@ def test_critical_angle_boosted_a2_4():
 
 
 def test_cone_containment_strict():
-    rep = cone_containment(state(6.0))
-    assert rep.verdict == "causal (strict)"
-    assert rep.families["shear"].max_abs_slope == pytest.approx(1 / np.sqrt(6), abs=1e-12)
-    assert rep.families["sound"].max_abs_slope == pytest.approx(np.sqrt(8 / 9), abs=1e-12)
-    assert rep.families["flow"].verdict == "strict"
-    assert rep.families["light"].verdict == "boundary"
+    fams = cones(6.0)
+    assert fams["shear"].max_abs_slope == pytest.approx(1 / np.sqrt(6), abs=1e-12)
+    assert fams["sound"].max_abs_slope == pytest.approx(np.sqrt(8 / 9), abs=1e-12)
+    assert fams["flow"].verdict == "strict"
+    assert fams["light"].verdict == "boundary"
+    assert _fluid_verdict(fams) == "causal (strict)"
+    rows = causality_scan([6.0], 2.0, n_u=5)
+    assert all(r.verdict == "causal (strict)" for r in rows)
 
 
 def test_cone_containment_boundary_at_a2_4():
-    rep = cone_containment(state(4.0, w=(0.5, -0.2, 0.1)))
-    assert rep.families["sound"].verdict == "boundary"
-    assert rep.verdict == "causal (boundary)"
+    fams = cones(4.0, w=(0.5, -0.2, 0.1))
+    assert fams["sound"].verdict == "boundary"
+    assert _fluid_verdict(fams) == "causal (boundary)"
+    rows = causality_scan([4.0], 2.0, n_u=5)
+    assert all(r.verdict == "causal (boundary)" for r in rows)
 
 
 def test_cone_containment_violated_off_regime():
-    rep = cone_containment(state(3.5, w=(1.0, 0.0, 0.0)))
-    assert rep.verdict == "violated"
-    assert rep.families["sound"].max_abs_slope > 1.0
-    assert np.isfinite(rep.families["sound"].witness_theta)
+    fams = cones(3.5, w=(1.0, 0.0, 0.0))
+    assert _fluid_verdict(fams) == "violated"
+    assert fams["sound"].max_abs_slope > 1.0
+    assert np.isfinite(fams["sound"].witness_theta)
+    boosted = causality_scan([3.5], 1.0, n_u=2)[-1]
+    assert boosted.verdict == "violated"
+    assert boosted.smax_p3 == fams["sound"].max_abs_slope
 
 
 def test_max_speed_rest_a2_4():
-    assert max_characteristic_speed(state(4.0)) == pytest.approx(1.0, abs=1e-12)
+    assert v_max(4.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_max_speed_rest_a2_9():
-    v = max_characteristic_speed(state(9.0))
+    v = v_max(9.0)
     assert v == pytest.approx(np.sqrt(22.0 / 27.0), abs=1e-12)
     assert v == pytest.approx(0.90267, abs=1e-5)
 
 
 def test_max_speed_coupled_mode():
-    s = state(9.0)
-    fluid = max_characteristic_speed(s)
-    coupled = cone_containment(s).v_max_coupled
-    assert coupled == 1.0
-    assert coupled >= fluid
+    # the light cone, which the gravity-coupled system adds, bounds every
+    # fluid speed and is not part of the CFL speed
+    light = cones(9.0)["light"].max_abs_slope
+    assert light == 1.0
+    assert light >= v_max(9.0)
 
 
 def test_max_speed_rejects_violated():
-    with pytest.raises(ValueError):
-        max_characteristic_speed(state(3.5, w=(1.0, 0, 0)))
+    with pytest.raises(ValueError, match="not causal"):
+        v_max(3.5, w=(1.0, 0, 0))
+    with pytest.raises(ValueError, match="not causal"):
+        v_max(6.0, w=(np.nan, 0, 0))
 
 
 def test_sound_speed_monotone_in_a2_at_rest():
     # slope^2 = 2(2+a2)/(3 a2) decreases in a2; check by finite differences
     grid = np.linspace(4.0, 12.0, 17)
-    speeds = [cone_containment(state(a2)).families["sound"].max_abs_slope
-              for a2 in grid]
+    speeds = [cones(a2)["sound"].max_abs_slope for a2 in grid]
     assert all(b <= a + 1e-13 for a, b in zip(speeds, speeds[1:]))
+    assert [v_max(a2) for a2 in grid] == speeds     # sound is the fastest at rest
 
 
 def test_causality_scan_rows():
@@ -200,7 +225,7 @@ def test_region_map_off_regime_exploratory():
 
 
 def reference_containment(s, n_theta):
-    """cone_containment as one scalar cone_xi0 call per family: per family
+    """Each family's cone as one scalar cone_xi0 call: per family
     (max |slope|, verdict, witness theta), and the fluid verdict."""
     from vecf.causality import _verdict
     from vecf.characteristics import FAMILIES, cone_coefficients, cone_xi0
@@ -269,10 +294,9 @@ def test_cone_containment_matches_reference():
     for _ in range(30):
         s = state(rng.uniform(2.5, 12.0), rng.uniform(-3.0, 3.0, 3))
         fams, verdict = reference_containment(s, 720)
-        rep = cone_containment(s)
-        assert rep.verdict == verdict
-        got = {k: (c.max_abs_slope, c.verdict, c.witness_theta)
-               for k, c in rep.families.items()}
+        got = cones(s.transport.a2, s.u[1:])
+        assert _fluid_verdict(got) == verdict
+        got = {k: (c.max_abs_slope, c.verdict, c.witness_theta) for k, c in got.items()}
         assert repr(got) == repr(fams)
 
 

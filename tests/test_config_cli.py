@@ -188,9 +188,42 @@ def test_cli_rejects_bad_samples_and_seed(tmp_path, capsys, command, flags):
     assert not any(tmp_path.iterdir())
 
 
-def test_config_rejects_negative_seed():
-    with pytest.raises(ConfigError, match="verification.seed"):
-        load_config(overrides=["verification.seed=-1"])
+@pytest.mark.parametrize("command,samples,seed", [
+    ("verify-factorization", 10000, 7),
+    ("collapse", 1000, 11),      # criterion 02
+    ("roots", 1000, 13),         # criterion 03
+])
+def test_cli_suites_default_to_their_own_samples_and_seed(tmp_path, command, samples,
+                                                          seed):
+    assert main(["--out", str(tmp_path), command]) == 0
+    name = {"verify-factorization": "verify_factorization"}.get(command, command)
+    payload = json.loads((tmp_path / f"{name}.json").read_text())
+    assert payload["samples"] == samples and payload["seed"] == seed
+
+
+def test_cli_rejects_removed_verification_section(tmp_path, capsys):
+    # the suites take their samples and seed from the flags or their defaults
+    assert main(["--out", str(tmp_path), "--set", "verification.seed=7", "gevrey"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert "verification" in err
+
+
+@pytest.mark.parametrize("override,command", [
+    ("solver.t_end=inf", "evolve"),
+    ("scan.a1_min=nan", "region-map"),
+    ("scan.a2_min=inf", "region-map"),
+    ("scan.a2_list=4 nan", "causality-scan"),
+    ("oracle.t0=nan", "oracle-divergence"),
+    ("transport.a2=-inf", "evolve"),
+])
+def test_cli_rejects_non_finite_values(tmp_path, capsys, override, command):
+    assert main(["--out", str(tmp_path), "--set", override, command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1          # one line, no traceback
+    assert override.split("=")[0] in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_cli_oracle_divergence(tmp_path):
@@ -292,6 +325,9 @@ def test_cli_convergence_without_an_order_fails(tmp_path, capsys):
     ("dod.resolutions=128", "dod-test"),
     ("dod.resolutions=64,96", "dod-test"),
     ("dod.radius=0.9", "dod-test"),
+    ("dod.amplitude=0", "dod-test"),
+    ("dod.probe_x=1.7", "dod-test"),      # outside bump beyond x = L
+    ("dod.probe_x=1.5", "dod-test"),      # outside bump across x = L
     ("transport.a1=5", "convergence"),
     ("convergence.resolutions=64,100,200", "convergence"),
 ])

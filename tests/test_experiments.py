@@ -47,6 +47,15 @@ def test_dod_geometry_rejections():
     with pytest.raises(ValueError):
         dod_experiment(cfg, probe_t=0.2, probe_x=0.5, resolutions=(64,),
                        radius=0.5)
+    # a zero bump measures nothing
+    with pytest.raises(ValueError, match="amplitude"):
+        dod_experiment(cfg, probe_t=0.35, probe_x=0.5, resolutions=(64, 128),
+                       amplitude=0.0)
+    # bump_perturbation does not wrap: the outside bump would sit across
+    # x = L (probe_x 1.5) or beyond it (1.7), the inside bump across x = 0
+    for probe_x in (1.5, 1.7, 0.1):
+        with pytest.raises(ValueError, match="support"):
+            dod_experiment(cfg, probe_t=0.35, probe_x=probe_x, resolutions=(64, 128))
 
 
 def test_dod_zero_amplitude_exact_zero():
@@ -111,3 +120,22 @@ def test_dod_rejects_single_resolution():
                        t_end=0.35, ic=constant_state(), filter_strength=0.0)
     with pytest.raises(ValueError, match="two resolutions"):
         dod_experiment(cfg, probe_t=0.35, probe_x=0.5, resolutions=(64,))
+
+
+def test_dod_report_fails_on_a_zero_difference():
+    from vecf.experiments import DodPlacement, DodReport
+    pl = DodPlacement(center=1.0, radius=0.1, amplitude=0.02, inside=False,
+                      margin_cells=3.0)
+    rep = DodReport(probe_t=0.35, probe_x=0.5, v_max=1.0, cone_radius=0.35,
+                    resolutions=(128, 256, 512), outside=pl, inside=pl,
+                    outside_diffs=(2.0 ** -16, 0.0, 0.0),
+                    inside_diffs=(0.0241, 0.0242, 0.0242),
+                    zero_amplitude_diff=0.0)
+    assert all(np.isnan(r) for r in rep.outside_ratios)
+    assert np.isnan(rep.outside_order)
+    assert not rep.passed
+    rep = replace(rep, outside_diffs=(0.0, 0.0, 0.0))
+    assert np.isnan(rep.outside_order) and not rep.passed
+    rep = replace(rep, outside_diffs=(2.0 ** -16, 2.0 ** -19, 0.0))
+    assert rep.outside_ratios[0] == 8.0 and np.isnan(rep.outside_ratios[1])
+    assert not rep.passed
