@@ -157,15 +157,22 @@ def causality_scan(a2_list, u_max: float, n_u: int = 33, n_theta: int = 720) -> 
     One row per (a2, |w|) cell with the theta-maximized shear and sound
     slopes; column names match the CSV contract of the command-line scan.
     The cone table holds at a1 = 4 only, and every row says so.
-    Each (a2, family) takes one `cone_xi0` call over its |w| x theta grid,
-    and a row has the bits of that state's cones alone.
+    Each distinct cone (family, alpha, beta) takes one `_family_cones` call
+    over the |w| x theta grid, so the flow cone, the same at every a2, is
+    found once per scan; a row has the bits of that state's cones alone.
     """
     rows = []
     speeds = np.linspace(0.0, u_max, n_u)
     u2 = speeds * speeds
     thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+    found = {}
     for a2 in a2_list:
-        cones = {name: _family_cones(name, a2, u2, thetas) for name in FLUID_FACTORS.families}
+        cones = {}
+        for name in FLUID_FACTORS.families:
+            key = (name, *cone_coefficients(name, a2))
+            if key not in found:
+                found[key] = _family_cones(name, a2, u2, thetas)
+            cones[name] = found[key]
         for i, w2 in enumerate(u2.tolist()):
             fams = {name: c[i] for name, c in cones.items()}
             rows.append(ScanRow(
@@ -218,19 +225,19 @@ _REGION_LABELS = {"strict": "causal-strict", "boundary": "causal-boundary",
                   "violated": "hyperbolic-acausal"}
 
 
-def _quadratic_factor_slopes(r: float, u2_samples, n_theta: int):
+def _quadratic_factor_slopes(r: float, u2, wxi):
     """Root slopes of (u.xi)^2 - r (xi.xi) over sampled boosts and angles.
 
-    Returns (hyperbolic, max_abs_slope).  r ~ 0 is the flow cone u.xi = 0,
-    whose double root is a hyperbolic degree-1 factor.  Otherwise the
-    factor is hyperbolic iff every sampled direction yields two real roots
-    separated beyond the distinctness gap.
+    u2 (n, 1) holds the boosts |w|^2 and wxi (n, n_theta) the matching
+    w.xibar = |w| cos(theta) at unit xibar.  Returns (hyperbolic,
+    max_abs_slope).  r ~ 0 is the flow cone u.xi = 0, whose double root is
+    a hyperbolic degree-1 factor.  Otherwise the factor is hyperbolic iff
+    every sampled direction yields two real roots separated beyond the
+    distinctness gap.
     """
     flow = abs(r) < 1e-12
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    u2 = np.asarray(u2_samples, dtype=float)[:, None]
     try:
-        s1, s2, _ = cone_xi0(1.0, 0.0 if flow else r, u2, np.sqrt(u2) * np.cos(thetas))
+        s1, s2, _ = cone_xi0(1.0, 0.0 if flow else r, u2, wxi)
     except ValueError:                 # a degenerate or complex root pair
         return False, np.inf
     if not flow and np.any(np.abs(s1 - s2) < DISTINCTNESS_GAP):
@@ -249,12 +256,16 @@ def hyperbolicity_region_map(a1_grid, a2_grid, u_samples=None, n_theta: int = 64
     flow-cone factors and are classified accordingly; a light-cone
     factor's slope is the light row of the cone table.  The coefficients
     of all cells come from one batched `quartic_coefficients` call, each
-    with the bits of its own extraction.
+    with the bits of its own extraction, and the (boost, angle) grid the
+    factors are sampled on is built once.
     """
     if u_samples is None:
         u_samples = [0.0, 0.25, 1.0, 4.0]
     a1_grid = np.asarray(a1_grid, dtype=float)
     a2_grid = np.asarray(a2_grid, dtype=float)
+    # every factor is sampled on the same (boost, angle) grid
+    u2 = np.asarray(u_samples, dtype=float)[:, None]
+    wxi = np.sqrt(u2) * np.cos(np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False))
     co = quartic_coefficients(np.repeat(a1_grid, len(a2_grid)), np.tile(a2_grid, len(a1_grid)),
                               np.array([1.0, 0.0, 0.0, 0.0]), minkowski())
     light_slope = max(abs(float(s)) for s in cone_slopes("light", 0.0, 0.0, 0.0))
@@ -289,7 +300,7 @@ def hyperbolicity_region_map(a1_grid, a2_grid, u_samples=None, n_theta: int = 64
             smax = light_slope if light_cone_factors else 0.0
             for r in factors:
                 # factor (u.xi)^2 - r xi.xi
-                ok, fmax = _quadratic_factor_slopes(float(r), u_samples, n_theta)
+                ok, fmax = _quadratic_factor_slopes(float(r), u2, wxi)
                 if not ok:
                     hyperbolic, smax = False, np.inf
                     break

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .symbol import StatePoint, _as_covector, symbol_contractions
+from .symbol import StatePoint, _as_covector, _dot, symbol_contractions
 from .tensor import Metric4
 
 DISTINCTNESS_GAP = 1e-8  # least separation of distinct roots, for unit directions
@@ -252,14 +252,17 @@ def quartic_coefficients(a1, a2, u, g) -> QuarticCoefficients:
     if abs(y_p) < 1e-3:
         raise ValueError(f"covector orthogonal to u near the light cone: Y_p = {y_p:.3e}")
     X, Y = uxi[1:] ** 2, xixi[1:]
-    q = sound_quartic_general(u, xis[:, None], gmat, ginv, a1, a2)
-    C = q[0] / y_p ** 2
-    r = q[1:3] - C * Y[:2, None] ** 2
-    B = (r[0] - r[1]) / (X[0] * (Y[0] - Y[1]))
-    A = (r[0] - B * X[0] * Y[0]) / X[0] ** 2
-    terms = (A * X[2] ** 2, B * X[2] * Y[2], C * Y[2] ** 2)
-    scale = np.maximum.reduce([np.ones_like(C), np.abs(q[3])] + [np.abs(t) for t in terms])
-    resid = np.abs(sum(terms) - q[3]) / scale
+    # a cell whose values overflow gets a non-finite residual, which fails
+    # the check below; that check, not a floating-point warning, reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = sound_quartic_general(u, xis[:, None], gmat, ginv, a1, a2)
+        C = q[0] / y_p ** 2
+        r = q[1:3] - C * Y[:2, None] ** 2
+        B = (r[0] - r[1]) / (X[0] * (Y[0] - Y[1]))
+        A = (r[0] - B * X[0] * Y[0]) / X[0] ** 2
+        terms = (A * X[2] ** 2, B * X[2] * Y[2], C * Y[2] ** 2)
+        scale = np.maximum.reduce([np.ones_like(C), np.abs(q[3])] + [np.abs(t) for t in terms])
+        resid = np.abs(sum(terms) - q[3]) / scale
     bad = np.flatnonzero(~(resid <= 1e-8))
     if bad.size:
         k = bad[0]
@@ -354,25 +357,33 @@ class RootScan:
         return self.found_count == self.expected_count
 
 
-def _base_on_lines(family, t, pairs, xibar, u, g, ginv, a2):
-    """A family's base polynomial at xi = (t, xibar) on lines of pairs.
+def _line_contractions(dirs, u, g, ginv):
+    """The contractions on the lines xi(t) = t e0 + (0, xibar) of K pairs.
 
-    t is (L, M): M times on each of L lines, and line l belongs to pair
-    pairs[l] of the per-pair arrays xibar (K, 3), u (K, 4), g and g^-1
-    (K, 4, 4) and a2 (K,).  Rows are evaluated in chunks of at most
-    BATCH_VALUES values: per row, 4 covector components per time and the
-    32 entries of its g and g^-1.
+    dirs (K, 3), u (K, 4), g and g^-1 (K, 4, 4).  Returns (u.e0, u.xibar,
+    g^00, 2 e0^a xibar_a, xibar.xibar, u.u), each (K,), the coefficients
+    of u.xi(t) and xi.xi(t) in `_line_base_values`.  Every contraction is a
+    `_dot` of one pair's vectors.
     """
-    out = np.empty(t.shape)
-    rows = max(1, BATCH_VALUES // (4 * t.shape[1] + 32))
-    for i in range(0, len(t), rows):
-        p = pairs[i:i + rows]
-        xi = np.empty((len(p), t.shape[1], 4))
-        xi[..., 0] = t[i:i + rows]
-        xi[..., 1:] = xibar[p, None]
-        _, _, uxi, xixi, uu = symbol_contractions(u[p, None], xi, g[p, None], ginv[p, None])
-        out[i:i + rows] = factor_base_values(family, uxi, xixi, uu, a2[p, None])
-    return out
+    e0 = np.array([1.0, 0.0, 0.0, 0.0])
+    xb = np.zeros((len(dirs), 4))
+    xb[:, 1:] = dirs
+    e0_up, _, ue0, g00, uu = symbol_contractions(u, e0, g, ginv)
+    _, _, uxb, xbxb, _ = symbol_contractions(u, xb, g, ginv)
+    return ue0, uxb, g00, 2.0 * _dot(e0_up, xb), xbxb, uu
+
+
+def _line_base_values(family: str, t, line, a2):
+    """A family's base polynomial at times t on lines of `_line_contractions`.
+
+    line holds the six contractions and a2 the parameter, each broadcasting
+    against t; elementwise,
+
+        u.xi(t) = t (u.e0) + u.xibar,
+        xi.xi(t) = (g^00 t + 2 e0^a xibar_a) t + xibar.xibar.
+    """
+    ue0, uxb, g00, cross, xbxb, uu = line
+    return factor_base_values(family, t * ue0 + uxb, (g00 * t + cross) * t + xbxb, uu, a2)
 
 
 def bisection_roots(s, xibar, family: str, grid: int = 1024, tol: float = 1e-12):
@@ -383,16 +394,18 @@ def bisection_roots(s, xibar, family: str, grid: int = 1024, tol: float = 1e-12)
     every pair.  One state with one direction gives a RootScan, and any
     other call a list of K, one per pair.
 
-    The base polynomial is affine or quadratic in t, so its coefficients are
+    Each pair's state contracts once, with e0 and with (0, xibar), in its
+    own g and g^-1 (`_line_contractions`); u.xi and xi.xi are then
+    polynomials in t, and the base polynomial is `factor_base_values` of
+    them.  It is affine or quadratic in t, so its coefficients are
     recovered from three evaluations and give a Cauchy bound for the scan
     interval.  Sign changes on a uniform grid are refined by bisection to
     absolute tolerance `tol`.  The grids are evaluated in batched calls of
-    at most BATCH_VALUES covector values, and the brackets of every pair
-    are halved in one batched call per step.  Each bracket follows its own
-    rules, as if bisected alone, and every evaluation is elementwise, so a
-    pair's scan has the same bits alone as in a batch.  A count mismatch
-    against the base degree is reported through the returned scan, never
-    dropped.
+    at most BATCH_VALUES values, and the brackets of every pair are halved
+    in one batched call per step.  Each bracket follows its own rules, as
+    if bisected alone, and every evaluation is elementwise, so a pair's
+    scan has the same bits alone as in a batch.  A count mismatch against
+    the base degree is reported through the returned scan, never dropped.
     """
     states = [s] if isinstance(s, StatePoint) else list(s)
     dirs = np.asarray(xibar, dtype=float)
@@ -407,14 +420,18 @@ def bisection_roots(s, xibar, family: str, grid: int = 1024, tol: float = 1e-12)
     if k == 0:
         return []
     pairs = np.arange(k)
-    per_pair = tuple(np.broadcast_to(a, (k,) + a.shape[1:]) for a in (
-        dirs, np.array([st.u for st in states]),
-        np.array([st.g.components for st in states]),
-        np.array([st.g.inverse for st in states]),
-        np.array([float(st.transport.a2) for st in states])))
+    dirs = np.broadcast_to(dirs, (k, 3))
+    u, g, ginv = (np.broadcast_to(a, (k,) + a.shape[1:]) for a in (
+        np.array([st.u for st in states]), np.array([st.g.components for st in states]),
+        np.array([st.g.inverse for st in states])))
+    a2 = np.broadcast_to(np.array([float(st.transport.a2) for st in states]), (k,))
+    line = _line_contractions(dirs, u, g, ginv)
 
-    pm1, p0, pp1 = _base_on_lines(family, np.tile([-1.0, 0.0, 1.0], (k, 1)),
-                                  pairs, *per_pair).T
+    def base(t, p):
+        """The base polynomial at times t (L, M) on the lines of pairs p (L,)."""
+        return _line_base_values(family, t, [c[p, None] for c in line], a2[p, None])
+
+    pm1, p0, pp1 = base(np.tile([-1.0, 0.0, 1.0], (k, 1)), pairs).T
     # magnitudes of the coefficients of t^2, t and 1
     c2 = np.abs(0.5 * (pp1 + pm1) - p0)
     c1 = np.abs(0.5 * (pp1 - pm1))
@@ -428,11 +445,11 @@ def bisection_roots(s, xibar, family: str, grid: int = 1024, tol: float = 1e-12)
 
     # grid zeros are roots as they stand; sign changes become brackets
     owners, roots, brackets = [], [], []
-    chunk = max(1, BATCH_VALUES // (4 * (grid + 1)))
+    chunk = max(1, BATCH_VALUES // (grid + 1))
     for i in range(0, k, chunk):
         p = pairs[i:i + chunk]
         ts = np.linspace(-bound[p], bound[p], grid + 1, axis=1)
-        vals = _base_on_lines(family, ts, p, *per_pair)
+        vals = base(ts, p)
         row, col = np.nonzero(vals == 0.0)
         owners.append(p[row])
         roots.append(ts[row, col])
@@ -443,7 +460,7 @@ def bisection_roots(s, xibar, family: str, grid: int = 1024, tol: float = 1e-12)
     live = np.flatnonzero(hi - lo > tol)
     while live.size:
         mid = 0.5 * (lo[live] + hi[live])
-        fm = _base_on_lines(family, mid[:, None], owner[live], *per_pair)[:, 0]
+        fm = base(mid[:, None], owner[live])[:, 0]
         zero = fm == 0.0
         left = flo[live] * fm < 0.0
         right = ~left & ~zero

@@ -177,7 +177,10 @@ def cmd_region_map(cfg, args) -> int:
     scan = cfg["scan"]
     a1_grid = np.linspace(scan["a1_min"], scan["a1_max"], scan["a1_steps"])
     a2_grid = np.linspace(scan["a2_min"], scan["a2_max"], scan["a2_steps"])
-    cells = causality.hyperbolicity_region_map(a1_grid, a2_grid)
+    try:
+        cells = causality.hyperbolicity_region_map(a1_grid, a2_grid)
+    except RuntimeError as exc:        # a cell whose quartic cannot be read
+        raise ConfigError(str(exc)) from exc
     out = _outdir(cfg, args)
     _write_csv(out / "region_map.csv", ["a1", "a2", "label", "max_abs_slope"],
                [[c.a1, c.a2, c.label, c.max_abs_slope] for c in cells])

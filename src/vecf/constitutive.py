@@ -58,12 +58,17 @@ def transport(eps, model: TransportModel):
     return eta, model.a2 * eta, model.a1 * eta
 
 
-def stress_tensor_fields(u, du, eps, deps, model: TransportModel) -> np.ndarray:
+def stress_tensor_fields(u, du, eps, deps, model: TransportModel,
+                         rows=(0, 1, 2, 3)) -> np.ndarray:
     """T_{alpha beta} on batched states; trailing axes broadcast.
 
     u (4, ...), du (4, 4, ...) with du[a, b] = d_a u^b, eps (...),
-    deps (4, ...).  Returns (4, 4, ...).  All nine constitutive terms are
-    assembled symmetrically in (alpha, beta).
+    deps (4, ...).  Returns (len(rows), 4, ...): the rows alpha of `rows`,
+    all four by default.  All nine constitutive terms are assembled
+    symmetrically in (alpha, beta), and a row reads the transposed half of
+    each from the same factors, so it needs none of the other rows.  On a
+    batch of two or more points a row has the bits it has in the full
+    tensor; at a single point einsum may sum it in another order.
     """
     u = np.asarray(u, dtype=float)
     du = np.asarray(du, dtype=float)
@@ -73,30 +78,34 @@ def stress_tensor_fields(u, du, eps, deps, model: TransportModel) -> np.ndarray:
         raise ValueError("energy density must be positive")
     eta, lam, chi = transport(eps, model)
 
-    g = np.diag(SGN)
+    r = list(rows)
     shape = eps.shape
-    gd = g.reshape((4, 4) + (1,) * len(shape))
+    gd = np.diag(SGN).reshape((4, 4) + (1,) * len(shape))
     u_dn = SGN.reshape((4,) + (1,) * len(shape)) * u
     du_dn = du * SGN.reshape((1, 4) + (1,) * len(shape))
     theta = np.einsum('aa...->...', du)
     acc_dn = SGN.reshape((4,) + (1,) * len(shape)) * np.einsum('a...,ab...->b...', u, du)
     udeps = np.einsum('a...,a...->...', u, deps)
 
-    uu = u_dn[:, None] * u_dn[None, :]
-    pi_dn = gd + uu
+    uu = u_dn[r, None] * u_dn[None, :]
+    pi_dn = gd[r] + uu
     pi_mix = np.eye(4).reshape((4, 4) + (1,) * len(shape)) + u[:, None] * u_dn[None, :]
 
-    T = (4.0 / 3.0) * uu * eps + (1.0 / 3.0) * gd * eps
+    T = (4.0 / 3.0) * uu * eps + (1.0 / 3.0) * gd[r] * eps
     shear = du_dn + np.swapaxes(du_dn, 0, 1) - (2.0 / 3.0) * gd * theta
-    visc = np.einsum('ma...,vb...,mv...->ab...', pi_mix, pi_mix, shear)
+    # einsum's summation order follows its operands' memory layout, so the
+    # selected columns are laid out as the whole pi_mix is
+    pi_r = np.ascontiguousarray(pi_mix[:, r])
+    visc = np.einsum('ma...,vb...,mv...->ab...', pi_r, pi_mix, shear)
+    visc_cols = np.einsum('ma...,vb...,mv...->ab...', pi_mix, pi_r, shear)
     # the projected contraction is symmetric in exact arithmetic; averaging
     # with its transpose keeps it bitwise symmetric in floating point too
-    T = T - eta * 0.5 * (visc + np.swapaxes(visc, 0, 1))
-    T = T + lam * (u_dn[:, None] * acc_dn[None, :] + u_dn[None, :] * acc_dn[:, None])
+    T = T - eta * 0.5 * (visc + np.swapaxes(visc_cols, 0, 1))
+    T = T + lam * (u_dn[r, None] * acc_dn[None, :] + u_dn[None, :] * acc_dn[r, None])
     T = T + (chi / 3.0) * pi_dn * theta + chi * uu * theta
     pdeps = np.einsum('ma...,m...->a...', pi_mix, deps)
-    T = T + (lam / (4.0 * eps)) * (u_dn[:, None] * pdeps[None, :]
-                                   + u_dn[None, :] * pdeps[:, None])
+    T = T + (lam / (4.0 * eps)) * (u_dn[r, None] * pdeps[None, :]
+                                   + u_dn[None, :] * pdeps[r, None])
     T = T + (3.0 * chi / (4.0 * eps)) * uu * udeps
     T = T + (chi / (4.0 * eps)) * pi_dn * udeps
     return T

@@ -338,42 +338,50 @@ class SinusoidalField:
         self.w = np.asarray(u_speeds, dtype=float)
         self.ph = np.asarray(u_phases, dtype=float)
 
-    def eps_jet(self, t: float, x: np.ndarray):
+    def eps_jet(self, t: float, x: np.ndarray, order: int = 2):
+        """(eps, deps) for order 1, (eps, deps, d2eps) for order 2."""
         arg = self.keps * x + self.weps * t
         s, c = np.sin(arg), np.cos(arg)
         eps = self.eps0 + self.eps_amp * s
         d = np.zeros((4,) + x.shape)
         d[0] = self.eps_amp * c * self.weps
         d[1] = self.eps_amp * c * self.keps
+        if order == 1:
+            return eps, d
         d2 = np.zeros((4, 4) + x.shape)
         d2[0, 0] = -self.eps_amp * s * self.weps ** 2
         d2[0, 1] = d2[1, 0] = -self.eps_amp * s * self.weps * self.keps
         d2[1, 1] = -self.eps_amp * s * self.keps ** 2
         return eps, d, d2
 
-    def u_jet(self, t: float, x: np.ndarray):
+    def u_jet(self, t: float, x: np.ndarray, order: int = 2):
+        """(u, du) for order 1, (u, du, d2u) for order 2."""
         shp = x.shape
         ui = np.zeros((3,) + shp)
         dui = np.zeros((4, 3) + shp)
-        d2ui = np.zeros((4, 4, 3) + shp)
         for i in range(3):
             arg = self.k[i] * x + self.w[i] * t + self.ph[i]
             s, c = np.sin(arg), np.cos(arg)
             ui[i] = self.amp[i] * s
             dui[0, i] = self.amp[i] * c * self.w[i]
             dui[1, i] = self.amp[i] * c * self.k[i]
-            d2ui[0, 0, i] = -self.amp[i] * s * self.w[i] ** 2
-            d2ui[0, 1, i] = d2ui[1, 0, i] = -self.amp[i] * s * self.w[i] * self.k[i]
-            d2ui[1, 1, i] = -self.amp[i] * s * self.k[i] ** 2
         ssum = np.einsum('i...,i...->...', ui, ui)
         dssum = 2.0 * np.einsum('i...,ai...->a...', ui, dui)
-        d2ssum = 2.0 * (np.einsum('ai...,mi...->am...', dui, dui)
-                        + np.einsum('i...,ami...->am...', ui, d2ui))
         u0 = np.sqrt(1.0 + ssum)
         du0 = dssum / (2.0 * u0)
-        d2u0 = d2ssum / (2.0 * u0) - dssum[:, None] * dssum[None, :] / (4.0 * u0 ** 3)
         u = np.concatenate([u0[None], ui], axis=0)
         du = np.concatenate([du0[:, None], dui], axis=1)
+        if order == 1:
+            return u, du
+        # -amp s is -u^i, exactly: negation does not round
+        d2ui = np.zeros((4, 4, 3) + shp)
+        for i in range(3):
+            d2ui[0, 0, i] = -ui[i] * self.w[i] ** 2
+            d2ui[0, 1, i] = d2ui[1, 0, i] = -ui[i] * self.w[i] * self.k[i]
+            d2ui[1, 1, i] = -ui[i] * self.k[i] ** 2
+        d2ssum = 2.0 * (np.einsum('ai...,mi...->am...', dui, dui)
+                        + np.einsum('i...,ami...->am...', ui, d2ui))
+        d2u0 = d2ssum / (2.0 * u0) - dssum[:, None] * dssum[None, :] / (4.0 * u0 ** 3)
         d2u = np.concatenate([d2u0[:, :, None], d2ui], axis=2)
         return u, du, d2u
 
@@ -391,40 +399,57 @@ class DivergenceReport:
     constraint_row_max: float  # assembled row 4; identically zero for normalized fields
 
 
+def _fd_divergence(fields: SinusoidalField, resolution: int, model: TransportModel,
+                   t0: float):
+    """The finite-difference side of the oracle: (x, h, div) at t0.
+
+    div (4, N) is d_a T^a_beta, beta low, from the constitutive stress on a
+    five-level time stencil, differentiated with 4th-order centered
+    differences (periodic in x).  The stencils read one row per level,
+    T^0_beta at t0 +- h and t0 +- 2h and T^1_beta at t0, and each level
+    builds only that row, from a first-order jet.
+    """
+    n = int(resolution)
+    h = fields.length / n
+    x = np.arange(n) * h
+
+    def level(j: int, row: int) -> np.ndarray:
+        t = t0 + j * h
+        u, du = fields.u_jet(t, x, order=1)
+        eps, deps = fields.eps_jet(t, x, order=1)
+        return SGN[row] * stress_tensor_fields(u, du, eps, deps, model, rows=(row,))[0]
+
+    dt_t = (level(-2, 0) - 8.0 * level(-1, 0) + 8.0 * level(1, 0) - level(2, 0)) / (12.0 * h)
+    return x, h, dt_t + dx4(level(0, 1), h)
+
+
+def _assembled_report(fields: SinusoidalField, fd: tuple, model: TransportModel,
+                      t0: float, mutation=None) -> DivergenceReport:
+    """The assembled side of the oracle, at the exact analytic jet, against
+    the finite-difference divergence fd = (x, h, div) of `_fd_divergence`."""
+    x, h, div = fd
+    rows = equation_rows(fields.jet2(t0, x), model, mutation=mutation)
+    assembled_low = SGN[:, None] * rows[:4]
+    return DivergenceReport(
+        resolution=len(x),
+        spacing=h,
+        max_discrepancy=float(np.abs(assembled_low - div).max()),
+        constraint_row_max=float(np.abs(rows[4]).max()),
+    )
+
+
 def divergence_residual(fields: SinusoidalField, resolution: int,
                         model: TransportModel, t0: float = 0.37,
                         mutation=None) -> DivergenceReport:
     """Max discrepancy between assembled equations and the FD stress divergence.
 
-    The stress tensor is evaluated from the constitutive relation on a
-    five-level time stencil and differentiated with 4th-order centered
-    differences (periodic in x); the assembled side uses the exact analytic
-    jet.  The discrepancy is pure stencil error and must shrink at 4th
-    order; a corrupted coefficient (via `mutation`) breaks that.
+    The finite-difference side is `_fd_divergence`; the assembled side uses
+    the exact analytic jet.  The discrepancy is pure stencil error and must
+    shrink at 4th order; a corrupted coefficient (via `mutation`) breaks
+    that.
     """
-    n = int(resolution)
-    h = fields.length / n
-    x = np.arange(n) * h
-    levels = []
-    for j in range(-2, 3):
-        t = t0 + j * h
-        u, du, _ = fields.u_jet(t, x)
-        eps, deps, _ = fields.eps_jet(t, x)
-        levels.append(SGN[:, None, None] * stress_tensor_fields(u, du, eps, deps, model))
-    dt_t = (levels[0] - 8.0 * levels[1] + 8.0 * levels[3] - levels[4]) / (12.0 * h)
-    mid = levels[2]
-    dx_t = dx4(mid, h)
-    div = dt_t[0] + dx_t[1]                       # (4, N): d_a T^a_beta, beta low
-
-    jet2 = fields.jet2(t0, x)
-    rows = equation_rows(jet2, model, mutation=mutation)
-    assembled_low = SGN[:, None] * rows[:4]
-    return DivergenceReport(
-        resolution=n,
-        spacing=h,
-        max_discrepancy=float(np.abs(assembled_low - div).max()),
-        constraint_row_max=float(np.abs(rows[4]).max()),
-    )
+    return _assembled_report(fields, _fd_divergence(fields, resolution, model, t0),
+                             model, t0, mutation=mutation)
 
 
 def _order(coarse: DivergenceReport, fine: DivergenceReport) -> float:
@@ -487,7 +512,10 @@ def divergence_oracle(fields: SinusoidalField, model: TransportModel, resolution
             or any(b != 2 * a for a, b in zip(resolutions, resolutions[1:]))):
         raise ValueError("oracle resolutions must be at least two positive grids, "
                          f"each double the last; got {resolutions}")
-    clean = tuple(divergence_residual(fields, n, model, t0=t0) for n in resolutions)
-    mutated = tuple(divergence_residual(fields, n, model, t0=t0, mutation=MUTATION)
-                    for n in resolutions[-2:])
+    # the mutation touches only the assembled side: the mutated reports
+    # reuse the clean finite-difference divergences
+    fds = [_fd_divergence(fields, n, model, t0) for n in resolutions]
+    clean = tuple(_assembled_report(fields, fd, model, t0) for fd in fds)
+    mutated = tuple(_assembled_report(fields, fd, model, t0, mutation=MUTATION)
+                    for fd in fds[-2:])
     return OracleReport(model=model, t0=t0, clean=clean, mutated=mutated)

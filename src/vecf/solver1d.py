@@ -137,6 +137,9 @@ def bump_perturbation(base: InitialData, amplitude: float, center: float,
 # the largest Courant number dt v_max / h a run may reach: SolverConfig holds
 # cfl to it at t = 0, and evolve checks it again at every diagnostic
 COURANT_MAX = 1.0
+# the most RK4 steps one evolve may take, far above any run of the package;
+# a t_end that asks for more is a configuration error
+MAX_STEPS = 10 ** 7
 
 
 @dataclass(frozen=True)
@@ -325,20 +328,25 @@ def make_grid(cfg: SolverConfig, ics=None) -> FieldGrid:
     return FieldGrid(n_cells=n, length=cfg.length, V=V, W=W, t=0.0)
 
 
+# the causality scan's angle grid (`causality_scan`'s default n_theta)
+_SCAN_THETAS = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+
+
 def _grid_v_max(grid: FieldGrid, model: TransportModel) -> float:
     """CFL speed: the largest |slope| of the fluid cones at the fastest cell.
 
-    At a1 = 4 the slope extrema grow with |w| and sit on the axis, where the
-    slopes at theta = pi are those at 0 negated and swapped: theta = 0 at the
-    fastest cell bounds the grid, every member of an ensemble included.  A
-    one-element theta takes the scan's array arithmetic, so the speed has the
-    bits of the scan's maximum over angles.  Raises ValueError where the
-    speed is NaN or exceeds 1 + BOUNDARY_TOL.
+    At a1 = 4 the slope extrema grow with |w| and sit on the axis, so the
+    fastest cell bounds the grid, every member of an ensemble included.
+    Its slopes are taken over the scan's angles with the scan's array
+    arithmetic, so the speed has the bits of the scan's maximum over angles:
+    where the sound cone is the light cone to rounding (a2 within a few ulps
+    of 4) an angle off the axis can round one ulp above it.  Raises
+    ValueError where the speed is NaN or exceeds 1 + BOUNDARY_TOL.
     """
     w = grid.V.reshape(5, -1)[1:4]
     fastest = np.array(w[:, int(np.argmax(np.einsum('in,in->n', w, w)))])
     u2 = float(fastest @ fastest)
-    v_max = float(np.abs([cone_slopes(family, u2, [0.0], model.a2)
+    v_max = float(np.abs([cone_slopes(family, u2, _SCAN_THETAS, model.a2)
                           for family in FLUID_FACTORS.families]).max())
     if not v_max <= 1.0 + BOUNDARY_TOL:
         raise ValueError(f"state is not causal: fluid speed {v_max!r} at |w|^2 = {u2!r}")
@@ -368,7 +376,8 @@ def _diagnose(grid: FieldGrid, model: TransportModel) -> Diagnostics:
 
     evolve diagnoses an ensemble one member at a time: diagnostics run only
     at the output cadence, and the stress tensor's (4, 4, N) temporaries
-    over a whole ensemble would set the run's peak memory.
+    over a whole ensemble would set the run's peak memory.  Only the stress
+    tensor's row 0 is built: it holds T^{00} and T^{01}.
     """
     u, eps = grid.V[:4], grid.V[4]
     n = grid.n_cells
@@ -379,9 +388,9 @@ def _diagnose(grid: FieldGrid, model: TransportModel) -> Diagnostics:
     du[1] = dxV[:4]
     deps[0] = grid.W[4]
     deps[1] = dxV[4]
-    T = stress_tensor_fields(u, du, eps, deps, model)
-    t00_up = T[0, 0]                       # T^{00} = g^{0a} g^{0b} T_ab = T_00
-    t01_up = -T[0, 1]                      # T^{01} = g^{00} g^{11} T_01
+    (t0_dn,) = stress_tensor_fields(u, du, eps, deps, model, rows=(0,))
+    t00_up = t0_dn[0]                      # T^{00} = g^{0a} g^{0b} T_ab = T_00
+    t01_up = -t0_dn[1]                     # T^{01} = g^{00} g^{11} T_01
     eta, lam, chi = transport(eps, model)
     _, det = time_matrix_solve(u, eps, eta, lam, chi)
     dets = np.abs(det)
@@ -405,6 +414,8 @@ def evolve(cfg: SolverConfig, snapshot_times=None, ics=None):
 
     dt is cfl * h / v_max rounded so t_end is hit exactly; snapshots are
     stored at the requested times (rounded to steps), plus first and last.
+    A run that needs more than MAX_STEPS steps raises ValueError before
+    stepping.
 
     Without ics this is one run of cfg and returns its Trajectory.  With
     ics, a sequence of InitialData, it runs cfg once with each as its
@@ -421,7 +432,12 @@ def evolve(cfg: SolverConfig, snapshot_times=None, ics=None):
     model = cfg.transport
     v_max = _grid_v_max(grid, model)
     h = grid.spacing
-    n_steps = max(1, int(np.ceil(cfg.t_end / (cfg.cfl * h / v_max))))
+    dt_cfl = cfg.cfl * h / v_max
+    steps = np.ceil(cfg.t_end / dt_cfl)
+    if not steps <= MAX_STEPS:
+        raise ValueError(f"t_end = {cfg.t_end:g} needs {steps:g} steps of dt = {dt_cfl:.6g}; "
+                         f"the most allowed is {MAX_STEPS:g}")
+    n_steps = max(1, int(steps))
     dt = cfg.t_end / n_steps
     factors = (_filter_factors(cfg.n_cells, cfg.filter_strength)
                if cfg.filter_strength > 0.0 else None)

@@ -265,6 +265,7 @@ def reference_scan(a2_list, u_max, n_u, n_theta, a1=4.0):
 @pytest.mark.parametrize("a2_list,u_max,n_u,n_theta", [
     ((4.0, 5.0, 6.0, 8.0, 10.0), 10.0, 41, 720),
     ((3.0, 3.5, 4.0, 6.0), 6.0, 7, 90),      # a2 = 3: D = 0 at |w| = 3, R < 0 beyond
+    ((6.0, 4.0, 6.0), 3.0, 5, 90),           # a repeated a2 reuses its cones
 ])
 def test_causality_scan_matches_per_state_reference(a2_list, u_max, n_u, n_theta):
     rows = causality_scan(a2_list, u_max, n_u=n_u, n_theta=n_theta)
@@ -300,9 +301,26 @@ def test_cone_containment_matches_reference():
         assert repr(got) == repr(fams)
 
 
+def reference_factor_slopes(r, u_samples, n_theta):
+    """(hyperbolic, max |slope|) of the factor (u.xi)^2 - r xi.xi, on a
+    (boost, angle) grid of its own."""
+    from vecf.characteristics import DISTINCTNESS_GAP, cone_xi0
+    flow = abs(r) < 1e-12
+    thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+    u2 = np.asarray(u_samples, dtype=float)[:, None]
+    try:
+        s1, s2, _ = cone_xi0(1.0, 0.0 if flow else r, u2, np.sqrt(u2) * np.cos(thetas))
+    except ValueError:
+        return False, np.inf
+    if not flow and np.any(np.abs(s1 - s2) < DISTINCTNESS_GAP):
+        return False, np.inf
+    return True, float(max(np.abs(s1).max(), np.abs(s2).max()))
+
+
 def reference_region_map(a1_grid, a2_grid, u_samples=(0.0, 0.25, 1.0, 4.0), n_theta=64):
-    """hyperbolicity_region_map one (a1, a2) cell at a time."""
-    from vecf.causality import BOUNDARY_TOL, _quadratic_factor_slopes
+    """hyperbolicity_region_map one (a1, a2) cell at a time, each factor
+    sampled on a grid of its own."""
+    from vecf.causality import BOUNDARY_TOL
     from vecf.characteristics import quartic_coefficients
     cells = []
     for a1 in a1_grid:
@@ -329,7 +347,7 @@ def reference_region_map(a1_grid, a2_grid, u_samples=(0.0, 0.25, 1.0, 4.0), n_th
             smax = 1.0 if light else 0.0
             hyperbolic = True
             for r in factors:
-                ok, fmax = _quadratic_factor_slopes(float(r), list(u_samples), n_theta)
+                ok, fmax = reference_factor_slopes(float(r), list(u_samples), n_theta)
                 if not ok:
                     hyperbolic = False
                     break
@@ -354,3 +372,4 @@ def test_region_map_matches_per_cell_reference(a1_grid, a2_grid):
     cells = hyperbolicity_region_map(a1_grid, a2_grid)
     got = [(c.a1, c.a2, c.label, c.max_abs_slope) for c in cells]
     assert repr(got) == repr(reference_region_map(a1_grid, a2_grid))
+

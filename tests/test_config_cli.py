@@ -346,3 +346,30 @@ def test_cli_rejects_removed_speeds_section(tmp_path, capsys):
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
     assert "speeds" in err
+
+
+def test_cli_region_map_unreadable_cell_is_a_config_error(tmp_path, capsys):
+    # a2 near 1e299 overflows the sound quartic, so its coefficients cannot
+    # be read; the error names the cell
+    assert main(["--out", str(tmp_path), "--set", "scan.a2_max=1e300", "region-map"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1          # one line, no traceback
+    assert "a1 = 1, a2 = 9.09091e+298" in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("override,command", [
+    ("solver.t_end=1e308", "evolve"),     # the step count overflows to inf
+    ("solver.t_end=1e300", "evolve"),     # finite, about 5e302 steps
+    ("solver.t_end=1e300", "convergence"),
+    ("solver.cfl=1e-300", "dod-test"),    # dod-test sets t_end from dod.probe_t
+])
+def test_cli_step_count_beyond_the_bound_is_a_config_error(tmp_path, capsys, override,
+                                                          command):
+    assert main(["--out", str(tmp_path), "--set", override, command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1          # one line, no traceback
+    assert "steps" in err
+    assert not any(tmp_path.iterdir())

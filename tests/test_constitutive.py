@@ -126,3 +126,22 @@ def test_completion_field_arrays():
     assert u.shape == (4, 64) and dtu.shape == (4, 64)
     uu = np.einsum('a,an,an->n', SGN, u, u)
     assert np.abs(uu + 1.0).max() < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 16), st.sampled_from([(2,), (64,), (1, 5), (3, 17)]),
+       st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
+def test_stress_tensor_rows_are_the_full_tensor_rows_bitwise(seed, shape, rows):
+    # a row built alone has the bits it has in the full tensor, on (N,) and
+    # (K, N) batches of points
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(-2.0, 2.0, (3,) + shape)
+    u = np.concatenate([np.sqrt(1.0 + np.einsum('i...,i...->...', w, w))[None], w])
+    du = rng.uniform(-1.0, 1.0, (4, 4) + shape)
+    eps = rng.uniform(0.5, 2.0, shape)
+    deps = rng.uniform(-1.0, 1.0, (4,) + shape)
+    model = TransportModel(a1=4.0, a2=rng.uniform(4.0, 12.0))
+    full = stress_tensor_fields(u, du, eps, deps, model)
+    part = stress_tensor_fields(u, du, eps, deps, model, rows=rows)
+    assert part.shape == (len(rows), 4) + shape
+    assert np.array_equal(part, full[rows])

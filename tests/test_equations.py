@@ -440,3 +440,54 @@ def test_equation_rows_shapes():
     rows = equation_rows(fields.jet2(0.1, x), MODEL)
     assert rows.shape == (5, 32)
     assert np.all(np.isfinite(rows))
+
+
+def reference_divergence_residual(fields, n, model, t0=0.37, mutation=None):
+    """divergence_residual with the full stress tensor at every level, each
+    from a second-order jet."""
+    from vecf.constitutive import stress_tensor_fields
+    from vecf.equations import DivergenceReport, dx4
+    h = fields.length / n
+    x = np.arange(n) * h
+    levels = []
+    for j in range(-2, 3):
+        u, du, _, eps, deps, _ = fields.jet2(t0 + j * h, x)
+        levels.append(SGN[:, None, None] * stress_tensor_fields(u, du, eps, deps, model))
+    dt_t = (levels[0] - 8.0 * levels[1] + 8.0 * levels[3] - levels[4]) / (12.0 * h)
+    div = dt_t[0] + dx4(levels[2], h)[1]
+    rows = equation_rows(fields.jet2(t0, x), model, mutation=mutation)
+    return DivergenceReport(resolution=n, spacing=h,
+                            max_discrepancy=float(np.abs(SGN[:, None] * rows[:4] - div).max()),
+                            constraint_row_max=float(np.abs(rows[4]).max()))
+
+
+@pytest.mark.parametrize("mutation", [None, ("expansion_iso", 1.01)])
+def test_divergence_residual_matches_full_tensor_reference(mutation):
+    # one stress row per level, from first-order jets, gives the bits of
+    # the full tensor at every level
+    fields = SinusoidalField(length=2 * np.pi)
+    for n in (64, 256):
+        assert divergence_residual(fields, n, MODEL, mutation=mutation) == \
+            reference_divergence_residual(fields, n, MODEL, mutation=mutation)
+
+
+def test_divergence_oracle_reports_match_separate_residuals():
+    # the mutated reports reuse the clean finite-difference divergences
+    from vecf.equations import MUTATION, divergence_oracle
+    fields = SinusoidalField(length=2.0)
+    report = divergence_oracle(fields, MODEL, (32, 64, 128), t0=0.2)
+    assert report.clean == tuple(divergence_residual(fields, n, MODEL, t0=0.2)
+                                 for n in (32, 64, 128))
+    assert report.mutated == tuple(divergence_residual(fields, n, MODEL, t0=0.2,
+                                                       mutation=MUTATION)
+                                   for n in (64, 128))
+
+
+def test_first_order_jets_are_the_second_order_jets_leading_parts():
+    fields = SinusoidalField(length=2.0)
+    x = np.linspace(0, 2.0, 33, endpoint=False)
+    u, du, _ = fields.u_jet(0.3, x)
+    eps, deps, _ = fields.eps_jet(0.3, x)
+    for got, ref in zip(fields.u_jet(0.3, x, order=1) + fields.eps_jet(0.3, x, order=1),
+                        (u, du, eps, deps)):
+        assert np.array_equal(got, ref)

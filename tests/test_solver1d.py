@@ -313,3 +313,24 @@ def test_ensemble_det_floor_abort_names_the_member():
     assert err.value.step_index == 1
     with pytest.raises(SolverAbort, match=r"degenerate: min \|det\| = \S+ <= 1e-10 at t=0 "):
         evolve(replace(cfg, ic=degenerate))
+
+
+def test_diagnose_integrals_have_the_full_tensors_bits():
+    # _diagnose builds the stress tensor's row 0 only; its T^{00} and T^{01}
+    # integrals keep the bits of the full tensor's, on a boosted shear pulse
+    from vecf.constitutive import stress_tensor_fields
+    from vecf.equations import dx4
+    from vecf.solver1d import _diagnose
+    cfg = small_cfg(n_cells=256, ic=shear_pulse(amplitude=0.5))
+    grid = make_grid(cfg)
+    for _ in range(3):
+        grid = step(grid, cfg, 1e-3, None)
+    u, eps, n = grid.V[:4], grid.V[4], grid.n_cells
+    du, deps = np.zeros((4, 4, n)), np.zeros((4, n))
+    dxV = dx4(grid.V, grid.spacing)
+    du[0], du[1], deps[0], deps[1] = grid.W[:4], dxV[:4], grid.W[4], dxV[4]
+    T = stress_tensor_fields(u, du, eps, deps, cfg.transport)
+    d = _diagnose(grid, cfg.transport)
+    assert np.any(grid.W != 0.0)
+    assert d.energy_integral == float(T[0, 0].sum() * grid.spacing)
+    assert d.momentum_integral == float(-T[0, 1].sum() * grid.spacing)
