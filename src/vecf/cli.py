@@ -100,7 +100,12 @@ def cmd_gevrey(cfg, args) -> int:
 
 def _suite_args(args) -> dict:
     """The --samples and --seed flags given, as suite keywords; a suite runs
-    at its own criterion's samples and seed otherwise."""
+    at its own criterion's samples and seed otherwise.  --samples below 1
+    and --seed below 0 are config errors."""
+    if args.samples is not None and args.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     return {k: v for k, v in (("samples", args.samples), ("seed", args.seed))
             if v is not None}
 
@@ -252,7 +257,9 @@ def cmd_dod_test(cfg, args) -> int:
         "seed": None,
         "tolerances": {"outside_ratio_min": experiments.DOD_OUTSIDE_RATIO_MIN,
                        "outside_order": list(experiments.DOD_OUTSIDE_ORDER),
-                       "inside_stability": experiments.DOD_INSIDE_STABILITY},
+                       "inside_stability": experiments.DOD_INSIDE_STABILITY,
+                       "inside_over_outside_min":
+                           experiments.DOD_INSIDE_OVER_OUTSIDE_MIN},
         "resolutions": list(report.resolutions),
         "outside_diffs": list(report.outside_diffs),
         "outside_ratios": list(report.outside_ratios),
@@ -337,6 +344,10 @@ COMMANDS = {
     "oracle-divergence": cmd_oracle_divergence,
 }
 
+# the commands that draw seeded samples, and the only ones that take
+# --samples and --seed
+SUITE_COMMANDS = ("verify-factorization", "collapse", "roots")
+
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose errors are config errors: one line, exit 2."""
@@ -359,25 +370,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--samples", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
+        if name in SUITE_COMMANDS:
+            p.add_argument("--samples", type=int, default=None)
+            p.add_argument("--seed", type=int, default=None)
         # scalar global flags are accepted after the command too
         p.add_argument("--out", default=argparse.SUPPRESS)
     return parser
 
 
-def _check_suite_flags(args) -> None:
-    """Reject --samples below 1 and --seed below 0."""
-    if args.samples is not None and args.samples < 1:
-        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
-    if args.seed is not None and args.seed < 0:
-        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _check_suite_flags(args)
         cfg = load_config(args.config, args.overrides)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

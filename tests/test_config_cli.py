@@ -264,6 +264,10 @@ def test_cli_claim_commands_reject_bad_config(tmp_path, capsys, override, comman
     # the removed worker-count flag, before and after the command
     ["--threads", "2", "gevrey"],
     ["gevrey", "--threads", "2"],
+    # only the sample suites take --samples and --seed
+    ["evolve", "--samples", "5", "--seed", "3"],
+    ["gevrey", "--seed", "3"],
+    ["dod-test", "--samples", "5"],
 ])
 def test_cli_malformed_arguments_are_config_errors(tmp_path, capsys, argv):
     assert main(["--out", str(tmp_path)] + argv) == 2

@@ -4,8 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vecf.constitutive import SGN, TransportModel, transport
-from vecf.equations import (MUTATION_KEYS, FieldJet1, SinusoidalField,
-                            assemble_lower_order, divergence_residual,
+from vecf.equations import (MUTATION_KEYS, DegenerateTimeMatrix, FieldJet1,
+                            SinusoidalField, assemble_lower_order, divergence_residual,
                             equation_rows, symbol_apply, symbol_block,
                             time_matrix_solve)
 from vecf.experiments import ORDER_WINDOW
@@ -299,6 +299,20 @@ def test_time_matrix_solve_rejects_degenerate_cell():
         time_matrix_solve(*args, np.ones((5, 2)), det_floor=1e-10)
     _, det = time_matrix_solve(*args)
     assert det[1] == 0.0 and abs(det[0]) > 1e-10
+
+
+def test_time_matrix_solve_flags_an_infinite_det():
+    # at eps = 1e300 (a2 = 6) det a overflows to inf; the guard flags that
+    # cell only, and says its det is not finite
+    u = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    eps = np.array([1.0, 1e300])
+    args = (u, eps, *transport(eps, MODEL))
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, det = time_matrix_solve(*args)
+        assert np.isfinite(det[0]) and np.isinf(det[1])
+        with pytest.raises(DegenerateTimeMatrix, match="det not finite at 1 cell") as err:
+            time_matrix_solve(*args, np.ones((5, 2)), det_floor=1e-10)
+    assert err.value.cells.tolist() == [False, True]
 
 
 def test_constant_state_has_zero_lower_order():

@@ -3,10 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from vecf import experiments
 from vecf.constitutive import TransportModel
-from vecf.experiments import (convergence_study, dod_experiment,
-                              pulse_speed_experiment)
-from vecf.solver1d import SolverConfig, constant_state, gaussian_pulse
+from vecf.experiments import (DodPlacement, DodReport, convergence_study,
+                              dod_experiment, pulse_speed_experiment)
+from vecf.solver1d import SolverConfig, constant_state, evolve, gaussian_pulse
 
 
 def test_convergence_study_validates_resolutions():
@@ -76,6 +77,49 @@ def test_dod_inside_beats_outside_quickly():
     assert report.outside_diffs[0] > report.outside_diffs[1]
 
 
+def _counting_evolve(monkeypatch):
+    """Wrap the `evolve` that dod_experiment calls, and return the list of
+    the ensemble sizes it is given."""
+    sizes = []
+
+    def counted(cfg, ics):
+        sizes.append(len(ics))
+        return evolve(cfg, ics=ics)
+    monkeypatch.setattr(experiments, "evolve", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("eps0,stepped", [(1.0, [3, 2]), (0.7, [4, 3])])
+def test_dod_skipping_a_fixed_base_keeps_the_report(monkeypatch, eps0, stepped):
+    # the report equals, field by field, the one that always steps the base;
+    # at eps0 = 0.7 the base is no exact fixed point and is stepped anyway
+    cfg = SolverConfig(transport=TransportModel(a2=6.0), n_cells=64, length=2.0,
+                       t_end=0.35, ic=constant_state(eps0=eps0),
+                       filter_strength=0.0)
+
+    def run():
+        return dod_experiment(cfg, probe_t=0.35, probe_x=0.5, resolutions=(64, 128))
+    sizes = _counting_evolve(monkeypatch)
+    report = run()
+    assert sizes == stepped
+    monkeypatch.setattr(experiments, "_fixed_point", lambda cfg: None)
+    reference = run()
+    assert sizes[2:] == [4, 3]
+    for name in DodReport.__dataclass_fields__:
+        assert getattr(report, name) == getattr(reference, name), name
+
+
+def test_dod_steps_only_the_bumps_over_a_fixed_base(monkeypatch):
+    # [outside, inside, null] on the first grid, [outside, inside] after
+    cfg = SolverConfig(transport=TransportModel(a2=6.0), n_cells=128, length=2.0,
+                       t_end=0.35, ic=constant_state(), filter_strength=0.0)
+    sizes = _counting_evolve(monkeypatch)
+    report = dod_experiment(cfg, probe_t=0.35, probe_x=0.5,
+                            resolutions=(128, 256, 512))
+    assert sizes == [3, 2, 2]
+    assert report.zero_amplitude_diff == 0.0
+
+
 def test_pulse_speed_shear_quick():
     report = pulse_speed_experiment("shear", a2=4.0, n_cells=512,
                                     t_first=0.25, t_second=0.5)
@@ -100,7 +144,6 @@ def test_convergence_with_filter_is_reported():
 
 
 def test_dod_report_verdict_takes_ratio_8_inclusive():
-    from vecf.experiments import DodPlacement, DodReport
     pl = DodPlacement(center=1.0, radius=0.1, amplitude=0.02, inside=False,
                       margin_cells=3.0)
     rep = DodReport(probe_t=0.35, probe_x=0.5, v_max=1.0, cone_radius=0.35,
@@ -123,7 +166,6 @@ def test_dod_rejects_single_resolution():
 
 
 def test_dod_report_fails_on_a_zero_difference():
-    from vecf.experiments import DodPlacement, DodReport
     pl = DodPlacement(center=1.0, radius=0.1, amplitude=0.02, inside=False,
                       margin_cells=3.0)
     rep = DodReport(probe_t=0.35, probe_x=0.5, v_max=1.0, cone_radius=0.35,

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from vecf.characteristics import FLUID_FACTORS, cone_coefficients, cone_xi0
 from vecf.constitutive import TransportModel
 from vecf.solver1d import (FieldGrid, InitialData, SolverAbort, SolverConfig,
-                           _grid_v_max, _rhs, bump_perturbation, constant_state,
-                           evolve, gaussian_pulse, make_grid, shear_pulse, step)
+                           _fixed_point, _grid_v_max, _rhs, bump_perturbation,
+                           constant_state, evolve, gaussian_pulse, make_grid,
+                           shear_pulse, step)
 from vecf.symbol import StatePoint, det_time_matrix_formula
 
 
@@ -50,6 +51,30 @@ def test_constant_state_with_filter_is_fixed_point():
     for _ in range(100):
         grid = step(grid, cfg, dt)
     assert np.abs(grid.V - v0).max() < 1e-12
+
+
+@pytest.mark.parametrize("eta_form", ["constant", "power"])
+@pytest.mark.parametrize("a2", [4.0, 6.0, 10.0])
+@pytest.mark.parametrize("eps0", [1.0, 2.5])
+def test_exact_fixed_point_steps_to_itself(eps0, a2, eta_form):
+    # a constant state whose stencil derivatives round to exactly 0 is a
+    # fixed point of step bit for bit, and _fixed_point returns its V
+    cfg = small_cfg(transport=TransportModel(a2=a2, eta_form=eta_form),
+                    ic=constant_state(eps0=eps0))
+    grid = make_grid(cfg)
+    v0 = grid.V.copy()
+    for _ in range(10):
+        grid = step(grid, cfg, 0.25 * grid.spacing)
+    assert np.array_equal(grid.V, v0)
+    assert not grid.W.any()
+    assert np.array_equal(_fixed_point(cfg), v0)
+
+
+def test_round_off_derivative_is_not_a_fixed_point():
+    # at eps0 = 0.7 the stencil's running sum leaves a derivative of
+    # round-off size, so dt W is not exactly 0
+    assert _fixed_point(small_cfg(ic=constant_state(eps0=0.7))) is None
+    assert _fixed_point(small_cfg(ic=gaussian_pulse())) is None
 
 
 def test_evolution_is_deterministic():
