@@ -9,9 +9,8 @@ machine-checkable numerical facts, and evolves the flat-space equations in
 from .causality import (causality_scan, cone_slopes, critical_angle_check,
                         hyperbolicity_region_map, scan_verdict)
 from .characteristics import (COUPLED_FACTORS, FLUID_FACTORS, FactorSet,
-                              RootPair, bisection_roots, cone_coefficients,
-                              cone_roots, cone_xi0, eval_factor,
-                              eval_factor_base, gevrey_check, gevrey_index,
+                              bisection_roots, cone_coefficients, cone_roots_batch,
+                              cone_xi0, gevrey_check, gevrey_index,
                               quartic_coefficients, sound_quartic_general)
 from .constitutive import (TransportModel, complete_initial_data,
                            stress_tensor_fields, transport)
@@ -19,9 +18,8 @@ from .equations import (SinusoidalField, assemble_lower_order,
                         divergence_oracle, divergence_residual)
 from .solver1d import (FieldGrid, SolverAbort, SolverConfig, constant_state,
                        evolve, gaussian_pulse, shear_pulse, step)
-from .symbol import (StatePoint, coupled_char_det, det_time_matrix_formula,
-                     fluid_char_det, fluid_symbol, time_matrix)
-from .tensor import Metric4, minkowski, random_lorentzian_near_minkowski
+from .symbol import det_by_elimination, symbol_components
+from .tensor import Metric4, minkowski
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -30,8 +30,8 @@ from typing import Callable
 
 import numpy as np
 
-from .symbol import StatePoint, _as_covector, _dot, symbol_contractions
-from .tensor import Metric4
+from .symbol import _dot, symbol_contractions
+from .tensor import Metric4, minkowski, validate_metrics
 
 DISTINCTNESS_GAP = 1e-8  # least separation of distinct roots, for unit directions
 # a batched oracle's temporaries hold at most about this many float64
@@ -127,32 +127,6 @@ def factor_values(family: str, base, eta, eps):
     if family == "flow":
         return eta ** p / (12.0 * eps) * base ** p
     return base ** p
-
-
-def eval_factor_base(family: str, s: StatePoint, xi):
-    """The underlying hyperbolic polynomial of a family at (state, covector).
-
-    xi is one covector (4,), giving a float, or a batch (4, K), giving K
-    values.  One covector is the batch K = 1: `**` on a numpy scalar can
-    differ in its last bit from `**` on an array, so a batched value has
-    the bits of the single-covector one only because both are arrays.
-    """
-    xi = np.asarray(xi, dtype=float)
-    single = xi.ndim != 2
-    if single:
-        xi = _as_covector(xi)[:, None]
-    elif xi.shape[0] != 4:
-        raise ValueError(f"covector batch must have shape (4, K), got {xi.shape}")
-    _, _, uxi, xixi, uu = symbol_contractions(s.u, xi.T, s.g.components, s.g.inverse)
-    base = factor_base_values(family, uxi, xixi, uu, s.transport.a2)
-    return float(base[0]) if single else base
-
-
-def eval_factor(family: str, s: StatePoint, xi) -> float:
-    """The factor as it appears in the characteristic determinant."""
-    base = eval_factor_base(family, s, xi)
-    eta, _, _ = s.coefficients()
-    return factor_values(family, base, float(eta), s.eps)
 
 
 def sound_quartic_general(u, xi, g, ginv, a1, a2):
@@ -271,22 +245,6 @@ def quartic_coefficients(a1, a2, u, g) -> QuarticCoefficients:
     return QuarticCoefficients(*(float(c[0]) if single else c for c in (A, B, C, resid)))
 
 
-@dataclass(frozen=True)
-class RootPair:
-    """Real xi0 roots of a cone at fixed spatial direction.
-
-    plus and minus take +sqrt R and -sqrt R in `cone_xi0`, and
-    discriminant is R; the flow cone's two roots coincide.
-    """
-
-    plus: float
-    minus: float
-    discriminant: float
-
-    def as_set(self):
-        return (self.plus, self.minus)
-
-
 def cone_xi0(alpha, beta, w2, wxi, xb2=1.0):
     """xi0 roots of alpha (u.xi)^2 - beta xi.xi = 0 at u = (sqrt(1 + w2), w).
 
@@ -326,17 +284,6 @@ def cone_roots_batch(family: str, xibar, u, a2):
     wT, xbT = u[:, 1:, None], xibar[:, :, None]
     alpha, beta = cone_coefficients(family, a2)
     return cone_xi0(alpha, beta, (w @ wT)[:, 0, 0], (w @ xbT)[:, 0, 0], (xb @ xbT)[:, 0, 0])
-
-
-def cone_roots(family: str, xibar, u, a2: float) -> RootPair:
-    """Closed-form xi0 roots of a family's cone (Minkowski, normalized u)."""
-    xibar = np.asarray(xibar, dtype=float).reshape(1, 3)
-    if not np.any(xibar != 0.0):
-        raise ValueError("spatial covector must be nonzero")
-    minus, plus, radicand = cone_roots_batch(family, xibar,
-                                             np.asarray(u, dtype=float).reshape(1, 4), a2)
-    return RootPair(plus=float(plus[0]), minus=float(minus[0]),
-                    discriminant=float(radicand[0]))
 
 
 @dataclass(frozen=True)
@@ -386,13 +333,15 @@ def _line_base_values(family: str, t, line, a2):
     return factor_base_values(family, t * ue0 + uxb, (g00 * t + cross) * t + xbxb, uu, a2)
 
 
-def bisection_roots(s, xibar, family: str, grid: int = 1024, tol: float = 1e-12):
+def bisection_roots(family: str, xibar, u, a2, g=None, grid: int = 1024,
+                    tol: float = 1e-12) -> list:
     """Roots of t -> base(family, state, (t, xibar)) by sign bracketing + bisection.
 
-    s is one StatePoint or a sequence of K, and xibar one spatial
-    covector (3,) or K of them (K, 3); a single state or direction serves
-    every pair.  One state with one direction gives a RootScan, and any
-    other call a list of K, one per pair.
+    The arguments follow `cone_roots_batch`: xibar (K, 3), or one spatial
+    covector (3,) for every pair, u (K, 4) and a2 (K,).  g is None for the
+    Minkowski metric, or components (4, 4) shared by every pair or
+    (K, 4, 4), validated and inverted once by `validate_metrics`.  Returns
+    a list of K RootScans, one per pair.
 
     Each pair's state contracts once, with e0 and with (0, xibar), in its
     own g and g^-1 (`_line_contractions`); u.xi and xi.xi are then
@@ -407,24 +356,22 @@ def bisection_roots(s, xibar, family: str, grid: int = 1024, tol: float = 1e-12)
     scan has the same bits alone as in a batch.  A count mismatch against
     the base degree is reported through the returned scan, never dropped.
     """
-    states = [s] if isinstance(s, StatePoint) else list(s)
+    u = np.asarray(u, dtype=float)
+    k = len(u)
     dirs = np.asarray(xibar, dtype=float)
-    single = isinstance(s, StatePoint) and dirs.ndim == 1
-    dirs = dirs.reshape(-1, 3)
-    if not np.all(np.any(dirs != 0.0, axis=1)):
+    if dirs.shape not in ((3,), (k, 3)):
+        raise ValueError(f"xibar must be (3,) or ({k}, 3) for {k} states, got {dirs.shape}")
+    if not np.all(np.any(dirs != 0.0, axis=-1)):
         raise ValueError("spatial covector must be nonzero")
-    k = len(dirs) if len(states) == 1 else len(states)
-    if len(dirs) not in (1, k):
-        raise ValueError(f"{len(states)} states and {len(dirs)} directions do not pair up")
     deg = base_degree(family)
     if k == 0:
         return []
+    g, ginv = ((minkowski().components, minkowski().inverse) if g is None
+               else validate_metrics(g))
     pairs = np.arange(k)
     dirs = np.broadcast_to(dirs, (k, 3))
-    u, g, ginv = (np.broadcast_to(a, (k,) + a.shape[1:]) for a in (
-        np.array([st.u for st in states]), np.array([st.g.components for st in states]),
-        np.array([st.g.inverse for st in states])))
-    a2 = np.broadcast_to(np.array([float(st.transport.a2) for st in states]), (k,))
+    g, ginv = (np.broadcast_to(a, (k, 4, 4)) for a in (g, ginv))
+    a2 = np.broadcast_to(np.asarray(a2, dtype=float), (k,))
     line = _line_contractions(dirs, u, g, ginv)
 
     def base(t, p):
@@ -482,7 +429,7 @@ def bisection_roots(s, xibar, family: str, grid: int = 1024, tol: float = 1e-12)
         scans.append(RootScan(roots=tuple(merged), expected_count=deg,
                               factor_multiplicity=_family(family).multiplicity,
                               min_gap=float(min(gaps)) if gaps else np.inf))
-    return scans[0] if single else scans
+    return scans
 
 
 def gevrey_index(f: FactorSet) -> Fraction:

@@ -259,6 +259,11 @@ def _eps_lost(V: np.ndarray) -> np.ndarray:
     return V[4].reshape(-1, V.shape[-1]).min(axis=1) <= 0.0
 
 
+def _not_finite(grid: FieldGrid) -> np.ndarray:
+    """Whether some value of V or W is not finite, for each member."""
+    return ~(np.isfinite(grid.V).all(axis=(0, -1)) & np.isfinite(grid.W).all(axis=(0, -1)))
+
+
 def _rhs(V: np.ndarray, W: np.ndarray, h: float, model: TransportModel):
     """dt (V, W) of one run (5, N) or of an ensemble (5, B, N).
 
@@ -281,12 +286,33 @@ def _rhs(V: np.ndarray, W: np.ndarray, h: float, model: TransportModel):
                                        deps=jet[:, 4]), model, coeffs)
     rhs_w = -(symbol_apply(u, eps, *coeffs, 0, 1, 2.0 * dxw)
               + symbol_apply(u, eps, *coeffs, 1, 1, dxxv) + B)
+    return W, _solve_time_matrix(u, eps, coeffs, rhs_w, V.shape[-1]).reshape(V.shape)
+
+
+def _solve_time_matrix(u, eps, coeffs, rhs, n_cells: int):
+    """`time_matrix_solve` with the DET_FLOOR guard, on the flat cells of
+    members of n_cells cells each; a degenerate cell raises ValueError
+    naming the members it lies in."""
     try:
-        dtW, _ = time_matrix_solve(u, eps, *coeffs, rhs_w, det_floor=DET_FLOOR)
+        return time_matrix_solve(u, eps, *coeffs, rhs, det_floor=DET_FLOOR)[0]
     except DegenerateTimeMatrix as exc:
-        bad = exc.cells.reshape(-1, V.shape[-1]).any(axis=1)
+        bad = exc.cells.reshape(-1, n_cells).any(axis=1)
         raise ValueError(str(exc) + _members(bad)) from None
-    return W, dtW.reshape(V.shape)
+
+
+def _check_initial(grid: FieldGrid, model: TransportModel) -> None:
+    """Raise ValueError unless the t = 0 state can be stepped.
+
+    Every value of V and W must be finite, and the time matrix's det must
+    be finite and above DET_FLOOR at every cell.  A det that overflows is
+    what this detects, so its overflow raises no floating-point warning.
+    """
+    bad = _not_finite(grid)
+    if bad.any():
+        raise ValueError("non-finite field values" + _members(bad))
+    v = grid.V.reshape(5, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _solve_time_matrix(v[:4], v[4], transport(v[4], model), None, grid.n_cells)
 
 
 def step(grid: FieldGrid, cfg: SolverConfig, dt: float,
@@ -334,10 +360,12 @@ def _fixed_point(cfg: SolverConfig) -> np.ndarray | None:
     It is one when W and _rhs's dt W are zero at every cell: every RK4
     stage's input is then the state itself, so each step returns V bit for
     bit, up to the sign of a zero, and the filter leaves W = 0 at zero.  A
-    grid that make_grid or _rhs rejects is not one.
+    grid that make_grid, _check_initial or _rhs rejects is not one; the
+    check runs first, so _rhs never meets a det that overflows.
     """
     try:
         grid = make_grid(cfg)
+        _check_initial(grid, cfg.transport)
         _, dtW = _rhs(grid.V, grid.W, grid.spacing, cfg.transport)
     except ValueError:
         return None
@@ -426,7 +454,8 @@ def _diagnose(grid: FieldGrid, model: TransportModel) -> Diagnostics:
 
 def evolve(cfg: SolverConfig, snapshot_times=None, ics=None):
     """Run to t_end; abort with a state dump on NaN, non-positive eps, or a
-    Courant number above COURANT_MAX at a diagnostic.
+    Courant number above COURANT_MAX at a diagnostic.  A t = 0 state that
+    `_check_initial` rejects aborts at step 0, before any diagnostic.
 
     dt is cfl * h / v_max rounded so t_end is hit exactly; snapshots are
     stored at the requested times (rounded to steps), plus first and last.
@@ -446,6 +475,10 @@ def evolve(cfg: SolverConfig, snapshot_times=None, ics=None):
     member_ics = [cfg.ic] if ics is None else list(ics)
     grid = make_grid(cfg, member_ics)
     model = cfg.transport
+    try:
+        _check_initial(grid, model)
+    except ValueError as exc:
+        raise SolverAbort(str(exc), grid.t, 0, grid) from exc
     v_max = _grid_v_max(grid, model)
     h = grid.spacing
     dt_cfl = cfg.cfl * h / v_max
@@ -472,8 +505,7 @@ def evolve(cfg: SolverConfig, snapshot_times=None, ics=None):
             grid = step(grid, cfg, dt, factors)
         except ValueError as exc:
             raise SolverAbort(str(exc), grid.t, i, grid) from exc
-        bad = ~(np.isfinite(grid.V).all(axis=(0, 2))
-                & np.isfinite(grid.W).all(axis=(0, 2)))
+        bad = _not_finite(grid)
         if bad.any():
             raise SolverAbort("non-finite field values" + _members(bad),
                               grid.t, i, grid)

@@ -8,50 +8,9 @@ constraint row u_nu (u.xi)^2.  Every entry is homogeneous of degree 2 in xi.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .constitutive import TransportModel, transport
-from .tensor import Metric4, minkowski
-
-
-@dataclass(frozen=True)
-class StatePoint:
-    """Frozen-coefficient state for symbol and characteristic evaluations."""
-
-    eps: float
-    u: np.ndarray
-    g: Metric4
-    transport: TransportModel
-
-    def __post_init__(self):
-        if self.eps <= 0.0:
-            raise ValueError("energy density must be positive")
-        u = np.asarray(self.u, dtype=float).reshape(4)
-        u.setflags(write=False)
-        object.__setattr__(self, "u", u)
-
-    @classmethod
-    def rest(cls, eps: float = 1.0, a2: float = 4.0, a1: float = 4.0,
-             eta0: float = 1.0, eta_form: str = "constant",
-             g: Metric4 | None = None) -> "StatePoint":
-        model = TransportModel(a1=a1, a2=a2, eta_form=eta_form, eta0=eta0)
-        return cls(eps=eps, u=np.array([1.0, 0.0, 0.0, 0.0]),
-                   g=g if g is not None else minkowski(), transport=model)
-
-    def boosted(self, spatial_u) -> "StatePoint":
-        """Same parameters with u = (sqrt(1+|w|^2), w); normalized for flat g."""
-        w = np.asarray(spatial_u, dtype=float).reshape(3)
-        u = np.array([np.sqrt(1.0 + w @ w), *w])
-        return StatePoint(eps=self.eps, u=u, g=self.g, transport=self.transport)
-
-    def coefficients(self):
-        return transport(self.eps, self.transport)
-
-
-def _as_covector(xi) -> np.ndarray:
-    return np.asarray(xi, dtype=float).reshape(4)
+from .tensor import Metric4
 
 
 def _dot(a, b):
@@ -115,13 +74,6 @@ def symbol_components(u, eps, eta, lam, chi, g, ginv, xi) -> np.ndarray:
     return m
 
 
-def fluid_symbol(s: StatePoint, xi) -> np.ndarray:
-    """5x5 principal symbol m(U, xi) at a state point."""
-    xi = _as_covector(xi)
-    eta, lam, chi = s.coefficients()
-    return symbol_components(s.u, s.eps, eta, lam, chi, s.g.components, s.g.inverse, xi)
-
-
 def det_by_elimination(m: np.ndarray):
     """Determinant by partial-pivoted Gaussian elimination.
 
@@ -155,29 +107,6 @@ def det_by_elimination(m: np.ndarray):
     return float(det[0]) if single else det
 
 
-def fluid_char_det(s: StatePoint, xi) -> float:
-    """det m(U, xi), the brute-force side of the factorization identity."""
-    return det_by_elimination(fluid_symbol(s, xi))
-
-
-def coupled_char_det(s: StatePoint, xi) -> float:
-    """Determinant of the full 15x15 gravity-coupled symbol.
-
-    The coupled matrix is block triangular: the metric block is
-    (xi.xi) times the 10x10 identity and the coupling block never enters
-    the determinant, so it is det m(U, xi) * (xi.xi)^10 without
-    materializing the big matrix.
-    """
-    xi = _as_covector(xi)
-    xixi = float(xi @ s.g.inverse @ xi)
-    return fluid_char_det(s, xi) * xixi ** 10
-
-
-def time_matrix(s: StatePoint) -> np.ndarray:
-    """Coefficient matrix of the second time derivatives: the symbol at e0."""
-    return fluid_symbol(s, np.array([1.0, 0.0, 0.0, 0.0]))
-
-
 def det_time_matrix_closed_form(eta, eps, w2, a2: float):
     """Closed-form determinant of the time matrix, elementwise.
 
@@ -187,7 +116,7 @@ def det_time_matrix_closed_form(eta, eps, w2, a2: float):
     arrays of one shape.  It is flow.shear.sound at xi = e0: the factors
     are the flow, shear and sound cones' leading coefficients D.  It holds
     on the formula's domain only, Minkowski metric, normalized u and
-    a1 = 4, which `det_time_matrix_formula` checks and this does not.
+    a1 = 4, which `check_time_matrix_domain` checks and this does not.
     Positive throughout a2 >= 4, eps > 0, so the time matrix is invertible
     in the whole admissible regime.
     """
@@ -211,15 +140,3 @@ def check_time_matrix_domain(g: Metric4, u, a1: float) -> None:
         raise ValueError("closed form requires normalized u" + where)
     if abs(a1 - 4.0) > 1e-12:
         raise ValueError("closed form requires a1 = 4")
-
-
-def det_time_matrix_formula(s: StatePoint) -> float:
-    """`det_time_matrix_closed_form` at a state point, inside its domain.
-
-    Raises ValueError off the domain: a curved metric, unnormalized u or
-    a1 != 4 (`check_time_matrix_domain`).
-    """
-    check_time_matrix_domain(s.g, s.u, s.transport.a1)
-    eta, _, _ = s.coefficients()
-    w2 = float(s.u[1] ** 2 + s.u[2] ** 2 + s.u[3] ** 2)
-    return float(det_time_matrix_closed_form(eta, s.eps, w2, s.transport.a2))

@@ -110,10 +110,3 @@ def near_minkowski_components(delta: float, uniforms) -> np.ndarray:
     # peak is 0 only at delta = 0: that perturbation stays zero, with no 0 / 0
     scale = delta / np.where(peak > 0.0, peak, 1.0) * (0.5 + 0.5 * r[:, 16])
     return _MINKOWSKI.components + pert * scale[:, None, None]
-
-
-def random_lorentzian_near_minkowski(delta: float, seed: int) -> Metric4:
-    """The validated metric of `near_minkowski_components` on 17 uniforms
-    drawn by default_rng(seed)."""
-    uniforms = np.random.default_rng(seed).random((1, 17))
-    return Metric4.from_components(near_minkowski_components(delta, uniforms)[0])

@@ -18,7 +18,7 @@ from .characteristics import (BATCH_VALUES, DISTINCTNESS_GAP, FLUID_FACTORS,
                               bisection_roots, cone_roots_batch, factor_base_values,
                               factor_values, quartic_coefficients, sound_quartic_general)
 from .constitutive import TransportModel
-from .symbol import (StatePoint, _dot, check_time_matrix_domain, det_by_elimination,
+from .symbol import (_dot, check_time_matrix_domain, det_by_elimination,
                      det_time_matrix_closed_form, symbol_components,
                      symbol_contractions)
 from .tensor import minkowski, near_minkowski_components, validate_metrics
@@ -299,18 +299,18 @@ def _roots_draws(seed: int, samples: int):
 
     One (samples, 8) array of uniforms r from default_rng(seed), by
     column: 0 a2 in [4, 12), 1-3 the direction of the spatial velocity w
-    in [-3, 3), 4 its scale in [0, 1), 5 eps in [0.5, 2), 6 and 7 the
-    unit spatial covector's z = 2 r - 1 and azimuth 2 pi r, which is
-    uniform on the sphere.  u is normalized for the Minkowski metric.
-    Returns a2, eps (K,), u (K, 4) and the covectors (K, 3).
+    in [-3, 3), 4 its scale in [0, 1), 6 and 7 the unit spatial
+    covector's z = 2 r - 1 and azimuth 2 pi r, which is uniform on the
+    sphere.  Column 5 is unused: the roots do not depend on eps.  u is
+    normalized for the Minkowski metric.  Returns a2 (K,), u (K, 4) and
+    the covectors (K, 3).
     """
     r = np.random.default_rng(seed).random((samples, 8))
     a2 = 4.0 + 8.0 * r[:, 0]
     u = _normalized(minkowski().components, (-3.0 + 6.0 * r[:, 1:4]) * r[:, 4:5])
-    eps = 0.5 + 1.5 * r[:, 5]
     z, phi = 2.0 * r[:, 6] - 1.0, 2.0 * np.pi * r[:, 7]
     rho = np.sqrt(1.0 - z * z)
-    return a2, eps, u, np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
+    return a2, u, np.column_stack([rho * np.cos(phi), rho * np.sin(phi), z])
 
 
 def roots_suite(samples: int = 1000, seed: int = 13) -> RootsReport:
@@ -321,12 +321,9 @@ def roots_suite(samples: int = 1000, seed: int = 13) -> RootsReport:
     separated by at least the distinctness gap.  The closed forms and the
     oracle each take one call per family for every sample.
     """
-    a2s, eps, u, xibar = _roots_draws(seed, samples)
-    states = [StatePoint(eps=float(e), u=ui, g=minkowski(),
-                         transport=TransportModel(a1=4.0, a2=float(a)))
-              for a, e, ui in zip(a2s, eps, u)]
+    a2s, u, xibar = _roots_draws(seed, samples)
     families = ("shear", "sound")
-    scans = {f: bisection_roots(states, xibar, f) for f in families}
+    scans = {f: bisection_roots(f, xibar, u, a2s) for f in families}
     # (minus, plus) per sample, as sorted Python floats
     closed = {f: np.sort(np.column_stack(cone_roots_batch(f, xibar, u, a2s)[:2])).tolist()
               for f in families}
@@ -334,8 +331,7 @@ def roots_suite(samples: int = 1000, seed: int = 13) -> RootsReport:
     min_gap = dict.fromkeys(families, np.inf)
     failures = 0
     rows = []
-    for idx, s in enumerate(states):
-        a2 = s.transport.a2
+    for idx in range(samples):
         for family in families:
             exact = closed[family][idx]
             scan = scans[family][idx]
@@ -343,7 +339,7 @@ def roots_suite(samples: int = 1000, seed: int = 13) -> RootsReport:
             found = min(2, len(scan.roots))
             err = max((abs(exact[i] - numeric[i]) for i in range(found)), default=np.nan)
             if idx < ROOTS_ROW_SAMPLES:
-                rows.append((family, a2, s.u[1:] @ s.u[1:], exact[0], exact[1],
+                rows.append((family, a2s[idx], u[idx, 1:] @ u[idx, 1:], exact[0], exact[1],
                              numeric[0], numeric[1], err))
             if not scan.complete:
                 failures += 1

@@ -8,16 +8,9 @@ from vecf.causality import (_family_cones, _fluid_verdict, causality_scan, cone_
 from vecf.characteristics import FAMILIES
 from vecf.constitutive import TransportModel
 from vecf.solver1d import FieldGrid, _grid_v_max
-from vecf.symbol import StatePoint
 from vecf.tensor import minkowski
 
 THETAS = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
-
-
-def state(a2, w=(0.0, 0.0, 0.0)):
-    w = np.asarray(w, dtype=float)
-    return StatePoint(eps=1.0, u=np.array([np.sqrt(1.0 + w @ w), *w]),
-                      g=minkowski(), transport=TransportModel(a2=a2))
 
 
 def cones(a2, w=(0.0, 0.0, 0.0)):
@@ -224,19 +217,19 @@ def test_region_map_off_regime_exploratory():
                for c in cells)
 
 
-def reference_containment(s, n_theta):
-    """Each family's cone as one scalar cone_xi0 call: per family
-    (max |slope|, verdict, witness theta), and the fluid verdict."""
+def reference_containment(a2, w, n_theta):
+    """Each family's cone at boost w as one scalar cone_xi0 call: per
+    family (max |slope|, verdict, witness theta), and the fluid verdict."""
     from vecf.causality import _verdict
     from vecf.characteristics import FAMILIES, cone_coefficients, cone_xi0
-    w = np.asarray(s.u[1:], dtype=float)
+    w = np.asarray(w, dtype=float)
     u2 = float(w @ w)
     thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
     wxi = np.sqrt(u2) * np.cos(thetas)
     fams = {}
     for name in FAMILIES:
         try:
-            sp, sm, _ = cone_xi0(*cone_coefficients(name, s.transport.a2), u2, wxi)
+            sp, sm, _ = cone_xi0(*cone_coefficients(name, a2), u2, wxi)
         except ValueError:
             fams[name] = (np.inf, "violated", np.nan)
             continue
@@ -254,9 +247,7 @@ def reference_scan(a2_list, u_max, n_u, n_theta, a1=4.0):
     rows = []
     for a2 in a2_list:
         for w in np.linspace(0.0, u_max, n_u):
-            s = StatePoint(eps=1.0, u=np.array([np.sqrt(1.0 + w * w), w, 0.0, 0.0]),
-                           g=minkowski(), transport=TransportModel(a1=a1, a2=a2))
-            fams, verdict = reference_containment(s, n_theta)
+            fams, verdict = reference_containment(a2, [w, 0.0, 0.0], n_theta)
             rows.append((a1, float(a2), float(w * w), fams["shear"][2], fams["shear"][0],
                          fams["sound"][0], verdict))
     return rows
@@ -293,9 +284,9 @@ def test_causality_scan_finds_the_violated_rows_of_a_failing_chunk():
 def test_cone_containment_matches_reference():
     rng = np.random.default_rng(5)
     for _ in range(30):
-        s = state(rng.uniform(2.5, 12.0), rng.uniform(-3.0, 3.0, 3))
-        fams, verdict = reference_containment(s, 720)
-        got = cones(s.transport.a2, s.u[1:])
+        a2, w = rng.uniform(2.5, 12.0), rng.uniform(-3.0, 3.0, 3)
+        fams, verdict = reference_containment(a2, w, 720)
+        got = cones(a2, w)
         assert _fluid_verdict(got) == verdict
         got = {k: (c.max_abs_slope, c.verdict, c.witness_theta) for k, c in got.items()}
         assert repr(got) == repr(fams)

@@ -2,21 +2,24 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from reference import (StatePoint, cone_roots, eval_factor, eval_factor_base,
+                       fluid_symbol, random_lorentzian_near_minkowski, state_arrays)
 
 from vecf import characteristics
 from vecf.characteristics import (COUPLED_FACTORS, FAMILIES, FLUID_FACTORS,
-                                  bisection_roots, cone_roots, eval_factor,
-                                  eval_factor_base, gevrey_index,
+                                  bisection_roots, gevrey_index,
                                   quartic_coefficients, sound_quartic_general)
 from vecf.constitutive import TransportModel
-from vecf.symbol import StatePoint, det_by_elimination, fluid_symbol
-from vecf.tensor import minkowski, random_lorentzian_near_minkowski
+from vecf.symbol import det_by_elimination
+from vecf.tensor import minkowski
 from vecf.verification import COEFF_ZERO_TOL, ROOT_TOL, collapse_suite
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
 E1 = np.array([0.0, 1.0, 0.0, 0.0])
+# absolute floor of a residual bound: four units of the smallest subnormal
+SUBNORMAL_FLOOR = 4.0 * np.finfo(float).smallest_subnormal
 
 
 def rest(a2=4.0):
@@ -157,19 +160,19 @@ def test_quartic_coefficients_held_out_failure_names_the_cell(monkeypatch):
 
 def test_shear_roots_rest():
     pair = cone_roots("shear", np.array([1.0, 0, 0]), np.array([1.0, 0, 0, 0]), 4.0)
-    assert sorted(pair.as_set()) == pytest.approx([-0.5, 0.5], abs=1e-14)
+    assert sorted((pair.minus, pair.plus)) == pytest.approx([-0.5, 0.5], abs=1e-14)
 
 
 def test_sound_roots_rest_a2_6():
     pair = cone_roots("sound", np.array([1.0, 0, 0]), np.array([1.0, 0, 0, 0]), 6.0)
     expect = np.sqrt(2.0 * (2.0 + 6.0) / (3.0 * 6.0))
-    assert sorted(pair.as_set()) == pytest.approx([-expect, expect], abs=1e-14)
+    assert sorted((pair.minus, pair.plus)) == pytest.approx([-expect, expect], abs=1e-14)
     assert expect == pytest.approx(0.94280904, abs=1e-8)
 
 
 def test_sound_roots_rest_a2_4_on_light_cone():
     pair = cone_roots("sound", np.array([1.0, 0, 0]), np.array([1.0, 0, 0, 0]), 4.0)
-    assert sorted(pair.as_set()) == [-1.0, 1.0]
+    assert sorted((pair.minus, pair.plus)) == [-1.0, 1.0]
 
 
 def test_closed_form_roots_zero_their_factor():
@@ -184,7 +187,7 @@ def test_closed_form_roots_zero_their_factor():
         xibar /= np.linalg.norm(xibar)
         for family in FAMILIES:
             pair = cone_roots(family, xibar, u, a2)
-            for root in pair.as_set():
+            for root in (pair.minus, pair.plus):
                 val = eval_factor_base(family, s, np.array([root, *xibar]))
                 assert abs(val) <= 1e-9 * max(1.0, abs(
                     eval_factor_base(family, s, np.array([1.0, *xibar]))))
@@ -224,27 +227,24 @@ def test_bisection_matches_closed_forms():
         a2 = rng.uniform(4.0, 12.0)
         w = rng.uniform(-2, 2, 3)
         u = np.array([np.sqrt(1.0 + w @ w), *w])
-        s = StatePoint(eps=1.0, u=u, g=minkowski(),
-                       transport=TransportModel(a2=a2))
         xibar = rng.normal(size=3)
         xibar /= np.linalg.norm(xibar)
         for family in ("shear", "sound"):
-            scan = bisection_roots(s, xibar, family)
+            (scan,) = bisection_roots(family, xibar, u[None], [a2])
             assert scan.complete
-            exact = sorted(cone_roots(family, xibar, u, a2).as_set())
+            pair = cone_roots(family, xibar, u, a2)
+            exact = sorted((pair.minus, pair.plus))
             assert np.abs(np.array(scan.roots) - exact).max() < 1e-9
 
 
 def test_bisection_light_cone_roots():
-    s = rest()
-    scan = bisection_roots(s, np.array([1.0, 0.0, 0.0]), "light")
+    (scan,) = bisection_roots("light", np.array([1.0, 0.0, 0.0]), [E0], [4.0])
     assert scan.complete
     assert np.abs(np.array(scan.roots) - [-1.0, 1.0]).max() < 1e-11
 
 
 def test_bisection_flow_root_degenerate_multiplicity():
-    s = rest()
-    scan = bisection_roots(s, np.array([1.0, 0.0, 0.0]), "flow")
+    (scan,) = bisection_roots("flow", np.array([1.0, 0.0, 0.0]), [E0], [4.0])
     assert scan.roots == pytest.approx([0.0], abs=1e-12)
     assert scan.expected_count == 1
     assert scan.factor_multiplicity == 4
@@ -273,12 +273,11 @@ def test_factor_set_degrees():
 def test_all_families_hyperbolic_above_boundary():
     # a2 > 4, Minkowski, normalized u: in every direction each family's base
     # polynomial has its full count of real roots, pairwise distinct
-    s = StatePoint(eps=1.2, u=np.array([np.sqrt(1.0 + 1.25), 1.0, -0.5, 0.0]),
-                   g=minkowski(), transport=TransportModel(a2=5.0))
+    u = np.tile([np.sqrt(1.0 + 1.25), 1.0, -0.5, 0.0], (6, 1))
     dirs = np.array([[1.0, 0, 0], [-1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0],
                      [0.6, 0.8, 0], [1.0, 1.0, 1.0] / np.sqrt(3.0)])
     for family in ("flow", "shear", "sound", "light"):
-        for scan in bisection_roots(s, dirs, family):
+        for scan in bisection_roots(family, dirs, u, np.full(6, 5.0)):
             assert scan.complete, family
             assert scan.min_gap >= characteristics.DISTINCTNESS_GAP, family
 
@@ -366,31 +365,35 @@ def test_batched_base_matches_scalar_columns(case, times):
 def test_bisection_matches_closed_forms_admissible(case):
     s, xibar = admissible_case(*case)
     for family in ("shear", "sound"):
-        scan = bisection_roots(s, xibar, family)
+        (scan,) = bisection_roots(family, xibar, s.u[None], [s.transport.a2])
         assert scan.complete
-        exact = sorted(cone_roots(family, xibar, s.u, s.transport.a2).as_set())
+        pair = cone_roots(family, xibar, s.u, s.transport.a2)
+        exact = sorted((pair.minus, pair.plus))
         assert np.abs(np.array(scan.roots) - exact).max() <= ROOT_TOL
 
 
 @settings(max_examples=200, deadline=None)
 @given(admissible, st.floats(0.1, 10.0))
+@example(case=(4.0, [0.0, 1.0, 0.0], 1.0, [0.0, 5e-324, 1.0]), size=1.0)
 def test_table_roots_zero_every_base_polynomial(case, size):
-    # the (alpha, beta) table against the base polynomials it stands for
+    # the (alpha, beta) table against the base polynomials it stands for;
+    # a subnormal covector component carries no relative precision, so the
+    # bound has an absolute floor of a few subnormal units
     s, xibar = admissible_case(*case)
     xibar = size * xibar
     for family in FAMILIES:
         pair = cone_roots(family, xibar, s.u, s.transport.a2)
-        for root in pair.as_set():
+        for root in (pair.minus, pair.plus):
             xi = np.array([root, *xibar])
             resid = eval_factor_base(family, s, xi)
-            assert abs(resid) <= 1e-12 * term_scale(family, s, xi)
+            assert abs(resid) <= max(1e-12 * term_scale(family, s, xi), SUBNORMAL_FLOOR)
 
 
 def test_bisection_flow_root_boosted():
     # degree-1 family: one root, at xi0 = -(w.xibar) / u^0
     s = rest(a2=6.0).boosted([0.8, -1.5, 0.3])
     xibar = np.array([0.6, 0.0, -0.8])
-    scan = bisection_roots(s, xibar, "flow")
+    (scan,) = bisection_roots("flow", xibar, s.u[None], [6.0])
     assert scan.complete and scan.found_count == 1
     assert abs(scan.roots[0] + s.u[1:] @ xibar / s.u[0]) <= ROOT_TOL
     assert scan.min_gap == np.inf
@@ -399,7 +402,7 @@ def test_bisection_flow_root_boosted():
 def test_bisection_roots_on_grid_points_are_exact():
     # light cone at rest: bound 4, grid step 1/128, so +-1 are grid points
     # where the base polynomial is exactly zero; no bracket is bisected
-    scan = bisection_roots(rest(), np.array([1.0, 0.0, 0.0]), "light")
+    (scan,) = bisection_roots("light", np.array([1.0, 0.0, 0.0]), [E0], [4.0])
     assert scan.roots == (-1.0, 1.0)
 
 
@@ -410,7 +413,7 @@ def test_bisection_roots_at_both_grid_ends(monkeypatch):
     # At rest u.xi is t exactly.
     monkeypatch.setattr(characteristics, "factor_base_values",
                         lambda family, uxi, xixi, uu, a2: uxi ** 3 - 4.0 * uxi)
-    scan = bisection_roots(rest(), np.array([1.0, 0.0, 0.0]), "flow")
+    (scan,) = bisection_roots("flow", np.array([1.0, 0.0, 0.0]), [E0], [4.0])
     assert scan.roots == (-2.0, 0.0, 2.0)
     assert not scan.complete
 
@@ -434,16 +437,15 @@ def test_batched_oracles_match_single_state_calls_bitwise(case, position, seed, 
     states.insert(position, s)
     dirs = np.random.default_rng(seed).normal(size=(5, 3))
     dirs[position] = xibar
+    u, a2, g = state_arrays(states)
     for family in ("shear", "sound"):
-        batch = bisection_roots(states, dirs, family)
+        batch = bisection_roots(family, dirs, u, a2, g)
         assert len(batch) == 5
-        assert batch[position] == bisection_roots(s, xibar, family)
-        assert bisection_roots([s], xibar[None], family) == [batch[position]]
+        assert batch[position] == bisection_roots(family, xibar, *state_arrays([s]))[0]
+        assert bisection_roots(family, xibar[None], s.u[None], [s.transport.a2],
+                               s.g.components) == [batch[position]]
     xi = np.random.default_rng(seed + 1).uniform(-2.0, 2.0, (5, 4))
-    u = np.array([t.u for t in states])
-    g = np.array([t.g.components for t in states])
     ginv = np.array([t.g.inverse for t in states])
-    a2 = np.array([t.transport.a2 for t in states])
     a1s = np.full(5, a1)
     batch = sound_quartic_general(u, xi, g, ginv, a1s, a2)
     p = slice(position, position + 1)
@@ -493,12 +495,44 @@ def test_line_evaluation_matches_full_contractions(seed):
 def test_bisection_roots_pairs_one_state_with_many_directions():
     s = rest(a2=6.0).boosted([0.4, -0.3, 1.2])
     dirs = np.random.default_rng(3).normal(size=(6, 3))
-    scans = bisection_roots(s, dirs, "sound")
-    assert scans == [bisection_roots(s, v, "sound") for v in dirs]
-    with pytest.raises(ValueError, match="pair up"):
-        bisection_roots([s, s], dirs, "sound")
+    scans = bisection_roots("sound", dirs, np.tile(s.u, (6, 1)), np.full(6, 6.0))
+    assert scans == [bisection_roots("sound", v, s.u[None], [6.0])[0] for v in dirs]
+    u2, a2 = np.tile(s.u, (2, 1)), np.full(2, 6.0)
+    with pytest.raises(ValueError, match="xibar must be"):
+        bisection_roots("sound", dirs, u2, a2)
     with pytest.raises(ValueError, match="nonzero"):
-        bisection_roots([s, s], np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), "sound")
+        bisection_roots("sound", np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]), u2, a2)
+
+
+def test_bisection_roots_reject_a_zero_spatial_covector():
+    # one shared covector, and one zero row among K, are rejected alike
+    u, a2 = np.tile(E0, (3, 1)), np.full(3, 6.0)
+    with pytest.raises(ValueError, match="nonzero"):
+        bisection_roots("shear", np.zeros(3), u, a2)
+    with pytest.raises(ValueError, match="nonzero"):
+        bisection_roots("shear", np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0],
+                                           [1.0, 0.0, 0.0]]), u, a2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 16))
+def test_bisection_roots_shared_metric_equals_it_repeated(seed):
+    # a (4, 4) metric or covector serves every pair with the bits of its
+    # (K, 4, 4) or (K, 3) repetition, and g = None is the Minkowski metric
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(-1.0, 1.0, (4, 3))
+    u = np.column_stack([np.sqrt(1.0 + (w * w).sum(axis=1)), w])
+    a2 = rng.uniform(4.0, 12.0, 4)
+    xibar = rng.normal(size=3)
+    g = random_lorentzian_near_minkowski(0.05, seed).components
+    for family in ("shear", "sound"):
+        shared = bisection_roots(family, xibar, u, a2, g)
+        assert shared == bisection_roots(family, np.tile(xibar, (4, 1)), u, a2,
+                                         np.tile(g, (4, 1, 1)))
+        flat = bisection_roots(family, xibar, u, a2)
+        assert flat == bisection_roots(family, xibar, u, a2, minkowski().components)
+        assert flat == bisection_roots(family, xibar, u, a2,
+                                       np.tile(minkowski().components, (4, 1, 1)))
 
 
 def test_quartic_coefficients_batch_matches_each_cell_alone():

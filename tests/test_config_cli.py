@@ -147,8 +147,8 @@ def test_cli_roots_bisects_each_sample_once(tmp_path, monkeypatch):
     scans = []
     original = verification.bisection_roots
 
-    def counted(states, xibar, family, **kwargs):
-        result = original(states, xibar, family, **kwargs)
+    def counted(family, *args, **kwargs):
+        result = original(family, *args, **kwargs)
         scans.extend(family for _ in result)
         return result
 
@@ -377,3 +377,16 @@ def test_cli_step_count_beyond_the_bound_is_a_config_error(tmp_path, capsys, ove
     assert err.count("\n") == 1          # one line, no traceback
     assert "steps" in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["evolve", "dod-test"])
+def test_cli_unsteppable_initial_state_aborts_in_one_line(tmp_path, capsys, command):
+    # at eps0 = 1e300 the time matrix's det overflows at t = 0: the run
+    # aborts before its first diagnostic, and no floating-point warning
+    # (an error here) precedes the abort
+    assert main(["--out", str(tmp_path), "--set", "solver.eps0=1e300", command]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver abort: time-coefficient matrix degenerate: det not finite")
+    assert err.count("\n") == 1
+    assert "(step 0)" in err

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference import StatePoint, fluid_symbol
 
 from vecf.constitutive import SGN, TransportModel, transport
 from vecf.equations import (MUTATION_KEYS, DegenerateTimeMatrix, FieldJet1,
@@ -9,7 +10,6 @@ from vecf.equations import (MUTATION_KEYS, DegenerateTimeMatrix, FieldJet1,
                             equation_rows, symbol_apply, symbol_block,
                             time_matrix_solve)
 from vecf.experiments import ORDER_WINDOW
-from vecf.symbol import StatePoint, fluid_symbol
 from vecf.tensor import minkowski
 
 MODEL = TransportModel(a1=4.0, a2=6.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from reference import StatePoint, det_time_matrix_formula
 
 from vecf.characteristics import FLUID_FACTORS, cone_coefficients, cone_xi0
 from vecf.constitutive import TransportModel
@@ -11,7 +12,6 @@ from vecf.solver1d import (FieldGrid, InitialData, SolverAbort, SolverConfig,
                            _fixed_point, _grid_v_max, _rhs, bump_perturbation,
                            constant_state, evolve, gaussian_pulse, make_grid,
                            shear_pulse, step)
-from vecf.symbol import StatePoint, det_time_matrix_formula
 
 
 def small_cfg(**kw):
@@ -324,8 +324,8 @@ def test_ensemble_abort_names_the_member():
 
 def test_ensemble_det_floor_abort_names_the_member():
     # member 1 has eps = 1e-8 on a patch, where det a ~ 648 eps^2 lies
-    # below the det floor: the first stage aborts and names it, and its
-    # solo run aborts with no member in the message
+    # below the det floor: the t = 0 check aborts at step 0 and names it,
+    # and its solo run aborts with no member in the message
     def thin(x):
         return np.where(np.abs(x - 1.0) < 0.2, 1e-8, 1.0)
     degenerate = InitialData(name="thin", eps0=thin, eps1=np.zeros_like,
@@ -335,7 +335,7 @@ def test_ensemble_det_floor_abort_names_the_member():
     members = [constant_state(), degenerate, constant_state()]
     with pytest.raises(SolverAbort, match=r"degenerate: .* <= 1e-10 in member 1 at") as err:
         evolve(cfg, ics=members)
-    assert err.value.step_index == 1
+    assert err.value.step_index == 0
     with pytest.raises(SolverAbort, match=r"degenerate: min \|det\| = \S+ <= 1e-10 at t=0 "):
         evolve(replace(cfg, ic=degenerate))
 

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from reference import (StatePoint, coupled_char_det, det_time_matrix_formula,
+                       eval_factor, fluid_char_det, fluid_symbol,
+                       random_lorentzian_near_minkowski, time_matrix)
 
-from vecf.characteristics import eval_factor
 from vecf.constitutive import TransportModel
-from vecf.symbol import (StatePoint, check_time_matrix_domain, coupled_char_det,
-                         det_by_elimination, det_time_matrix_formula,
-                         fluid_char_det, fluid_symbol, time_matrix)
-from vecf.tensor import minkowski, random_lorentzian_near_minkowski
+from vecf.symbol import check_time_matrix_domain, det_by_elimination
+from vecf.tensor import minkowski
 from vecf.verification import DET_TOL, _magnitude_scale
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])

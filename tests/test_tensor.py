@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
+from reference import random_lorentzian_near_minkowski
 
-from vecf.tensor import (Metric4, minkowski, near_minkowski_components,
-                         random_lorentzian_near_minkowski, validate_metrics)
+from vecf.tensor import Metric4, minkowski, near_minkowski_components, validate_metrics
 
 
 def test_minkowski_components():

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import StatePoint, fluid_symbol
 
 from vecf.constitutive import TransportModel
-from vecf.symbol import StatePoint, fluid_symbol, symbol_components
+from vecf.symbol import symbol_components
 from vecf.tensor import Metric4, minkowski, validate_metrics
 from vecf.verification import (FACTORIZATION_MODEL, _collapse_draws, _factorization_draws,
                                _first_worst, _roots_draws, _time_matrix_draws,
@@ -29,7 +30,7 @@ def _metrics_and_velocities(name, draws):
         return draws[4], draws[2], rows % 3 == 0
     if name == "collapse":
         return draws[3], draws[1], rows < 0
-    u = draws[2] if name == "roots" else draws[3]
+    u = draws[1] if name == "roots" else draws[3]
     return np.broadcast_to(ETA, (len(rows), 4, 4)), u, rows >= 0
 
 
@@ -50,7 +51,7 @@ def test_draws_are_prefixes_and_admissible(name, seed, n, extra):
     assert np.all(np.abs(uu[normalized] + 1.0) <= 1e-12)
     assert np.all(u[normalized, 0] > 0.0)
     if name == "roots":
-        assert np.all(np.abs(np.linalg.norm(full[3], axis=1) - 1.0) <= 1e-15)
+        assert np.all(np.abs(np.linalg.norm(full[2], axis=1) - 1.0) <= 1e-15)
 
 
 @pytest.mark.parametrize("seed", [7, 2024])
