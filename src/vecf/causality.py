@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characteristics import (BATCH_VALUES, DISTINCTNESS_GAP, FLUID_FACTORS,
-                              cone_coefficients, cone_xi0, quartic_coefficients)
+                              cone_coefficients, cone_pair, cone_quadratic,
+                              cone_xi0, quartic_coefficients)
 from .tensor import minkowski
 
 BOUNDARY_TOL = 1e-12
@@ -103,11 +104,11 @@ def _verdict(smax: float) -> str:
 def _family_cones(family: str, a2: float, u2, thetas) -> list:
     """A family's FamilyCone at each boost |w|^2 of u2 (n,), over the angles.
 
-    One `cone_xi0` call per chunk of at most BATCH_VALUES (boost, angle)
-    points; every point is elementwise, so a boost's cone has the same bits
-    in any chunk.  Where the pair is not real (`cone_xi0` raises) the cone
-    is violated with an infinite slope; a chunk that raises is redone boost
-    by boost to find where.
+    Each chunk of at most BATCH_VALUES (boost, angle) points is screened by
+    `cone_quadratic`: a boost whose pair is not real at some angle has a
+    violated cone with an infinite slope.  The other boosts of the chunk
+    take one `cone_pair` call; every point is elementwise, so a boost's
+    cone has the same bits in any chunk.
     """
     alpha, beta = cone_coefficients(family, a2)
     cos = np.cos(thetas)
@@ -115,17 +116,17 @@ def _family_cones(family: str, a2: float, u2, thetas) -> list:
     rows = max(1, BATCH_VALUES // len(thetas))
     for i in range(0, len(u2), rows):
         w2 = np.asarray(u2[i:i + rows], dtype=float)[:, None]
-        try:
-            sp, sm, _ = cone_xi0(alpha, beta, w2, np.sqrt(w2) * cos)
-        except ValueError:
-            if len(w2) == 1:
-                cones.append(FamilyCone(family, np.inf, "violated", np.nan))
-            else:
-                cones += [c for row in w2 for c in _family_cones(family, a2, row, thetas)]
-            continue
+        wxi = np.sqrt(w2) * cos
+        D, R, real = cone_quadratic(alpha, beta, w2, wxi)
+        real = real.all(axis=1)
+        if not real.all():
+            w2, wxi, D, R = (a[real] for a in (w2, wxi, D, R))
+        sp, sm = cone_pair(alpha, w2, wxi, D, R)
         vals = np.maximum(np.abs(sp), np.abs(sm))
         j = vals.argmax(axis=1)
-        for smax, theta in zip(vals[np.arange(len(j)), j].tolist(), thetas[j].tolist()):
+        found = zip(vals[np.arange(len(j)), j].tolist(), thetas[j].tolist())
+        for ok in real.tolist():
+            smax, theta = next(found) if ok else (np.inf, np.nan)
             cones.append(FamilyCone(family, smax, _verdict(smax), theta))
     return cones
 
@@ -225,24 +226,34 @@ _REGION_LABELS = {"strict": "causal-strict", "boundary": "causal-boundary",
                   "violated": "hyperbolic-acausal"}
 
 
-def _quadratic_factor_slopes(r: float, u2, wxi):
-    """Root slopes of (u.xi)^2 - r (xi.xi) over sampled boosts and angles.
+def _factor_slopes(r, u2, wxi):
+    """(hyperbolic, max |slope|) of each quadratic factor (u.xi)^2 - r xi.xi.
 
-    u2 (n, 1) holds the boosts |w|^2 and wxi (n, n_theta) the matching
-    w.xibar = |w| cos(theta) at unit xibar.  Returns (hyperbolic,
-    max_abs_slope).  r ~ 0 is the flow cone u.xi = 0, whose double root is
-    a hyperbolic degree-1 factor.  Otherwise the factor is hyperbolic iff
-    every sampled direction yields two real roots separated beyond the
-    distinctness gap.
+    r (F,) holds the factors; u2 (n, 1) the boosts |w|^2 and wxi
+    (n, n_theta) the matching w.xibar = |w| cos(theta) at unit xibar, the
+    grid every factor is sampled on.  r ~ 0 is the flow cone u.xi = 0,
+    whose double root is a hyperbolic degree-1 factor.  Any other factor
+    is hyperbolic iff every sampled direction yields two real roots
+    separated beyond the distinctness gap; a factor that is not has an
+    infinite slope.  Each chunk of at most BATCH_VALUES values is screened
+    by `cone_quadratic`, and its real factors take one `cone_pair` call;
+    every point is elementwise, so a factor has the same bits in any chunk.
     """
-    flow = abs(r) < 1e-12
-    try:
-        s1, s2, _ = cone_xi0(1.0, 0.0 if flow else r, u2, wxi)
-    except ValueError:                 # a degenerate or complex root pair
-        return False, np.inf
-    if not flow and np.any(np.abs(s1 - s2) < DISTINCTNESS_GAP):
-        return False, np.inf
-    return True, float(max(np.abs(s1).max(), np.abs(s2).max()))
+    flow = np.abs(r) < 1e-12
+    beta = np.where(flow, 0.0, r)[:, None, None]
+    hyperbolic = np.zeros(len(r), dtype=bool)
+    smax = np.full(len(r), np.inf)
+    rows = max(1, BATCH_VALUES // wxi.size)
+    for i in range(0, len(r), rows):
+        D, R, real = cone_quadratic(1.0, beta[i:i + rows], u2, wxi)
+        real = real.all(axis=(1, 2))
+        s1, s2 = cone_pair(1.0, u2, wxi, D[real], R[real])
+        f = i + np.flatnonzero(real)
+        distinct = flow[f] | ~(np.abs(s1 - s2) < DISTINCTNESS_GAP).any(axis=(1, 2))
+        hyperbolic[f[distinct]] = True
+        smax[f[distinct]] = np.maximum(np.abs(s1[distinct]),
+                                       np.abs(s2[distinct])).max(axis=(1, 2))
+    return hyperbolic, smax
 
 
 def hyperbolicity_region_map(a1_grid, a2_grid, u_samples=None, n_theta: int = 64) -> list:
@@ -256,8 +267,9 @@ def hyperbolicity_region_map(a1_grid, a2_grid, u_samples=None, n_theta: int = 64
     flow-cone factors and are classified accordingly; a light-cone
     factor's slope is the light row of the cone table.  The coefficients
     of all cells come from one batched `quartic_coefficients` call, each
-    with the bits of its own extraction, and the (boost, angle) grid the
-    factors are sampled on is built once.
+    with the bits of its own extraction.  The quadratic factors of every
+    cell are then classified together by `_factor_slopes`, on one
+    (boost, angle) grid, and each cell reads its label from its factors.
     """
     if u_samples is None:
         u_samples = [0.0, 0.25, 1.0, 4.0]
@@ -269,42 +281,37 @@ def hyperbolicity_region_map(a1_grid, a2_grid, u_samples=None, n_theta: int = 64
     co = quartic_coefficients(np.repeat(a1_grid, len(a2_grid)), np.tile(a2_grid, len(a1_grid)),
                               np.array([1.0, 0.0, 0.0, 0.0]), minkowski())
     light_slope = max(abs(float(s)) for s in cone_slopes("light", 0.0, 0.0, 0.0))
-    coeffs = zip(co.A.tolist(), co.B.tolist(), co.C.tolist())
-    cells = []
-    for a1 in a1_grid:
-        for a2 in a2_grid:
-            A, B, C = next(coeffs)
-            scale = max(1.0, abs(A), abs(B), abs(C))
-            factors = []       # list of r values: factor X - r Y
-            light_cone_factors = 0
-            degenerate = False
-            if abs(A) > 1e-9 * scale:
-                disc = B * B - 4.0 * A * C
-                if disc < 0.0:
-                    cells.append(RegionCell(float(a1), float(a2), "non-hyperbolic", np.inf))
-                    continue
-                rd = np.sqrt(disc)
-                factors = [(-B + rd) / (2.0 * A), (-B - rd) / (2.0 * A)]
-            elif abs(B) > 1e-9 * scale:
-                # A ~ 0: quartic = Y (B X + C Y); one light-cone factor
-                light_cone_factors = 1
-                factors = [-C / B]
-            elif abs(C) > 1e-9 * scale:
-                light_cone_factors = 2
-            else:
-                degenerate = True
-            if degenerate:
-                cells.append(RegionCell(float(a1), float(a2), "non-hyperbolic", np.inf))
+    factors = []       # r of every factor X - r Y, cell by cell
+    owned = []         # per cell: (light-cone factors, its slice of factors), or None
+    for A, B, C in zip(co.A.tolist(), co.B.tolist(), co.C.tolist()):
+        scale = max(1.0, abs(A), abs(B), abs(C))
+        mine, light_cone_factors = [], 0
+        if abs(A) > 1e-9 * scale:
+            disc = B * B - 4.0 * A * C
+            if disc < 0.0:
+                owned.append(None)
                 continue
-            hyperbolic = True
-            smax = light_slope if light_cone_factors else 0.0
-            for r in factors:
-                # factor (u.xi)^2 - r xi.xi
-                ok, fmax = _quadratic_factor_slopes(float(r), u2, wxi)
-                if not ok:
-                    hyperbolic, smax = False, np.inf
-                    break
-                smax = max(smax, fmax)
-            label = _REGION_LABELS[_verdict(smax)] if hyperbolic else "non-hyperbolic"
-            cells.append(RegionCell(float(a1), float(a2), label, float(smax)))
+            rd = np.sqrt(disc)
+            mine = [(-B + rd) / (2.0 * A), (-B - rd) / (2.0 * A)]
+        elif abs(B) > 1e-9 * scale:
+            # A ~ 0: quartic = Y (B X + C Y); one light-cone factor
+            light_cone_factors = 1
+            mine = [-C / B]
+        elif abs(C) > 1e-9 * scale:
+            light_cone_factors = 2
+        else:          # degenerate
+            owned.append(None)
+            continue
+        owned.append((light_cone_factors, slice(len(factors), len(factors) + len(mine))))
+        factors += mine
+    hyperbolic, slopes = _factor_slopes(np.array(factors, dtype=float), u2, wxi)
+    hyperbolic, slopes = hyperbolic.tolist(), slopes.tolist()
+    cells = []
+    for (a1, a2), own in zip(((a1, a2) for a1 in a1_grid for a2 in a2_grid), owned):
+        if own is None or not all(hyperbolic[own[1]]):
+            cells.append(RegionCell(float(a1), float(a2), "non-hyperbolic", np.inf))
+            continue
+        smax = max([light_slope if own[0] else 0.0] + slopes[own[1]])
+        cells.append(RegionCell(float(a1), float(a2), _REGION_LABELS[_verdict(smax)],
+                                float(smax)))
     return cells

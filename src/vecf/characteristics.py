@@ -18,8 +18,9 @@ replaced by -1.  `FAMILY_TABLE` holds one record per family: the base
 degree, the power and the cone.  At normalized u on the Minkowski metric
 every family's characteristic cone is alpha (u.xi)^2 - beta xi.xi = 0, and
 `cone_xi0` is the one closed form for its xi0 roots: every closed-form
-root, slope, containment verdict and CFL speed evaluates it.  The bisection
-oracle evaluates the base polynomials instead, so it checks the table.
+root, slope, containment verdict and CFL speed evaluates it, or its two
+halves `cone_quadratic` and `cone_pair`.  The bisection oracle evaluates
+the base polynomials instead, so it checks the table.
 """
 
 from __future__ import annotations
@@ -35,8 +36,13 @@ from .tensor import Metric4, minkowski, validate_metrics
 
 DISTINCTNESS_GAP = 1e-8  # least separation of distinct roots, for unit directions
 # a batched oracle's temporaries hold at most about this many float64
-# values (0.25 MB); several are alive at once
-BATCH_VALUES = 32768
+# values (64 KB); several are alive at once.  With 0.25 MB temporaries the
+# heap was trimmed and grown again around every chunk: the causality scan
+# of the claims benchmark took about 2200 page faults per call, and none
+# at 64 KB, where it also ran 30% faster.
+BATCH_VALUES = 8192
+# a cone whose xi0^2 coefficient D is smaller in magnitude is degenerate
+DEGENERATE_D = 1e-14
 
 
 @dataclass(frozen=True)
@@ -245,27 +251,51 @@ def quartic_coefficients(a1, a2, u, g) -> QuarticCoefficients:
     return QuarticCoefficients(*(float(c[0]) if single else c for c in (A, B, C, resid)))
 
 
+def cone_quadratic(alpha, beta, w2, wxi, xb2=1.0):
+    """(D, R, real) of the cone alpha (u.xi)^2 - beta xi.xi = 0 as a quadratic in xi0.
+
+    At u = (sqrt(1 + w2), w) on the Minkowski metric, with w2 = |w|^2,
+    wxi = w.xibar and xb2 = |xibar|^2 scalars or broadcasting arrays, the
+    cone is
+
+        D xi0^2 + 2 alpha u0 (w.xibar) xi0 + alpha (w.xibar)^2 - beta |xibar|^2,
+
+    D = alpha (1 + w2) + beta, and R = beta (D |xibar|^2 - alpha (w.xibar)^2)
+    is its reduced discriminant.  real, broadcast to R's shape, is False
+    where the xi0 pair is not real and finite: |D| < DEGENERATE_D or
+    R < 0.  This is the one definition of D, R and that screen: `cone_xi0`
+    raises where real is False, and a scan that may meet such points
+    screens its grid and hands the real points to `cone_pair`.
+    """
+    D = alpha * (1.0 + w2) + beta
+    R = beta * (D * xb2 - alpha * wxi ** 2)
+    return D, R, ~((np.abs(D) < DEGENERATE_D) | (R < 0.0))
+
+
+def cone_pair(alpha, w2, wxi, D, R):
+    """The xi0 roots ((-alpha u0 w.xibar - sqrt R) / D, (-alpha u0 w.xibar + sqrt R) / D).
+
+    D and R are `cone_quadratic`'s at points where it finds the pair real;
+    every step is elementwise, so a point has the same bits in any batch.
+    """
+    drift = alpha * wxi * np.sqrt(1.0 + w2)
+    root = np.sqrt(R)
+    return -(drift + root) / D, -(drift - root) / D
+
+
 def cone_xi0(alpha, beta, w2, wxi, xb2=1.0):
     """xi0 roots of alpha (u.xi)^2 - beta xi.xi = 0 at u = (sqrt(1 + w2), w).
 
-    Minkowski metric and normalized u; w2 = |w|^2, wxi = w.xibar and
-    xb2 = |xibar|^2 are scalars or broadcasting arrays.  In xi0 the cone is
-    D xi0^2 + 2 alpha u0 (w.xibar) xi0 + alpha (w.xibar)^2 - beta |xibar|^2
-    with D = alpha (1 + w2) + beta, whose reduced discriminant is
-    R = beta (D |xibar|^2 - alpha (w.xibar)^2).  Returns
-    ((-alpha u0 w.xibar - sqrt R) / D, (-alpha u0 w.xibar + sqrt R) / D, R).
-    Raises ValueError where the pair is not real and finite: R < 0 or
-    |D| < 1e-14.
+    Arguments as `cone_quadratic`.  Returns `cone_pair`'s (minus, plus) and
+    the radicand R.  Raises ValueError where the pair is not real and
+    finite, a vanishing D or a negative radicand R.
     """
-    D = alpha * (1.0 + w2) + beta
-    if np.any(np.abs(D) < 1e-14):
-        raise ValueError("vanishing xi0^2 coefficient; degenerate cone")
-    R = beta * (D * xb2 - alpha * wxi ** 2)
-    if np.any(R < 0.0):
+    D, R, real = cone_quadratic(alpha, beta, w2, wxi, xb2)
+    if not np.all(real):
+        if np.any(np.abs(D) < DEGENERATE_D):
+            raise ValueError("vanishing xi0^2 coefficient; degenerate cone")
         raise ValueError(f"negative radicand {np.min(R):.3e}; no real closed-form roots")
-    drift = alpha * wxi * np.sqrt(1.0 + w2)
-    root = np.sqrt(R)
-    return -(drift + root) / D, -(drift - root) / D, R
+    return (*cone_pair(alpha, w2, wxi, D, R), R)
 
 
 def cone_roots_batch(family: str, xibar, u, a2):

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .characteristics import BATCH_VALUES
 from .constitutive import SGN, TransportModel, stress_tensor_fields, transport
 
 MUTATION_KEYS = (
@@ -71,8 +72,8 @@ class FieldJet1:
 
     u (4, N), du (k, 4, N) with du[a, b] = d_a u^b, eps (N,), deps (k, N).
     The jet carries the first k derivative rows, k in {2, 4}: the 1+1D
-    solver passes the (t, x) rows, the oracle all four.  Rows it does not
-    carry are zero.
+    solver and the oracle's 1+1D manufactured field pass the (t, x) rows,
+    k = 2.  Rows it does not carry are zero.
     """
 
     u: np.ndarray
@@ -297,16 +298,22 @@ def assemble_lower_order(jet: FieldJet1, model: TransportModel, coeffs: tuple,
 def equation_rows(jet2, model: TransportModel, mutation=None) -> np.ndarray:
     """Full rows principal + B for a second-order jet (u, du, d2u, eps, deps, d2eps).
 
-    d2u (4, 4, 4, N) and d2eps (4, 4, N) are symmetric in their first two
-    axes.  The principal part applies B(e_a, e_m) to d_a d_m (u, eps) over
-    all ordered pairs: each pair a < m once, to twice its derivatives.
+    The jet carries the first k derivative rows, as `FieldJet1`: du
+    (k, 4, N), d2u (k, k, 4, N), deps (k, N) and d2eps (k, k, N), the
+    second derivatives symmetric in their first two axes.  The principal
+    part applies B(e_a, e_m) to d_a d_m (u, eps) over the ordered pairs of
+    the rows carried: each pair a < m once, to twice its derivatives.
+    That is 3 pairs for the (t, x) jet of a 1+1D field and 10 for a full
+    jet; a row not carried has zero derivatives, so its pairs would add
+    exact zeros.
     """
     u, du, d2u, eps, deps, d2eps = jet2
     coeffs = transport(eps, model)
     eta, lam, chi = coeffs
+    k = len(deps)
     principal = np.zeros((5,) + eps.shape)
-    for a in range(4):
-        for m in range(a, 4):
+    for a in range(k):
+        for m in range(a, k):
             v2 = np.concatenate([d2u[a, m], d2eps[a, m][None]], axis=0)
             if a < m:
                 v2 *= 2.0
@@ -361,14 +368,15 @@ class SinusoidalField:
     def u_jet(self, t: float, x: np.ndarray, order: int = 2):
         """(u, du) for order 1, (u, du, d2u) for order 2."""
         shp = x.shape
-        ui = np.zeros((3,) + shp)
+        # the three components at once, each parameter broadcast over x
+        k, w, ph, amp = (a.reshape((3,) + (1,) * x.ndim)
+                         for a in (self.k, self.w, self.ph, self.amp))
+        arg = k * x + w * t + ph
+        c = np.cos(arg)
+        ui = amp * np.sin(arg)
         dui = np.zeros((4, 3) + shp)
-        for i in range(3):
-            arg = self.k[i] * x + self.w[i] * t + self.ph[i]
-            s, c = np.sin(arg), np.cos(arg)
-            ui[i] = self.amp[i] * s
-            dui[0, i] = self.amp[i] * c * self.w[i]
-            dui[1, i] = self.amp[i] * c * self.k[i]
+        dui[0] = amp * c * w
+        dui[1] = amp * c * k
         ssum = np.einsum('i...,i...->...', ui, ui)
         dssum = 2.0 * np.einsum('i...,ai...->a...', ui, dui)
         u0 = np.sqrt(1.0 + ssum)
@@ -390,9 +398,12 @@ class SinusoidalField:
         return u, du, d2u
 
     def jet2(self, t: float, x: np.ndarray):
+        """The (t, x)-row second-order jet (u, du, d2u, eps, deps, d2eps) of
+        `equation_rows`, k = 2: the fields vary in t and x only, so their
+        y and z derivatives are zero and are not carried."""
         u, du, d2u = self.u_jet(t, x)
         eps, deps, d2eps = self.eps_jet(t, x)
-        return u, du, d2u, eps, deps, d2eps
+        return u, du[:2], d2u[:2, :2], eps, deps[:2], d2eps[:2, :2]
 
 
 @dataclass(frozen=True)
@@ -411,20 +422,30 @@ def _fd_divergence(fields: SinusoidalField, resolution: int, model: TransportMod
     five-level time stencil, differentiated with 4th-order centered
     differences (periodic in x).  The stencils read one row per level,
     T^0_beta at t0 +- h and t0 +- 2h and T^1_beta at t0, and each level
-    builds only that row, from a first-order jet.
+    builds only that row, from a first-order jet.  The four row-0 levels
+    are batched, (levels, N) with x broadcast to the level grid, so that
+    the stress's (4, 4, points) temporaries hold at most BATCH_VALUES
+    values: one batch up to N = 128.  Larger batches ran no faster at
+    N = 256 and 512, and a process kept up to 1 MB more memory resident
+    after them.  Every field value is elementwise in (t, x), and a stress
+    row has the bits it has on any batch of two or more points.
     """
     n = int(resolution)
     h = fields.length / n
     x = np.arange(n) * h
 
-    def level(j: int, row: int) -> np.ndarray:
-        t = t0 + j * h
-        u, du = fields.u_jet(t, x, order=1)
-        eps, deps = fields.eps_jet(t, x, order=1)
-        return SGN[row] * stress_tensor_fields(u, du, eps, deps, model, rows=(row,))[0]
+    def row(t, xs, r: int) -> np.ndarray:
+        u, du = fields.u_jet(t, xs, order=1)
+        eps, deps = fields.eps_jet(t, xs, order=1)
+        return SGN[r] * stress_tensor_fields(u, du, eps, deps, model, rows=(r,))[0]
 
-    dt_t = (level(-2, 0) - 8.0 * level(-1, 0) + 8.0 * level(1, 0) - level(2, 0)) / (12.0 * h)
-    return x, h, dt_t + dx4(level(0, 1), h)
+    t = t0 + np.array([-2.0, -1.0, 1.0, 2.0])[:, None] * h
+    per = max(1, BATCH_VALUES // (16 * n))
+    # T^0_beta, beta low, as (beta, level, N)
+    t0_b = np.concatenate([row(ts, np.broadcast_to(x, (len(ts), n)), 0)
+                           for ts in np.split(t, range(per, 4, per))], axis=1)
+    dt_t = (t0_b[:, 0] - 8.0 * t0_b[:, 1] + 8.0 * t0_b[:, 2] - t0_b[:, 3]) / (12.0 * h)
+    return x, h, dt_t + dx4(row(t0, x, 1), h)
 
 
 def _assembled_report(fields: SinusoidalField, fd: tuple, model: TransportModel,

@@ -245,6 +245,10 @@ def _spectral_filter(W: np.ndarray, factors: np.ndarray) -> np.ndarray:
 
 
 DET_FLOOR = 1e-10
+# a state whose values overflow or turn invalid is reported by the checks
+# of evolve (finite values, eps > 0, the det floor), not by floating-point
+# warnings: each step, diagnostic and t = 0 check runs under this errstate
+_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
 def _members(bad: np.ndarray) -> str:
@@ -311,7 +315,7 @@ def _check_initial(grid: FieldGrid, model: TransportModel) -> None:
     if bad.any():
         raise ValueError("non-finite field values" + _members(bad))
     v = grid.V.reshape(5, -1)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(**_QUIET):
         _solve_time_matrix(v[:4], v[4], transport(v[4], model), None, grid.n_cells)
 
 
@@ -322,20 +326,22 @@ def step(grid: FieldGrid, cfg: SolverConfig, dt: float,
     Every stage asserts |det a| > DET_FLOOR at every cell before it divides
     by a pivot of a, and raises ValueError otherwise; in the admissible
     regime the closed-form value keeps the determinant far above the floor.
+    The step runs under _QUIET.
     """
     h = grid.spacing
     model = cfg.transport
     V, W = grid.V, grid.W
-    k1v, k1w = _rhs(V, W, h, model)
-    k2v, k2w = _rhs(V + 0.5 * dt * k1v, W + 0.5 * dt * k1w, h, model)
-    k3v, k3w = _rhs(V + 0.5 * dt * k2v, W + 0.5 * dt * k2w, h, model)
-    k4v, k4w = _rhs(V + dt * k3v, W + dt * k3w, h, model)
-    Vn = V + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    Wn = W + dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-    if cfg.filter_strength > 0.0:
-        if filter_factors is None:
-            filter_factors = _filter_factors(grid.n_cells, cfg.filter_strength)
-        Wn = _spectral_filter(Wn, filter_factors)
+    with np.errstate(**_QUIET):
+        k1v, k1w = _rhs(V, W, h, model)
+        k2v, k2w = _rhs(V + 0.5 * dt * k1v, W + 0.5 * dt * k1w, h, model)
+        k3v, k3w = _rhs(V + 0.5 * dt * k2v, W + 0.5 * dt * k2w, h, model)
+        k4v, k4w = _rhs(V + dt * k3v, W + dt * k3w, h, model)
+        Vn = V + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        Wn = W + dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        if cfg.filter_strength > 0.0:
+            if filter_factors is None:
+                filter_factors = _filter_factors(grid.n_cells, cfg.filter_strength)
+            Wn = _spectral_filter(Wn, filter_factors)
     return FieldGrid(n_cells=grid.n_cells, length=grid.length, V=Vn, W=Wn,
                      t=grid.t + dt)
 
@@ -366,7 +372,8 @@ def _fixed_point(cfg: SolverConfig) -> np.ndarray | None:
     try:
         grid = make_grid(cfg)
         _check_initial(grid, cfg.transport)
-        _, dtW = _rhs(grid.V, grid.W, grid.spacing, cfg.transport)
+        with np.errstate(**_QUIET):
+            _, dtW = _rhs(grid.V, grid.W, grid.spacing, cfg.transport)
     except ValueError:
         return None
     return None if grid.W.any() or dtW.any() else grid.V
@@ -421,7 +428,8 @@ def _diagnose(grid: FieldGrid, model: TransportModel) -> Diagnostics:
     evolve diagnoses an ensemble one member at a time: diagnostics run only
     at the output cadence, and the stress tensor's (4, 4, N) temporaries
     over a whole ensemble would set the run's peak memory.  Only the stress
-    tensor's row 0 is built: it holds T^{00} and T^{01}.
+    tensor's row 0 is built: it holds T^{00} and T^{01}.  Runs under _QUIET:
+    where the closed-form det overflows, det_shortfall_rel reads NaN.
     """
     u, eps = grid.V[:4], grid.V[4]
     n = grid.n_cells
@@ -432,14 +440,16 @@ def _diagnose(grid: FieldGrid, model: TransportModel) -> Diagnostics:
     du[1] = dxV[:4]
     deps[0] = grid.W[4]
     deps[1] = dxV[4]
-    (t0_dn,) = stress_tensor_fields(u, du, eps, deps, model, rows=(0,))
+    with np.errstate(**_QUIET):
+        (t0_dn,) = stress_tensor_fields(u, du, eps, deps, model, rows=(0,))
+        eta, lam, chi = transport(eps, model)
+        _, det = time_matrix_solve(u, eps, eta, lam, chi)
+        dets = np.abs(det)
+        w2 = np.einsum('in,in->n', u[1:], u[1:])
+        closed = det_time_matrix_closed_form(eta, eps, w2, model.a2)
+        shortfall = (closed - dets) / closed
     t00_up = t0_dn[0]                      # T^{00} = g^{0a} g^{0b} T_ab = T_00
     t01_up = -t0_dn[1]                     # T^{01} = g^{00} g^{11} T_01
-    eta, lam, chi = transport(eps, model)
-    _, det = time_matrix_solve(u, eps, eta, lam, chi)
-    dets = np.abs(det)
-    w2 = np.einsum('in,in->n', u[1:], u[1:])
-    closed = det_time_matrix_closed_form(eta, eps, w2, model.a2)
     (drift,) = grid.constraint_drift()
     return Diagnostics(
         t=grid.t,
@@ -448,7 +458,7 @@ def _diagnose(grid: FieldGrid, model: TransportModel) -> Diagnostics:
         energy_integral=float(t00_up.sum() * grid.spacing),
         momentum_integral=float(t01_up.sum() * grid.spacing),
         min_abs_det_time_matrix=float(dets.min()),
-        det_shortfall_rel=float(((closed - dets) / closed).max()),
+        det_shortfall_rel=float(shortfall.max()),
     )
 
 

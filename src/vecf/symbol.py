@@ -74,20 +74,16 @@ def symbol_components(u, eps, eta, lam, chi, g, ginv, xi) -> np.ndarray:
     return m
 
 
-def det_by_elimination(m: np.ndarray):
-    """Determinant by partial-pivoted Gaussian elimination.
+def det_by_elimination(m: np.ndarray) -> np.ndarray:
+    """Determinants (K,) of a stack m (K, n, n) by partial-pivoted Gaussian elimination.
 
-    m is one (n, n) matrix, giving a float, or a stack (K, n, n), giving
-    K determinants.  Pivot choice is the largest magnitude with the lowest
-    index on ties, which makes the result deterministic for identical
-    inputs; every matrix of a stack goes through exactly the operations it
-    would alone, so a stacked result equals the single-matrix one bitwise.
-    A zero pivot gives 0 for its matrix only.
+    Pivot choice is the largest magnitude with the lowest index on ties,
+    which makes the result deterministic for identical inputs; every
+    matrix of a stack goes through exactly the operations it would alone,
+    so a matrix has the same determinant bitwise in any stack, the stack
+    of one included.  A zero pivot gives 0 for its matrix only.
     """
     a = np.array(m, dtype=float)
-    single = a.ndim == 2
-    if single:
-        a = a[None]
     k, n, _ = a.shape
     ks = np.arange(k)
     det = np.ones(k)
@@ -104,7 +100,7 @@ def det_by_elimination(m: np.ndarray):
         factor = a[:, col + 1:, col] / np.where(pivot == 0.0, 1.0, pivot)[:, None]
         a[:, col + 1:, col:] -= factor[:, :, None] * a[:, None, col, col:]
     det[(np.diagonal(a, axis1=1, axis2=2) == 0.0).any(axis=1)] = 0.0
-    return float(det[0]) if single else det
+    return det
 
 
 def det_time_matrix_closed_form(eta, eps, w2, a2: float):
@@ -127,16 +123,15 @@ def det_time_matrix_closed_form(eta, eps, w2, a2: float):
 def check_time_matrix_domain(g: Metric4, u, a1: float) -> None:
     """Raise ValueError unless the closed form holds: Minkowski g, u.u = -1, a1 = 4.
 
-    u is one four-velocity (4,) or a batch (K, 4); the normalization
-    residual |u.u + 1| may be at most 1e-10, and for a batch the message
-    names the first failing member, "... in member k".
+    u is a batch of four-velocities (K, 4); the normalization residual
+    |u.u + 1| may be at most 1e-10, and the message names the first
+    failing member, "... in member k".
     """
     if not g.is_minkowski:
         raise ValueError("closed form requires the Minkowski metric")
     u = np.asarray(u, dtype=float)
-    resid = np.abs(_dot(u, _dot(g.components, u[..., None, :])) + 1.0)
-    if np.any(resid > 1e-10):
-        where = "" if u.ndim == 1 else f" in member {int(np.flatnonzero(resid > 1e-10)[0])}"
-        raise ValueError("closed form requires normalized u" + where)
+    bad = np.flatnonzero(np.abs(_dot(u, _dot(g.components, u[:, None, :])) + 1.0) > 1e-10)
+    if bad.size:
+        raise ValueError(f"closed form requires normalized u in member {int(bad[0])}")
     if abs(a1 - 4.0) > 1e-12:
         raise ValueError("closed form requires a1 = 4")

@@ -65,8 +65,9 @@ def fluid_symbol(s: StatePoint, xi) -> np.ndarray:
 
 
 def fluid_char_det(s: StatePoint, xi) -> float:
-    """det m(U, xi), the brute-force side of the factorization identity."""
-    return det_by_elimination(fluid_symbol(s, xi))
+    """det m(U, xi), the brute-force side of the factorization identity:
+    the elimination of the stack of one symbol."""
+    return float(det_by_elimination(fluid_symbol(s, xi)[None])[0])
 
 
 def coupled_char_det(s: StatePoint, xi) -> float:
@@ -93,7 +94,7 @@ def det_time_matrix_formula(s: StatePoint) -> float:
     Raises ValueError off the domain: a curved metric, unnormalized u or
     a1 != 4 (`check_time_matrix_domain`).
     """
-    check_time_matrix_domain(s.g, s.u, s.transport.a1)
+    check_time_matrix_domain(s.g, s.u[None], s.transport.a1)
     eta, _, _ = s.coefficients()
     w2 = float(s.u[1] ** 2 + s.u[2] ** 2 + s.u[3] ** 2)
     return float(det_time_matrix_closed_form(eta, s.eps, w2, s.transport.a2))

@@ -308,7 +308,7 @@ def reference_factor_slopes(r, u_samples, n_theta):
     return True, float(max(np.abs(s1).max(), np.abs(s2).max()))
 
 
-def reference_region_map(a1_grid, a2_grid, u_samples=(0.0, 0.25, 1.0, 4.0), n_theta=64):
+def reference_region_map(a1_grid, a2_grid, u_samples, n_theta):
     """hyperbolicity_region_map one (a1, a2) cell at a time, each factor
     sampled on a grid of its own."""
     from vecf.causality import BOUNDARY_TOL
@@ -355,12 +355,51 @@ def reference_region_map(a1_grid, a2_grid, u_samples=(0.0, 0.25, 1.0, 4.0), n_th
     return cells
 
 
-@pytest.mark.parametrize("a1_grid,a2_grid", [
-    (np.linspace(1.0, 6.0, 11), np.linspace(1.0, 12.0, 12)),
-    (np.linspace(0.0, 8.0, 17), np.linspace(0.5, 14.0, 28)),
-])
-def test_region_map_matches_per_cell_reference(a1_grid, a2_grid):
-    cells = hyperbolicity_region_map(a1_grid, a2_grid)
-    got = [(c.a1, c.a2, c.label, c.max_abs_slope) for c in cells]
-    assert repr(got) == repr(reference_region_map(a1_grid, a2_grid))
+# A = 4 (a1 a2 - 3 a1 - a2), B = -4 (3 a1 + 2 a2 + a1 a2) and C = a2 (a1 - 4)
+# at u = e0: this grid crosses A = 0 (a1 = a2 / (a2 - 3)), C = 0 (a1 = 4),
+# both (4, 4), A = B = 0 (-0.5, 1) and A = B = C = 0 (0, 0)
+CROSSING = ([-0.5, 0.0, 1.5, 2.0, 2.5, 4.0, 12.0 / 9.0], [0.0, 1.0, 4.0, 5.0, 6.0, 9.0, 12.0])
 
+
+@pytest.mark.parametrize("a1_grid,a2_grid,u_samples,n_theta", [
+    pytest.param(np.linspace(1.0, 6.0, 11), np.linspace(1.0, 12.0, 12),
+                 (0.0, 0.25, 1.0, 4.0), 64, id="a1_grid0-a2_grid0"),
+    pytest.param(np.linspace(0.0, 8.0, 17), np.linspace(0.5, 14.0, 28),
+                 (0.0, 0.25, 1.0, 4.0), 64, id="a1_grid1-a2_grid1"),
+    pytest.param(*CROSSING, (0.0, 0.25, 1.0, 4.0), 64, id="crossing"),
+    pytest.param(*CROSSING, (0.0, 0.5, 2.0, 9.0, 30.0), 37, id="crossing-5x37"),
+    # 1440 values per factor: chunks of 5 factors
+    pytest.param(np.linspace(1.0, 6.0, 11), np.linspace(1.0, 12.0, 12),
+                 (3.0, 100.0), 720, id="default-2x720"),
+])
+def test_region_map_matches_per_cell_reference(a1_grid, a2_grid, u_samples, n_theta):
+    cells = hyperbolicity_region_map(a1_grid, a2_grid, u_samples=list(u_samples),
+                                     n_theta=n_theta)
+    got = [(c.a1, c.a2, c.label, c.max_abs_slope) for c in cells]
+    assert repr(got) == repr(reference_region_map(a1_grid, a2_grid, u_samples, n_theta))
+
+
+def test_region_map_root_calls_do_not_grow_with_the_cells(monkeypatch):
+    # the factors of every cell are classified together: one closed-form
+    # root call per chunk of BATCH_VALUES values, and one for the light slope
+    from vecf import causality
+    from vecf.characteristics import BATCH_VALUES
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(causality, "cone_pair", counting("pair", causality.cone_pair))
+    monkeypatch.setattr(causality, "cone_xi0", counting("xi0", causality.cone_xi0))
+    counts = {}
+    for n in (2, 4, 12, 24):
+        calls.clear()
+        hyperbolicity_region_map(np.linspace(1.0, 6.0, n), np.linspace(1.0, 12.0, n))
+        counts[n * n] = (calls.count("xi0"), calls.count("pair"))
+    # at most two factors per cell, each on the 4 x 64 (boost, angle) grid
+    assert all(xi0 == 1 and pair <= -(-2 * c * 256 // BATCH_VALUES)
+               for c, (xi0, pair) in counts.items())
+    assert counts[4] == counts[16] == (1, 1)

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference import (StatePoint, cone_roots, eval_factor, eval_factor_base,
-                       fluid_symbol, random_lorentzian_near_minkowski, state_arrays)
+                       fluid_char_det, fluid_symbol, random_lorentzian_near_minkowski,
+                       state_arrays)
 
 from vecf import characteristics
 from vecf.characteristics import (COUPLED_FACTORS, FAMILIES, FLUID_FACTORS,
                                   bisection_roots, gevrey_index,
                                   quartic_coefficients, sound_quartic_general)
 from vecf.constitutive import TransportModel
-from vecf.symbol import det_by_elimination
 from vecf.tensor import minkowski
 from vecf.verification import COEFF_ZERO_TOL, ROOT_TOL, collapse_suite
 
@@ -79,7 +79,7 @@ def test_factor_product_equals_determinant():
     for seed in range(50):
         s = random_state(seed, normalized=(seed % 3 == 0), mink=(seed % 2 == 0))
         xi = np.random.default_rng(seed + 500).uniform(-2, 2, 4)
-        det = det_by_elimination(fluid_symbol(s, xi))
+        det = fluid_char_det(s, xi)
         prod = (eval_factor("flow", s, xi) * eval_factor("shear", s, xi)
                 * eval_factor("sound", s, xi))
         scale = max(1.0, abs(det), abs(prod))

@@ -379,14 +379,26 @@ def test_cli_step_count_beyond_the_bound_is_a_config_error(tmp_path, capsys, ove
     assert not any(tmp_path.iterdir())
 
 
+ABORTS = {
+    # the first stage drives eps negative
+    "1e120": ("energy density lost positivity inside a stage", 1),
+    # the first step's det overflows
+    "1e150": ("time-coefficient matrix degenerate: det not finite", 1),
+    # the det overflows at t = 0: the run aborts before its first diagnostic
+    "1e300": ("time-coefficient matrix degenerate: det not finite", 0),
+}
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("command", ["evolve", "dod-test"])
-def test_cli_unsteppable_initial_state_aborts_in_one_line(tmp_path, capsys, command):
-    # at eps0 = 1e300 the time matrix's det overflows at t = 0: the run
-    # aborts before its first diagnostic, and no floating-point warning
-    # (an error here) precedes the abort
-    assert main(["--out", str(tmp_path), "--set", "solver.eps0=1e300", command]) == 3
+@pytest.mark.parametrize("command,eps0", [
+    pytest.param(command, eps0, id=command if eps0 == "1e300" else f"{command}-{eps0}")
+    for command in ("evolve", "dod-test") for eps0 in ABORTS])
+def test_cli_unsteppable_initial_state_aborts_in_one_line(tmp_path, capsys, command, eps0):
+    # no floating-point warning (an error here) precedes the abort: the
+    # checks that abort the run report the fault
+    message, step = ABORTS[eps0]
+    assert main(["--out", str(tmp_path), "--set", f"solver.eps0={eps0}", command]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("solver abort: time-coefficient matrix degenerate: det not finite")
+    assert err.startswith("solver abort: " + message)
     assert err.count("\n") == 1
-    assert "(step 0)" in err
+    assert f"(step {step})" in err

@@ -456,33 +456,110 @@ def test_equation_rows_shapes():
     assert np.all(np.isfinite(rows))
 
 
+def full_jet2(fields, t, x):
+    """The manufactured fields' second-order jet with all four derivative
+    rows, the y and z rows zero."""
+    u, du, d2u = fields.u_jet(t, x)
+    eps, deps, d2eps = fields.eps_jet(t, x)
+    return u, du, d2u, eps, deps, d2eps
+
+
 def reference_divergence_residual(fields, n, model, t0=0.37, mutation=None):
     """divergence_residual with the full stress tensor at every level, each
-    from a second-order jet."""
+    level its own call on a full second-order jet, and the rows assembled
+    from the full jet over all ten derivative pairs."""
     from vecf.constitutive import stress_tensor_fields
     from vecf.equations import DivergenceReport, dx4
     h = fields.length / n
     x = np.arange(n) * h
     levels = []
     for j in range(-2, 3):
-        u, du, _, eps, deps, _ = fields.jet2(t0 + j * h, x)
+        u, du, _, eps, deps, _ = full_jet2(fields, t0 + j * h, x)
         levels.append(SGN[:, None, None] * stress_tensor_fields(u, du, eps, deps, model))
     dt_t = (levels[0] - 8.0 * levels[1] + 8.0 * levels[3] - levels[4]) / (12.0 * h)
     div = dt_t[0] + dx4(levels[2], h)[1]
-    rows = equation_rows(fields.jet2(t0, x), model, mutation=mutation)
+    rows = equation_rows(full_jet2(fields, t0, x), model, mutation=mutation)
     return DivergenceReport(resolution=n, spacing=h,
                             max_discrepancy=float(np.abs(SGN[:, None] * rows[:4] - div).max()),
                             constraint_row_max=float(np.abs(rows[4]).max()))
 
 
-@pytest.mark.parametrize("mutation", [None, ("expansion_iso", 1.01)])
-def test_divergence_residual_matches_full_tensor_reference(mutation):
-    # one stress row per level, from first-order jets, gives the bits of
-    # the full tensor at every level
+@pytest.mark.parametrize("model,t0,resolutions,mutation", [
+    pytest.param(MODEL, 0.37, (64, 256), None, id="None"),
+    pytest.param(MODEL, 0.37, (64, 256), ("expansion_iso", 1.01), id="mutation1"),
+    pytest.param(TransportModel(a1=4.0, a2=4.0, eta_form="constant"), 0.37, (32, 128),
+                 None, id="constant-eta"),
+    pytest.param(TransportModel(a1=4.0, a2=9.0), -1.3, (32, 512, 2048), None,
+                 id="a2=9-t0=-1.3"),
+    pytest.param(TransportModel(a1=4.0, a2=4.0, eta_form="constant"), 2.9, (128,),
+                 ("shear", 1.01), id="constant-eta-t0=2.9-shear"),
+] + [pytest.param(MODEL, 0.0, (128,), (key, 1.01), id=f"t0=0-{key}")
+     for key in MUTATION_KEYS])
+def test_divergence_residual_matches_full_tensor_reference(model, t0, resolutions, mutation):
+    # one stress row per level, the four row-0 levels in one batch, from
+    # first-order jets, gives the bits of the full tensor at every level;
+    # the (t, x) jet's three derivative pairs give the bits of all ten
     fields = SinusoidalField(length=2 * np.pi)
-    for n in (64, 256):
-        assert divergence_residual(fields, n, MODEL, mutation=mutation) == \
-            reference_divergence_residual(fields, n, MODEL, mutation=mutation)
+    for n in resolutions:
+        assert divergence_residual(fields, n, model, t0=t0, mutation=mutation) == \
+            reference_divergence_residual(fields, n, model, t0=t0, mutation=mutation)
+
+
+@pytest.mark.parametrize("n,shapes", [
+    (64, [(4, 64), (64,)]),
+    (128, [(4, 128), (128,)]),
+    (256, [(2, 256), (2, 256), (256,)]),
+    (512, [(1, 512)] * 4 + [(512,)]),
+])
+def test_fd_divergence_batches_the_row_0_levels(monkeypatch, n, shapes):
+    # the four row-0 levels are one batch while its (4, 4, points) stress
+    # temporaries hold at most BATCH_VALUES values, and T^1 at t0 the last call
+    from vecf import equations
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[2]))
+        return stress_tensor_fields(*args, **kwargs)
+
+    stress_tensor_fields = equations.stress_tensor_fields
+    monkeypatch.setattr(equations, "stress_tensor_fields", counting)
+    equations._fd_divergence(SinusoidalField(length=2.0), n, MODEL, 0.37)
+    assert calls == shapes
+
+
+def test_oracle_rows_apply_the_symbol_to_three_pairs(monkeypatch):
+    # the manufactured field is 1+1D: its jet carries the (t, x) rows, and
+    # the principal part applies B(e_a, e_m) to the pairs tt, tx and xx
+    from vecf import equations
+    pairs = []
+
+    def counting(u, eps, eta, lam, chi, a, c, x):
+        pairs.append((a, c))
+        return symbol_apply(u, eps, eta, lam, chi, a, c, x)
+
+    monkeypatch.setattr(equations, "symbol_apply", counting)
+    divergence_residual(SinusoidalField(length=2.0), 64, MODEL)
+    assert pairs == [(0, 0), (0, 1), (1, 1)]
+    pairs.clear()
+    equation_rows(full_jet2(SinusoidalField(length=2.0), 0.37, np.linspace(0.0, 2.0, 16)),
+                  MODEL)
+    assert len(pairs) == 10
+
+
+def test_jet2_carries_the_t_and_x_rows():
+    fields = SinusoidalField(length=2.0)
+    x = np.linspace(0.0, 2.0, 16, endpoint=False)
+    u, du, d2u, eps, deps, d2eps = fields.jet2(0.3, x)
+    assert (du.shape, d2u.shape, deps.shape, d2eps.shape) == \
+        ((2, 4, 16), (2, 2, 4, 16), (2, 16), (2, 2, 16))
+    full = full_jet2(fields, 0.3, x)
+    for got, ref in zip((u, du, d2u, eps, deps, d2eps),
+                        (full[0], full[1][:2], full[2][:2, :2], full[3], full[4][:2],
+                         full[5][:2, :2])):
+        assert np.array_equal(got, ref)
+    # the rows left out are zero
+    assert not full[1][2:].any() and not full[2][2:].any() and not full[2][:, 2:].any()
+    assert not full[4][2:].any() and not full[5][2:].any() and not full[5][:, 2:].any()
 
 
 def test_divergence_oracle_reports_match_separate_residuals():

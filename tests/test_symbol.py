@@ -151,12 +151,12 @@ def test_factorization_and_homogeneity_admissible(a2, eta_form, eps, wdir, wnorm
     if sign is not None:                 # within 1e-6 relative of the light cone
         xi[0] = sign * np.linalg.norm(xi[1:]) * (1.0 + 1e-6 * d)
     m = fluid_symbol(s, xi)
-    det = det_by_elimination(m)
+    det = fluid_char_det(s, xi)
     prod = (eval_factor("flow", s, xi) * eval_factor("shear", s, xi)
             * eval_factor("sound", s, xi))
     assert abs(det - prod) <= DET_TOL * max(_magnitude_scale(m), abs(det), abs(prod))
     m_t = fluid_symbol(s, t * xi)
-    det_t = det_by_elimination(m_t)
+    det_t = fluid_char_det(s, t * xi)
     expect = t ** 10 * det
     assert abs(det_t - expect) <= DET_TOL * max(_magnitude_scale(m_t), abs(det_t),
                                                 abs(expect))
@@ -196,7 +196,7 @@ def test_time_matrix_formula_boosted():
     s = StatePoint.rest(a2=4.0).boosted([1.0, 0.0, 0.0])
     closed = det_time_matrix_formula(s)
     assert closed == pytest.approx(2352.0)
-    numeric = det_by_elimination(time_matrix(s))
+    numeric = float(det_by_elimination(time_matrix(s)[None])[0])
     assert abs(numeric - closed) <= 1e-10 * abs(closed)
 
 
@@ -233,15 +233,15 @@ def test_time_matrix_domain_names_the_unnormalized_member():
     u[2, 0] *= 1.0 + 1e-8
     with pytest.raises(ValueError, match="normalized u in member 2$"):
         check_time_matrix_domain(minkowski(), u, 4.0)
-    with pytest.raises(ValueError, match="normalized u$"):
-        check_time_matrix_domain(minkowski(), u[2], 4.0)
+    with pytest.raises(ValueError, match="normalized u in member 0$"):
+        check_time_matrix_domain(minkowski(), u[2:3], 4.0)
 
 
 def test_det_by_elimination_reference():
     rng = np.random.default_rng(21)
     for _ in range(200):
         m = rng.uniform(-3, 3, (5, 5))
-        assert det_by_elimination(m) == pytest.approx(np.linalg.det(m), rel=1e-10)
+        assert det_by_elimination(m[None])[0] == pytest.approx(np.linalg.det(m), rel=1e-10)
 
 
 def det_loop_reference(m: np.ndarray) -> float:
@@ -281,7 +281,8 @@ def test_det_by_elimination_stack_bitwise():
     dets = det_by_elimination(stack)
     reference = np.array([det_loop_reference(m) for m in stack])
     assert np.array_equal(dets, reference)
-    assert all(det_by_elimination(m) == r for m, r in zip(stack, reference))
+    # a matrix has its stacked determinant in the stack of one
+    assert all(det_by_elimination(m[None])[0] == r for m, r in zip(stack, reference))
     assert (dets[[5, 6, 8]] == 0.0).all()
     # a zero pivot zeroes its own matrix only
     assert (dets[9:] != 0.0).all()
