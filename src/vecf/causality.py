@@ -18,6 +18,10 @@ from .characteristics import (BATCH_VALUES, DISTINCTNESS_GAP, FLUID_FACTORS,
 from .tensor import minkowski
 
 BOUNDARY_TOL = 1e-12
+# the angle grid of the causality scan and of the critical-angle search
+N_THETA = 720
+# the critical-angle search refines its bracket to this width
+REFINE_TOL = 1e-10
 
 
 def cone_slopes(family: str, u2: float, theta, a2: float):
@@ -46,9 +50,9 @@ class CriticalAngleReport:
     on_axis: bool
 
 
-def critical_angle_check(u2: float, a2: float, family: str = "shear",
-                         n_theta: int = 720, refine_tol: float = 1e-10) -> CriticalAngleReport:
-    """Locate the theta maximizing |s+-| by dense grid plus golden-section.
+def critical_angle_check(u2: float, a2: float, family: str = "shear") -> CriticalAngleReport:
+    """Locate the theta maximizing |s+-| by the N_THETA-angle grid plus
+    golden-section refinement to REFINE_TOL.
 
     For u2 = 0 the slopes are theta-independent and a flat profile is
     reported.  Otherwise the maximizer must land within 1e-6 of
@@ -62,14 +66,14 @@ def critical_angle_check(u2: float, a2: float, family: str = "shear",
         return CriticalAngleReport(family, u2, a2, theta_max=0.0,
                                    slope_at_max=score(0.0),
                                    flat_profile=True, on_axis=True)
-    thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+    thetas = np.linspace(0.0, 2.0 * np.pi, N_THETA, endpoint=False)
     theta_grid = _family_cones(family, a2, [u2], thetas)[0].witness_theta
-    a, b = theta_grid - 2.0 * np.pi / n_theta, theta_grid + 2.0 * np.pi / n_theta
+    a, b = theta_grid - 2.0 * np.pi / N_THETA, theta_grid + 2.0 * np.pi / N_THETA
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = score(c), score(d)
-    while b - a > refine_tol:
+    while b - a > REFINE_TOL:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -152,7 +156,7 @@ class ScanRow:
     verdict: str
 
 
-def causality_scan(a2_list, u_max: float, n_u: int = 33, n_theta: int = 720) -> list:
+def causality_scan(a2_list, u_max: float, n_u: int = 33, n_theta: int = N_THETA) -> list:
     """Deterministic grid scan over |w| in [0, u_max] for each a2.
 
     One row per (a2, |w|) cell with the theta-maximized shear and sound

@@ -43,6 +43,10 @@ DISTINCTNESS_GAP = 1e-8  # least separation of distinct roots, for unit directio
 BATCH_VALUES = 8192
 # a cone whose xi0^2 coefficient D is smaller in magnitude is degenerate
 DEGENERATE_D = 1e-14
+# bisection_roots scans its interval on this many uniform steps, and
+# bisects each bracket to this absolute width
+BISECTION_GRID = 1024
+BISECTION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -363,8 +367,7 @@ def _line_base_values(family: str, t, line, a2):
     return factor_base_values(family, t * ue0 + uxb, (g00 * t + cross) * t + xbxb, uu, a2)
 
 
-def bisection_roots(family: str, xibar, u, a2, g=None, grid: int = 1024,
-                    tol: float = 1e-12) -> list:
+def bisection_roots(family: str, xibar, u, a2, g=None) -> list:
     """Roots of t -> base(family, state, (t, xibar)) by sign bracketing + bisection.
 
     The arguments follow `cone_roots_batch`: xibar (K, 3), or one spatial
@@ -378,12 +381,13 @@ def bisection_roots(family: str, xibar, u, a2, g=None, grid: int = 1024,
     polynomials in t, and the base polynomial is `factor_base_values` of
     them.  It is affine or quadratic in t, so its coefficients are
     recovered from three evaluations and give a Cauchy bound for the scan
-    interval.  Sign changes on a uniform grid are refined by bisection to
-    absolute tolerance `tol`.  The grids are evaluated in batched calls of
-    at most BATCH_VALUES values, and the brackets of every pair are halved
-    in one batched call per step.  Each bracket follows its own rules, as
-    if bisected alone, and every evaluation is elementwise, so a pair's
-    scan has the same bits alone as in a batch.  A count mismatch against
+    interval.  Sign changes on a uniform grid of BISECTION_GRID steps are
+    refined by bisection to the absolute width BISECTION_TOL.  The grids
+    are evaluated in batched calls of at most BATCH_VALUES values, and the
+    brackets of every pair are halved in one batched call per step.  Each
+    bracket follows its own rules, as if bisected alone, and every
+    evaluation is elementwise, so a pair's scan has the same bits alone as
+    in a batch.  A count mismatch against
     the base degree is reported through the returned scan, never dropped.
     """
     u = np.asarray(u, dtype=float)
@@ -422,10 +426,10 @@ def bisection_roots(family: str, xibar, u, a2, g=None, grid: int = 1024,
 
     # grid zeros are roots as they stand; sign changes become brackets
     owners, roots, brackets = [], [], []
-    chunk = max(1, BATCH_VALUES // (grid + 1))
+    chunk = max(1, BATCH_VALUES // (BISECTION_GRID + 1))
     for i in range(0, k, chunk):
         p = pairs[i:i + chunk]
-        ts = np.linspace(-bound[p], bound[p], grid + 1, axis=1)
+        ts = np.linspace(-bound[p], bound[p], BISECTION_GRID + 1, axis=1)
         vals = base(ts, p)
         row, col = np.nonzero(vals == 0.0)
         owners.append(p[row])
@@ -434,7 +438,7 @@ def bisection_roots(family: str, xibar, u, a2, g=None, grid: int = 1024,
         row, col = np.nonzero((fa != 0.0) & (fa * fb < 0.0))
         brackets.append((p[row], ts[row, col], ts[row, col + 1], fa[row, col]))
     owner, lo, hi, flo = (np.concatenate(a) for a in zip(*brackets))
-    live = np.flatnonzero(hi - lo > tol)
+    live = np.flatnonzero(hi - lo > BISECTION_TOL)
     while live.size:
         mid = 0.5 * (lo[live] + hi[live])
         fm = base(mid[:, None], owner[live])[:, 0]
@@ -444,7 +448,7 @@ def bisection_roots(family: str, xibar, u, a2, g=None, grid: int = 1024,
         hi[live[left]] = mid[left]
         lo[live[right]], flo[live[right]] = mid[right], fm[right]
         lo[live[zero]] = hi[live[zero]] = mid[zero]
-        live = live[hi[live] - lo[live] > tol]
+        live = live[hi[live] - lo[live] > BISECTION_TOL]
     owner = np.concatenate(owners + [owner])
     roots = np.concatenate(roots + [0.5 * (lo + hi)])
     # by pair, then by value; stable, so equal roots keep the order found
@@ -453,7 +457,7 @@ def bisection_roots(family: str, xibar, u, a2, g=None, grid: int = 1024,
     for found in np.split(roots[order], np.searchsorted(owner[order], pairs[1:])):
         merged = []
         for r in found.tolist():
-            if not merged or r - merged[-1] > tol * 10.0:
+            if not merged or r - merged[-1] > BISECTION_TOL * 10.0:
                 merged.append(r)
         gaps = [merged[i + 1] - merged[i] for i in range(len(merged) - 1)]
         scans.append(RootScan(roots=tuple(merged), expected_count=deg,

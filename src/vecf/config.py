@@ -36,13 +36,11 @@ def _float_range(lo=None, hi=None, lo_open=False):
     return check
 
 
-def _int_range(lo=None, hi=None):
+def _int_range(lo: int):
     def check(v):
         x = int(v)
-        if lo is not None and x < lo:
+        if x < lo:
             raise ValueError(f"must be >= {lo}")
-        if hi is not None and x > hi:
-            raise ValueError(f"must be <= {hi}")
         return x
     return check
 

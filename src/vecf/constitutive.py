@@ -58,34 +58,48 @@ def transport(eps, model: TransportModel):
     return eta, model.a2 * eta, model.a1 * eta
 
 
+def _jet_rows(du, deps) -> int:
+    """k, the derivative rows d_0 .. d_{k-1} of a first-order jet (u, du, eps,
+    deps): du (k, 4, ...) and deps (k, ...) must carry the same rows."""
+    if len(du) != len(deps):
+        raise ValueError(f"du carries {len(du)} derivative rows and deps {len(deps)}")
+    return len(deps)
+
+
 def stress_tensor_fields(u, du, eps, deps, model: TransportModel,
                          rows=(0, 1, 2, 3)) -> np.ndarray:
     """T_{alpha beta} on batched states; trailing axes broadcast.
 
-    u (4, ...), du (4, 4, ...) with du[a, b] = d_a u^b, eps (...),
-    deps (4, ...).  Returns (len(rows), 4, ...): the rows alpha of `rows`,
-    all four by default.  All nine constitutive terms are assembled
-    symmetrically in (alpha, beta), and a row reads the transposed half of
-    each from the same factors, so it needs none of the other rows.  On a
-    batch of two or more points a row has the bits it has in the full
-    tensor; at a single point einsum may sum it in another order.
+    The first-order jet is u (4, ...), eps (...) and the first k derivative
+    rows, du (k, 4, ...) with du[a, b] = d_a u^b and deps (k, ...): k = 4,
+    or k = 2 for fields that vary in t and x only, whose y and z rows are
+    zero.  Returns (len(rows), 4, ...): the rows alpha of `rows`, all four
+    by default.  All nine constitutive terms are assembled symmetrically in
+    (alpha, beta), and a row reads the transposed half of each from the
+    same factors, so it needs none of the other rows.  On a batch of two or
+    more points a row has the bits it has in the full tensor; at a single
+    point einsum may sum it in another order.  A (t, x) jet gives the bits
+    of the same jet padded with zero rows.
     """
     u = np.asarray(u, dtype=float)
     du = np.asarray(du, dtype=float)
     eps = np.asarray(eps, dtype=float)
     deps = np.asarray(deps, dtype=float)
-    if np.any(eps <= 0.0):
-        raise ValueError("energy density must be positive")
+    k = _jet_rows(du, deps)
     eta, lam, chi = transport(eps, model)
 
     r = list(rows)
     shape = eps.shape
     gd = np.diag(SGN).reshape((4, 4) + (1,) * len(shape))
     u_dn = SGN.reshape((4,) + (1,) * len(shape)) * u
-    du_dn = du * SGN.reshape((1, 4) + (1,) * len(shape))
-    theta = np.einsum('aa...->...', du)
-    acc_dn = SGN.reshape((4,) + (1,) * len(shape)) * np.einsum('a...,ab...->b...', u, du)
-    udeps = np.einsum('a...,a...->...', u, deps)
+    # the shear rate's transpose reads all four rows of the velocity
+    # gradient; the rows the jet does not carry are zero
+    du_dn = np.zeros((4,) + du.shape[1:])
+    du_dn[:k] = du
+    du_dn *= SGN.reshape((1, 4) + (1,) * len(shape))
+    theta = np.einsum('aa...->...', du[:, :k])
+    acc_dn = SGN.reshape((4,) + (1,) * len(shape)) * np.einsum('a...,ab...->b...', u[:k], du)
+    udeps = np.einsum('a...,a...->...', u[:k], deps)
 
     uu = u_dn[r, None] * u_dn[None, :]
     pi_dn = gd[r] + uu
@@ -103,7 +117,7 @@ def stress_tensor_fields(u, du, eps, deps, model: TransportModel,
     T = T - eta * 0.5 * (visc + np.swapaxes(visc_cols, 0, 1))
     T = T + lam * (u_dn[r, None] * acc_dn[None, :] + u_dn[None, :] * acc_dn[r, None])
     T = T + (chi / 3.0) * pi_dn * theta + chi * uu * theta
-    pdeps = np.einsum('ma...,m...->a...', pi_mix, deps)
+    pdeps = np.einsum('ma...,m...->a...', pi_mix[:k], deps)
     T = T + (lam / (4.0 * eps)) * (u_dn[r, None] * pdeps[None, :]
                                    + u_dn[None, :] * pdeps[r, None])
     T = T + (3.0 * chi / (4.0 * eps)) * uu * udeps

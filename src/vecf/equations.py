@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characteristics import BATCH_VALUES
-from .constitutive import SGN, TransportModel, stress_tensor_fields, transport
+from .constitutive import SGN, TransportModel, _jet_rows, stress_tensor_fields, transport
 
 MUTATION_KEYS = (
     "shear",                  # grad(eta pi pi) . shear-rate group
@@ -66,27 +66,6 @@ def dx4(f: np.ndarray, h: float) -> np.ndarray:
             + 8.0 * p[..., 3:n + 3] - p[..., 4:]) / (12.0 * h)
 
 
-@dataclass
-class FieldJet1:
-    """First-order jet of the five fields on a batch of points.
-
-    u (4, N), du (k, 4, N) with du[a, b] = d_a u^b, eps (N,), deps (k, N).
-    The jet carries the first k derivative rows, k in {2, 4}: the 1+1D
-    solver and the oracle's 1+1D manufactured field pass the (t, x) rows,
-    k = 2.  Rows it does not carry are zero.
-    """
-
-    u: np.ndarray
-    du: np.ndarray
-    eps: np.ndarray
-    deps: np.ndarray
-
-    def __post_init__(self):
-        if len(self.du) != len(self.deps):
-            raise ValueError(f"du carries {len(self.du)} derivative rows and "
-                             f"deps {len(self.deps)}")
-
-
 def symbol_apply(u, eps, eta, lam, chi, a: int, c: int, x) -> np.ndarray:
     """B(e_a, e_c) x, without forming the block: (5, N).
 
@@ -98,7 +77,7 @@ def symbol_apply(u, eps, eta, lam, chi, a: int, c: int, x) -> np.ndarray:
     is m: xi.xi becomes g^{ac}, (u.xi)^2 becomes u^a u^c, and xi_n picks
     column a or c.  Only the velocity diagonal, columns a and c, the eps
     column and the constraint row are nonzero.  This is the one formula for
-    the symbol's coefficients; `symbol_block` reads its columns off it.
+    the symbol's coefficients.
     """
     g_ac = SGN[a] if a == c else 0.0
     uac = u[a] * u[c]
@@ -118,20 +97,6 @@ def symbol_apply(u, eps, eta, lam, chi, a: int, c: int, x) -> np.ndarray:
     out[c] += SGN[c] * (h * x[a] + f * u[a])
     out[4] = uac * (SGN @ (u * xv))
     return out
-
-
-def symbol_block(u, eps, eta, lam, chi, a: int, c: int) -> np.ndarray:
-    """B(e_a, e_c) as a (5, 5, N) block, column j = `symbol_apply` of e_j.
-
-    The block view of the symbol, for checks against the full symbol and a
-    dense solve; the solver and the oracle apply `symbol_apply` directly.
-    """
-    cols = []
-    for j in range(5):
-        e_j = np.zeros((5,) + eps.shape)
-        e_j[j] = 1.0
-        cols.append(symbol_apply(u, eps, eta, lam, chi, a, c, e_j))
-    return np.stack(cols, axis=1)
 
 
 class DegenerateTimeMatrix(ValueError):
@@ -201,13 +166,17 @@ def time_matrix_solve(u, eps, eta, lam, chi, r=None, det_floor=None):
     return x, det
 
 
-def assemble_lower_order(jet: FieldJet1, model: TransportModel, coeffs: tuple,
+def assemble_lower_order(u, du, eps, deps, model: TransportModel, coeffs: tuple,
                          mutation: tuple | None = None) -> np.ndarray:
     """First-order (non-principal) content of the five equation rows, (5, N).
 
-    Rows 0-3 are the raised first-order remainder b_low of the divergence
-    equations; row 4 is the constraint row's u^a u^m d_a u_l d_m u^l.
-    coeffs is `transport(jet.eps, model)`, which the caller has already
+    The first-order jet is `stress_tensor_fields`': u (4, N), eps (N,) and
+    the first k derivative rows, du (k, 4, N) with du[a, b] = d_a u^b and
+    deps (k, N); the 1+1D solver and the oracle's manufactured field pass
+    the (t, x) rows, k = 2.  Rows 0-3 are the raised first-order remainder
+    b_low of the divergence equations; row 4 is the constraint row's
+    u^a u^m d_a u_l d_m u^l.
+    coeffs is `transport(eps, model)`, which the caller has already
     evaluated for the principal part.  `mutation` = (key, factor) scales
     one named term group, for the oracle's sensitivity test only.
 
@@ -219,8 +188,7 @@ def assemble_lower_order(jet: FieldJet1, model: TransportModel, coeffs: tuple,
     scale multiplies its share of each.  Every contraction over a
     derivative index runs over the jet's k rows.
     """
-    u, du, eps, deps = jet.u, jet.du, jet.eps, jet.deps
-    k = len(deps)
+    k = _jet_rows(du, deps)
     key, factor = (None, 1.0) if mutation is None else mutation
     if mutation is not None and key not in MUTATION_KEYS:
         raise KeyError(f"unknown mutation key {key!r}; use one of {MUTATION_KEYS}")
@@ -298,14 +266,14 @@ def assemble_lower_order(jet: FieldJet1, model: TransportModel, coeffs: tuple,
 def equation_rows(jet2, model: TransportModel, mutation=None) -> np.ndarray:
     """Full rows principal + B for a second-order jet (u, du, d2u, eps, deps, d2eps).
 
-    The jet carries the first k derivative rows, as `FieldJet1`: du
-    (k, 4, N), d2u (k, k, 4, N), deps (k, N) and d2eps (k, k, N), the
-    second derivatives symmetric in their first two axes.  The principal
-    part applies B(e_a, e_m) to d_a d_m (u, eps) over the ordered pairs of
-    the rows carried: each pair a < m once, to twice its derivatives.
-    That is 3 pairs for the (t, x) jet of a 1+1D field and 10 for a full
-    jet; a row not carried has zero derivatives, so its pairs would add
-    exact zeros.
+    The jet carries the first k derivative rows, as `assemble_lower_order`'s
+    first-order jet: du (k, 4, N), d2u (k, k, 4, N), deps (k, N) and
+    d2eps (k, k, N), the second derivatives symmetric in their first two
+    axes.  The principal part applies B(e_a, e_m) to d_a d_m (u, eps) over
+    the ordered pairs of the rows carried: each pair a < m once, to twice
+    its derivatives.  That is 3 pairs for the (t, x) jet of a 1+1D field
+    and 10 for a full jet; a row not carried has zero derivatives, so its
+    pairs would add exact zeros.
     """
     u, du, d2u, eps, deps, d2eps = jet2
     coeffs = transport(eps, model)
@@ -318,65 +286,61 @@ def equation_rows(jet2, model: TransportModel, mutation=None) -> np.ndarray:
             if a < m:
                 v2 *= 2.0
             principal += symbol_apply(u, eps, eta, lam, chi, a, m, v2)
-    lower = assemble_lower_order(FieldJet1(u=u, du=du, eps=eps, deps=deps),
-                                 model, coeffs, mutation=mutation)
+    lower = assemble_lower_order(u, du, eps, deps, model, coeffs, mutation=mutation)
     return principal + lower
 
 
 class SinusoidalField:
     """Smooth periodic manufactured fields with analytic derivatives.
 
-    eps = eps0 + eps_amp sin(k_eps x + w_eps t); the spatial velocity
-    components are independent sinusoids and the time component is lifted
-    pointwise to sqrt(1 + |w|^2), so u.u = -1 holds identically and all
-    its derivatives vanish analytically.  That normalization is a domain
-    requirement of the assembled equations, not a convenience: the
-    first-order remainder was derived using d(u.u) = 0.
+    eps = EPS0 + EPS_AMP sin(k_eps x + EPS_SPEED t), and spatial velocity
+    component i is U_AMPS[i] sin(k_i x + U_SPEEDS[i] t + U_PHASES[i]), with
+    k_eps and k_i = 2 pi EPS_WAVES and 2 pi U_WAVES[i] over the period
+    `length`.  The time component is lifted pointwise to sqrt(1 + |w|^2),
+    so u.u = -1 holds identically and all its derivatives vanish
+    analytically.  That normalization is a domain requirement of the
+    assembled equations, not a convenience: the first-order remainder was
+    derived using d(u.u) = 0.  The fields vary in t and x only, so every
+    jet carries the (t, x) derivative rows, k = 2.
     """
 
-    def __init__(self, length: float, eps0: float = 1.0, eps_amp: float = 0.1,
-                 eps_waves: int = 1, eps_speed: float = -1.0,
-                 u_amps=(0.3, 0.15, 0.1), u_waves=(1, 2, 1),
-                 u_speeds=(0.7, -0.4, 0.9), u_phases=(0.3, 1.1, 2.0)):
-        if eps_amp >= eps0:
-            raise ValueError("eps must stay positive")
+    EPS0, EPS_AMP, EPS_WAVES, EPS_SPEED = 1.0, 0.1, 1, -1.0
+    U_AMPS = np.array([0.3, 0.15, 0.1])
+    U_WAVES = np.array([1.0, 2.0, 1.0])
+    U_SPEEDS = np.array([0.7, -0.4, 0.9])
+    U_PHASES = np.array([0.3, 1.1, 2.0])
+
+    def __init__(self, length: float):
         self.length = length
         ke = 2.0 * np.pi / length
-        self.eps0, self.eps_amp = eps0, eps_amp
-        self.keps, self.weps = eps_waves * ke, eps_speed
-        self.amp = np.asarray(u_amps, dtype=float)
-        self.k = np.asarray(u_waves, dtype=float) * ke
-        self.w = np.asarray(u_speeds, dtype=float)
-        self.ph = np.asarray(u_phases, dtype=float)
+        self.keps = self.EPS_WAVES * ke
+        self.k = self.U_WAVES * ke
 
     def eps_jet(self, t: float, x: np.ndarray, order: int = 2):
-        """(eps, deps) for order 1, (eps, deps, d2eps) for order 2."""
-        arg = self.keps * x + self.weps * t
+        """(eps, deps) for order 1, (eps, deps, d2eps) for order 2, with
+        deps (2, ...) and d2eps (2, 2, ...)."""
+        w, k = self.EPS_SPEED, self.keps
+        arg = k * x + w * t
         s, c = np.sin(arg), np.cos(arg)
-        eps = self.eps0 + self.eps_amp * s
-        d = np.zeros((4,) + x.shape)
-        d[0] = self.eps_amp * c * self.weps
-        d[1] = self.eps_amp * c * self.keps
+        eps = self.EPS0 + self.EPS_AMP * s
+        deps = np.stack([self.EPS_AMP * c * w, self.EPS_AMP * c * k])
         if order == 1:
-            return eps, d
-        d2 = np.zeros((4, 4) + x.shape)
-        d2[0, 0] = -self.eps_amp * s * self.weps ** 2
-        d2[0, 1] = d2[1, 0] = -self.eps_amp * s * self.weps * self.keps
-        d2[1, 1] = -self.eps_amp * s * self.keps ** 2
-        return eps, d, d2
+            return eps, deps
+        a = -self.EPS_AMP * s
+        tx = a * w * k
+        return eps, deps, np.stack([np.stack([a * w ** 2, tx]), np.stack([tx, a * k ** 2])])
 
     def u_jet(self, t: float, x: np.ndarray, order: int = 2):
-        """(u, du) for order 1, (u, du, d2u) for order 2."""
+        """(u, du) for order 1, (u, du, d2u) for order 2, with du (2, 4, ...)
+        and d2u (2, 2, 4, ...)."""
         shp = x.shape
         # the three components at once, each parameter broadcast over x
         k, w, ph, amp = (a.reshape((3,) + (1,) * x.ndim)
-                         for a in (self.k, self.w, self.ph, self.amp))
+                         for a in (self.k, self.U_SPEEDS, self.U_PHASES, self.U_AMPS))
         arg = k * x + w * t + ph
         c = np.cos(arg)
         ui = amp * np.sin(arg)
-        dui = np.zeros((4, 3) + shp)
-        dui[0] = amp * c * w
-        dui[1] = amp * c * k
+        dui = np.stack([amp * c * w, amp * c * k])
         ssum = np.einsum('i...,i...->...', ui, ui)
         dssum = 2.0 * np.einsum('i...,ai...->a...', ui, dui)
         u0 = np.sqrt(1.0 + ssum)
@@ -386,10 +350,10 @@ class SinusoidalField:
         if order == 1:
             return u, du
         # -amp s is -u^i, exactly: negation does not round
-        d2ui = np.zeros((4, 4, 3) + shp)
+        d2ui = np.empty((2, 2, 3) + shp)
         for i in range(3):
-            d2ui[0, 0, i] = -ui[i] * self.w[i] ** 2
-            d2ui[0, 1, i] = d2ui[1, 0, i] = -ui[i] * self.w[i] * self.k[i]
+            d2ui[0, 0, i] = -ui[i] * self.U_SPEEDS[i] ** 2
+            d2ui[0, 1, i] = d2ui[1, 0, i] = -ui[i] * self.U_SPEEDS[i] * self.k[i]
             d2ui[1, 1, i] = -ui[i] * self.k[i] ** 2
         d2ssum = 2.0 * (np.einsum('ai...,mi...->am...', dui, dui)
                         + np.einsum('i...,ami...->am...', ui, d2ui))
@@ -398,12 +362,9 @@ class SinusoidalField:
         return u, du, d2u
 
     def jet2(self, t: float, x: np.ndarray):
-        """The (t, x)-row second-order jet (u, du, d2u, eps, deps, d2eps) of
-        `equation_rows`, k = 2: the fields vary in t and x only, so their
-        y and z derivatives are zero and are not carried."""
-        u, du, d2u = self.u_jet(t, x)
-        eps, deps, d2eps = self.eps_jet(t, x)
-        return u, du[:2], d2u[:2, :2], eps, deps[:2], d2eps[:2, :2]
+        """The second-order (t, x) jet (u, du, d2u, eps, deps, d2eps) of
+        `equation_rows`, k = 2."""
+        return self.u_jet(t, x) + self.eps_jet(t, x)
 
 
 @dataclass(frozen=True)
@@ -422,7 +383,7 @@ def _fd_divergence(fields: SinusoidalField, resolution: int, model: TransportMod
     five-level time stencil, differentiated with 4th-order centered
     differences (periodic in x).  The stencils read one row per level,
     T^0_beta at t0 +- h and t0 +- 2h and T^1_beta at t0, and each level
-    builds only that row, from a first-order jet.  The four row-0 levels
+    builds only that row, from the field's first-order (t, x) jet.  The four row-0 levels
     are batched, (levels, N) with x broadcast to the level grid, so that
     the stress's (4, 4, points) temporaries hold at most BATCH_VALUES
     values: one batch up to N = 128.  Larger batches ran no faster at

@@ -31,6 +31,14 @@ DOD_OUTSIDE_RATIO_MIN = 8.0
 DOD_OUTSIDE_ORDER = (3.5, 5.5)
 DOD_INSIDE_STABILITY = 0.1
 DOD_INSIDE_OVER_OUTSIDE_MIN = 1e3
+# the convergence study reports a field as exact ("order None") when either
+# of its successive differences falls below this
+ROUNDOFF_FLOOR = 1e-13
+# the pulse-speed runs: a Gaussian pulse of this amplitude and width at the
+# center of a periodic domain of this length
+PULSE_LENGTH = 2.0
+PULSE_AMPLITUDE = 0.05
+PULSE_WIDTH = 0.1
 
 
 def _coarsen(V: np.ndarray, factor: int) -> np.ndarray:
@@ -226,12 +234,11 @@ class ConvergenceReport:
                 for i in range(len(ns) - 1)]
 
 
-def convergence_study(cfg: SolverConfig, resolutions=(256, 512, 1024),
-                      roundoff_floor: float = 1e-13) -> ConvergenceReport:
+def convergence_study(cfg: SolverConfig, resolutions=(256, 512, 1024)) -> ConvergenceReport:
     """Richardson three-grid estimate of the observed order per field.
 
     Each resolution must double the previous one so grids nest.  Fields
-    whose successive differences sit below the round-off floor are reported
+    whose successive differences sit below ROUNDOFF_FLOOR are reported
     with order None ("exact" in the CLI rendering).
     """
     if len(resolutions) < 3:
@@ -253,7 +260,7 @@ def convergence_study(cfg: SolverConfig, resolutions=(256, 512, 1024),
         d1 = float(np.abs(runs[n0][i] - _coarsen(runs[n1][None, i], 2)[0]).max())
         d2 = float(np.abs(runs[n1][i] - _coarsen(runs[n2][None, i], 2)[0]).max())
         e1[name], e2[name] = d1, d2
-        if d1 < roundoff_floor or d2 < roundoff_floor:
+        if d1 < ROUNDOFF_FLOOR or d2 < ROUNDOFF_FLOOR:
             orders[name] = None
         else:
             orders[name] = float(np.log2(d1 / d2))
@@ -294,9 +301,7 @@ def _peak_position(profile: np.ndarray, x: np.ndarray, center: float,
 
 
 def pulse_speed_experiment(family: str, a2: float, n_cells: int = 1024,
-                           length: float = 2.0, amplitude: float = 0.05,
-                           width: float = 0.1, t_first: float = 0.3,
-                           t_second: float = 0.6) -> SpeedReport:
+                           t_first: float = 0.3, t_second: float = 0.6) -> SpeedReport:
     """Measure a pulse propagation speed and compare with the cone prediction.
 
     The run is sampled at two times after the split pulses have separated
@@ -306,29 +311,29 @@ def pulse_speed_experiment(family: str, a2: float, n_cells: int = 1024,
     the amplitude decay bias of a single absolute threshold.
     """
     from .constitutive import TransportModel
-    center = length / 2.0
+    center = PULSE_LENGTH / 2.0
     model = TransportModel(a2=a2)
     if family == "sound":
-        ic = gaussian_pulse(amplitude=amplitude, width=width, center=center)
+        ic = gaussian_pulse(amplitude=PULSE_AMPLITUDE, width=PULSE_WIDTH, center=center)
         component, tracker = 4, "front"
         baseline = 1.0
     elif family == "shear":
-        ic = shear_pulse(amplitude=amplitude, width=width, center=center)
+        ic = shear_pulse(amplitude=PULSE_AMPLITUDE, width=PULSE_WIDTH, center=center)
         component, tracker = 2, "peak"
         baseline = 0.0
     else:
         raise ValueError("family must be 'sound' or 'shear'")
     expected = float(cone_slopes(family, 0.0, 0.0, a2)[1])     # at rest
-    cfg = SolverConfig(transport=model, n_cells=n_cells, length=length,
+    cfg = SolverConfig(transport=model, n_cells=n_cells, length=PULSE_LENGTH,
                        t_end=t_second, ic=ic, filter_strength=0.0)
     traj = evolve(cfg, snapshot_times=[t_first, t_second])
     by_time = dict(zip(traj.times, traj.snapshots))
     ts = sorted(by_time)
     v1 = by_time[ts[-2]]
     v2 = by_time[ts[-1]]
-    x = np.arange(n_cells) * (length / n_cells)
+    x = np.arange(n_cells) * (PULSE_LENGTH / n_cells)
     if tracker == "front":
-        thr = 0.02 * amplitude
+        thr = 0.02 * PULSE_AMPLITUDE
         p1 = _front_position(v1[component] - baseline, x, center, thr)
         p2 = _front_position(v2[component] - baseline, x, center, thr)
     else:

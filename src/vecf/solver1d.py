@@ -40,12 +40,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .causality import BOUNDARY_TOL, cone_slopes
+from .causality import BOUNDARY_TOL, N_THETA, _family_cones
 from .characteristics import FLUID_FACTORS
 from .constitutive import (SGN, TransportModel, complete_initial_data,
                            stress_tensor_fields, transport)
-from .equations import (DegenerateTimeMatrix, FieldJet1, assemble_lower_order,
-                        dx4, symbol_apply, time_matrix_solve)
+from .equations import (DegenerateTimeMatrix, assemble_lower_order, dx4, symbol_apply,
+                        time_matrix_solve)
 from .symbol import det_time_matrix_closed_form
 
 
@@ -286,8 +286,7 @@ def _rhs(V: np.ndarray, W: np.ndarray, h: float, model: TransportModel):
     u, eps = v[:4], v[4]
     jet = np.stack([w, dxv])             # the (t, x) rows of d_a (u, eps)
     coeffs = transport(eps, model)
-    B = assemble_lower_order(FieldJet1(u=u, du=jet[:, :4], eps=eps,
-                                       deps=jet[:, 4]), model, coeffs)
+    B = assemble_lower_order(u, jet[:, :4], eps, jet[:, 4], model, coeffs)
     rhs_w = -(symbol_apply(u, eps, *coeffs, 0, 1, 2.0 * dxw)
               + symbol_apply(u, eps, *coeffs, 1, 1, dxxv) + B)
     return W, _solve_time_matrix(u, eps, coeffs, rhs_w, V.shape[-1]).reshape(V.shape)
@@ -379,8 +378,8 @@ def _fixed_point(cfg: SolverConfig) -> np.ndarray | None:
     return None if grid.W.any() or dtW.any() else grid.V
 
 
-# the causality scan's angle grid (`causality_scan`'s default n_theta)
-_SCAN_THETAS = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+# the causality scan's angle grid
+_SCAN_THETAS = np.linspace(0.0, 2.0 * np.pi, N_THETA, endpoint=False)
 
 
 def _grid_v_max(grid: FieldGrid, model: TransportModel) -> float:
@@ -388,17 +387,18 @@ def _grid_v_max(grid: FieldGrid, model: TransportModel) -> float:
 
     At a1 = 4 the slope extrema grow with |w| and sit on the axis, so the
     fastest cell bounds the grid, every member of an ensemble included.
-    Its slopes are taken over the scan's angles with the scan's array
-    arithmetic, so the speed has the bits of the scan's maximum over angles:
-    where the sound cone is the light cone to rounding (a2 within a few ulps
-    of 4) an angle off the axis can round one ulp above it.  Raises
-    ValueError where the speed is NaN or exceeds 1 + BOUNDARY_TOL.
+    Its cones come from the scan's evaluator over the scan's angles, so the
+    speed has the bits of the scan's maximum over angles: where the sound
+    cone is the light cone to rounding (a2 within a few ulps of 4) an angle
+    off the axis can round one ulp above it.  Raises ValueError where the
+    speed is NaN or exceeds 1 + BOUNDARY_TOL.
     """
     w = grid.V.reshape(5, -1)[1:4]
     fastest = np.array(w[:, int(np.argmax(np.einsum('in,in->n', w, w)))])
     u2 = float(fastest @ fastest)
-    v_max = float(np.abs([cone_slopes(family, u2, _SCAN_THETAS, model.a2)
-                          for family in FLUID_FACTORS.families]).max())
+    # np.max keeps a NaN wherever it stands
+    v_max = float(np.max([_family_cones(family, model.a2, [u2], _SCAN_THETAS)[0].max_abs_slope
+                          for family in FLUID_FACTORS.families]))
     if not v_max <= 1.0 + BOUNDARY_TOL:
         raise ValueError(f"state is not causal: fluid speed {v_max!r} at |w|^2 = {u2!r}")
     return v_max
@@ -428,20 +428,13 @@ def _diagnose(grid: FieldGrid, model: TransportModel) -> Diagnostics:
     evolve diagnoses an ensemble one member at a time: diagnostics run only
     at the output cadence, and the stress tensor's (4, 4, N) temporaries
     over a whole ensemble would set the run's peak memory.  Only the stress
-    tensor's row 0 is built: it holds T^{00} and T^{01}.  Runs under _QUIET:
-    where the closed-form det overflows, det_shortfall_rel reads NaN.
+    tensor's row 0 is built, from the (t, x) jet (W, dx V): it holds T^{00}
+    and T^{01}.  Runs under _QUIET.
     """
     u, eps = grid.V[:4], grid.V[4]
-    n = grid.n_cells
-    du = np.zeros((4, 4, n))
-    deps = np.zeros((4, n))
-    du[0] = grid.W[:4]
-    dxV = dx4(grid.V, grid.spacing)
-    du[1] = dxV[:4]
-    deps[0] = grid.W[4]
-    deps[1] = dxV[4]
+    jet = np.stack([grid.W, dx4(grid.V, grid.spacing)])   # the (t, x) rows
     with np.errstate(**_QUIET):
-        (t0_dn,) = stress_tensor_fields(u, du, eps, deps, model, rows=(0,))
+        (t0_dn,) = stress_tensor_fields(u, jet[:, :4], eps, jet[:, 4], model, rows=(0,))
         eta, lam, chi = transport(eps, model)
         _, det = time_matrix_solve(u, eps, eta, lam, chi)
         dets = np.abs(det)

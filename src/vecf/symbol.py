@@ -114,9 +114,13 @@ def det_time_matrix_closed_form(eta, eps, w2, a2: float):
     on the formula's domain only, Minkowski metric, normalized u and
     a1 = 4, which `check_time_matrix_domain` checks and this does not.
     Positive throughout a2 >= 4, eps > 0, so the time matrix is invertible
-    in the whole admissible regime.
+    in the whole admissible regime.  eta^4 / eps is formed as
+    eta (eta (eta (eta / eps))), and at a2 >= 4 every later factor is at
+    least 1, so no partial product overflows where the value is finite
+    (eps subnormal aside).  With the power model eta^4 alone overflows
+    from about eps = 6e102, and eta^3 from about 1e137.
     """
-    return (eta ** 4 / eps * (1.0 + w2) ** 2
+    return (eta * (eta * (eta * (eta / eps))) * (1.0 + w2) ** 2
             * (3.0 * a2 + (a2 - 4.0) * w2) * (a2 + (a2 - 1.0) * w2) ** 2)
 
 

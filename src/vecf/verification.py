@@ -59,23 +59,22 @@ def _normalized(g, w):
     return np.column_stack([u0, w])
 
 
-def _factorization_draws(seed: int, samples: int, a2_range, delta: float):
+def _factorization_draws(seed: int, samples: int):
     """Draws of the factorization suite, as arrays; sample idx is row idx.
 
     One (samples, 27) array of uniforms r from default_rng(seed), by
-    column: 0 a2 in a2_range, 1 eps in [0.5, 2), 2-4 the spatial velocity
+    column: 0 a2 in [4, 12), 1 eps in [0.5, 2), 2-4 the spatial velocity
     w in [-3, 3), 5 the time component u^0 in [0.5, 3), 6-9 the covector
-    xi in [-2, 2), 10-26 the perturbed metric of odd rows.  Even rows use
+    xi in [-2, 2), 10-26 the perturbed metric (delta 0.05) of odd rows.  Even rows use
     the Minkowski metric; rows with idx % 3 == 0 ignore column 5, and
     their u^0 solves g(u, u) = -1.  Returns a2, eps (K,), u, xi (K, 4)
     and the unvalidated metric components (K, 4, 4).
     """
     r = np.random.default_rng(seed).random((samples, 27))
-    lo, hi = a2_range
-    a2 = lo + (hi - lo) * r[:, 0]
+    a2 = 4.0 + 8.0 * r[:, 0]
     eps = 0.5 + 1.5 * r[:, 1]
     w = -3.0 + 6.0 * r[:, 2:5]
-    g = _alternating_metrics(delta, r[:, 10:27])
+    g = _alternating_metrics(0.05, r[:, 10:27])
     u = np.column_stack([0.5 + 2.5 * r[:, 5], w])
     norm = np.arange(samples) % 3 == 0
     u[norm] = _normalized(g[norm], w[norm])
@@ -119,8 +118,6 @@ class FactorizationReport:
     max_scaled_error: float
     worst_index: int
     runtime_seconds: float
-    a2_range: tuple
-    metric_delta: float
 
     @property
     def passed(self) -> bool:
@@ -129,8 +126,7 @@ class FactorizationReport:
     def to_json(self) -> dict:
         return {
             "check": "determinant-factorization",
-            "parameters": {"a1": 4.0, "a2_range": list(self.a2_range),
-                           "metric_delta": self.metric_delta},
+            "parameters": {"a1": 4.0, "a2_range": [4.0, 12.0], "metric_delta": 0.05},
             "samples": self.samples,
             "seed": self.seed,
             "tolerances": {"scaled_error": self.tolerance},
@@ -142,7 +138,6 @@ class FactorizationReport:
 
 
 def factorization_suite(samples: int = 10000, seed: int = 7,
-                        a2_range=(4.0, 12.0), delta: float = 0.05,
                         threads: int = 1) -> FactorizationReport:
     """det(symbol) == flow * shear * sound over seeded random states.
 
@@ -155,7 +150,7 @@ def factorization_suite(samples: int = 10000, seed: int = 7,
     if threads != 1:
         raise ValueError(f"threads must be 1, got {threads}")
     t0 = time.perf_counter()
-    a2, eps, u, xi, g = _factorization_draws(seed, samples, a2_range, delta)
+    a2, eps, u, xi, g = _factorization_draws(seed, samples)
     g, ginv = validate_metrics(g)
     eta = FACTORIZATION_MODEL.eta(eps)
     symbols = symbol_components(u, eps, eta, a2 * eta, FACTORIZATION_MODEL.a1 * eta,
@@ -173,7 +168,6 @@ def factorization_suite(samples: int = 10000, seed: int = 7,
         samples=samples, seed=seed, tolerance=DET_TOL,
         max_scaled_error=worst, worst_index=worst_idx,
         runtime_seconds=time.perf_counter() - t0,
-        a2_range=tuple(a2_range), metric_delta=delta,
     )
 
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from vecf.characteristics import cone_roots_batch, factor_base_values, factor_values
 from vecf.constitutive import TransportModel, transport
+from vecf.equations import symbol_apply
 from vecf.symbol import (check_time_matrix_domain, det_by_elimination,
                          det_time_matrix_closed_form, symbol_components,
                          symbol_contractions)
@@ -155,6 +156,18 @@ def random_lorentzian_near_minkowski(delta: float, seed: int) -> Metric4:
     drawn by default_rng(seed)."""
     uniforms = np.random.default_rng(seed).random((1, 17))
     return Metric4.from_components(near_minkowski_components(delta, uniforms)[0])
+
+
+def symbol_block(u, eps, eta, lam, chi, a: int, c: int) -> np.ndarray:
+    """B(e_a, e_c) as a (5, 5, N) block, column j = `symbol_apply` of e_j:
+    the block view of the symbol, for checks against the full symbol and a
+    dense solve."""
+    cols = []
+    for j in range(5):
+        e_j = np.zeros((5,) + eps.shape)
+        e_j[j] = 1.0
+        cols.append(symbol_apply(u, eps, eta, lam, chi, a, c, e_j))
+    return np.stack(cols, axis=1)
 
 
 def state_arrays(states):

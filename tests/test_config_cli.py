@@ -379,6 +379,21 @@ def test_cli_step_count_beyond_the_bound_is_a_config_error(tmp_path, capsys, ove
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.filterwarnings("error")
+def test_cli_large_eps0_reports_a_finite_det_shortfall(tmp_path):
+    # at eps0 = 1e115 the closed-form det, about 1e232, is finite although
+    # eta^4 alone is not: every diagnostic line is strict JSON
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    assert main(["--out", str(tmp_path), "--set", "solver.eps0=1e115",
+                 "--set", "solver.t_end=0.01", "evolve"]) == 0
+    lines = (tmp_path / "evolve_diagnostics.jsonl").read_text().splitlines()
+    diags = [json.loads(line, parse_constant=reject) for line in lines]
+    assert len(diags) == 2
+    assert all(abs(d["det_shortfall_rel"]) < 1e-12 for d in diags)
+
+
 ABORTS = {
     # the first stage drives eps negative
     "1e120": ("energy density lost positivity inside a stage", 1),

@@ -130,12 +130,17 @@ def test_completion_field_arrays():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 16), st.sampled_from([(2,), (64,), (1, 5), (3, 17)]),
-       st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True))
-def test_stress_tensor_rows_are_the_full_tensor_rows_bitwise(seed, shape, rows):
+       st.lists(st.integers(0, 3), min_size=1, max_size=4, unique=True), st.booleans())
+def test_stress_tensor_rows_are_the_full_tensor_rows_bitwise(seed, shape, rows, constant):
     # a row built alone has the bits it has in the full tensor, on (N,) and
-    # (K, N) batches of points
+    # (K, N) batches of points.  A (t, x) jet, k = 2, gives the bits of the
+    # same jet padded with zero y and z rows, signed zeros included: on a
+    # constant state every derivative is a zero of either sign, and so are
+    # some velocity components
     rng = np.random.default_rng(seed)
     w = rng.uniform(-2.0, 2.0, (3,) + shape)
+    if constant:
+        w = np.where(rng.random(w.shape) < 0.5, rng.choice([0.0, -0.0], w.shape), w)
     u = np.concatenate([np.sqrt(1.0 + np.einsum('i...,i...->...', w, w))[None], w])
     du = rng.uniform(-1.0, 1.0, (4, 4) + shape)
     eps = rng.uniform(0.5, 2.0, shape)
@@ -145,3 +150,10 @@ def test_stress_tensor_rows_are_the_full_tensor_rows_bitwise(seed, shape, rows):
     part = stress_tensor_fields(u, du, eps, deps, model, rows=rows)
     assert part.shape == (len(rows), 4) + shape
     assert np.array_equal(part, full[rows])
+
+    if constant:
+        du, deps = rng.choice([0.0, -0.0], du.shape), rng.choice([0.0, -0.0], deps.shape)
+    du[2:], deps[2:] = 0.0, 0.0
+    tx = stress_tensor_fields(u, du[:2], eps, deps[:2], model, rows=rows)
+    padded = stress_tensor_fields(u, du, eps, deps, model, rows=rows)
+    assert tx.shape == padded.shape and tx.tobytes() == padded.tobytes()

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from reference import StatePoint, fluid_symbol
+from reference import StatePoint, fluid_symbol, symbol_block
 
 from vecf.constitutive import SGN, TransportModel, transport
-from vecf.equations import (MUTATION_KEYS, DegenerateTimeMatrix, FieldJet1,
-                            SinusoidalField, assemble_lower_order, divergence_residual,
-                            equation_rows, symbol_apply, symbol_block,
-                            time_matrix_solve)
+from vecf.equations import (MUTATION_KEYS, DegenerateTimeMatrix, SinusoidalField,
+                            assemble_lower_order, divergence_residual, equation_rows,
+                            symbol_apply, time_matrix_solve)
 from vecf.experiments import ORDER_WINDOW
 from vecf.tensor import minkowski
 
@@ -16,14 +15,13 @@ MODEL = TransportModel(a1=4.0, a2=6.0)
 GDIAG = np.diag(SGN)
 
 
-def reference_lower_order(jet, model, mutation=None):
+def reference_lower_order(u, du, eps, deps, model, mutation=None):
     """The term-by-term assembly with every (4, 4, N) intermediate formed.
 
     Slow reference for the contracted `assemble_lower_order`: the same rows
     with pi, the shear rate and the three energy-gradient fluxes built as
     whole tensors and contracted last.
     """
-    u, du, eps, deps = jet.u, jet.du, jet.eps, jet.deps
     if np.any(eps <= 0.0):
         raise ValueError("energy density must be positive")
     scale = dict.fromkeys(MUTATION_KEYS, 1.0)
@@ -126,10 +124,11 @@ def reference_lower_order(jet, model, mutation=None):
 
 
 def random_jet(rng, n):
-    """Unnormalized 3+1D jet: u.u != -1 and every derivative nonzero."""
+    """Unnormalized 3+1D jet (u, du, eps, deps): u.u != -1 and every
+    derivative nonzero."""
     u = np.concatenate([rng.uniform(0.9, 3.0, (1, n)), rng.uniform(-2, 2, (3, n))])
-    return FieldJet1(u=u, du=rng.uniform(-1, 1, (4, 4, n)),
-                     eps=rng.uniform(0.5, 2.0, n), deps=rng.uniform(-1, 1, (4, n)))
+    return (u, rng.uniform(-1, 1, (4, 4, n)), rng.uniform(0.5, 2.0, n),
+            rng.uniform(-1, 1, (4, n)))
 
 
 @pytest.mark.parametrize("mutation", [None] + [(k, 1.7) for k in MUTATION_KEYS])
@@ -142,9 +141,8 @@ def test_lower_order_matches_reference(mutation):
                                eta_form=("power", "constant")[trial % 2],
                                eta0=rng.uniform(0.5, 2.0))
         jet = random_jet(rng, 64)
-        new = assemble_lower_order(jet, model, transport(jet.eps, model),
-                                   mutation=mutation)
-        ref = reference_lower_order(jet, model, mutation=mutation)
+        new = assemble_lower_order(*jet, model, transport(jet[2], model), mutation=mutation)
+        ref = reference_lower_order(*jet, model, mutation=mutation)
         assert np.all(np.abs(new - ref).max(axis=1) <= 1e-13 * np.abs(ref).max(axis=1))
 
 
@@ -158,24 +156,27 @@ def test_two_row_jet_matches_padded_jet(mutation):
         model = TransportModel(a1=rng.uniform(2.0, 6.0), a2=rng.uniform(4.0, 12.0),
                                eta_form=("power", "constant")[trial % 2],
                                eta0=rng.uniform(0.5, 2.0))
-        full = random_jet(rng, 64)
-        full.du[2:] = 0.0
-        full.deps[2:] = 0.0
-        two = FieldJet1(u=full.u, du=full.du[:2].copy(), eps=full.eps,
-                        deps=full.deps[:2].copy())
-        coeffs = transport(full.eps, model)
-        got = assemble_lower_order(two, model, coeffs, mutation=mutation)
-        ref = reference_lower_order(full, model, mutation=mutation)
-        padded = assemble_lower_order(full, model, coeffs, mutation=mutation)
+        u, du, eps, deps = random_jet(rng, 64)
+        du[2:] = 0.0
+        deps[2:] = 0.0
+        coeffs = transport(eps, model)
+        got = assemble_lower_order(u, du[:2].copy(), eps, deps[:2].copy(), model, coeffs,
+                                   mutation=mutation)
+        ref = reference_lower_order(u, du, eps, deps, model, mutation=mutation)
+        padded = assemble_lower_order(u, du, eps, deps, model, coeffs, mutation=mutation)
         row_scale = 1e-13 * np.abs(ref).max(axis=1)
         assert np.all(np.abs(got - padded).max(axis=1) <= row_scale)
         assert np.all(np.abs(got - ref).max(axis=1) <= row_scale)
 
 
 def test_jet_rows_must_agree():
+    # the lower-order terms and the stress tensor read the same jet
+    from vecf.constitutive import stress_tensor_fields
+    jet = (np.ones((4, 3)), np.zeros((2, 4, 3)), np.ones(3), np.zeros((4, 3)))
     with pytest.raises(ValueError, match="derivative rows"):
-        FieldJet1(u=np.ones((4, 3)), du=np.zeros((2, 4, 3)), eps=np.ones(3),
-                  deps=np.zeros((4, 3)))
+        assemble_lower_order(*jet, MODEL, transport(jet[2], MODEL))
+    with pytest.raises(ValueError, match="derivative rows"):
+        stress_tensor_fields(*jet, MODEL)
 
 
 admissible_state = st.tuples(
@@ -317,36 +318,36 @@ def test_time_matrix_solve_flags_an_infinite_det():
 
 def test_constant_state_has_zero_lower_order():
     n = 8
-    jet = FieldJet1(u=np.tile(np.array([1.0, 0, 0, 0])[:, None], n),
-                    du=np.zeros((4, 4, n)), eps=np.ones(n),
-                    deps=np.zeros((4, n)))
-    assert np.abs(assemble_lower_order(jet, MODEL, transport(jet.eps, MODEL))).max() == 0.0
+    u, eps = np.tile(np.array([1.0, 0, 0, 0])[:, None], n), np.ones(n)
+    for k in (2, 4):
+        rows = assemble_lower_order(u, np.zeros((k, 4, n)), eps, np.zeros((k, n)), MODEL,
+                                    transport(eps, MODEL))
+        assert np.abs(rows).max() == 0.0
 
 
 def test_ideal_limit_reduces_to_ideal_divergence():
     # eta0 = 0 leaves the ideal-part divergence plus the constraint term
     rng = np.random.default_rng(3)
     n = 16
-    jet = FieldJet1(u=rng.uniform(-1, 1, (4, n)) + np.array([2.0, 0, 0, 0])[:, None],
-                    du=rng.uniform(-1, 1, (4, 4, n)), eps=rng.uniform(0.5, 2, n),
-                    deps=rng.uniform(-1, 1, (4, n)))
+    u = rng.uniform(-1, 1, (4, n)) + np.array([2.0, 0, 0, 0])[:, None]
+    du, deps = rng.uniform(-1, 1, (4, 4, n)), rng.uniform(-1, 1, (4, n))
+    eps = rng.uniform(0.5, 2, n)
     ideal_model = TransportModel(eta_form="constant", eta0=0.0)
-    rows = assemble_lower_order(jet, ideal_model, transport(jet.eps, ideal_model))
-    u_dn = SGN[:, None] * jet.u
-    theta = np.einsum('aan->n', jet.du)
-    acc_dn = SGN[:, None] * np.einsum('an,abn->bn', jet.u, jet.du)
-    udeps = np.einsum('an,an->n', jet.u, jet.deps)
-    ideal_low = (4.0 / 3.0) * (theta * u_dn * jet.eps + acc_dn * jet.eps
-                               + u_dn * udeps) + jet.deps / 3.0
+    rows = assemble_lower_order(u, du, eps, deps, ideal_model, transport(eps, ideal_model))
+    u_dn = SGN[:, None] * u
+    theta = np.einsum('aan->n', du)
+    acc_dn = SGN[:, None] * np.einsum('an,abn->bn', u, du)
+    udeps = np.einsum('an,an->n', u, deps)
+    ideal_low = (4.0 / 3.0) * (theta * u_dn * eps + acc_dn * eps
+                               + u_dn * udeps) + deps / 3.0
     assert np.allclose(rows[:4], SGN[:, None] * ideal_low, atol=1e-14)
 
 
 def test_unknown_mutation_key():
-    jet = FieldJet1(u=np.tile(np.array([1.0, 0, 0, 0])[:, None], 4),
-                    du=np.zeros((4, 4, 4)), eps=np.ones(4), deps=np.zeros((4, 4)))
+    u, eps = np.tile(np.array([1.0, 0, 0, 0])[:, None], 4), np.ones(4)
     with pytest.raises(KeyError):
-        assemble_lower_order(jet, MODEL, transport(jet.eps, MODEL),
-                             mutation=("bogus", 1.01))
+        assemble_lower_order(u, np.zeros((4, 4, 4)), eps, np.zeros((4, 4)), MODEL,
+                             transport(eps, MODEL), mutation=("bogus", 1.01))
 
 
 def test_principal_blocks_match_pointwise_symbol():
@@ -427,13 +428,12 @@ def test_all_mutation_keys_are_live():
     n = 16
     w = rng.uniform(-1, 1, (3, n))
     u = np.concatenate([np.sqrt(1.0 + np.einsum('in,in->n', w, w))[None], w])
-    du = rng.uniform(-1, 1, (4, 4, n))
-    jet = FieldJet1(u=u, du=du, eps=rng.uniform(0.5, 2, n),
-                    deps=rng.uniform(-1, 1, (4, n)))
-    base = assemble_lower_order(jet, MODEL, transport(jet.eps, MODEL))
+    jet = (u, rng.uniform(-1, 1, (4, 4, n)), rng.uniform(0.5, 2, n),
+           rng.uniform(-1, 1, (4, n)))
+    coeffs = transport(jet[2], MODEL)
+    base = assemble_lower_order(*jet, MODEL, coeffs)
     for key in MUTATION_KEYS:
-        mutated = assemble_lower_order(jet, MODEL, transport(jet.eps, MODEL),
-                                       mutation=(key, 2.0))
+        mutated = assemble_lower_order(*jet, MODEL, coeffs, mutation=(key, 2.0))
         assert np.abs(mutated - base).max() > 0.0
 
 
@@ -458,10 +458,12 @@ def test_equation_rows_shapes():
 
 def full_jet2(fields, t, x):
     """The manufactured fields' second-order jet with all four derivative
-    rows, the y and z rows zero."""
-    u, du, d2u = fields.u_jet(t, x)
-    eps, deps, d2eps = fields.eps_jet(t, x)
-    return u, du, d2u, eps, deps, d2eps
+    rows: the (t, x) jet padded with zero y and z rows."""
+    u, du, d2u, eps, deps, d2eps = fields.jet2(t, x)
+    du4, d2u4 = np.zeros((4, 4) + x.shape), np.zeros((4, 4, 4) + x.shape)
+    deps4, d2eps4 = np.zeros((4,) + x.shape), np.zeros((4, 4) + x.shape)
+    du4[:2], d2u4[:2, :2], deps4[:2], d2eps4[:2, :2] = du, d2u, deps, d2eps
+    return u, du4, d2u4, eps, deps4, d2eps4
 
 
 def reference_divergence_residual(fields, n, model, t0=0.37, mutation=None):
@@ -547,19 +549,20 @@ def test_oracle_rows_apply_the_symbol_to_three_pairs(monkeypatch):
 
 
 def test_jet2_carries_the_t_and_x_rows():
+    # the jet's rows are the fields' t and x derivatives: central differences
+    # of the jet in t and in x reproduce its first and second derivative rows
     fields = SinusoidalField(length=2.0)
     x = np.linspace(0.0, 2.0, 16, endpoint=False)
     u, du, d2u, eps, deps, d2eps = fields.jet2(0.3, x)
     assert (du.shape, d2u.shape, deps.shape, d2eps.shape) == \
         ((2, 4, 16), (2, 2, 4, 16), (2, 16), (2, 2, 16))
-    full = full_jet2(fields, 0.3, x)
-    for got, ref in zip((u, du, d2u, eps, deps, d2eps),
-                        (full[0], full[1][:2], full[2][:2, :2], full[3], full[4][:2],
-                         full[5][:2, :2])):
-        assert np.array_equal(got, ref)
-    # the rows left out are zero
-    assert not full[1][2:].any() and not full[2][2:].any() and not full[2][:, 2:].any()
-    assert not full[4][2:].any() and not full[5][2:].any() and not full[5][:, 2:].any()
+    h = 1e-5
+    for a, (dt, dx) in enumerate(((h, 0.0), (0.0, h))):
+        up, dup, _, ep, dep, _ = fields.jet2(0.3 + dt, x + dx)
+        um, dum, _, em, dem, _ = fields.jet2(0.3 - dt, x - dx)
+        for diff, exact in (((up - um) / (2 * h), du[a]), ((ep - em) / (2 * h), deps[a]),
+                            ((dup - dum) / (2 * h), d2u[a]), ((dep - dem) / (2 * h), d2eps[a])):
+            assert np.abs(diff - exact).max() < 1e-8
 
 
 def test_divergence_oracle_reports_match_separate_residuals():

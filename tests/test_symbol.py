@@ -200,6 +200,19 @@ def test_time_matrix_formula_boosted():
     assert abs(numeric - closed) <= 1e-10 * abs(closed)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eps", [1e115, 1e140, 1e150])
+def test_time_matrix_formula_is_finite_where_its_value_fits(eps):
+    # with the power model eta^4 / eps = eps^2: eta^4 overflows from about
+    # eps = 6e102 and eta^3 from about 1e137, the value only past 1e154
+    from vecf.symbol import det_time_matrix_closed_form
+    eps = np.array([eps])
+    eta = TransportModel().eta(eps)
+    closed = det_time_matrix_closed_form(eta, eps, np.array([0.5]), 6.0)
+    # (1 + w2)^2 (3 a2 + (a2 - 4) w2) (a2 + (a2 - 1) w2)^2 at w2 = 0.5, a2 = 6
+    assert abs(closed[0] / (eps[0] ** 2 * 2.25 * 19.0 * 8.5 ** 2) - 1.0) <= 1e-14
+
+
 def test_time_matrix_formula_positive_in_regime():
     rng = np.random.default_rng(0)
     for _ in range(300):

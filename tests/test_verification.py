@@ -11,12 +11,11 @@ from vecf.verification import (FACTORIZATION_MODEL, _collapse_draws, _factorizat
                                _first_worst, _roots_draws, _time_matrix_draws,
                                collapse_suite, factorization_suite)
 
-A2_RANGE = (4.0, 12.0)
-DELTA = 0.05
+DELTA = 0.05       # the suites draw metrics within this of Minkowski
 ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 SUITE_DRAWS = {
-    "factorization": lambda seed, n: _factorization_draws(seed, n, A2_RANGE, DELTA),
+    "factorization": _factorization_draws,
     "collapse": _collapse_draws,
     "roots": _roots_draws,
     "time_matrix": _time_matrix_draws,
@@ -56,7 +55,7 @@ def test_draws_are_prefixes_and_admissible(name, seed, n, extra):
 
 @pytest.mark.parametrize("seed", [7, 2024])
 def test_batched_symbols_match_single_state_symbols(seed):
-    a2, eps, u, xi, g_raw = _factorization_draws(seed, 300, A2_RANGE, DELTA)
+    a2, eps, u, xi, g_raw = _factorization_draws(seed, 300)
     g, ginv = validate_metrics(g_raw)
     eta = FACTORIZATION_MODEL.eta(eps)
     symbols = symbol_components(u, eps, eta, a2 * eta, FACTORIZATION_MODEL.a1 * eta,
