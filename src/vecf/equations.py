@@ -12,7 +12,8 @@ gradient; the jet carries only the derivative rows that exist.
 
 The divergence oracle pins all of it at once: the assembled rows must agree
 with a finite-difference divergence of the stress tensor on manufactured
-fields, and the discrepancy must vanish at the stencil's order.
+fields, and the discrepancy must vanish at the stencil's order.  The solver
+steps the same rows, `equation_rows`, so the oracle certifies them.
 
 Sign convention: one derivation step rewrites u^nu d(du_nu) through
 d(u.u)/2; the first-order piece it leaves behind enters B with a minus
@@ -23,6 +24,7 @@ arbiter for that sign and for every other coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -263,31 +265,20 @@ def assemble_lower_order(u, du, eps, deps, model: TransportModel, coeffs: tuple,
     return np.concatenate([SGN[:, None] * b_low, acc_acc[None, :]], axis=0)
 
 
-def equation_rows(jet2, model: TransportModel, mutation=None) -> np.ndarray:
-    """Full rows principal + B for a second-order jet (u, du, d2u, eps, deps, d2eps).
+def equation_rows(u, du, eps, deps, d2: dict, model: TransportModel, coeffs: tuple,
+                  mutation=None) -> np.ndarray:
+    """The five equation rows, principal part + B, (5, N): their one assembly.
 
-    The jet carries the first k derivative rows, as `assemble_lower_order`'s
-    first-order jet: du (k, 4, N), d2u (k, k, 4, N), deps (k, N) and
-    d2eps (k, k, N), the second derivatives symmetric in their first two
-    axes.  The principal part applies B(e_a, e_m) to d_a d_m (u, eps) over
-    the ordered pairs of the rows carried: each pair a < m once, to twice
-    its derivatives.  That is 3 pairs for the (t, x) jet of a 1+1D field
-    and 10 for a full jet; a row not carried has zero derivatives, so its
-    pairs would add exact zeros.
+    (u, du, eps, deps, coeffs, mutation) go to `assemble_lower_order`.  d2
+    maps each pair (a, m), a <= m, that the caller carries to d_a d_m (u,
+    eps), (5, N); the principal part sums B(e_a, e_m) applied to each pair
+    in d2's order, a mixed pair twice, and is added to B in B's array.  The
+    oracle's field carries tt, tx and xx; the solver leaves out tt, its unknown.
     """
-    u, du, d2u, eps, deps, d2eps = jet2
-    coeffs = transport(eps, model)
-    eta, lam, chi = coeffs
-    k = len(deps)
-    principal = np.zeros((5,) + eps.shape)
-    for a in range(k):
-        for m in range(a, k):
-            v2 = np.concatenate([d2u[a, m], d2eps[a, m][None]], axis=0)
-            if a < m:
-                v2 *= 2.0
-            principal += symbol_apply(u, eps, eta, lam, chi, a, m, v2)
-    lower = assemble_lower_order(u, du, eps, deps, model, coeffs, mutation=mutation)
-    return principal + lower
+    rows = assemble_lower_order(u, du, eps, deps, model, coeffs, mutation=mutation)
+    rows += reduce(np.add, (symbol_apply(u, eps, *coeffs, a, m, x if a == m else 2.0 * x)
+                            for (a, m), x in d2.items()))
+    return rows
 
 
 class SinusoidalField:
@@ -362,9 +353,14 @@ class SinusoidalField:
         return u, du, d2u
 
     def jet2(self, t: float, x: np.ndarray):
-        """The second-order (t, x) jet (u, du, d2u, eps, deps, d2eps) of
-        `equation_rows`, k = 2."""
-        return self.u_jet(t, x) + self.eps_jet(t, x)
+        """The second-order (t, x) jet (u, du, eps, deps, d2) of
+        `equation_rows`: k = 2, and d2 maps the pairs tt, tx and xx to
+        d_a d_m (u, eps), (5, ...)."""
+        u, du, d2u = self.u_jet(t, x)
+        eps, deps, d2eps = self.eps_jet(t, x)
+        d2 = {(a, m): np.concatenate([d2u[a, m], d2eps[a, m][None]])
+              for a, m in ((0, 0), (0, 1), (1, 1))}
+        return u, du, eps, deps, d2
 
 
 @dataclass(frozen=True)
@@ -414,7 +410,9 @@ def _assembled_report(fields: SinusoidalField, fd: tuple, model: TransportModel,
     """The assembled side of the oracle, at the exact analytic jet, against
     the finite-difference divergence fd = (x, h, div) of `_fd_divergence`."""
     x, h, div = fd
-    rows = equation_rows(fields.jet2(t0, x), model, mutation=mutation)
+    u, du, eps, deps, d2 = fields.jet2(t0, x)
+    rows = equation_rows(u, du, eps, deps, d2, model, transport(eps, model),
+                         mutation=mutation)
     assembled_low = SGN[:, None] * rows[:4]
     return DivergenceReport(
         resolution=len(x),

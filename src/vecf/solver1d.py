@@ -8,8 +8,10 @@ cell:
     a dtW = -(2 B(e0, e1) dx W + B(e1, e1) dx dx V + B)
 
 with B(e_a, e_c) the symbol's coefficient of xi_a xi_c, applied to the
-derivative vectors without forming a block (`equations.symbol_apply`), and
-B the assembled first-order terms.  a is inverted in closed form
+derivative vectors without forming a block, and B the assembled first-order
+terms.  The bracket is `equations.equation_rows` without its tt pair, the
+rows that the divergence oracle (criterion 07) certifies; the tt pair
+a dtW is the unknown.  a is inverted in closed form
 (`equations.time_matrix_solve`), and its determinant comes out of the same
 elimination.  All four velocity components are kept so transverse
 (shear-family) pulses are representable; y and z derivatives vanish.
@@ -44,8 +46,7 @@ from .causality import BOUNDARY_TOL, N_THETA, _family_cones
 from .characteristics import FLUID_FACTORS
 from .constitutive import (SGN, TransportModel, complete_initial_data,
                            stress_tensor_fields, transport)
-from .equations import (DegenerateTimeMatrix, assemble_lower_order, dx4, symbol_apply,
-                        time_matrix_solve)
+from .equations import DegenerateTimeMatrix, dx4, equation_rows, time_matrix_solve
 from .symbol import det_time_matrix_closed_form
 
 
@@ -286,10 +287,12 @@ def _rhs(V: np.ndarray, W: np.ndarray, h: float, model: TransportModel):
     u, eps = v[:4], v[4]
     jet = np.stack([w, dxv])             # the (t, x) rows of d_a (u, eps)
     coeffs = transport(eps, model)
-    B = assemble_lower_order(u, jet[:, :4], eps, jet[:, 4], model, coeffs)
-    rhs_w = -(symbol_apply(u, eps, *coeffs, 0, 1, 2.0 * dxw)
-              + symbol_apply(u, eps, *coeffs, 1, 1, dxxv) + B)
-    return W, _solve_time_matrix(u, eps, coeffs, rhs_w, V.shape[-1]).reshape(V.shape)
+    # rows, in B's array, stays alive through the solve: freed before it, the
+    # heap was trimmed and regrown around the solve's temporaries, and an
+    # N = 4096 run took three times the minor page faults
+    rows = equation_rows(u, jet[:, :4], eps, jet[:, 4], {(0, 1): dxw, (1, 1): dxxv},
+                         model, coeffs)
+    return W, _solve_time_matrix(u, eps, coeffs, -rows, V.shape[-1]).reshape(V.shape)
 
 
 def _solve_time_matrix(u, eps, coeffs, rhs, n_cells: int):

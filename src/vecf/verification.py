@@ -28,11 +28,19 @@ COLLAPSE_TOL = 1e-9
 COEFF_ZERO_TOL = 1e-12
 ROOT_TOL = 1e-9
 TIME_MATRIX_TOL = 1e-10
+# the a2 range every suite draws from, uniformly
+A2_RANGE = (4.0, 12.0)
 
 
 # the factorization suite's viscosity model; a2 is drawn per sample, and
 # eta does not depend on it
 FACTORIZATION_MODEL = TransportModel(a1=4.0, eta_form="power", eta0=1.0, p_exp=0.75)
+
+
+def _draw_a2(r):
+    """a2 in A2_RANGE from the uniforms r in [0, 1)."""
+    lo, hi = A2_RANGE
+    return lo + (hi - lo) * r
 
 
 def _alternating_metrics(delta: float, uniforms):
@@ -63,7 +71,7 @@ def _factorization_draws(seed: int, samples: int):
     """Draws of the factorization suite, as arrays; sample idx is row idx.
 
     One (samples, 27) array of uniforms r from default_rng(seed), by
-    column: 0 a2 in [4, 12), 1 eps in [0.5, 2), 2-4 the spatial velocity
+    column: 0 a2 in A2_RANGE, 1 eps in [0.5, 2), 2-4 the spatial velocity
     w in [-3, 3), 5 the time component u^0 in [0.5, 3), 6-9 the covector
     xi in [-2, 2), 10-26 the perturbed metric (delta 0.05) of odd rows.  Even rows use
     the Minkowski metric; rows with idx % 3 == 0 ignore column 5, and
@@ -71,7 +79,7 @@ def _factorization_draws(seed: int, samples: int):
     and the unvalidated metric components (K, 4, 4).
     """
     r = np.random.default_rng(seed).random((samples, 27))
-    a2 = 4.0 + 8.0 * r[:, 0]
+    a2 = _draw_a2(r[:, 0])
     eps = 0.5 + 1.5 * r[:, 1]
     w = -3.0 + 6.0 * r[:, 2:5]
     g = _alternating_metrics(0.05, r[:, 10:27])
@@ -126,7 +134,7 @@ class FactorizationReport:
     def to_json(self) -> dict:
         return {
             "check": "determinant-factorization",
-            "parameters": {"a1": 4.0, "a2_range": [4.0, 12.0], "metric_delta": 0.05},
+            "parameters": {"a1": 4.0, "a2_range": list(A2_RANGE), "metric_delta": 0.05},
             "samples": self.samples,
             "seed": self.seed,
             "tolerances": {"scaled_error": self.tolerance},
@@ -206,14 +214,14 @@ def _collapse_draws(seed: int, samples: int):
     """Draws of the collapse suite, as arrays; sample idx is row idx.
 
     One (samples, 26) array of uniforms r from default_rng(seed), by
-    column: 0 a2 in [4, 12), 1 the time component u^0 in [0.5, 3), 2-4
+    column: 0 a2 in A2_RANGE, 1 the time component u^0 in [0.5, 3), 2-4
     the spatial velocity w in [-3, 3), 5-8 the covector xi in [-2, 2),
     9-25 the perturbed metric (delta 0.05) of odd rows.  Even rows use
     the Minkowski metric, and u is not normalized.  Returns a2 (K,), u,
     xi (K, 4) and the unvalidated metric components (K, 4, 4).
     """
     r = np.random.default_rng(seed).random((samples, 26))
-    a2 = 4.0 + 8.0 * r[:, 0]
+    a2 = _draw_a2(r[:, 0])
     u = np.column_stack([0.5 + 2.5 * r[:, 1], -3.0 + 6.0 * r[:, 2:5]])
     xi = -2.0 + 4.0 * r[:, 5:9]
     return a2, u, xi, _alternating_metrics(0.05, r[:, 9:26])
@@ -277,7 +285,7 @@ class RootsReport:
     def to_json(self) -> dict:
         return {
             "check": "closed-form-roots",
-            "parameters": {"a1": 4.0, "a2_range": [4.0, 12.0]},
+            "parameters": {"a1": 4.0, "a2_range": list(A2_RANGE)},
             "samples": self.samples,
             "seed": self.seed,
             "tolerances": {"absolute_root": self.tolerance, "distinctness": self.gap_tolerance},
@@ -292,7 +300,7 @@ def _roots_draws(seed: int, samples: int):
     """Draws of the roots suite, as arrays; sample idx is row idx.
 
     One (samples, 8) array of uniforms r from default_rng(seed), by
-    column: 0 a2 in [4, 12), 1-3 the direction of the spatial velocity w
+    column: 0 a2 in A2_RANGE, 1-3 the direction of the spatial velocity w
     in [-3, 3), 4 its scale in [0, 1), 6 and 7 the unit spatial
     covector's z = 2 r - 1 and azimuth 2 pi r, which is uniform on the
     sphere.  Column 5 is unused: the roots do not depend on eps.  u is
@@ -300,7 +308,7 @@ def _roots_draws(seed: int, samples: int):
     the covectors (K, 3).
     """
     r = np.random.default_rng(seed).random((samples, 8))
-    a2 = 4.0 + 8.0 * r[:, 0]
+    a2 = _draw_a2(r[:, 0])
     u = _normalized(minkowski().components, (-3.0 + 6.0 * r[:, 1:4]) * r[:, 4:5])
     z, phi = 2.0 * r[:, 6] - 1.0, 2.0 * np.pi * r[:, 7]
     rho = np.sqrt(1.0 - z * z)
@@ -311,7 +319,7 @@ def roots_suite(samples: int = 1000, seed: int = 13) -> RootsReport:
     """Closed-form shear/sound roots vs the bisection oracle on unit directions.
 
     Unit-sphere spatial covectors, normalized boosts with |w| <= 3,
-    a2 in [4, 12]: roots agree to 1e-9 absolutely, are real, and are
+    a2 in A2_RANGE: roots agree to ROOT_TOL absolutely, are real, and are
     separated by at least the distinctness gap.  The closed forms and the
     oracle each take one call per family for every sample.
     """
@@ -359,30 +367,18 @@ class TimeMatrixReport:
     def passed(self) -> bool:
         return self.max_relative_error <= self.tolerance and self.min_closed_form > 0.0
 
-    def to_json(self) -> dict:
-        return {
-            "check": "time-matrix-determinant",
-            "parameters": {"a1": 4.0, "a2_range": [4.0, 12.0]},
-            "samples": self.samples,
-            "seed": self.seed,
-            "tolerances": {"relative": self.tolerance},
-            "max_relative_error": self.max_relative_error,
-            "min_closed_form": self.min_closed_form,
-            "passed": self.passed,
-        }
-
 
 def _time_matrix_draws(seed: int, samples: int):
     """Draws of the time-matrix suite, as arrays; sample idx is row idx.
 
     One (samples, 6) array of uniforms r from default_rng(seed), by
-    column: 0 a2 in [4, 12), 1 eta0 in [0.5, 2), 2-4 the spatial velocity
+    column: 0 a2 in A2_RANGE, 1 eta0 in [0.5, 2), 2-4 the spatial velocity
     w in [-3, 3), 5 eps in [0.5, 2).  u is normalized for the Minkowski
     metric.  Returns a2, eta0, eps (K,) and u (K, 4).
     """
     r = np.random.default_rng(seed).random((samples, 6))
     u = _normalized(minkowski().components, -3.0 + 6.0 * r[:, 2:5])
-    return 4.0 + 8.0 * r[:, 0], 0.5 + 1.5 * r[:, 1], 0.5 + 1.5 * r[:, 5], u
+    return _draw_a2(r[:, 0]), 0.5 + 1.5 * r[:, 1], 0.5 + 1.5 * r[:, 5], u
 
 
 def time_matrix_suite(samples: int = 1000, seed: int = 17) -> TimeMatrixReport:

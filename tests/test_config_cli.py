@@ -394,24 +394,35 @@ def test_cli_large_eps0_reports_a_finite_det_shortfall(tmp_path):
     assert all(abs(d["det_shortfall_rel"]) < 1e-12 for d in diags)
 
 
-ABORTS = {
-    # the first stage drives eps negative
-    "1e120": ("energy density lost positivity inside a stage", 1),
-    # the first step's det overflows
-    "1e150": ("time-coefficient matrix degenerate: det not finite", 1),
-    # the det overflows at t = 0: the run aborts before its first diagnostic
-    "1e300": ("time-coefficient matrix degenerate: det not finite", 0),
-}
+# (command, eps0) -> (message, step); from 1e120 up both commands abort alike
+ABORTS = {(command, eps0): abort for command in ("evolve", "dod-test")
+          for eps0, abort in {
+              # the first stage drives eps negative
+              "1e120": ("energy density lost positivity inside a stage", 1),
+              # the first step's det overflows
+              "1e150": ("time-coefficient matrix degenerate: det not finite", 1),
+              # the det overflows at t = 0: the run aborts before its first diagnostic
+              "1e300": ("time-coefficient matrix degenerate: det not finite", 0),
+          }.items()}
+# a large eps0 passes the t = 0 checks and is lost mid-run; no precondition
+# names the cause, so these pin the aborts that catch it, the "reached zero"
+# one after a step included
+ABORTS.update({
+    ("evolve", "1e50"): ("energy density lost positivity inside a stage", 2),
+    ("evolve", "1e80"): ("energy density reached zero", 1),
+    ("dod-test", "1e50"): ("energy density reached zero in member 0, 1, 2, 3", 1),
+    ("dod-test", "1e80"): ("energy density reached zero in member 0, 1, 2, 3", 1),
+})
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command,eps0", [
     pytest.param(command, eps0, id=command if eps0 == "1e300" else f"{command}-{eps0}")
-    for command in ("evolve", "dod-test") for eps0 in ABORTS])
+    for command, eps0 in ABORTS])
 def test_cli_unsteppable_initial_state_aborts_in_one_line(tmp_path, capsys, command, eps0):
     # no floating-point warning (an error here) precedes the abort: the
     # checks that abort the run report the fault
-    message, step = ABORTS[eps0]
+    message, step = ABORTS[command, eps0]
     assert main(["--out", str(tmp_path), "--set", f"solver.eps0={eps0}", command]) == 3
     err = capsys.readouterr().err
     assert err.startswith("solver abort: " + message)

@@ -448,22 +448,30 @@ def test_manufactured_field_normalization():
     assert np.abs(grad).max() < 1e-13
 
 
+def rows_of(jet2, model, mutation=None):
+    """`equation_rows` of a second-order jet (u, du, eps, deps, d2)."""
+    u, du, eps, deps, d2 = jet2
+    return equation_rows(u, du, eps, deps, d2, model, transport(eps, model),
+                         mutation=mutation)
+
+
 def test_equation_rows_shapes():
     fields = SinusoidalField(length=2.0)
     x = np.linspace(0, 2.0, 32, endpoint=False)
-    rows = equation_rows(fields.jet2(0.1, x), MODEL)
+    rows = rows_of(fields.jet2(0.1, x), MODEL)
     assert rows.shape == (5, 32)
     assert np.all(np.isfinite(rows))
 
 
 def full_jet2(fields, t, x):
     """The manufactured fields' second-order jet with all four derivative
-    rows: the (t, x) jet padded with zero y and z rows."""
-    u, du, d2u, eps, deps, d2eps = fields.jet2(t, x)
-    du4, d2u4 = np.zeros((4, 4) + x.shape), np.zeros((4, 4, 4) + x.shape)
-    deps4, d2eps4 = np.zeros((4,) + x.shape), np.zeros((4, 4) + x.shape)
-    du4[:2], d2u4[:2, :2], deps4[:2], d2eps4[:2, :2] = du, d2u, deps, d2eps
-    return u, du4, d2u4, eps, deps4, d2eps4
+    rows: the (t, x) jet padded with zero y and z rows, and all ten pairs."""
+    u, du, eps, deps, d2 = fields.jet2(t, x)
+    du4, deps4 = np.zeros((4, 4) + x.shape), np.zeros((4,) + x.shape)
+    du4[:2], deps4[:2] = du, deps
+    d2_4 = {(a, m): d2.get((a, m), np.zeros((5,) + x.shape))
+            for a in range(4) for m in range(a, 4)}
+    return u, du4, eps, deps4, d2_4
 
 
 def reference_divergence_residual(fields, n, model, t0=0.37, mutation=None):
@@ -476,11 +484,11 @@ def reference_divergence_residual(fields, n, model, t0=0.37, mutation=None):
     x = np.arange(n) * h
     levels = []
     for j in range(-2, 3):
-        u, du, _, eps, deps, _ = full_jet2(fields, t0 + j * h, x)
+        u, du, eps, deps, _ = full_jet2(fields, t0 + j * h, x)
         levels.append(SGN[:, None, None] * stress_tensor_fields(u, du, eps, deps, model))
     dt_t = (levels[0] - 8.0 * levels[1] + 8.0 * levels[3] - levels[4]) / (12.0 * h)
     div = dt_t[0] + dx4(levels[2], h)[1]
-    rows = equation_rows(full_jet2(fields, t0, x), model, mutation=mutation)
+    rows = rows_of(full_jet2(fields, t0, x), model, mutation=mutation)
     return DivergenceReport(resolution=n, spacing=h,
                             max_discrepancy=float(np.abs(SGN[:, None] * rows[:4] - div).max()),
                             constraint_row_max=float(np.abs(rows[4]).max()))
@@ -543,8 +551,7 @@ def test_oracle_rows_apply_the_symbol_to_three_pairs(monkeypatch):
     divergence_residual(SinusoidalField(length=2.0), 64, MODEL)
     assert pairs == [(0, 0), (0, 1), (1, 1)]
     pairs.clear()
-    equation_rows(full_jet2(SinusoidalField(length=2.0), 0.37, np.linspace(0.0, 2.0, 16)),
-                  MODEL)
+    rows_of(full_jet2(SinusoidalField(length=2.0), 0.37, np.linspace(0.0, 2.0, 16)), MODEL)
     assert len(pairs) == 10
 
 
@@ -553,15 +560,18 @@ def test_jet2_carries_the_t_and_x_rows():
     # of the jet in t and in x reproduce its first and second derivative rows
     fields = SinusoidalField(length=2.0)
     x = np.linspace(0.0, 2.0, 16, endpoint=False)
-    u, du, d2u, eps, deps, d2eps = fields.jet2(0.3, x)
-    assert (du.shape, d2u.shape, deps.shape, d2eps.shape) == \
-        ((2, 4, 16), (2, 2, 4, 16), (2, 16), (2, 2, 16))
+    u, du, eps, deps, d2 = fields.jet2(0.3, x)
+    assert (du.shape, deps.shape) == ((2, 4, 16), (2, 16))
+    assert list(d2) == [(0, 0), (0, 1), (1, 1)]
+    assert all(v.shape == (5, 16) for v in d2.values())
     h = 1e-5
     for a, (dt, dx) in enumerate(((h, 0.0), (0.0, h))):
-        up, dup, _, ep, dep, _ = fields.jet2(0.3 + dt, x + dx)
-        um, dum, _, em, dem, _ = fields.jet2(0.3 - dt, x - dx)
+        up, dup, ep, dep, _ = fields.jet2(0.3 + dt, x + dx)
+        um, dum, em, dem, _ = fields.jet2(0.3 - dt, x - dx)
+        # d_a of the first-order jet, as d_a d_m (u, eps) by m
+        dd = np.concatenate([dup - dum, (dep - dem)[:, None]], axis=1) / (2 * h)
         for diff, exact in (((up - um) / (2 * h), du[a]), ((ep - em) / (2 * h), deps[a]),
-                            ((dup - dum) / (2 * h), d2u[a]), ((dep - dem) / (2 * h), d2eps[a])):
+                            (dd[0], d2[0, a]), (dd[1], d2[min(a, 1), 1])):
             assert np.abs(diff - exact).max() < 1e-8
 
 

@@ -6,8 +6,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference import StatePoint, det_time_matrix_formula
 
+from vecf import equations
 from vecf.characteristics import FLUID_FACTORS, cone_coefficients, cone_xi0
-from vecf.constitutive import TransportModel
+from vecf.constitutive import TransportModel, transport
+from vecf.equations import assemble_lower_order, dx4, equation_rows, symbol_apply
 from vecf.solver1d import (FieldGrid, InitialData, SolverAbort, SolverConfig,
                            _fixed_point, _grid_v_max, _rhs, bump_perturbation,
                            constant_state, evolve, gaussian_pulse, make_grid,
@@ -138,6 +140,48 @@ def test_degenerate_cell_aborts_in_later_stage():
     _rhs(grid.V, grid.W, grid.spacing, cfg.transport)
     with pytest.raises(ValueError, match="degenerate"):
         step(grid, cfg, dt)
+
+
+# the bound on the oracle's rows at the solver's acceleration, relative to
+# their largest term: a few roundings of the time-matrix solve and of the
+# sum; the rows read at most 2 ulps of it at a2 = 4, 6 and 10
+ACCELERATION_ROWS_TOL = 32 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("a2", [4.0, 6.0, 10.0])
+def test_acceleration_solves_the_oracle_rows(monkeypatch, a2):
+    # the solver steps the rows that criterion 07 certifies: with _rhs's
+    # dt W as the tt pair, equation_rows vanishes at every cell of an
+    # ensemble of a sound pulse and a shear pulse (u^2 != 0)
+    model = TransportModel(a2=a2)
+    cfg = small_cfg(transport=model, n_cells=128)
+    grid = make_grid(cfg, [gaussian_pulse(), shear_pulse()])
+    h = grid.spacing
+    for _ in range(4):
+        grid = step(grid, cfg, 0.25 * h)
+    pairs = []
+
+    def counting(u, eps, eta, lam, chi, a, c, x):
+        pairs.append((a, c))
+        return symbol_apply(u, eps, eta, lam, chi, a, c, x)
+
+    monkeypatch.setattr(equations, "symbol_apply", counting)
+    _, dtW = _rhs(grid.V, grid.W, h, model)
+    assert pairs == [(0, 1), (1, 1)]
+    monkeypatch.undo()
+
+    dxV = dx4(grid.V, h)
+    v, w, dxv, dxw, dxxv, dtw = (f.reshape(5, -1) for f in (
+        grid.V, grid.W, dxV, dx4(grid.W, h), dx4(dxV, h), dtW))
+    assert np.abs(v[2]).max() > 0.0 and np.abs(dtw).max() > 0.0
+    u, eps, du, deps = v[:4], v[4], np.stack([w[:4], dxv[:4]]), np.stack([w[4], dxv[4]])
+    coeffs = transport(eps, model)
+    d2 = {(0, 0): dtw, (0, 1): dxw, (1, 1): dxxv}
+    rows = equation_rows(u, du, eps, deps, d2, model, coeffs)
+    terms = [symbol_apply(u, eps, *coeffs, a, m, x if a == m else 2.0 * x)
+             for (a, m), x in d2.items()]
+    terms.append(assemble_lower_order(u, du, eps, deps, model, coeffs))
+    assert np.abs(rows).max() <= ACCELERATION_ROWS_TOL * np.abs(terms).max()
 
 
 def _unit(v):
