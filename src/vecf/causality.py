@@ -4,6 +4,9 @@ Containment is checked in the cotangent formulation: the characteristic
 root surfaces xi0 = s(u, theta) |xibar| of each wave family must satisfy
 |s| <= 1 for the family cone to contain the light cone's interior.  theta
 is the angle between the spatial velocity and the spatial covector.
+Criterion 04's scan, the (a1, a2) region map, the critical-angle search
+and the solver's CFL speed read each cone's largest |slope| over a grid of
+angles from one kernel, `_cone_extremes`.
 """
 
 from __future__ import annotations
@@ -18,10 +21,50 @@ from .characteristics import (BATCH_VALUES, DISTINCTNESS_GAP, FLUID_FACTORS,
 from .tensor import minkowski
 
 BOUNDARY_TOL = 1e-12
-# the angle grid of the causality scan and of the critical-angle search
+# the angle grid of the causality scan, the critical-angle search and the
+# solver's CFL speed
 N_THETA = 720
+THETAS = np.linspace(0.0, 2.0 * np.pi, N_THETA, endpoint=False)
 # the critical-angle search refines its bracket to this width
 REFINE_TOL = 1e-10
+
+
+def _cone_extremes(alpha, beta, u2, thetas):
+    """Each cone's largest |slope| over the angles, at each boost.
+
+    alpha and beta (F,) hold F cones alpha (u.xi)^2 - beta xi.xi = 0, u2
+    (n,) the boosts |w|^2, and thetas the angles between w and the unit
+    spatial covector.  Returns three (F, n) arrays: the largest |slope|
+    over the angles, inf where the pair is not real at some angle; the
+    first angle that reaches it, NaN where the pair is not real; and
+    whether the two slopes stay DISTINCTNESS_GAP apart at every angle.
+    Each chunk of at most BATCH_VALUES (cone, boost, angle) points is
+    screened by `cone_quadratic`, and its real rows take one `cone_pair`
+    call; every point is elementwise, so a row has the same bits in any
+    chunk.
+    """
+    u2 = np.asarray(u2, dtype=float)
+    shape = (len(alpha), len(u2))
+    a = np.repeat(np.asarray(alpha, dtype=float), len(u2))[:, None]
+    b = np.repeat(np.asarray(beta, dtype=float), len(u2))[:, None]
+    w2 = np.tile(u2, len(alpha))[:, None]
+    cos = np.cos(thetas)
+    smax, theta = np.full(len(w2), np.inf), np.full(len(w2), np.nan)
+    distinct = np.zeros(len(w2), dtype=bool)
+    rows = max(1, BATCH_VALUES // len(thetas))
+    for i in range(0, len(w2), rows):
+        c = slice(i, i + rows)
+        wxi = np.sqrt(w2[c]) * cos
+        D, R, real = cone_quadratic(a[c], b[c], w2[c], wxi)
+        real = real.all(axis=1)
+        k = i + np.flatnonzero(real)
+        sp, sm = cone_pair(a[k], w2[k], wxi[real], D[real], R[real])
+        vals = np.maximum(np.abs(sp), np.abs(sm))
+        j = vals.argmax(axis=1)
+        smax[k] = vals[np.arange(len(j)), j]
+        theta[k] = thetas[j]
+        distinct[k] = ~(np.abs(sp - sm) < DISTINCTNESS_GAP).any(axis=1)
+    return smax.reshape(shape), theta.reshape(shape), distinct.reshape(shape)
 
 
 def cone_slopes(family: str, u2: float, theta, a2: float):
@@ -66,8 +109,8 @@ def critical_angle_check(u2: float, a2: float, family: str = "shear") -> Critica
         return CriticalAngleReport(family, u2, a2, theta_max=0.0,
                                    slope_at_max=score(0.0),
                                    flat_profile=True, on_axis=True)
-    thetas = np.linspace(0.0, 2.0 * np.pi, N_THETA, endpoint=False)
-    theta_grid = _family_cones(family, a2, [u2], thetas)[0].witness_theta
+    alpha, beta = cone_coefficients(family, a2)
+    theta_grid = float(_cone_extremes([alpha], [beta], [u2], THETAS)[1][0, 0])
     a, b = theta_grid - 2.0 * np.pi / N_THETA, theta_grid + 2.0 * np.pi / N_THETA
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
@@ -89,14 +132,6 @@ def critical_angle_check(u2: float, a2: float, family: str = "shear") -> Critica
                                flat_profile=False, on_axis=bool(dist < 1e-6))
 
 
-@dataclass(frozen=True)
-class FamilyCone:
-    family: str
-    max_abs_slope: float
-    verdict: str           # "strict" | "boundary" | "violated"
-    witness_theta: float
-
-
 def _verdict(smax: float) -> str:
     if smax < 1.0 - BOUNDARY_TOL:
         return "strict"
@@ -105,39 +140,10 @@ def _verdict(smax: float) -> str:
     return "violated"
 
 
-def _family_cones(family: str, a2: float, u2, thetas) -> list:
-    """A family's FamilyCone at each boost |w|^2 of u2 (n,), over the angles.
-
-    Each chunk of at most BATCH_VALUES (boost, angle) points is screened by
-    `cone_quadratic`: a boost whose pair is not real at some angle has a
-    violated cone with an infinite slope.  The other boosts of the chunk
-    take one `cone_pair` call; every point is elementwise, so a boost's
-    cone has the same bits in any chunk.
-    """
-    alpha, beta = cone_coefficients(family, a2)
-    cos = np.cos(thetas)
-    cones = []
-    rows = max(1, BATCH_VALUES // len(thetas))
-    for i in range(0, len(u2), rows):
-        w2 = np.asarray(u2[i:i + rows], dtype=float)[:, None]
-        wxi = np.sqrt(w2) * cos
-        D, R, real = cone_quadratic(alpha, beta, w2, wxi)
-        real = real.all(axis=1)
-        if not real.all():
-            w2, wxi, D, R = (a[real] for a in (w2, wxi, D, R))
-        sp, sm = cone_pair(alpha, w2, wxi, D, R)
-        vals = np.maximum(np.abs(sp), np.abs(sm))
-        j = vals.argmax(axis=1)
-        found = zip(vals[np.arange(len(j)), j].tolist(), thetas[j].tolist())
-        for ok in real.tolist():
-            smax, theta = next(found) if ok else (np.inf, np.nan)
-            cones.append(FamilyCone(family, smax, _verdict(smax), theta))
-    return cones
-
-
-def _fluid_verdict(fams: dict) -> str:
-    """The overall verdict from the flow, shear and sound cones."""
-    fluid = [fams[k].verdict for k in FLUID_FACTORS.families]
+def _fluid_verdict(slopes) -> str:
+    """The overall verdict from the largest |slope| of the flow, shear and
+    sound cones, in that order."""
+    fluid = [_verdict(s) for s in slopes]
     if "violated" in fluid:
         return "violated"
     if "boundary" in fluid:
@@ -162,31 +168,28 @@ def causality_scan(a2_list, u_max: float, n_u: int = 33, n_theta: int = N_THETA)
     One row per (a2, |w|) cell with the theta-maximized shear and sound
     slopes; column names match the CSV contract of the command-line scan.
     The cone table holds at a1 = 4 only, and every row says so.
-    Each distinct cone (family, alpha, beta) takes one `_family_cones` call
-    over the |w| x theta grid, so the flow cone, the same at every a2, is
-    found once per scan; a row has the bits of that state's cones alone.
+    Each distinct cone (alpha, beta) is evaluated once, all of them in one
+    `_cone_extremes` call over the |w| x theta grid, so the flow cone, the
+    same at every a2, is found once per scan; a row has the bits of that
+    state's cones alone.
     """
-    rows = []
     speeds = np.linspace(0.0, u_max, n_u)
     u2 = speeds * speeds
     thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
-    found = {}
-    for a2 in a2_list:
-        cones = {}
-        for name in FLUID_FACTORS.families:
-            key = (name, *cone_coefficients(name, a2))
-            if key not in found:
-                found[key] = _family_cones(name, a2, u2, thetas)
-            cones[name] = found[key]
-        for i, w2 in enumerate(u2.tolist()):
-            fams = {name: c[i] for name, c in cones.items()}
-            rows.append(ScanRow(
-                a1=4.0, a2=float(a2), u2=w2,
-                theta_max_p2=fams["shear"].witness_theta,
-                smax_p2=fams["shear"].max_abs_slope,
-                smax_p3=fams["sound"].max_abs_slope,
-                verdict=_fluid_verdict(fams),
-            ))
+    # per a2, the flow, shear and sound cones
+    fluid = [[cone_coefficients(name, a2) for name in FLUID_FACTORS.families]
+             for a2 in a2_list]
+    index = {cone: i for i, cone in enumerate(dict.fromkeys(c for f in fluid for c in f))}
+    alpha, beta = np.array(list(index), dtype=float).reshape(-1, 2).T
+    smax, theta, _ = _cone_extremes(alpha, beta, u2, thetas)
+    rows = []
+    for a2, cones in zip(a2_list, fluid):
+        flow, shear, sound = (index[c] for c in cones)
+        for w2, slopes, th in zip(u2.tolist(), smax[[flow, shear, sound]].T.tolist(),
+                                  theta[shear].tolist()):
+            rows.append(ScanRow(a1=4.0, a2=float(a2), u2=w2, theta_max_p2=th,
+                                smax_p2=slopes[1], smax_p3=slopes[2],
+                                verdict=_fluid_verdict(slopes)))
     return rows
 
 
@@ -230,36 +233,6 @@ _REGION_LABELS = {"strict": "causal-strict", "boundary": "causal-boundary",
                   "violated": "hyperbolic-acausal"}
 
 
-def _factor_slopes(r, u2, wxi):
-    """(hyperbolic, max |slope|) of each quadratic factor (u.xi)^2 - r xi.xi.
-
-    r (F,) holds the factors; u2 (n, 1) the boosts |w|^2 and wxi
-    (n, n_theta) the matching w.xibar = |w| cos(theta) at unit xibar, the
-    grid every factor is sampled on.  r ~ 0 is the flow cone u.xi = 0,
-    whose double root is a hyperbolic degree-1 factor.  Any other factor
-    is hyperbolic iff every sampled direction yields two real roots
-    separated beyond the distinctness gap; a factor that is not has an
-    infinite slope.  Each chunk of at most BATCH_VALUES values is screened
-    by `cone_quadratic`, and its real factors take one `cone_pair` call;
-    every point is elementwise, so a factor has the same bits in any chunk.
-    """
-    flow = np.abs(r) < 1e-12
-    beta = np.where(flow, 0.0, r)[:, None, None]
-    hyperbolic = np.zeros(len(r), dtype=bool)
-    smax = np.full(len(r), np.inf)
-    rows = max(1, BATCH_VALUES // wxi.size)
-    for i in range(0, len(r), rows):
-        D, R, real = cone_quadratic(1.0, beta[i:i + rows], u2, wxi)
-        real = real.all(axis=(1, 2))
-        s1, s2 = cone_pair(1.0, u2, wxi, D[real], R[real])
-        f = i + np.flatnonzero(real)
-        distinct = flow[f] | ~(np.abs(s1 - s2) < DISTINCTNESS_GAP).any(axis=(1, 2))
-        hyperbolic[f[distinct]] = True
-        smax[f[distinct]] = np.maximum(np.abs(s1[distinct]),
-                                       np.abs(s2[distinct])).max(axis=(1, 2))
-    return hyperbolic, smax
-
-
 def hyperbolicity_region_map(a1_grid, a2_grid, u_samples=None, n_theta: int = 64) -> list:
     """Classify the sound-sector quartic over an (a1, a2) grid.
 
@@ -268,54 +241,57 @@ def hyperbolicity_region_map(a1_grid, a2_grid, u_samples=None, n_theta: int = 64
     (B^2 - 4AC >= 0, real quadratic factors), hyperbolicity of each factor
     over sampled boosts and directions, and slopes <= 1.  The degenerate
     leading coefficients (A ~ 0 or C ~ 0) reduce to light-cone or
-    flow-cone factors and are classified accordingly; a light-cone
-    factor's slope is the light row of the cone table.  The coefficients
+    flow-cone factors and are classified accordingly.  The coefficients
     of all cells come from one batched `quartic_coefficients` call, each
-    with the bits of its own extraction.  The quadratic factors of every
-    cell are then classified together by `_factor_slopes`, on one
-    (boost, angle) grid, and each cell reads its label from its factors.
+    with the bits of its own extraction.  Every factor is a cone: X - r Y
+    is (1, r), with r ~ 0 the flow cone u.xi = 0, and Y is the light cone
+    (0, 1).  The factors of every cell are classified together by one
+    `_cone_extremes` call, on one (boost, angle) grid, and each cell reads
+    its label from its factors.  A factor is hyperbolic iff every sampled
+    direction yields two real roots separated beyond the distinctness gap;
+    the flow cone's double root is a hyperbolic degree-1 factor.
     """
     if u_samples is None:
         u_samples = [0.0, 0.25, 1.0, 4.0]
     a1_grid = np.asarray(a1_grid, dtype=float)
     a2_grid = np.asarray(a2_grid, dtype=float)
-    # every factor is sampled on the same (boost, angle) grid
-    u2 = np.asarray(u_samples, dtype=float)[:, None]
-    wxi = np.sqrt(u2) * np.cos(np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False))
     co = quartic_coefficients(np.repeat(a1_grid, len(a2_grid)), np.tile(a2_grid, len(a1_grid)),
                               np.array([1.0, 0.0, 0.0, 0.0]), minkowski())
-    light_slope = max(abs(float(s)) for s in cone_slopes("light", 0.0, 0.0, 0.0))
-    factors = []       # r of every factor X - r Y, cell by cell
-    owned = []         # per cell: (light-cone factors, its slice of factors), or None
+    light = (0.0, 1.0)
+    factors = []       # (alpha, beta) of every factor, cell by cell
+    owned = []         # per cell: its slice of factors, or None
     for A, B, C in zip(co.A.tolist(), co.B.tolist(), co.C.tolist()):
         scale = max(1.0, abs(A), abs(B), abs(C))
-        mine, light_cone_factors = [], 0
         if abs(A) > 1e-9 * scale:
             disc = B * B - 4.0 * A * C
             if disc < 0.0:
                 owned.append(None)
                 continue
             rd = np.sqrt(disc)
-            mine = [(-B + rd) / (2.0 * A), (-B - rd) / (2.0 * A)]
+            mine = [(1.0, (-B + rd) / (2.0 * A)), (1.0, (-B - rd) / (2.0 * A))]
         elif abs(B) > 1e-9 * scale:
-            # A ~ 0: quartic = Y (B X + C Y); one light-cone factor
-            light_cone_factors = 1
-            mine = [-C / B]
+            # A ~ 0: quartic = Y (B X + C Y)
+            mine = [light, (1.0, -C / B)]
         elif abs(C) > 1e-9 * scale:
-            light_cone_factors = 2
+            mine = [light, light]
         else:          # degenerate
             owned.append(None)
             continue
-        owned.append((light_cone_factors, slice(len(factors), len(factors) + len(mine))))
+        owned.append(slice(len(factors), len(factors) + len(mine)))
         factors += mine
-    hyperbolic, slopes = _factor_slopes(np.array(factors, dtype=float), u2, wxi)
-    hyperbolic, slopes = hyperbolic.tolist(), slopes.tolist()
+    alpha, beta = np.array(factors, dtype=float).reshape(-1, 2).T
+    # r ~ 0 is the flow cone u.xi = 0: real at every boost, with a double root
+    flow = np.abs(beta) < 1e-12
+    thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
+    smax, _, distinct = _cone_extremes(alpha, np.where(flow, 0.0, beta), u_samples, thetas)
+    hyperbolic = (flow | distinct.all(axis=1)).tolist()
+    slopes = smax.max(axis=1).tolist()
     cells = []
     for (a1, a2), own in zip(((a1, a2) for a1 in a1_grid for a2 in a2_grid), owned):
-        if own is None or not all(hyperbolic[own[1]]):
+        if own is None or not all(hyperbolic[own]):
             cells.append(RegionCell(float(a1), float(a2), "non-hyperbolic", np.inf))
             continue
-        smax = max([light_slope if own[0] else 0.0] + slopes[own[1]])
-        cells.append(RegionCell(float(a1), float(a2), _REGION_LABELS[_verdict(smax)],
-                                float(smax)))
+        top = max(slopes[own])
+        cells.append(RegionCell(float(a1), float(a2), _REGION_LABELS[_verdict(top)],
+                                float(top)))
     return cells

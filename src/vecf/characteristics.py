@@ -18,8 +18,9 @@ replaced by -1.  `FAMILY_TABLE` holds one record per family: the base
 degree, the power and the cone.  At normalized u on the Minkowski metric
 every family's characteristic cone is alpha (u.xi)^2 - beta xi.xi = 0, and
 `cone_xi0` is the one closed form for its xi0 roots: every closed-form
-root, slope, containment verdict and CFL speed evaluates it, or its two
-halves `cone_quadratic` and `cone_pair`.  The bisection oracle evaluates
+root and slope evaluates it, and every containment verdict and CFL speed
+its two halves `cone_quadratic` and `cone_pair`, through the one kernel
+`causality._cone_extremes`.  The bisection oracle evaluates
 the base polynomials instead, so it checks the table.
 """
 
@@ -268,8 +269,9 @@ def cone_quadratic(alpha, beta, w2, wxi, xb2=1.0):
     is its reduced discriminant.  real, broadcast to R's shape, is False
     where the xi0 pair is not real and finite: |D| < DEGENERATE_D or
     R < 0.  This is the one definition of D, R and that screen: `cone_xi0`
-    raises where real is False, and a scan that may meet such points
-    screens its grid and hands the real points to `cone_pair`.
+    raises where real is False, and `causality._cone_extremes`, the kernel
+    of the scan, the region map and the CFL speed, screens its grid and
+    hands the real points to `cone_pair`.
     """
     D = alpha * (1.0 + w2) + beta
     R = beta * (D * xb2 - alpha * wxi ** 2)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -223,13 +223,7 @@ def cmd_evolve(cfg, args) -> int:
                        fmt="%.17g", delimiter=",")
     with open(out / "evolve_diagnostics.jsonl", "w") as fh:
         for d in traj.diagnostics:
-            fh.write(json.dumps({
-                "t": d.t, "constraint_drift": d.constraint_drift,
-                "min_eps": d.min_eps, "energy_integral": d.energy_integral,
-                "momentum_integral": d.momentum_integral,
-                "min_abs_det_time_matrix": d.min_abs_det_time_matrix,
-                "det_shortfall_rel": d.det_shortfall_rel,
-            }) + "\n")
+            fh.write(json.dumps(asdict(d)) + "\n")
     print(f"evolved to t={traj.times[-1]:.6g} with dt={traj.dt:.3e}; "
           f"max constraint drift {traj.drift_max:.3e}")
     return EXIT_OK

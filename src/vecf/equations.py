@@ -54,6 +54,24 @@ MUTATED_ORDER_MAX = 1.0
 AMPLIFICATION_MIN = 100.0
 
 
+def _resolution_ladder(resolutions, least: int) -> tuple:
+    """The resolutions as ints: at least `least` (two or three) positive
+    grids, each double the last, so that successive differences measure an
+    order; ValueError otherwise."""
+    ladder = tuple(int(n) for n in resolutions)
+    if (len(ladder) < least or ladder[0] < 1
+            or any(b != 2 * a for a, b in zip(ladder, ladder[1:]))):
+        raise ValueError(f"need at least {('two', 'three')[least - 2]} resolutions, "
+                         f"positive and each double the last; got {list(ladder)}")
+    return ladder
+
+
+def _stencil4(a, b, c, d, h: float):
+    """The fourth-order centered first derivative from the values at
+    -2h, -h, +h and +2h: (a - 8 b + 8 c - d) / (12 h)."""
+    return (a - 8.0 * b + 8.0 * c - d) / (12.0 * h)
+
+
 def dx4(f: np.ndarray, h: float) -> np.ndarray:
     """Fourth-order centered first derivative along the last axis, periodic.
 
@@ -64,8 +82,7 @@ def dx4(f: np.ndarray, h: float) -> np.ndarray:
     """
     n = f.shape[-1]
     p = np.concatenate([f[..., -2:], f, f[..., :2]], axis=-1)
-    return (p[..., :n] - 8.0 * p[..., 1:n + 1]
-            + 8.0 * p[..., 3:n + 3] - p[..., 4:]) / (12.0 * h)
+    return _stencil4(p[..., :n], p[..., 1:n + 1], p[..., 3:n + 3], p[..., 4:], h)
 
 
 def symbol_apply(u, eps, eta, lam, chi, a: int, c: int, x) -> np.ndarray:
@@ -401,8 +418,7 @@ def _fd_divergence(fields: SinusoidalField, resolution: int, model: TransportMod
     # T^0_beta, beta low, as (beta, level, N)
     t0_b = np.concatenate([row(ts, np.broadcast_to(x, (len(ts), n)), 0)
                            for ts in np.split(t, range(per, 4, per))], axis=1)
-    dt_t = (t0_b[:, 0] - 8.0 * t0_b[:, 1] + 8.0 * t0_b[:, 2] - t0_b[:, 3]) / (12.0 * h)
-    return x, h, dt_t + dx4(row(t0, x, 1), h)
+    return x, h, _stencil4(*t0_b.swapaxes(0, 1), h) + dx4(row(t0, x, 1), h)
 
 
 def _assembled_report(fields: SinusoidalField, fd: tuple, model: TransportModel,
@@ -491,11 +507,7 @@ def divergence_oracle(fields: SinusoidalField, model: TransportModel, resolution
                       t0: float = 0.37) -> OracleReport:
     """Criterion 07 at these resolutions: at least two, positive, each double
     the last, or the orders measure nothing (ValueError)."""
-    resolutions = [int(n) for n in resolutions]
-    if (len(resolutions) < 2 or resolutions[0] < 1
-            or any(b != 2 * a for a, b in zip(resolutions, resolutions[1:]))):
-        raise ValueError("oracle resolutions must be at least two positive grids, "
-                         f"each double the last; got {resolutions}")
+    resolutions = _resolution_ladder(resolutions, 2)
     # the mutation touches only the assembled side: the mutated reports
     # reuse the clean finite-difference divergences
     fds = [_fd_divergence(fields, n, model, t0) for n in resolutions]

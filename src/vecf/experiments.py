@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .causality import cone_slopes
-from .equations import ORDER_WINDOW
+from .equations import ORDER_WINDOW, _resolution_ladder
 from .solver1d import (SolverConfig, _fixed_point, _grid_v_max,
                        bump_perturbation, evolve, gaussian_pulse, make_grid,
                        shear_pulse)
@@ -39,10 +39,6 @@ ROUNDOFF_FLOOR = 1e-13
 PULSE_LENGTH = 2.0
 PULSE_AMPLITUDE = 0.05
 PULSE_WIDTH = 0.1
-
-
-def _coarsen(V: np.ndarray, factor: int) -> np.ndarray:
-    return V[:, ::factor]
 
 
 @dataclass(frozen=True)
@@ -161,11 +157,7 @@ def dod_experiment(cfg: SolverConfig, probe_t: float, probe_x: float,
                 raise ValueError(f"{name} bump support too close to the cone")
         if cone + radius + 2.0 * h0 > 0.5 * length:
             raise ValueError("cone exits the domain before the probe time")
-    if len(resolutions) < 2:
-        raise ValueError("need at least two resolutions to measure convergence")
-    for a, b in zip(resolutions, resolutions[1:]):
-        if b != 2 * a:
-            raise ValueError("resolutions must double")
+    resolutions = _resolution_ladder(resolutions, 2)
 
     out_margin = (abs(out_center - probe_x) - radius - cone) / h0
     in_margin = (cone - (abs(in_center - probe_x) + radius)) / h0
@@ -201,7 +193,7 @@ def dod_experiment(cfg: SolverConfig, probe_t: float, probe_x: float,
 
     return DodReport(
         probe_t=probe_t, probe_x=probe_x, v_max=v_max, cone_radius=cone,
-        resolutions=tuple(resolutions),
+        resolutions=resolutions,
         outside=placements["outside"], inside=placements["inside"],
         outside_diffs=tuple(diffs["outside"]),
         inside_diffs=tuple(diffs["inside"]),
@@ -241,11 +233,7 @@ def convergence_study(cfg: SolverConfig, resolutions=(256, 512, 1024)) -> Conver
     whose successive differences sit below ROUNDOFF_FLOOR are reported
     with order None ("exact" in the CLI rendering).
     """
-    if len(resolutions) < 3:
-        raise ValueError("need at least three resolutions")
-    for a, b in zip(resolutions, resolutions[1:]):
-        if b != 2 * a:
-            raise ValueError("resolutions must double")
+    resolutions = _resolution_ladder(resolutions, 3)
     runs = {}
     drift = {}
     for n in resolutions:
@@ -257,14 +245,14 @@ def convergence_study(cfg: SolverConfig, resolutions=(256, 512, 1024)) -> Conver
     e2 = {}
     orders = {}
     for i, name in enumerate(FIELD_NAMES):
-        d1 = float(np.abs(runs[n0][i] - _coarsen(runs[n1][None, i], 2)[0]).max())
-        d2 = float(np.abs(runs[n1][i] - _coarsen(runs[n2][None, i], 2)[0]).max())
+        d1 = float(np.abs(runs[n0][i] - runs[n1][i, ::2]).max())
+        d2 = float(np.abs(runs[n1][i] - runs[n2][i, ::2]).max())
         e1[name], e2[name] = d1, d2
         if d1 < ROUNDOFF_FLOOR or d2 < ROUNDOFF_FLOOR:
             orders[name] = None
         else:
             orders[name] = float(np.log2(d1 / d2))
-    return ConvergenceReport(resolutions=tuple(resolutions), errors_coarse=e1,
+    return ConvergenceReport(resolutions=resolutions, errors_coarse=e1,
                              errors_fine=e2, orders=orders, drift=drift)
 
 

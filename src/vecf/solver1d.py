@@ -42,8 +42,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .causality import BOUNDARY_TOL, N_THETA, _family_cones
-from .characteristics import FLUID_FACTORS
+from .causality import BOUNDARY_TOL, THETAS, _cone_extremes
+from .characteristics import FLUID_FACTORS, cone_coefficients
 from .constitutive import (SGN, TransportModel, complete_initial_data,
                            stress_tensor_fields, transport)
 from .equations import DegenerateTimeMatrix, dx4, equation_rows, time_matrix_solve
@@ -381,27 +381,24 @@ def _fixed_point(cfg: SolverConfig) -> np.ndarray | None:
     return None if grid.W.any() or dtW.any() else grid.V
 
 
-# the causality scan's angle grid
-_SCAN_THETAS = np.linspace(0.0, 2.0 * np.pi, N_THETA, endpoint=False)
-
-
 def _grid_v_max(grid: FieldGrid, model: TransportModel) -> float:
     """CFL speed: the largest |slope| of the fluid cones at the fastest cell.
 
     At a1 = 4 the slope extrema grow with |w| and sit on the axis, so the
     fastest cell bounds the grid, every member of an ensemble included.
-    Its cones come from the scan's evaluator over the scan's angles, so the
-    speed has the bits of the scan's maximum over angles: where the sound
-    cone is the light cone to rounding (a2 within a few ulps of 4) an angle
-    off the axis can round one ulp above it.  Raises ValueError where the
-    speed is NaN or exceeds 1 + BOUNDARY_TOL.
+    Its three cones take one call of the scan's kernel,
+    `causality._cone_extremes`, over the scan's angles `causality.THETAS`,
+    so the speed has the bits of the scan's maximum over angles: where the
+    sound cone is the light cone to rounding (a2 within a few ulps of 4) an
+    angle off the axis can round one ulp above it.  Raises ValueError where
+    the speed is NaN or exceeds 1 + BOUNDARY_TOL.
     """
     w = grid.V.reshape(5, -1)[1:4]
     fastest = np.array(w[:, int(np.argmax(np.einsum('in,in->n', w, w)))])
     u2 = float(fastest @ fastest)
     # np.max keeps a NaN wherever it stands
-    v_max = float(np.max([_family_cones(family, model.a2, [u2], _SCAN_THETAS)[0].max_abs_slope
-                          for family in FLUID_FACTORS.families]))
+    alpha, beta = zip(*(cone_coefficients(f, model.a2) for f in FLUID_FACTORS.families))
+    v_max = float(np.max(_cone_extremes(alpha, beta, [u2], THETAS)[0]))
     if not v_max <= 1.0 + BOUNDARY_TOL:
         raise ValueError(f"state is not causal: fluid speed {v_max!r} at |w|^2 = {u2!r}")
     return v_max

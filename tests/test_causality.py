@@ -1,22 +1,36 @@
 from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
-from vecf.causality import (_family_cones, _fluid_verdict, causality_scan, cone_slopes,
-                            critical_angle_check, hyperbolicity_region_map, scan_verdict)
-from vecf.characteristics import FAMILIES
+from vecf.causality import (THETAS, _cone_extremes, _fluid_verdict, _verdict, causality_scan,
+                            cone_slopes, critical_angle_check, hyperbolicity_region_map,
+                            scan_verdict)
+from vecf.characteristics import FAMILIES, FLUID_FACTORS, cone_coefficients
 from vecf.constitutive import TransportModel
 from vecf.solver1d import FieldGrid, _grid_v_max
 from vecf.tensor import minkowski
 
-THETAS = np.linspace(0.0, 2.0 * np.pi, 720, endpoint=False)
+
+class Cone(NamedTuple):
+    max_abs_slope: float
+    verdict: str
+    witness_theta: float
 
 
 def cones(a2, w=(0.0, 0.0, 0.0)):
-    """Each family's FamilyCone at one boost w, over 720 angles."""
+    """Each family's Cone at one boost w, over the 720 angles of THETAS."""
     w = np.asarray(w, dtype=float)
-    return {name: _family_cones(name, a2, [float(w @ w)], THETAS)[0] for name in FAMILIES}
+    alpha, beta = zip(*(cone_coefficients(name, a2) for name in FAMILIES))
+    smax, theta, _ = _cone_extremes(alpha, beta, [float(w @ w)], THETAS)
+    return {name: Cone(s, _verdict(s), t)
+            for name, s, t in zip(FAMILIES, smax[:, 0].tolist(), theta[:, 0].tolist())}
+
+
+def fluid_slopes(fams):
+    """The flow, shear and sound slopes that `_fluid_verdict` judges."""
+    return [fams[name].max_abs_slope for name in FLUID_FACTORS.families]
 
 
 def v_max(a2, w=(0.0, 0.0, 0.0)):
@@ -128,7 +142,7 @@ def test_cone_containment_strict():
     assert fams["sound"].max_abs_slope == pytest.approx(np.sqrt(8 / 9), abs=1e-12)
     assert fams["flow"].verdict == "strict"
     assert fams["light"].verdict == "boundary"
-    assert _fluid_verdict(fams) == "causal (strict)"
+    assert _fluid_verdict(fluid_slopes(fams)) == "causal (strict)"
     rows = causality_scan([6.0], 2.0, n_u=5)
     assert all(r.verdict == "causal (strict)" for r in rows)
 
@@ -136,14 +150,14 @@ def test_cone_containment_strict():
 def test_cone_containment_boundary_at_a2_4():
     fams = cones(4.0, w=(0.5, -0.2, 0.1))
     assert fams["sound"].verdict == "boundary"
-    assert _fluid_verdict(fams) == "causal (boundary)"
+    assert _fluid_verdict(fluid_slopes(fams)) == "causal (boundary)"
     rows = causality_scan([4.0], 2.0, n_u=5)
     assert all(r.verdict == "causal (boundary)" for r in rows)
 
 
 def test_cone_containment_violated_off_regime():
     fams = cones(3.5, w=(1.0, 0.0, 0.0))
-    assert _fluid_verdict(fams) == "violated"
+    assert _fluid_verdict(fluid_slopes(fams)) == "violated"
     assert fams["sound"].max_abs_slope > 1.0
     assert np.isfinite(fams["sound"].witness_theta)
     boosted = causality_scan([3.5], 1.0, n_u=2)[-1]
@@ -220,8 +234,7 @@ def test_region_map_off_regime_exploratory():
 def reference_containment(a2, w, n_theta):
     """Each family's cone at boost w as one scalar cone_xi0 call: per
     family (max |slope|, verdict, witness theta), and the fluid verdict."""
-    from vecf.causality import _verdict
-    from vecf.characteristics import FAMILIES, cone_coefficients, cone_xi0
+    from vecf.characteristics import cone_xi0
     w = np.asarray(w, dtype=float)
     u2 = float(w @ w)
     thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
@@ -287,7 +300,7 @@ def test_cone_containment_matches_reference():
         a2, w = rng.uniform(2.5, 12.0), rng.uniform(-3.0, 3.0, 3)
         fams, verdict = reference_containment(a2, w, 720)
         got = cones(a2, w)
-        assert _fluid_verdict(got) == verdict
+        assert _fluid_verdict(fluid_slopes(got)) == verdict
         got = {k: (c.max_abs_slope, c.verdict, c.witness_theta) for k, c in got.items()}
         assert repr(got) == repr(fams)
 
@@ -381,7 +394,8 @@ def test_region_map_matches_per_cell_reference(a1_grid, a2_grid, u_samples, n_th
 
 def test_region_map_root_calls_do_not_grow_with_the_cells(monkeypatch):
     # the factors of every cell are classified together: one closed-form
-    # root call per chunk of BATCH_VALUES values, and one for the light slope
+    # root call per chunk of BATCH_VALUES values; a light-cone factor is a
+    # cone like any other, with no scalar call of its own
     from vecf import causality
     from vecf.characteristics import BATCH_VALUES
     calls = []
@@ -400,6 +414,6 @@ def test_region_map_root_calls_do_not_grow_with_the_cells(monkeypatch):
         hyperbolicity_region_map(np.linspace(1.0, 6.0, n), np.linspace(1.0, 12.0, n))
         counts[n * n] = (calls.count("xi0"), calls.count("pair"))
     # at most two factors per cell, each on the 4 x 64 (boost, angle) grid
-    assert all(xi0 == 1 and pair <= -(-2 * c * 256 // BATCH_VALUES)
+    assert all(xi0 == 0 and pair <= -(-2 * c * 256 // BATCH_VALUES)
                for c, (xi0, pair) in counts.items())
-    assert counts[4] == counts[16] == (1, 1)
+    assert counts[4] == counts[16] == (0, 1)

@@ -343,6 +343,24 @@ def test_cli_solver_commands_reject_bad_config(tmp_path, capsys, override, comma
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("override,command", [
+    ("dod.resolutions=128,200", "dod-test"),
+    ("dod.resolutions=128", "dod-test"),
+    ("convergence.resolutions=256,512", "convergence"),
+    ("convergence.resolutions=256,500,1000", "convergence"),
+    ("oracle.resolutions=64", "oracle-divergence"),
+    ("oracle.resolutions=0,0", "oracle-divergence"),
+])
+def test_cli_rejects_bad_resolution_ladders(tmp_path, capsys, override, command):
+    # every command that measures an order checks its ladder by one rule
+    assert main(["--out", str(tmp_path), "--set", override, command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: need at least ")
+    assert "positive and each double the last" in err
+    assert err.count("\n") == 1          # one line, no traceback
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_rejects_removed_speeds_section(tmp_path, capsys):
     # no command reads pulse-speed settings, so the section does not exist
     assert main(["--out", str(tmp_path), "--set", "speeds.n_cells=64", "gevrey"]) == 2
