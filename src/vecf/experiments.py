@@ -108,6 +108,102 @@ def _probe_difference(base_v: np.ndarray, pert_v: np.ndarray, x: np.ndarray,
     return float(np.abs((pert_v - base_v)[:, mask]).max())
 
 
+def _run_ladder(fns) -> list:
+    """The results of a ladder's independent jobs, in job order.
+
+    fns take no argument and return results that pickle; a ladder lists
+    them coarsest first, so the last is the heaviest and outweighs the
+    others together.  Where there are two jobs or more, os.fork and
+    os.sched_getaffinity exist, the affinity mask holds two CPUs or more
+    and no other thread runs, one forked child runs every job but the last
+    and sends its results, or the exception that stopped it, through a
+    pipe, while this process runs the last.  Otherwise, and where the pipe
+    or the fork fails (EAGAIN under a process limit, ENOMEM), the jobs run
+    here one after another.
+
+    Either way the first exception in job order is raised, as a serial run
+    would raise it; a child's carries the child's traceback as its cause,
+    and a child that dies without sending raises RuntimeError naming its
+    signal or exit status.  No child outlives the call: on an exception of
+    this process's own that is no Exception, KeyboardInterrupt for one,
+    the child is killed and reaped.
+    """
+    import os
+    import threading
+    if not (len(fns) >= 2 and hasattr(os, "fork")
+            and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1):
+        return [fn() for fn in fns]
+    import pickle
+    import signal
+    try:
+        rfd, wfd = os.pipe()
+    except OSError:
+        return [fn() for fn in fns]
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        return [fn() for fn in fns]
+    if pid == 0:                     # the child: it never returns, and never prints
+        status = 1
+        try:
+            done, failure = [], None
+            try:
+                for fn in fns[:-1]:
+                    done.append(fn())
+            except Exception as exc:
+                import traceback
+                failure = (exc, traceback.format_exc())
+            data = memoryview(pickle.dumps((done, failure)))
+            while data:
+                data = data[os.write(wfd, data):]
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(wfd)
+    try:
+        own = None
+        try:
+            last = fns[-1]()
+        except Exception as exc:
+            own = exc
+        chunks = []
+        while chunk := os.read(rfd, 1 << 16):
+            chunks.append(chunk)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        pid = None
+    finally:
+        if pid is not None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os.close(rfd)
+    if code < 0:
+        raise RuntimeError(f"ladder worker was killed by {signal.Signals(-code).name}")
+    if code > 0:
+        raise RuntimeError(f"ladder worker exited with status {code} and sent no result")
+    done, failure = pickle.loads(b"".join(chunks))
+    if failure is not None:
+        exc, text = failure
+        raise exc from RuntimeError(f"in the ladder worker:\n{text}")
+    if own is not None:
+        raise own
+    return done + [last]
+
+
+def _member_finals(cfg: SolverConfig, ics) -> list:
+    """Each member's final V: a Trajectory holds its initial data's lambdas,
+    so only the arrays go through `_run_ladder`'s pipe."""
+    return [traj.final for traj in evolve(cfg, ics=ics)]
+
+
+def _final_and_drift(cfg: SolverConfig) -> tuple:
+    traj = evolve(cfg)
+    return traj.final, traj.drift_max
+
+
 def dod_experiment(cfg: SolverConfig, probe_t: float, probe_x: float,
                    resolutions=(128, 256, 512, 1024), amplitude: float = 0.02,
                    radius: float = 0.14, margin: float = 0.10,
@@ -130,7 +226,9 @@ def dod_experiment(cfg: SolverConfig, probe_t: float, probe_x: float,
     fixed point of the RK4 step (`solver1d._fixed_point`); otherwise its
     t = 0 state is the reference.  A constant state at eps0 = 1 is one; at
     eps0 = 0.7 the stencil leaves a round-off derivative (see `dx4`) and
-    the base is stepped.
+    the base is stepped.  The bases are settled here, and the evolves run
+    side by side on the CPUs the process may use (`_run_ladder`), with the
+    serial run's results bit for bit; `taskset -c 0` runs them serially.
     """
     base_cfg = replace(cfg, filter_strength=0.0, t_end=probe_t)
     grid0 = make_grid(replace(base_cfg, n_cells=min(resolutions)))
@@ -173,14 +271,15 @@ def dod_experiment(cfg: SolverConfig, probe_t: float, probe_x: float,
                                power=bump_power) for pl in placements.values()]
     null_ic = bump_perturbation(cfg.ic, 0.0, placements["outside"].center,
                                 radius, power=bump_power)
+    bases = [_fixed_point(replace(base_cfg, n_cells=n)) for n in resolutions]
+    member_ics = [([cfg.ic] if base_v is None else []) + bumps
+                  + ([null_ic] if k == 0 else []) for k, base_v in enumerate(bases)]
+    finals = _run_ladder([
+        lambda n_cfg=replace(base_cfg, n_cells=n), ics=ics: _member_finals(n_cfg, ics)
+        for n, ics in zip(resolutions, member_ics)])
     diffs = {"outside": [], "inside": []}
     zero_diff = None
-    for n in resolutions:
-        n_cfg = replace(base_cfg, n_cells=n)
-        base_v = _fixed_point(n_cfg)
-        ics = (([cfg.ic] if base_v is None else []) + bumps
-               + ([null_ic] if zero_diff is None else []))
-        pert_vs = [traj.final for traj in evolve(n_cfg, ics=ics)]
+    for n, base_v, pert_vs in zip(resolutions, bases, finals):
         if base_v is None:
             base_v = pert_vs.pop(0)
         x = np.arange(n) * (cfg.length / n)
@@ -231,15 +330,16 @@ def convergence_study(cfg: SolverConfig, resolutions=(256, 512, 1024)) -> Conver
 
     Each resolution must double the previous one so grids nest.  Fields
     whose successive differences sit below ROUNDOFF_FLOOR are reported
-    with order None ("exact" in the CLI rendering).
+    with order None ("exact" in the CLI rendering).  The evolves run side
+    by side on the CPUs the process may use (`_run_ladder`), with the
+    serial run's results bit for bit; `taskset -c 0` runs them serially.
     """
     resolutions = _resolution_ladder(resolutions, 3)
-    runs = {}
-    drift = {}
-    for n in resolutions:
-        traj = evolve(replace(cfg, n_cells=n))
-        runs[n] = traj.final
-        drift[n] = traj.drift_max
+    results = _run_ladder([
+        lambda n_cfg=replace(cfg, n_cells=n): _final_and_drift(n_cfg)
+        for n in resolutions])
+    runs = {n: final for n, (final, _) in zip(resolutions, results)}
+    drift = {n: drift_max for n, (_, drift_max) in zip(resolutions, results)}
     n0, n1, n2 = resolutions[-3:]
     e1 = {}
     e2 = {}

@@ -55,9 +55,15 @@ class SolverAbort(RuntimeError):
 
     def __init__(self, message: str, t: float, step_index: int, grid: "FieldGrid"):
         super().__init__(f"{message} at t={t:.6g} (step {step_index})")
+        self.message = message
         self.t = t
         self.step_index = step_index
         self.grid = grid
+
+    def __reduce__(self):
+        # pickle rebuilds an exception from its args, which hold only the
+        # formatted line; a ladder job's abort crosses a pipe this way
+        return type(self), (self.message, self.t, self.step_index, self.grid)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -79,7 +80,9 @@ def test_dod_inside_beats_outside_quickly():
 
 def _counting_evolve(monkeypatch):
     """Wrap the `evolve` that dod_experiment calls, and return the list of
-    the ensemble sizes it is given."""
+    the ensemble sizes it is given.  The ladder runs in this process, on a
+    one-CPU mask, so that the list sees every call."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     sizes = []
 
     def counted(cfg, ics):

@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -112,6 +113,16 @@ def test_abort_during_run_dumps_state():
     assert isinstance(err.value.grid, FieldGrid)
     assert err.value.step_index >= 1
     assert err.value.t >= 0.0
+
+
+def test_solver_abort_pickles_with_its_state():
+    grid = make_grid(small_cfg(n_cells=16))
+    back = pickle.loads(pickle.dumps(SolverAbort("x", 0.1, 3, grid)))
+    assert type(back) is SolverAbort
+    assert str(back) == "x at t=0.1 (step 3)"
+    assert (back.message, back.t, back.step_index) == ("x", 0.1, 3)
+    assert (back.grid.n_cells, back.grid.length, back.grid.t) == (16, grid.length, 0.0)
+    assert np.array_equal(back.grid.V, grid.V) and np.array_equal(back.grid.W, grid.W)
 
 
 def test_cfl_violation_aborts():
