@@ -207,6 +207,21 @@ def cmd_region_map(cfg, args) -> int:
     return EXIT_OK if causal_row_ok else EXIT_CHECK_FAILED
 
 
+# one evolve.csv row: t, x, u0, u1, u2, u3, eps, as np.savetxt(fmt="%.17g",
+# delimiter=",") writes it; rows are formatted in blocks of _CSV_BLOCK, whose
+# strings and float objects stay near 0.2 MB
+_CSV_ROW = ",".join(["%.17g"] * 7) + "\n"
+_CSV_BLOCK = 512
+
+
+def _write_csv_rows(fh, rows: np.ndarray) -> None:
+    """Write the (n, 7) rows as evolve.csv text, one %-format per block of
+    _CSV_BLOCK rows: the bytes of np.savetxt's row loop."""
+    for lo in range(0, len(rows), _CSV_BLOCK):
+        block = rows[lo:lo + _CSV_BLOCK]
+        fh.write((_CSV_ROW * len(block)) % tuple(block.ravel().tolist()))
+
+
 def cmd_evolve(cfg, args) -> int:
     scfg = _solver_config(cfg)
     try:
@@ -219,8 +234,7 @@ def cmd_evolve(cfg, args) -> int:
     with open(out / "evolve.csv", "w") as fh:
         fh.write("t,x,u0,u1,u2,u3,eps\n")
         for t, snap in zip(traj.times, traj.snapshots):
-            np.savetxt(fh, np.column_stack([np.full(scfg.n_cells, t), x, snap.T]),
-                       fmt="%.17g", delimiter=",")
+            _write_csv_rows(fh, np.column_stack([np.full(scfg.n_cells, t), x, snap.T]))
     with open(out / "evolve_diagnostics.jsonl", "w") as fh:
         for d in traj.diagnostics:
             fh.write(json.dumps(asdict(d)) + "\n")

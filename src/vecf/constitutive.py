@@ -54,6 +54,11 @@ def transport(eps, model: TransportModel):
     eps = np.asarray(eps, dtype=float)
     if np.any(eps <= 0.0):
         raise ValueError("energy density must be positive")
+    return _coefficients(eps, model)
+
+
+def _coefficients(eps: np.ndarray, model: TransportModel):
+    """`transport` without its check, for a caller that has found eps > 0."""
     eta = model.eta(eps)
     return eta, model.a2 * eta, model.a1 * eta
 

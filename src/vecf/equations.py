@@ -23,8 +23,9 @@ arbiter for that sign and for every other coefficient.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,14 +67,62 @@ def _resolution_ladder(resolutions, least: int) -> tuple:
     return ladder
 
 
-def _stencil4(a, b, c, d, h: float):
+class Scratch:
+    """Arrays that repeated evaluations on cells of one shape reuse in place
+    of temporaries.
+
+    `take(name, shape)` is the array kept under (name, shape), made on its
+    first use: a result written there is valid until the next call that
+    takes it.  `temps(*shapes)` carves one array of each shape out of one
+    buffer that every call of `temps`, by any function, reuses: a function
+    takes all its temporaries in one call, and a result it returns there
+    is valid until the next call.  Each array is C-contiguous, as a new one
+    would be.  A function with a `work` parameter gives the same bits with
+    any Scratch; without one it makes its own, which allocates what it
+    takes.
+    """
+
+    def __init__(self):
+        self._kept = {}
+        self._flat = np.empty(0)
+        self._views = {}
+
+    def take(self, name: str, shape: tuple) -> np.ndarray:
+        key = (name, shape)
+        if key not in self._kept:
+            self._kept[key] = np.empty(shape)
+        return self._kept[key]
+
+    def temps(self, *shapes) -> list:
+        views = self._views.get(shapes)
+        if views is None:
+            sizes = [math.prod(s) for s in shapes]
+            if sum(sizes) > self._flat.size:
+                self._flat = np.empty(sum(sizes))
+                self._views.clear()
+            views, at = [], 0
+            for shape, size in zip(shapes, sizes):
+                views.append(self._flat[at:at + size].reshape(shape))
+                at += size
+            self._views[shapes] = views
+        return views
+
+
+def _stencil4(a, b, c, d, h: float, out=None, tmp=None):
     """The fourth-order centered first derivative from the values at
-    -2h, -h, +h and +2h: (a - 8 b + 8 c - d) / (12 h)."""
-    return (a - 8.0 * b + 8.0 * c - d) / (12.0 * h)
+    -2h, -h, +h and +2h: (a - 8 b + 8 c - d) / (12 h), summed left to
+    right in out, with tmp holding 8 c (each a new array when None)."""
+    out = np.multiply(b, 8.0, out=out)
+    np.subtract(a, out, out=out)
+    out += np.multiply(c, 8.0, out=tmp)
+    out -= d
+    out /= 12.0 * h
+    return out
 
 
-def dx4(f: np.ndarray, h: float) -> np.ndarray:
-    """Fourth-order centered first derivative along the last axis, periodic.
+def dx4(f: np.ndarray, h: float, out=None, work: Scratch | None = None) -> np.ndarray:
+    """Fourth-order centered first derivative along the last axis, periodic,
+    in out (a new array when None).
 
     The periodic neighbours are slices of one copy padded by two cells on
     each side: p[..., j] = f[..., (j - 2) mod n].  The derivative of a
@@ -81,40 +130,92 @@ def dx4(f: np.ndarray, h: float) -> np.ndarray:
     rounds exactly, as for c = 1 or 2.5; at c = 0.7 it is 1.85e-17 / h.
     """
     n = f.shape[-1]
-    p = np.concatenate([f[..., -2:], f, f[..., :2]], axis=-1)
-    return _stencil4(p[..., :n], p[..., 1:n + 1], p[..., 3:n + 3], p[..., 4:], h)
+    p, tmp = (Scratch() if work is None else work).temps(f.shape[:-1] + (n + 4,), f.shape)
+    p[..., 2:n + 2] = f
+    p[..., :2] = f[..., -2:]
+    p[..., n + 2:] = f[..., :2]
+    return _stencil4(p[..., :n], p[..., 1:n + 1], p[..., 3:n + 3], p[..., 4:], h, out, tmp)
 
 
-def symbol_apply(u, eps, eta, lam, chi, a: int, c: int, x) -> np.ndarray:
-    """B(e_a, e_c) x, without forming the block: (5, N).
+class CellFactors(NamedTuple):
+    """The per-cell transport factors that `symbol_apply` and
+    `time_matrix_solve` share, each formed once (`cell_factors`); every
+    field is (N,)."""
 
-    u (4, N), eps/eta/lam/chi (N,), x (5, N).  B(e_a, e_c) is the
-    symmetrized coefficient of xi_a xi_c in the flat-metric symbol m(xi),
-    so m(xi) is the sum of xi_a xi_c B(e_a, e_c) over all ordered pairs
-    (a, c).  It is `symbol.symbol_components`' formula with xi = e_a and
-    zeta = e_c substituted into the symmetric bilinear form whose diagonal
-    is m: xi.xi becomes g^{ac}, (u.xi)^2 becomes u^a u^c, and xi_n picks
-    column a or c.  Only the velocity diagonal, columns a and c, the eps
-    column and the constraint row are nonzero.  This is the one formula for
-    the symbol's coefficients.
+    eta: np.ndarray
+    lam: np.ndarray
+    chi: np.ndarray
+    inv4e: np.ndarray        # 1 / (4 eps)
+    lam_eta: np.ndarray      # lam - eta
+    chi_eta3: np.ndarray     # (chi - eta) / 3
+    lam_chi: np.ndarray      # lam + chi
+    lam2chi4: np.ndarray     # 2 lam + 4 chi
+
+
+def cell_factors(eps, coeffs, work: Scratch | None = None) -> CellFactors:
+    """The CellFactors of eps (N,) and coeffs = `transport(eps, model)`,
+    kept in work under "factors"."""
+    eta, lam, chi = coeffs
+    inv4e, lam_eta, chi_eta3, lam_chi, lam2chi4, t = (
+        Scratch() if work is None else work).take("factors", (6,) + np.shape(eps))
+    np.divide(1.0, np.multiply(4.0, eps, out=inv4e), out=inv4e)
+    np.subtract(lam, eta, out=lam_eta)
+    np.divide(np.subtract(chi, eta, out=chi_eta3), 3.0, out=chi_eta3)
+    np.add(lam, chi, out=lam_chi)
+    np.add(np.multiply(2.0, lam, out=lam2chi4), np.multiply(4.0, chi, out=t), out=lam2chi4)
+    return CellFactors(eta, lam, chi, inv4e, lam_eta, chi_eta3, lam_chi, lam2chi4)
+
+
+def symbol_apply(u, f: CellFactors, pairs, x, work: Scratch | None = None) -> np.ndarray:
+    """B(e_a, e_c) x_p for each pair p = (a, c) of `pairs`, without forming
+    the blocks: (P, 5, N), among work's temporaries.
+
+    u (4, N), f the CellFactors of the cells' eps, x (P, 5, N).
+    B(e_a, e_c) is the symmetrized coefficient of xi_a xi_c in the
+    flat-metric symbol m(xi), so m(xi) is the sum of xi_a xi_c B(e_a, e_c)
+    over all ordered pairs (a, c).  It is `symbol.symbol_components`'
+    formula with xi = e_a and zeta = e_c substituted into the symmetric
+    bilinear form whose diagonal is m: xi.xi becomes g^{ac}, (u.xi)^2
+    becomes u^a u^c, and xi_n picks column a or c.  Only the velocity
+    diagonal, columns a and c, the eps column and the constraint row are
+    nonzero.  This is the one formula for the symbol's coefficients; the
+    pairs share one pass, and each has the bits it has alone.
     """
-    g_ac = SGN[a] if a == c else 0.0
-    uac = u[a] * u[c]
-    xv, xe = x[:4], x[4]
-    inv4e = 1.0 / (4.0 * eps)
+    work = Scratch() if work is None else work
+    a, c = (np.array(i) for i in zip(*pairs))
+    g_ac = np.where(a == c, SGN[a], 0.0)[:, None]
+    cells, pc = x.shape[2:], (len(a),) + x.shape[2:]
+    ua, uc, uac, xa, xc, fe, t1, t2, t3, k, h, tv, out = work.temps(
+        *[pc] * 9, cells, cells, (len(a), 4) + cells, x.shape)
+    np.take(u, a, axis=0, out=ua)
+    np.take(u, c, axis=0, out=uc)
+    np.multiply(ua, uc, out=uac)
+    for i, (ai, ci) in enumerate(pairs):
+        xa[i], xc[i] = x[i, ai], x[i, ci]
+    xv, xe = x[:, :4], x[:, 4]
     # row_b xi_n: [(lam + chi) u^b + (chi - eta)/3 u^b] (u.xi) xi_n, with
     # (u.xi) xi_n split evenly between u^a in column c and u^c in column a,
     # and (chi - eta)/3 xi^b xi_n split between entries (a, c) and (c, a)
-    k = 0.5 * ((lam + chi) + (chi - eta) / 3.0)
-    h = (chi - eta) / 6.0
-    f = 0.5 * (lam + chi) * inv4e * xe
-    out = np.empty(x.shape)
-    out[:4] = ((lam - eta) * uac - eta * g_ac) * xv + u * (
-        k * (u[a] * x[c] + u[c] * x[a])
-        + (lam * g_ac + (2.0 * lam + 4.0 * chi) * uac) * inv4e * xe)
-    out[a] += SGN[a] * (h * x[c] + f * u[c])
-    out[c] += SGN[c] * (h * x[a] + f * u[a])
-    out[4] = uac * (SGN @ (u * xv))
+    np.multiply(0.5, np.add(f.lam_chi, f.chi_eta3, out=k), out=k)
+    np.divide(np.subtract(f.chi, f.eta, out=h), 6.0, out=h)
+    np.multiply(np.multiply(np.multiply(0.5, f.lam_chi, out=t1[0]), f.inv4e, out=t1[0]),
+                xe, out=fe)
+    # ((lam - eta) u^a u^c - eta g^ac) x_v + u [k (u^a x_c + u^c x_a)
+    #  + (lam g^ac + (2 lam + 4 chi) u^a u^c) x_e / (4 eps)]
+    np.subtract(np.multiply(f.lam_eta, uac, out=t1), np.multiply(f.eta, g_ac, out=t2), out=t1)
+    np.multiply(t1[:, None], xv, out=out[:, :4])
+    np.add(np.multiply(ua, xc, out=t1), np.multiply(uc, xa, out=t2), out=t1)
+    np.multiply(k, t1, out=t1)
+    np.add(np.multiply(f.lam, g_ac, out=t2), np.multiply(f.lam2chi4, uac, out=t3), out=t2)
+    np.multiply(np.multiply(t2, f.inv4e, out=t2), xe, out=t2)
+    out[:, :4] += np.multiply(u, np.add(t1, t2, out=t1)[:, None], out=tv)
+    # out[a] += SGN[a] (h x_c + f u^c), then out[c] += SGN[c] (h x_a + f u^a)
+    for idx, xo, uo in ((a, xc, uc), (c, xa, ua)):
+        np.add(np.multiply(h, xo, out=t1), np.multiply(fe, uo, out=t2), out=t1)
+        np.multiply(SGN[idx][:, None], t1, out=t1)
+        for i, row in enumerate(idx):
+            out[i, row] += t1[i]
+    np.multiply(uac, np.matmul(SGN, np.multiply(u, xv, out=tv), out=t1), out=out[:, 4])
     return out
 
 
@@ -126,12 +227,13 @@ class DegenerateTimeMatrix(ValueError):
         self.cells = cells
 
 
-def time_matrix_solve(u, eps, eta, lam, chi, r=None, det_floor=None):
+def time_matrix_solve(u, f: CellFactors, r=None, det_floor=None, work: Scratch | None = None):
     """Solve a x = r cellwise for the time-coefficient matrix a = B(e0, e0).
 
-    Returns (x, det): x (5, N), or None when r is None, and det a (N,).
-    Inputs as `symbol_apply`, r (5, N).  The matrix is a rank-one update of
-    a diagonal, bordered by one row and one column:
+    Returns (x, det), among work's temporaries: x (5, N), or None when r
+    is None, and det a (N,).  u and f as `symbol_apply`, r (5, N).
+    The matrix is a rank-one update of a diagonal, bordered by one row and
+    one column:
 
         a = [[A, p], [q^T, 0]],   A = D I + c e0^T,
 
@@ -154,19 +256,24 @@ def time_matrix_solve(u, eps, eta, lam, chi, r=None, det_floor=None):
     That guards every pivot: at a1 = 4, P = 2 (lam + 2 eta) u0^2 vanishes
     only with u0, which zeroes q, S and det.
     """
+    work = Scratch() if work is None else work
+    cells = u.shape[1:]
+    u00, d, piv, qc, s, x4, t, det, c, p, q, v, *x = work.temps(
+        *[cells] * 8, *[u.shape] * 4, *([] if r is None else [r.shape]))
     u0 = u[0]
-    u00 = u0 * u0
-    inv4e = 1.0 / (4.0 * eps)
-    d = eta + (lam - eta) * u00
-    c = (lam + chi + (chi - eta) / 3.0) * u0 * u
-    c[0] -= (chi - eta) / 3.0
-    p = ((2.0 * lam + 4.0 * chi) * u00 - lam) * inv4e * u
-    p[0] -= (lam + chi) * u0 * inv4e
-    q = SGN[:, None] * u * u00
-    piv = d + c[0]
-    qc = np.einsum('an,an->n', q, c)
-    s = piv * np.einsum('an,an->n', q, p) - qc * p[0]
-    det = -(d * d) * s
+    np.multiply(u0, u0, out=u00)
+    np.add(f.eta, np.multiply(f.lam_eta, u00, out=d), out=d)
+    np.multiply(np.multiply(np.add(f.lam_chi, f.chi_eta3, out=t), u0, out=t), u, out=c)
+    c[0] -= f.chi_eta3
+    np.subtract(np.multiply(f.lam2chi4, u00, out=t), f.lam, out=t)
+    np.multiply(np.multiply(t, f.inv4e, out=t), u, out=p)
+    p[0] -= np.multiply(np.multiply(f.lam_chi, u0, out=t), f.inv4e, out=t)
+    np.multiply(np.multiply(SGN[:, None], u, out=q), u00, out=q)
+    np.add(d, c[0], out=piv)
+    np.einsum('an,an->n', q, c, out=qc)
+    np.multiply(piv, np.einsum('an,an->n', q, p, out=s), out=s)
+    s -= np.multiply(qc, p[0], out=t)
+    np.multiply(np.negative(np.multiply(d, d, out=det), out=det), s, out=det)
     ok = det_floor is None or (np.abs(det) > det_floor) & np.isfinite(det)
     if not np.all(ok):
         finite = np.isfinite(det)
@@ -176,18 +283,23 @@ def time_matrix_solve(u, eps, eta, lam, chi, r=None, det_floor=None):
     if r is None:
         return None, det
     rv = r[:4]
-    x4 = (piv * np.einsum('an,an->n', q, rv) - qc * rv[0] - d * piv * r[4]) / s
-    v = rv - p * x4
-    v -= c * (v[0] / piv)
-    x = np.empty(r.shape)
-    x[:4] = v / d
+    np.multiply(piv, np.einsum('an,an->n', q, rv, out=x4), out=x4)
+    x4 -= np.multiply(qc, rv[0], out=t)
+    x4 -= np.multiply(np.multiply(d, piv, out=t), r[4], out=t)
+    x4 /= s
+    np.subtract(rv, np.multiply(p, x4, out=v), out=v)
+    v -= np.multiply(c, np.divide(v[0], piv, out=t), out=c)
+    (x,) = x
+    np.divide(v, d, out=x[:4])
     x[4] = x4
     return x, det
 
 
 def assemble_lower_order(u, du, eps, deps, model: TransportModel, coeffs: tuple,
-                         mutation: tuple | None = None) -> np.ndarray:
-    """First-order (non-principal) content of the five equation rows, (5, N).
+                         mutation: tuple | None = None,
+                         work: Scratch | None = None) -> np.ndarray:
+    """First-order (non-principal) content of the five equation rows, (5, N),
+    kept in work under "rows".
 
     The first-order jet is `stress_tensor_fields`': u (4, N), eps (N,) and
     the first k derivative rows, du (k, 4, N) with du[a, b] = d_a u^b and
@@ -205,7 +317,9 @@ def assemble_lower_order(u, du, eps, deps, model: TransportModel, coeffs: tuple,
 
     with c_u, c_acc, c_deps scalar per cell and z, y vectors; a group's
     scale multiplies its share of each.  Every contraction over a
-    derivative index runs over the jet's k rows.
+    derivative index runs over the jet's k rows.  Each step below writes
+    into an array taken from work, in the order and grouping of the
+    formula it comments.
     """
     k = _jet_rows(du, deps)
     key, factor = (None, 1.0) if mutation is None else mutation
@@ -219,21 +333,26 @@ def assemble_lower_order(u, du, eps, deps, model: TransportModel, coeffs: tuple,
     # d eta = etap deps, d lam = a2 etap deps, d chi = a1 etap deps
     etap = model.eta_prime(eps)
     a1, a2 = model.a1, model.a2
+    work = Scratch() if work is None else work
+    cells = eps.shape
+    (theta, acc_acc, udeps, acc_deps, du_du, eu, q, dq, c_u, c_acc, c_deps, t1, t2, t3,
+     u_dn, acc, acc_dn, s_u, xu, x, z, du_dn, deps_up, y, tk) = work.temps(
+        *[cells] * 14, *[u.shape] * 7, du.shape, *[deps.shape] * 3)
 
-    def dot(x, y):
-        return np.einsum('an,an->n', x, y)
+    def dot(a, b, out):
+        return np.einsum('an,an->n', a, b, out=out)
 
-    u_dn = SGN[:, None] * u
-    du_dn = du * SGN[:, None]
-    theta = np.einsum('aan->n', du[:, :k])
-    acc = np.einsum('an,abn->bn', u[:k], du)
-    acc_dn = SGN[:, None] * acc          # also u @ du_dn
-    acc_acc = dot(acc, acc_dn)
-    udeps = dot(u[:k], deps)
-    acc_deps = dot(acc[:k], deps)
-    deps_up = SGN[:k, None] * deps
-    du_du = np.einsum('amn,man->n', du[:, :k], du[:, :k])  # d_a u^m d_m u^a
-    eu = etap * udeps                    # d eta . u
+    np.multiply(SGN[:, None], u, out=u_dn)
+    np.multiply(du, SGN[:, None], out=du_dn)
+    np.einsum('aan->n', du[:, :k], out=theta)
+    np.einsum('an,abn->bn', u[:k], du, out=acc)
+    np.multiply(SGN[:, None], acc, out=acc_dn)       # also u @ du_dn
+    dot(acc, acc_dn, acc_acc)
+    dot(u[:k], deps, udeps)
+    dot(acc[:k], deps, acc_deps)
+    np.multiply(SGN[:k, None], deps, out=deps_up)
+    np.einsum('amn,man->n', du[:, :k], du[:, :k], out=du_du)  # d_a u^m d_m u^a
+    np.multiply(etap, udeps, out=eu)                 # d eta . u
 
     # shear term: two gradient-square groups plus the product-rule group,
     # the latter with the minus sign fixed by the divergence oracle.  The
@@ -242,60 +361,123 @@ def assemble_lower_order(u, du, eps, deps, model: TransportModel, coeffs: tuple,
     # x = d_a eta pi^{am} + eta (theta u + acc)^m.  The gradient square
     # d^a u^v d_a u_v enters pi^{am} d_a u_v d_m u^v and pi^{am} S_{mv}
     # d_a u^v with the same coefficient and opposite signs, so it cancels.
-    s_u = acc_dn - (2.0 / 3.0) * theta * u_dn
-    s_u[:k] += np.einsum('abn,bn->an', du_dn, u)
-    xu = (eu + eta * theta) * u
-    x = xu + eta * acc
-    x[:k] += etap * deps_up
+    # s_u = acc_dn - (2/3) theta u_dn, and s_u[:k] += du_dn @ u
+    np.multiply(np.multiply(2.0 / 3.0, theta, out=t1), u_dn, out=s_u)
+    np.subtract(acc_dn, s_u, out=s_u)
+    s_u[:k] += np.einsum('abn,bn->an', du_dn, u, out=tk)
+    # xu = (eu + eta theta) u, x = xu + eta acc, x[:k] += etap deps_up
+    np.multiply(np.add(eu, np.multiply(eta, theta, out=t1), out=t1), u, out=xu)
+    np.add(xu, np.multiply(eta, acc, out=x), out=x)
+    x[:k] += np.multiply(etap, deps_up, out=tk)
 
     # the three energy-gradient fluxes carry lam/4eps, 3chi/4eps and
     # chi/4eps, i.e. a2 q, 3 a1 q and a1 q, with gradients a2, 3 a1, a1
     # times dq deps; their shares of c_u and c_acc come in one weight
-    q = eta / (4.0 * eps)
-    dq = (etap - eta / eps) / (4.0 * eps)
+    # q = eta / (4 eps), dq = (etap - eta / eps) / (4 eps)
+    np.multiply(4.0, eps, out=t3)
+    np.divide(eta, t3, out=q)
+    np.divide(np.subtract(etap, np.divide(eta, eps, out=dq), out=dq), t3, out=dq)
     w_en = 2.0 * a2 * s_en_mixed + a1 * (3.0 * s_en_uu + s_en_iso)
     w_exp = s_iso / 3.0 + s_uu           # (chi/3) pi theta + chi u u theta
 
-    c_u = (s_shear * (eta * (2.0 * acc_acc - du_du + (4.0 / 3.0) * theta ** 2)
-                      + (2.0 / 3.0) * theta * eu - dot(x + eta * acc, s_u))
-           + s_relax * (a2 * etap * acc_deps + lam * du_du)
-           + w_exp * theta * (a1 * eu + chi * theta)
-           + w_en * (dq * udeps ** 2 + q * (theta * udeps + acc_deps))
-           + a2 * s_en_mixed * dq * dot(deps_up, deps)
-           + (4.0 / 3.0) * s_ideal * (theta * eps + udeps))
-    c_acc = (s_shear * eta * ((2.0 / 3.0) * theta - dot(u, s_u))
-             + s_relax * (a2 * eu + lam * theta)
-             + w_exp * chi * theta
-             + w_en * q * udeps
-             + (4.0 / 3.0) * s_ideal * eps)
-    c_deps = ((2.0 / 3.0 * s_shear + a1 / 3.0 * s_iso) * etap * theta
-              + (a2 * s_en_mixed + a1 * s_en_iso) * dq * udeps
-              + a2 * s_en_mixed * q * theta
-              + s_ideal / 3.0)
-    z = -s_shear * xu
-    z[:k] += (a1 * s_en_iso * q - s_shear * etap) * deps_up
-    y = (2.0 * s_relax * lam * acc[:k] + a2 * s_en_mixed * q * deps_up
-         - s_shear * (x[:k] + eta * SGN[:k, None] * s_u[:k]))
+    # c_u = s_shear (eta (2 acc_acc - du_du + (4/3) theta^2)
+    #                + (2/3) theta eu - (x + eta acc).s_u)
+    #       + s_relax (a2 etap acc_deps + lam du_du)
+    #       + w_exp theta (a1 eu + chi theta)
+    #       + w_en (dq udeps^2 + q (theta udeps + acc_deps))
+    #       + a2 s_en_mixed dq deps_up.deps
+    #       + (4/3) s_ideal (theta eps + udeps)
+    np.subtract(np.multiply(2.0, acc_acc, out=t1), du_du, out=t1)
+    t1 += np.multiply(4.0 / 3.0, np.square(theta, out=t2), out=t2)
+    np.multiply(eta, t1, out=t1)
+    t1 += np.multiply(np.multiply(2.0 / 3.0, theta, out=t2), eu, out=t2)
+    t1 -= dot(np.add(x, np.multiply(eta, acc, out=z), out=z), s_u, t2)
+    np.multiply(s_shear, t1, out=c_u)
+    np.multiply(np.multiply(a2, etap, out=t1), acc_deps, out=t1)
+    t1 += np.multiply(lam, du_du, out=t2)
+    c_u += np.multiply(s_relax, t1, out=t1)
+    np.add(np.multiply(a1, eu, out=t2), np.multiply(chi, theta, out=t3), out=t2)
+    c_u += np.multiply(np.multiply(w_exp, theta, out=t1), t2, out=t1)
+    np.multiply(dq, np.square(udeps, out=t1), out=t1)
+    np.add(np.multiply(theta, udeps, out=t2), acc_deps, out=t2)
+    t1 += np.multiply(q, t2, out=t2)
+    c_u += np.multiply(w_en, t1, out=t1)
+    np.multiply(a2 * s_en_mixed, dq, out=t1)
+    c_u += np.multiply(t1, dot(deps_up, deps, t2), out=t1)
+    np.add(np.multiply(theta, eps, out=t1), udeps, out=t1)
+    c_u += np.multiply((4.0 / 3.0) * s_ideal, t1, out=t1)
+    # c_acc = s_shear eta ((2/3) theta - u.s_u) + s_relax (a2 eu + lam theta)
+    #         + w_exp chi theta + w_en q udeps + (4/3) s_ideal eps
+    np.subtract(np.multiply(2.0 / 3.0, theta, out=t2), dot(u, s_u, t3), out=t2)
+    np.multiply(np.multiply(s_shear, eta, out=t1), t2, out=c_acc)
+    np.add(np.multiply(a2, eu, out=t1), np.multiply(lam, theta, out=t2), out=t1)
+    c_acc += np.multiply(s_relax, t1, out=t1)
+    c_acc += np.multiply(np.multiply(w_exp, chi, out=t1), theta, out=t1)
+    c_acc += np.multiply(np.multiply(w_en, q, out=t1), udeps, out=t1)
+    c_acc += np.multiply((4.0 / 3.0) * s_ideal, eps, out=t1)
+    # c_deps = ((2/3) s_shear + (a1/3) s_iso) etap theta
+    #          + (a2 s_en_mixed + a1 s_en_iso) dq udeps
+    #          + a2 s_en_mixed q theta + s_ideal / 3
+    np.multiply(np.multiply(2.0 / 3.0 * s_shear + a1 / 3.0 * s_iso, etap, out=c_deps),
+                theta, out=c_deps)
+    c_deps += np.multiply(np.multiply(a2 * s_en_mixed + a1 * s_en_iso, dq, out=t1), udeps,
+                          out=t1)
+    c_deps += np.multiply(np.multiply(a2 * s_en_mixed, q, out=t1), theta, out=t1)
+    c_deps += s_ideal / 3.0
+    # z = -s_shear xu, z[:k] += (a1 s_en_iso q - s_shear etap) deps_up
+    np.multiply(-s_shear, xu, out=z)
+    np.subtract(np.multiply(a1 * s_en_iso, q, out=t1), np.multiply(s_shear, etap, out=t2),
+                out=t1)
+    z[:k] += np.multiply(t1, deps_up, out=tk)
+    # y = 2 s_relax lam acc[:k] + a2 s_en_mixed q deps_up
+    #     - s_shear (x[:k] + eta SGN s_u[:k])
+    np.multiply(np.multiply(2.0 * s_relax, lam, out=t1), acc[:k], out=y)
+    y += np.multiply(np.multiply(a2 * s_en_mixed, q, out=t1), deps_up, out=tk)
+    np.multiply(np.multiply(eta, SGN[:k, None], out=tk), s_u[:k], out=tk)
+    y -= np.multiply(s_shear, np.add(x[:k], tk, out=tk), out=tk)
 
-    b_low = c_u * u_dn + c_acc * acc_dn + np.einsum('an,abn->bn', y, du_dn)
-    b_low[:k] += c_deps * deps + np.einsum('abn,bn->an', du_dn, z)
-    return np.concatenate([SGN[:, None] * b_low, acc_acc[None, :]], axis=0)
-
-
-def equation_rows(u, du, eps, deps, d2: dict, model: TransportModel, coeffs: tuple,
-                  mutation=None) -> np.ndarray:
-    """The five equation rows, principal part + B, (5, N): their one assembly.
-
-    (u, du, eps, deps, coeffs, mutation) go to `assemble_lower_order`.  d2
-    maps each pair (a, m), a <= m, that the caller carries to d_a d_m (u,
-    eps), (5, N); the principal part sums B(e_a, e_m) applied to each pair
-    in d2's order, a mixed pair twice, and is added to B in B's array.  The
-    oracle's field carries tt, tx and xx; the solver leaves out tt, its unknown.
-    """
-    rows = assemble_lower_order(u, du, eps, deps, model, coeffs, mutation=mutation)
-    rows += reduce(np.add, (symbol_apply(u, eps, *coeffs, a, m, x if a == m else 2.0 * x)
-                            for (a, m), x in d2.items()))
+    # b_low = c_u u_dn + c_acc acc_dn + y @ du_dn, b_low[:k] += c_deps deps + du_dn @ z
+    rows = work.take("rows", (5,) + cells)
+    b_low = rows[:4]
+    np.multiply(c_u, u_dn, out=b_low)
+    b_low += np.multiply(c_acc, acc_dn, out=xu)
+    b_low += np.einsum('an,abn->bn', y, du_dn, out=xu)
+    np.add(np.multiply(c_deps, deps, out=tk), np.einsum('abn,bn->an', du_dn, z, out=y),
+           out=tk)
+    b_low[:k] += tk
+    b_low *= SGN[:, None]
+    rows[4] = acc_acc
     return rows
+
+
+def equation_rows(u, du, eps, deps, pairs, d2, model: TransportModel, f: CellFactors,
+                  mutation=None, work: Scratch | None = None) -> np.ndarray:
+    """The five equation rows, principal part + B, (5, N): their one assembly,
+    kept in work under "rows".
+
+    (u, du, eps, deps, (f.eta, f.lam, f.chi), mutation) go to
+    `assemble_lower_order`; f is the CellFactors of eps.  pairs lists the
+    pairs (a, m), a <= m, that the caller carries, and d2 (P, 5, N) their
+    second derivatives d_a d_m (u, eps), a mixed pair's doubled: it stands
+    for both orders (`principal_terms`).  The principal part sums
+    B(e_a, e_m) d2[p] over the pairs in their order and is added to B in
+    B's array.  The oracle's field carries tt, tx and xx; the solver leaves
+    out tt, its unknown.
+    """
+    work = Scratch() if work is None else work
+    rows = assemble_lower_order(u, du, eps, deps, model, (f.eta, f.lam, f.chi),
+                                mutation=mutation, work=work)
+    terms = symbol_apply(u, f, pairs, d2, work=work)
+    for term in terms[1:]:
+        terms[0] += term
+    rows += terms[0]
+    return rows
+
+
+def principal_terms(d2: dict) -> tuple:
+    """(pairs, d2) of `equation_rows` from a dict mapping each pair (a, m),
+    a <= m, to d_a d_m (u, eps) (5, N): a mixed pair's derivative doubled."""
+    return tuple(d2), np.stack([x if a == m else 2.0 * x for (a, m), x in d2.items()])
 
 
 class SinusoidalField:
@@ -370,9 +552,9 @@ class SinusoidalField:
         return u, du, d2u
 
     def jet2(self, t: float, x: np.ndarray):
-        """The second-order (t, x) jet (u, du, eps, deps, d2) of
-        `equation_rows`: k = 2, and d2 maps the pairs tt, tx and xx to
-        d_a d_m (u, eps), (5, ...)."""
+        """The second-order (t, x) jet (u, du, eps, deps, d2): k = 2, and
+        d2 maps the pairs tt, tx and xx to d_a d_m (u, eps), (5, ...);
+        `principal_terms(d2)` gives `equation_rows` its pairs."""
         u, du, d2u = self.u_jet(t, x)
         eps, deps, d2eps = self.eps_jet(t, x)
         d2 = {(a, m): np.concatenate([d2u[a, m], d2eps[a, m][None]])
@@ -427,8 +609,8 @@ def _assembled_report(fields: SinusoidalField, fd: tuple, model: TransportModel,
     the finite-difference divergence fd = (x, h, div) of `_fd_divergence`."""
     x, h, div = fd
     u, du, eps, deps, d2 = fields.jet2(t0, x)
-    rows = equation_rows(u, du, eps, deps, d2, model, transport(eps, model),
-                         mutation=mutation)
+    rows = equation_rows(u, du, eps, deps, *principal_terms(d2), model,
+                         cell_factors(eps, transport(eps, model)), mutation=mutation)
     assembled_low = SGN[:, None] * rows[:4]
     return DivergenceReport(
         resolution=len(x),

@@ -34,6 +34,16 @@ ensemble: a member axis sits before the cell axis, V and W are (5, B, N),
 the stencils and the filter act on the last axis, and the pointwise layers
 see the cells of every member as one flat batch.  A single run is the
 ensemble of one member.
+
+An evolve makes one `equations.Scratch` and every step reuses it.  The
+stencils write dx V, dx W and dx dx V into it next to the stage input
+(V, W), so the (t, x) jet (W, dx V) and the terms of the pairs tx and xx
+are views of one buffer; the stage inputs and the RK4 sums are formed in
+it in place; and the per-cell factors that the symbol and the time matrix
+share, the equation rows and the solve write their values and
+temporaries into it.  A step has the bits of the step that formed all of
+these as fresh arrays (tests/reference.py); the returned grid owns new
+arrays.
 """
 
 from __future__ import annotations
@@ -43,10 +53,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .causality import BOUNDARY_TOL, THETAS, _cone_extremes
-from .characteristics import FLUID_FACTORS, cone_coefficients
-from .constitutive import (SGN, TransportModel, complete_initial_data,
+from .characteristics import BATCH_VALUES, FLUID_FACTORS, cone_coefficients
+from .constitutive import (SGN, TransportModel, _coefficients, complete_initial_data,
                            stress_tensor_fields, transport)
-from .equations import DegenerateTimeMatrix, dx4, equation_rows, time_matrix_solve
+from .equations import (CellFactors, DegenerateTimeMatrix, Scratch, cell_factors, dx4,
+                        equation_rows, time_matrix_solve)
 from .symbol import det_time_matrix_closed_form
 
 
@@ -275,38 +286,49 @@ def _not_finite(grid: FieldGrid) -> np.ndarray:
     return ~(np.isfinite(grid.V).all(axis=(0, -1)) & np.isfinite(grid.W).all(axis=(0, -1)))
 
 
-def _rhs(V: np.ndarray, W: np.ndarray, h: float, model: TransportModel):
-    """dt (V, W) of one run (5, N) or of an ensemble (5, B, N).
+# the pairs of the stage's principal part: tx and xx (tt is the unknown)
+_PAIRS = ((0, 1), (1, 1))
 
-    The stencils act on the cell axis; every pointwise layer gets the cells
-    of all members as one flat (5, B N) batch, so each cell's arithmetic is
-    the same as in a run of its member alone.
+
+def _rhs(s: np.ndarray, h: float, model: TransportModel, work: Scratch) -> np.ndarray:
+    """dt W of a stage input (V, W) = (s[0], s[1]) of one run (5, N) or of
+    an ensemble (5, B, N), among work's temporaries; dt V is W.
+
+    s is a stage buffer (5,) + V.shape.  The stencils act on the cell axis
+    and write dx V, dx W and dx dx V into s[2:5], and dx W is doubled there:
+    s[1:3] is then the (t, x) jet (W, dx V) of d_a (u, eps), and s[3:5] the
+    terms of the pairs tx and xx (`equations.principal_terms`).  Every
+    pointwise layer gets the cells of all members as one flat (5, B N)
+    batch, so each cell's arithmetic is the same as in a run of its member
+    alone, and writes its temporaries into work.
     """
-    bad = _eps_lost(V)
+    V = s[0]
+    n = V.shape[-1]
+    eps_min = V[4].reshape(-1, n).min(axis=1)
+    bad = eps_min <= 0.0
     if bad.any():
         raise ValueError("energy density lost positivity inside a stage"
                          + _members(bad))
-    d = dx4(np.concatenate([V, W]), h)
-    dxV, dxW = d[:5], d[5:]
-    dxxV = dx4(dxV, h)
-    v, w, dxv, dxw, dxxv = (f.reshape(5, -1) for f in (V, W, dxV, dxW, dxxV))
-    u, eps = v[:4], v[4]
-    jet = np.stack([w, dxv])             # the (t, x) rows of d_a (u, eps)
-    coeffs = transport(eps, model)
-    # rows, in B's array, stays alive through the solve: freed before it, the
-    # heap was trimmed and regrown around the solve's temporaries, and an
-    # N = 4096 run took three times the minor page faults
-    rows = equation_rows(u, jet[:, :4], eps, jet[:, 4], {(0, 1): dxw, (1, 1): dxxv},
-                         model, coeffs)
-    return W, _solve_time_matrix(u, eps, coeffs, -rows, V.shape[-1]).reshape(V.shape)
+    dx4(s[:2], h, out=s[2:4], work=work)
+    dx4(s[2], h, out=s[4], work=work)
+    s[3] *= 2.0
+    flat = s.reshape(5, 5, -1)
+    u, eps, jet = flat[0, :4], flat[0, 4], flat[1:3]
+    # a member's min is NaN where it holds a NaN, which may hide a
+    # non-positive cell from the check above: transport's own scan finds it
+    coeffs = (transport if np.isnan(eps_min).any() else _coefficients)(eps, model)
+    f = cell_factors(eps, coeffs, work)
+    rows = equation_rows(u, jet[:, :4], eps, jet[:, 4], _PAIRS, flat[3:], model, f,
+                         work=work)
+    return _solve_time_matrix(u, f, np.negative(rows, out=rows), n, work).reshape(V.shape)
 
 
-def _solve_time_matrix(u, eps, coeffs, rhs, n_cells: int):
+def _solve_time_matrix(u, f: CellFactors, rhs, n_cells: int, work: Scratch | None = None):
     """`time_matrix_solve` with the DET_FLOOR guard, on the flat cells of
     members of n_cells cells each; a degenerate cell raises ValueError
     naming the members it lies in."""
     try:
-        return time_matrix_solve(u, eps, *coeffs, rhs, det_floor=DET_FLOOR)[0]
+        return time_matrix_solve(u, f, rhs, det_floor=DET_FLOOR, work=work)[0]
     except DegenerateTimeMatrix as exc:
         bad = exc.cells.reshape(-1, n_cells).any(axis=1)
         raise ValueError(str(exc) + _members(bad)) from None
@@ -324,28 +346,57 @@ def _check_initial(grid: FieldGrid, model: TransportModel) -> None:
         raise ValueError("non-finite field values" + _members(bad))
     v = grid.V.reshape(5, -1)
     with np.errstate(**_QUIET):
-        _solve_time_matrix(v[:4], v[4], transport(v[4], model), None, grid.n_cells)
+        f = cell_factors(v[4], transport(v[4], model))
+        _solve_time_matrix(v[:4], f, None, grid.n_cells)
 
 
 def step(grid: FieldGrid, cfg: SolverConfig, dt: float,
-         filter_factors: np.ndarray | None = None) -> FieldGrid:
+         filter_factors: np.ndarray | None = None,
+         work: Scratch | None = None) -> FieldGrid:
     """One classical RK4 step; optional spectral filter applied to W after it.
 
     Every stage asserts |det a| > DET_FLOOR at every cell before it divides
     by a pivot of a, and raises ValueError otherwise; in the admissible
     regime the closed-form value keeps the determinant far above the floor.
     The step runs under _QUIET.
+
+    work holds the step's arrays and temporaries; evolve passes one to all
+    its steps, and a step makes its own when None.  The stage inputs and
+    the sums ((k1 + 2 k2) + 2 k3) + k4 are formed in it, each in the order
+    of the textbook expressions, so a step has their bits.  The returned
+    grid owns new arrays, and grid is left as it was: nothing of work leaks
+    out.
     """
     h = grid.spacing
     model = cfg.transport
     V, W = grid.V, grid.W
+    work = Scratch() if work is None else work
+    s = work.take("stage", (5,) + V.shape)
+    acc_v, acc_w = work.take("rk4", (2,) + V.shape)
+    half = 0.5 * dt
     with np.errstate(**_QUIET):
-        k1v, k1w = _rhs(V, W, h, model)
-        k2v, k2w = _rhs(V + 0.5 * dt * k1v, W + 0.5 * dt * k1w, h, model)
-        k3v, k3w = _rhs(V + 0.5 * dt * k2v, W + 0.5 * dt * k2w, h, model)
-        k4v, k4w = _rhs(V + dt * k3v, W + dt * k3w, h, model)
-        Vn = V + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        Wn = W + dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        np.copyto(s[0], V)
+        np.copyto(s[1], W)
+        # stage k's dt W is in work until the next stage: it is used first
+        kw = _rhs(s, h, model, work)              # k1 = (W, kw)
+        np.copyto(acc_w, kw)
+        np.add(V, np.multiply(W, half, out=s[0]), out=s[0])
+        np.add(W, np.multiply(kw, half, out=s[1]), out=s[1])
+        kw = _rhs(s, h, model, work)              # k2 = (s[1], kw)
+        np.add(W, np.multiply(s[1], 2.0, out=acc_v), out=acc_v)
+        np.add(V, np.multiply(s[1], half, out=s[0]), out=s[0])
+        np.add(W, np.multiply(kw, half, out=s[1]), out=s[1])
+        acc_w += np.multiply(kw, 2.0, out=kw)
+        kw = _rhs(s, h, model, work)              # k3 = (s[1], kw)
+        np.add(V, np.multiply(s[1], dt, out=s[0]), out=s[0])
+        acc_v += np.multiply(s[1], 2.0, out=s[1])
+        np.add(W, np.multiply(kw, dt, out=s[1]), out=s[1])
+        acc_w += np.multiply(kw, 2.0, out=kw)
+        kw = _rhs(s, h, model, work)              # k4 = (s[1], kw)
+        acc_v += s[1]
+        acc_w += kw
+        Vn = V + np.multiply(acc_v, dt / 6.0, out=acc_v)
+        Wn = W + np.multiply(acc_w, dt / 6.0, out=acc_w)
         if cfg.filter_strength > 0.0:
             if filter_factors is None:
                 filter_factors = _filter_factors(grid.n_cells, cfg.filter_strength)
@@ -380,8 +431,11 @@ def _fixed_point(cfg: SolverConfig) -> np.ndarray | None:
     try:
         grid = make_grid(cfg)
         _check_initial(grid, cfg.transport)
+        work = Scratch()
+        s = work.take("stage", (5,) + grid.V.shape)
+        s[0], s[1] = grid.V, grid.W
         with np.errstate(**_QUIET):
-            _, dtW = _rhs(grid.V, grid.W, grid.spacing, cfg.transport)
+            dtW = _rhs(s, grid.spacing, cfg.transport, work)
     except ValueError:
         return None
     return None if grid.W.any() or dtW.any() else grid.V
@@ -428,24 +482,32 @@ def _check_courant(grid: FieldGrid, model: TransportModel, dt: float,
                           grid.t, step_index, grid)
 
 
-def _diagnose(grid: FieldGrid, model: TransportModel) -> Diagnostics:
+def _diagnose(grid: FieldGrid, model: TransportModel, work: Scratch | None = None) -> Diagnostics:
     """Diagnostics of a one-member grid.
 
-    evolve diagnoses an ensemble one member at a time: diagnostics run only
-    at the output cadence, and the stress tensor's (4, 4, N) temporaries
-    over a whole ensemble would set the run's peak memory.  Only the stress
-    tensor's row 0 is built, from the (t, x) jet (W, dx V): it holds T^{00}
-    and T^{01}.  Runs under _QUIET.
+    evolve diagnoses an ensemble one member at a time, with the Scratch of
+    its steps: diagnostics run only at the output cadence, and their
+    temporaries on top of the steps' would set the run's peak memory.
+    Only the stress tensor's row 0 is built, from the (t, x) jet (W, dx V):
+    it holds T^{00} and T^{01}.  It is built on chunks of cells whose
+    (4, 4, cells) temporaries hold at most BATCH_VALUES values, each of at
+    least two cells, so every cell has the bits of the whole grid's row.
+    Runs under _QUIET.
     """
+    n = grid.n_cells
     u, eps = grid.V[:4], grid.V[4]
-    jet = np.stack([grid.W, dx4(grid.V, grid.spacing)])   # the (t, x) rows
+    jet = np.stack([grid.W, dx4(grid.V, grid.spacing, work=work)])   # the (t, x) rows
+    chunks = -(-n // max(2, BATCH_VALUES // 16))
+    t0_dn = np.empty((4, n))
     with np.errstate(**_QUIET):
-        (t0_dn,) = stress_tensor_fields(u, jet[:, :4], eps, jet[:, 4], model, rows=(0,))
-        eta, lam, chi = transport(eps, model)
-        _, det = time_matrix_solve(u, eps, eta, lam, chi)
+        for sl in (slice(i * n // chunks, (i + 1) * n // chunks) for i in range(chunks)):
+            t0_dn[:, sl] = stress_tensor_fields(u[:, sl], jet[:, :4, sl], eps[sl], jet[:, 4, sl],
+                                                model, rows=(0,))[0]
+        coeffs = transport(eps, model)
+        _, det = time_matrix_solve(u, cell_factors(eps, coeffs, work), work=work)
         dets = np.abs(det)
         w2 = np.einsum('in,in->n', u[1:], u[1:])
-        closed = det_time_matrix_closed_form(eta, eps, w2, model.a2)
+        closed = det_time_matrix_closed_form(coeffs[0], eps, w2, model.a2)
         shortfall = (closed - dets) / closed
     t00_up = t0_dn[0]                      # T^{00} = g^{0a} g^{0b} T_ab = T_00
     t01_up = -t0_dn[1]                     # T^{01} = g^{00} g^{11} T_01
@@ -505,13 +567,14 @@ def evolve(cfg: SolverConfig, snapshot_times=None, ics=None):
         want = {min(n_steps, max(0, int(round(t / dt)))) for t in snapshot_times}
     times = [0.0]
     snaps = [grid.V.copy()]
-    diags = [[_diagnose(m, model) for m in grid.members()]]
+    work = Scratch()
+    diags = [[_diagnose(m, model, work) for m in grid.members()]]
     drift_max = grid.constraint_drift()
     cadence = cfg.output_every if cfg.output_every > 0 else n_steps
 
     for i in range(1, n_steps + 1):
         try:
-            grid = step(grid, cfg, dt, factors)
+            grid = step(grid, cfg, dt, factors, work)
         except ValueError as exc:
             raise SolverAbort(str(exc), grid.t, i, grid) from exc
         bad = _not_finite(grid)
@@ -525,7 +588,7 @@ def evolve(cfg: SolverConfig, snapshot_times=None, ics=None):
         drift_max = np.maximum(drift_max, grid.constraint_drift())
         if i % cadence == 0 or i == n_steps or i in want:
             _check_courant(grid, model, dt, i)
-            diags.append([_diagnose(m, model) for m in grid.members()])
+            diags.append([_diagnose(m, model, work) for m in grid.members()])
             if i in want or i == n_steps:
                 times.append(grid.t)
                 snaps.append(grid.V.copy())

@@ -123,6 +123,28 @@ def test_cli_evolve_writes_artifacts(tmp_path):
     assert all("constraint_drift" in d for d in diag)
 
 
+def test_evolve_csv_rows_are_savetxts_bytes():
+    # one %-format per block of rows writes what np.savetxt's row loop wrote,
+    # on -0.0, subnormals, 1e300, integers and more rows than one block
+    import io
+
+    import numpy as np
+
+    from vecf.cli import _CSV_BLOCK, _write_csv_rows
+    tiny = np.finfo(float).tiny
+    special = np.array([[0.0, -0.0, 5e-324, tiny / 3.0, 1e300, -1e300, 7.0],
+                        [3.0, -2.0, 1e-310, 0.1, 2.0 ** 53, 1.0 / 3.0, -0.7],
+                        [0.25, 1e16, -5e-324, np.pi, 123456789.0, -1.0,
+                         1.7976931348623157e308]])
+    many = np.random.default_rng(3).standard_normal((2 * _CSV_BLOCK + 5, 7))
+    many[::7] = np.round(many[::7] * 1e3)
+    for rows in (special, np.concatenate([special, many, special]), special[:0]):
+        want, got = io.StringIO(), io.StringIO()
+        np.savetxt(want, rows, fmt="%.17g", delimiter=",")
+        _write_csv_rows(got, rows)
+        assert got.getvalue() == want.getvalue()
+
+
 def test_cli_region_map(tmp_path):
     code = main(["--out", str(tmp_path),
                  "--set", "scan.a1_steps=2", "--set", "scan.a2_steps=3",

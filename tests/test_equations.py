@@ -6,8 +6,9 @@ from reference import StatePoint, fluid_symbol, symbol_block
 
 from vecf.constitutive import SGN, TransportModel, transport
 from vecf.equations import (MUTATION_KEYS, DegenerateTimeMatrix, SinusoidalField,
-                            assemble_lower_order, divergence_residual, equation_rows,
-                            symbol_apply, time_matrix_solve)
+                            assemble_lower_order, cell_factors, divergence_residual,
+                            equation_rows, principal_terms, symbol_apply,
+                            time_matrix_solve)
 from vecf.experiments import ORDER_WINDOW
 from vecf.tensor import minkowski
 
@@ -206,7 +207,7 @@ def pair_coefficients(u, eps, model):
 
     A pair a < m stands for both orders, so its block is 2 B(e_a, e_m).
     """
-    args = (u, eps, *transport(eps, model))
+    args = (u, cell_factors(eps, transport(eps, model)))
     return {(a, m): (1.0 if a == m else 2.0)
             * symbol_block(*args, a, m).transpose(2, 0, 1)
             for a in range(4) for m in range(a, 4)}
@@ -259,7 +260,7 @@ def _time_matrix_case(a2, eta_form, eps, wdir, wnorm, off_norm, rhs):
     u = np.array([np.sqrt(1.0 + w @ w) * (1.0 + off_norm), *w])[:, None]
     eps = np.array([eps])
     model = TransportModel(a1=4.0, a2=a2, eta_form=eta_form)
-    return (u, eps, *transport(eps, model)), np.array(rhs)[:, None]
+    return (u, cell_factors(eps, transport(eps, model))), np.array(rhs)[:, None]
 
 
 @settings(max_examples=200, deadline=None)
@@ -285,7 +286,7 @@ def test_symbol_apply_matches_block(case):
     for a in range(4):
         for c in range(4):
             blk = symbol_block(*args, a, c)[:, :, 0]
-            got = symbol_apply(*args, a, c, x)[:, 0]
+            got = symbol_apply(*args, [(a, c)], x[None])[0, :, 0]
             scale = np.abs(blk).max() * np.abs(x).max()
             assert np.abs(got - blk @ x[:, 0]).max() <= 1e-14 * scale
 
@@ -295,7 +296,7 @@ def test_time_matrix_solve_rejects_degenerate_cell():
     # before any pivot is divided by, and without a floor det reads 0
     u = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
     eps = np.ones(2)
-    args = (u, eps, *transport(eps, MODEL))
+    args = (u, cell_factors(eps, transport(eps, MODEL)))
     with pytest.raises(ValueError, match="degenerate"):
         time_matrix_solve(*args, np.ones((5, 2)), det_floor=1e-10)
     _, det = time_matrix_solve(*args)
@@ -307,7 +308,7 @@ def test_time_matrix_solve_flags_an_infinite_det():
     # cell only, and says its det is not finite
     u = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
     eps = np.array([1.0, 1e300])
-    args = (u, eps, *transport(eps, MODEL))
+    args = (u, cell_factors(eps, transport(eps, MODEL)))
     with np.errstate(over="ignore", invalid="ignore"):
         _, det = time_matrix_solve(*args)
         assert np.isfinite(det[0]) and np.isinf(det[1])
@@ -358,9 +359,9 @@ def test_principal_blocks_match_pointwise_symbol():
     u = np.concatenate([rng.uniform(0.9, 1.8, (1, n)), rng.uniform(-1, 1, (3, n))])
     eps = rng.uniform(0.5, 2.0, n)
     x, y = rng.uniform(-1, 1, (2, 5, n))
-    eta, lam, chi = transport(eps, MODEL)
-    got = (symbol_apply(u, eps, eta, lam, chi, 0, 1, 2.0 * x)
-           + symbol_apply(u, eps, eta, lam, chi, 1, 1, y))
+    terms = symbol_apply(u, cell_factors(eps, transport(eps, MODEL)),
+                         [(0, 1), (1, 1)], np.stack([2.0 * x, y]))
+    got = terms[0] + terms[1]
     g = minkowski()
     e0 = np.array([1.0, 0, 0, 0])
     e1 = np.array([0.0, 1, 0, 0])
@@ -451,8 +452,8 @@ def test_manufactured_field_normalization():
 def rows_of(jet2, model, mutation=None):
     """`equation_rows` of a second-order jet (u, du, eps, deps, d2)."""
     u, du, eps, deps, d2 = jet2
-    return equation_rows(u, du, eps, deps, d2, model, transport(eps, model),
-                         mutation=mutation)
+    return equation_rows(u, du, eps, deps, *principal_terms(d2), model,
+                         cell_factors(eps, transport(eps, model)), mutation=mutation)
 
 
 def test_equation_rows_shapes():
@@ -543,9 +544,9 @@ def test_oracle_rows_apply_the_symbol_to_three_pairs(monkeypatch):
     from vecf import equations
     pairs = []
 
-    def counting(u, eps, eta, lam, chi, a, c, x):
-        pairs.append((a, c))
-        return symbol_apply(u, eps, eta, lam, chi, a, c, x)
+    def counting(u, f, batch, x, work=None):
+        pairs.extend(batch)
+        return symbol_apply(u, f, batch, x, work)
 
     monkeypatch.setattr(equations, "symbol_apply", counting)
     divergence_residual(SinusoidalField(length=2.0), 64, MODEL)

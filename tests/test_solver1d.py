@@ -10,7 +10,8 @@ from reference import StatePoint, det_time_matrix_formula
 from vecf import equations
 from vecf.characteristics import FLUID_FACTORS, cone_coefficients, cone_xi0
 from vecf.constitutive import TransportModel, transport
-from vecf.equations import assemble_lower_order, dx4, equation_rows, symbol_apply
+from vecf.equations import (Scratch, assemble_lower_order, cell_factors, dx4,
+                            equation_rows, principal_terms, symbol_apply)
 from vecf.solver1d import (FieldGrid, InitialData, SolverAbort, SolverConfig,
                            _fixed_point, _grid_v_max, _rhs, bump_perturbation,
                            constant_state, evolve, gaussian_pulse, make_grid,
@@ -22,6 +23,13 @@ def small_cfg(**kw):
                 cfl=0.25, t_end=0.05, ic=constant_state(), filter_strength=0.0)
     base.update(kw)
     return SolverConfig(**base)
+
+
+def rhs_of(grid, model):
+    """_rhs's dt W at a grid's (V, W), in a fresh stage buffer and Scratch."""
+    s = np.empty((5,) + grid.V.shape)
+    s[0], s[1] = grid.V, grid.W
+    return _rhs(s, grid.spacing, model, Scratch())
 
 
 def test_config_validation():
@@ -148,7 +156,7 @@ def test_degenerate_cell_aborts_in_later_stage():
     grid = make_grid(cfg)
     dt = 2.0 ** -7
     grid.W[0, 5] = -2.0 / dt
-    _rhs(grid.V, grid.W, grid.spacing, cfg.transport)
+    rhs_of(grid, cfg.transport)
     with pytest.raises(ValueError, match="degenerate"):
         step(grid, cfg, dt)
 
@@ -172,12 +180,12 @@ def test_acceleration_solves_the_oracle_rows(monkeypatch, a2):
         grid = step(grid, cfg, 0.25 * h)
     pairs = []
 
-    def counting(u, eps, eta, lam, chi, a, c, x):
-        pairs.append((a, c))
-        return symbol_apply(u, eps, eta, lam, chi, a, c, x)
+    def counting(u, f, batch, x, work=None):
+        pairs.extend(batch)
+        return symbol_apply(u, f, batch, x, work)
 
     monkeypatch.setattr(equations, "symbol_apply", counting)
-    _, dtW = _rhs(grid.V, grid.W, h, model)
+    dtW = rhs_of(grid, model)
     assert pairs == [(0, 1), (1, 1)]
     monkeypatch.undo()
 
@@ -187,10 +195,10 @@ def test_acceleration_solves_the_oracle_rows(monkeypatch, a2):
     assert np.abs(v[2]).max() > 0.0 and np.abs(dtw).max() > 0.0
     u, eps, du, deps = v[:4], v[4], np.stack([w[:4], dxv[:4]]), np.stack([w[4], dxv[4]])
     coeffs = transport(eps, model)
-    d2 = {(0, 0): dtw, (0, 1): dxw, (1, 1): dxxv}
-    rows = equation_rows(u, du, eps, deps, d2, model, coeffs)
-    terms = [symbol_apply(u, eps, *coeffs, a, m, x if a == m else 2.0 * x)
-             for (a, m), x in d2.items()]
+    f = cell_factors(eps, coeffs)
+    d2 = principal_terms({(0, 0): dtw, (0, 1): dxw, (1, 1): dxxv})
+    rows = equation_rows(u, du, eps, deps, *d2, model, f)
+    terms = list(symbol_apply(u, f, *d2))
     terms.append(assemble_lower_order(u, du, eps, deps, model, coeffs))
     assert np.abs(rows).max() <= ACCELERATION_ROWS_TOL * np.abs(terms).max()
 
@@ -395,13 +403,13 @@ def test_ensemble_det_floor_abort_names_the_member():
         evolve(replace(cfg, ic=degenerate))
 
 
-def test_diagnose_integrals_have_the_full_tensors_bits():
-    # _diagnose builds the stress tensor's row 0 only; its T^{00} and T^{01}
-    # integrals keep the bits of the full tensor's, on a boosted shear pulse
+def diagnose_against_the_full_tensor(n_cells):
+    """_diagnose's T^{00} and T^{01} integrals, and the full tensor's, on a
+    boosted shear pulse after three steps."""
     from vecf.constitutive import stress_tensor_fields
     from vecf.equations import dx4
     from vecf.solver1d import _diagnose
-    cfg = small_cfg(n_cells=256, ic=shear_pulse(amplitude=0.5))
+    cfg = small_cfg(n_cells=n_cells, ic=shear_pulse(amplitude=0.5))
     grid = make_grid(cfg)
     for _ in range(3):
         grid = step(grid, cfg, 1e-3, None)
@@ -412,5 +420,19 @@ def test_diagnose_integrals_have_the_full_tensors_bits():
     T = stress_tensor_fields(u, du, eps, deps, cfg.transport)
     d = _diagnose(grid, cfg.transport)
     assert np.any(grid.W != 0.0)
-    assert d.energy_integral == float(T[0, 0].sum() * grid.spacing)
-    assert d.momentum_integral == float(-T[0, 1].sum() * grid.spacing)
+    return ((d.energy_integral, d.momentum_integral),
+            (float(T[0, 0].sum() * grid.spacing), float(-T[0, 1].sum() * grid.spacing)))
+
+
+def test_diagnose_integrals_have_the_full_tensors_bits():
+    # _diagnose builds the stress tensor's row 0 only; its T^{00} and T^{01}
+    # integrals keep the bits of the full tensor's, on a boosted shear pulse
+    got, want = diagnose_against_the_full_tensor(256)
+    assert got == want
+
+
+def test_chunked_diagnose_integrals_have_the_full_tensors_bits():
+    # above 512 cells _diagnose builds row 0 in chunks of cells (four at
+    # N = 2048), and the integrals still keep the full tensor's bits
+    got, want = diagnose_against_the_full_tensor(2048)
+    assert got == want
