@@ -174,14 +174,17 @@ def causality_scan(a2_list, u_max: float, n_u: int = 33, n_theta: int = N_THETA)
     state's cones alone.
     """
     speeds = np.linspace(0.0, u_max, n_u)
-    u2 = speeds * speeds
     thetas = np.linspace(0.0, 2.0 * np.pi, n_theta, endpoint=False)
     # per a2, the flow, shear and sound cones
     fluid = [[cone_coefficients(name, a2) for name in FLUID_FACTORS.families]
              for a2 in a2_list]
     index = {cone: i for i, cone in enumerate(dict.fromkeys(c for f in fluid for c in f))}
     alpha, beta = np.array(list(index), dtype=float).reshape(-1, 2).T
-    smax, theta, _ = _cone_extremes(alpha, beta, u2, thetas)
+    # a |w| too large for its square gives NaN or inf slopes, which the
+    # verdicts report and which raise no floating-point warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        u2 = speeds * speeds
+        smax, theta, _ = _cone_extremes(alpha, beta, u2, thetas)
     rows = []
     for a2, cones in zip(a2_list, fluid):
         flow, shear, sound = (index[c] for c in cones)
@@ -214,11 +217,13 @@ class ScanVerdict:
 
 def scan_verdict(rows) -> ScanVerdict:
     """Criterion 04's verdict on the rows of `causality_scan`."""
-    max_shear, max_sound = {}, {}
+    slopes = {}
     for r in rows:
-        max_shear[r.a2] = max(max_shear.get(r.a2, r.smax_p2), r.smax_p2)
-        max_sound[r.a2] = max(max_sound.get(r.a2, r.smax_p3), r.smax_p3)
-    return ScanVerdict(max_shear, max_sound)
+        slopes.setdefault(r.a2, []).append((r.smax_p2, r.smax_p3))
+    # np.max keeps a NaN wherever it stands
+    maxima = {a2: np.max(s, axis=0).tolist() for a2, s in slopes.items()}
+    return ScanVerdict({a2: m[0] for a2, m in maxima.items()},
+                       {a2: m[1] for a2, m in maxima.items()})
 
 
 @dataclass(frozen=True)

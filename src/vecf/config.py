@@ -98,7 +98,6 @@ SCHEMA = {
         "ic_width": (_float_range(lo=0.0, lo_open=True), 0.1),
         "ic_center": (_float_range(), 1.0),
         "eps0": (_float_range(lo=0.0, lo_open=True), 1.0),
-        "filter_strength": (_float_range(lo=0.0), 1.0),
         "output_every": (_int_range(lo=0), 0),
     },
     "dod": {

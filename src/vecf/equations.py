@@ -44,7 +44,7 @@ MUTATION_KEYS = (
 )
 
 # the window a measured fourth-order convergence order must fall in: every
-# refinement of the divergence oracle (criterion 07) and the unfiltered
+# refinement of the divergence oracle (criterion 07) and the
 # self-convergence study (criterion 08d)
 ORDER_WINDOW = (3.7, 4.3)
 # criterion 07's sensitivity test: this coefficient corruption must break

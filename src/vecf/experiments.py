@@ -217,8 +217,7 @@ def dod_experiment(cfg: SolverConfig, probe_t: float, probe_x: float,
     a bad placement raises ValueError.  The probe "value" is the max-abs
     difference over the five fields within a fixed small window around the
     probe point, which keeps single-point node artifacts of the oscillatory
-    precursor out of the measured ratios.  Evolutions run unfiltered so the
-    scheme's own locality is what is measured.
+    precursor out of the measured ratios.
 
     Each resolution makes one ensemble evolve of the bumps, and on the
     first grid a zero-amplitude bump, whose difference must be exactly 0.
@@ -230,7 +229,7 @@ def dod_experiment(cfg: SolverConfig, probe_t: float, probe_x: float,
     side by side on the CPUs the process may use (`_run_ladder`), with the
     serial run's results bit for bit; `taskset -c 0` runs them serially.
     """
-    base_cfg = replace(cfg, filter_strength=0.0, t_end=probe_t)
+    base_cfg = replace(cfg, t_end=probe_t)
     grid0 = make_grid(replace(base_cfg, n_cells=min(resolutions)))
     h0 = grid0.spacing
     v_max = _grid_v_max(grid0, cfg.transport)
@@ -413,7 +412,7 @@ def pulse_speed_experiment(family: str, a2: float, n_cells: int = 1024,
         raise ValueError("family must be 'sound' or 'shear'")
     expected = float(cone_slopes(family, 0.0, 0.0, a2)[1])     # at rest
     cfg = SolverConfig(transport=model, n_cells=n_cells, length=PULSE_LENGTH,
-                       t_end=t_second, ic=ic, filter_strength=0.0)
+                       t_end=t_second, ic=ic)
     traj = evolve(cfg, snapshot_times=[t_first, t_second])
     by_time = dict(zip(traj.times, traj.snapshots))
     ts = sorted(by_time)

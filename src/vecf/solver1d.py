@@ -31,9 +31,9 @@ constraint propagation.
 
 Runs that differ only in their initial data evolve together as one
 ensemble: a member axis sits before the cell axis, V and W are (5, B, N),
-the stencils and the filter act on the last axis, and the pointwise layers
-see the cells of every member as one flat batch.  A single run is the
-ensemble of one member.
+the stencils act on the last axis, and the pointwise layers see the cells
+of every member as one flat batch.  A single run is the ensemble of one
+member.
 
 An evolve makes one `equations.Scratch` and every step reuses it.  The
 stencils write dx V, dx W and dx dx V into it next to the stage input
@@ -48,7 +48,7 @@ arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
@@ -177,10 +177,14 @@ class SolverConfig:
     cfl: float = 0.25
     t_end: float = 0.5
     ic: InitialData = field(default_factory=constant_state)
-    filter_strength: float = 1.0
     output_every: int = 0          # 0: first/last snapshot only
+    # accepted for perfbench/workloads.py, which passes 0.0; ROADMAP item 1
+    # drops it together with factorization_suite's threads
+    filter_strength: InitVar[float] = 0.0
 
-    def __post_init__(self):
+    def __post_init__(self, filter_strength):
+        if filter_strength != 0.0:
+            raise ValueError("filter_strength must be 0: the solver has no filter")
         if not 0.0 < self.cfl <= COURANT_MAX:
             raise ValueError(f"cfl must lie in (0, {COURANT_MAX:g}]")
         if not abs(self.transport.a1 - 4.0) <= 1e-12:
@@ -189,8 +193,6 @@ class SolverConfig:
             raise ValueError("the evolution system requires a2 >= 4")
         if self.n_cells < 16:
             raise ValueError("grid too small")
-        if not self.filter_strength >= 0.0:
-            raise ValueError("filter_strength must be non-negative")
 
 
 @dataclass
@@ -251,15 +253,6 @@ class Trajectory:
     @property
     def final(self) -> np.ndarray:
         return self.snapshots[-1]
-
-
-def _filter_factors(n: int, strength: float) -> np.ndarray:
-    k = np.fft.rfftfreq(n) * 2.0          # |k| / k_max in [0, 1]
-    return np.exp(-strength * k ** 16)
-
-
-def _spectral_filter(W: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    return np.fft.irfft(np.fft.rfft(W, axis=-1) * factors, n=W.shape[-1], axis=-1)
 
 
 DET_FLOOR = 1e-10
@@ -351,9 +344,8 @@ def _check_initial(grid: FieldGrid, model: TransportModel) -> None:
 
 
 def step(grid: FieldGrid, cfg: SolverConfig, dt: float,
-         filter_factors: np.ndarray | None = None,
          work: Scratch | None = None) -> FieldGrid:
-    """One classical RK4 step; optional spectral filter applied to W after it.
+    """One classical RK4 step.
 
     Every stage asserts |det a| > DET_FLOOR at every cell before it divides
     by a pivot of a, and raises ValueError otherwise; in the admissible
@@ -397,10 +389,6 @@ def step(grid: FieldGrid, cfg: SolverConfig, dt: float,
         acc_w += kw
         Vn = V + np.multiply(acc_v, dt / 6.0, out=acc_v)
         Wn = W + np.multiply(acc_w, dt / 6.0, out=acc_w)
-        if cfg.filter_strength > 0.0:
-            if filter_factors is None:
-                filter_factors = _filter_factors(grid.n_cells, cfg.filter_strength)
-            Wn = _spectral_filter(Wn, filter_factors)
     return FieldGrid(n_cells=grid.n_cells, length=grid.length, V=Vn, W=Wn,
                      t=grid.t + dt)
 
@@ -424,9 +412,9 @@ def _fixed_point(cfg: SolverConfig) -> np.ndarray | None:
 
     It is one when W and _rhs's dt W are zero at every cell: every RK4
     stage's input is then the state itself, so each step returns V bit for
-    bit, up to the sign of a zero, and the filter leaves W = 0 at zero.  A
-    grid that make_grid, _check_initial or _rhs rejects is not one; the
-    check runs first, so _rhs never meets a det that overflows.
+    bit, up to the sign of a zero, and W stays zero.  A grid that make_grid,
+    _check_initial or _rhs rejects is not one; the check runs first, so
+    _rhs never meets a det that overflows.
     """
     try:
         grid = make_grid(cfg)
@@ -559,8 +547,6 @@ def evolve(cfg: SolverConfig, snapshot_times=None, ics=None):
                          f"the most allowed is {MAX_STEPS:g}")
     n_steps = max(1, int(steps))
     dt = cfg.t_end / n_steps
-    factors = (_filter_factors(cfg.n_cells, cfg.filter_strength)
-               if cfg.filter_strength > 0.0 else None)
 
     want = set()
     if snapshot_times is not None:
@@ -574,7 +560,7 @@ def evolve(cfg: SolverConfig, snapshot_times=None, ics=None):
 
     for i in range(1, n_steps + 1):
         try:
-            grid = step(grid, cfg, dt, factors, work)
+            grid = step(grid, cfg, dt, work)
         except ValueError as exc:
             raise SolverAbort(str(exc), grid.t, i, grid) from exc
         bad = _not_finite(grid)

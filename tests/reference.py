@@ -18,8 +18,7 @@ from vecf.constitutive import SGN, TransportModel, transport
 from vecf.constitutive import _jet_rows
 from vecf.equations import MUTATION_KEYS, DegenerateTimeMatrix
 from vecf.solver1d import (_QUIET, DET_FLOOR, FieldGrid, SolverConfig, _check_initial,
-                           _eps_lost, _filter_factors, _members, _spectral_filter,
-                           make_grid)
+                           _eps_lost, _members, make_grid)
 from vecf.symbol import (check_time_matrix_domain, det_by_elimination,
                          det_time_matrix_closed_form, symbol_components,
                          symbol_contractions)
@@ -379,9 +378,8 @@ def _solve_time_matrix(u, eps, coeffs, rhs, n_cells: int):
         raise ValueError(str(exc) + _members(bad)) from None
 
 
-def step(grid: FieldGrid, cfg: SolverConfig, dt: float,
-         filter_factors: np.ndarray | None = None) -> FieldGrid:
-    """One classical RK4 step; optional spectral filter applied to W after it.
+def step(grid: FieldGrid, cfg: SolverConfig, dt: float) -> FieldGrid:
+    """One classical RK4 step.
 
     Every stage asserts |det a| > DET_FLOOR at every cell before it divides
     by a pivot of a, and raises ValueError otherwise; in the admissible
@@ -398,10 +396,6 @@ def step(grid: FieldGrid, cfg: SolverConfig, dt: float,
         k4v, k4w = _rhs(V + dt * k3v, W + dt * k3w, h, model)
         Vn = V + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         Wn = W + dt / 6.0 * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        if cfg.filter_strength > 0.0:
-            if filter_factors is None:
-                filter_factors = _filter_factors(grid.n_cells, cfg.filter_strength)
-            Wn = _spectral_filter(Wn, filter_factors)
     return FieldGrid(n_cells=grid.n_cells, length=grid.length, V=Vn, W=Wn,
                      t=grid.t + dt)
 
@@ -411,9 +405,9 @@ def _fixed_point(cfg: SolverConfig) -> np.ndarray | None:
 
     It is one when W and _rhs's dt W are zero at every cell: every RK4
     stage's input is then the state itself, so each step returns V bit for
-    bit, up to the sign of a zero, and the filter leaves W = 0 at zero.  A
-    grid that make_grid, _check_initial or _rhs rejects is not one; the
-    check runs first, so _rhs never meets a det that overflows.
+    bit, up to the sign of a zero, and W stays zero.  A grid that make_grid,
+    _check_initial or _rhs rejects is not one; the check runs first, so
+    _rhs never meets a det that overflows.
     """
     try:
         grid = make_grid(cfg)

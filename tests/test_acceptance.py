@@ -101,7 +101,7 @@ def test_criterion_07_divergence_oracle():
 
 def test_criterion_08a_constant_state():
     cfg = SolverConfig(transport=TransportModel(a2=6.0), n_cells=64, length=2.0,
-                       t_end=1.0, ic=constant_state(eps0=1.3), filter_strength=0.0)
+                       t_end=1.0, ic=constant_state(eps0=1.3))
     grid = make_grid(cfg)
     v0 = grid.V.copy()
     dt = 0.25 * grid.spacing
@@ -119,8 +119,7 @@ def _shared_convergence():
     if "run" not in _CONVERGENCE_CACHE:
         cfg = SolverConfig(transport=TransportModel(a2=6.0), n_cells=256,
                            length=2.0, t_end=0.5,
-                           ic=gaussian_pulse(amplitude=0.05, width=0.1),
-                           filter_strength=0.0)
+                           ic=gaussian_pulse(amplitude=0.05, width=0.1))
         _CONVERGENCE_CACHE["run"] = convergence_study(
             cfg, resolutions=(256, 512, 1024))
     return _CONVERGENCE_CACHE["run"]
@@ -151,13 +150,13 @@ def test_criterion_08d_self_convergence():
     order = rep.observed_order
     shown = "exact" if order is None else f"{order:.2f}"
     report(8, "solver-d-self-convergence", rep.passed,
-           f"observed order {shown} in {list(ORDER_WINDOW)}, filter off")
+           f"observed order {shown} in {list(ORDER_WINDOW)}")
 
 
 def test_criterion_09_domain_of_dependence():
     t0 = time.perf_counter()
     cfg = SolverConfig(transport=TransportModel(a2=6.0), n_cells=128, length=2.0,
-                       t_end=0.35, ic=constant_state(), filter_strength=0.0)
+                       t_end=0.35, ic=constant_state())
     rep = dod_experiment(cfg, probe_t=0.35, probe_x=0.5,
                          resolutions=(128, 256, 512, 1024))
     elapsed = time.perf_counter() - t0

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from vecf.cli import main
+from vecf.cli import MAX_SAMPLES, main
 from vecf.config import ConfigError, load_config
 from vecf.experiments import ORDER_WINDOW
 
@@ -18,6 +18,13 @@ def test_unknown_key_named(tmp_path):
     p.write_text("[transport]\nviscosity = 2.0\n")
     with pytest.raises(ConfigError, match="viscosity"):
         load_config(str(p))
+
+
+def test_cli_rejects_the_removed_filter_strength(tmp_path, capsys):
+    assert main(["--out", str(tmp_path), "--set", "solver.filter_strength=1", "evolve"]) == 2
+    assert capsys.readouterr().err == ("config error: unknown config key "
+                                       "'filter_strength' in section [solver]\n")
+    assert not any(tmp_path.iterdir())
 
 
 def test_unknown_section_named(tmp_path):
@@ -84,6 +91,24 @@ def test_cli_causality_scan(tmp_path):
     lines = (tmp_path / "causality_scan.csv").read_text().splitlines()
     assert lines[0] == "a1,a2,u2,theta_max_p2,smax_p2,smax_p3,verdict"
     assert len(lines) == 11
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("overrides,passed", [
+    ([], True),
+    # from the second speed on |w|^2 overflows and the slopes are NaN; a
+    # NaN that is not the first value must not drop out of the maxima
+    (["--set", "scan.u_max=1e200"], False),
+    # |w|^2 is finite, and the slope arithmetic overflows without a warning
+    (["--set", "scan.u_max=1e154"], False),
+])
+def test_cli_causality_scan_passes_only_without_violations(tmp_path, capsys, overrides,
+                                                           passed):
+    code = main(["--out", str(tmp_path)] + overrides + ["causality-scan"])
+    payload = json.loads((tmp_path / "causality_scan.json").read_text())
+    assert payload["passed"] is passed and code == (0 if passed else 1)
+    assert not payload["passed"] or payload["violated_cells"] == 0
+    assert capsys.readouterr().out.rstrip().endswith("-> PASS" if passed else "-> FAIL")
 
 
 def test_cli_csv_bytes_reproducible(tmp_path):
@@ -156,6 +181,18 @@ def test_cli_region_map(tmp_path):
     assert payload["a1_4_row_causal"] is True
 
 
+@pytest.mark.parametrize("override", ["scan.a1_steps=2", "scan.a2_max=3"])
+def test_cli_region_map_without_the_causal_row_is_a_config_error(tmp_path, capsys,
+                                                                 override):
+    # a1 in {1, 6}, or a2 below 4 everywhere: no cell has a1 = 4 and a2 >= 4
+    assert main(["--out", str(tmp_path), "--set", override, "region-map"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1          # one line, no traceback
+    assert "scan.a1_*" in err and "scan.a2_*" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_roots(tmp_path):
     code = main(["--out", str(tmp_path), "roots", "--samples", "50"])
     assert code == 0
@@ -201,6 +238,10 @@ def test_cli_collapse(tmp_path, capsys):
     ("verify-factorization", ["--samples", "-3"]),
     ("verify-factorization", ["--seed", "-2"]),
     ("collapse", ["--samples", "0"]),
+    # above MAX_SAMPLES: rejected before a sample is drawn
+    ("collapse", ["--samples", "100000000000"]),
+    ("roots", ["--samples", str(MAX_SAMPLES + 1)]),
+    ("verify-factorization", ["--samples", str(10 * MAX_SAMPLES)]),
 ])
 def test_cli_rejects_bad_samples_and_seed(tmp_path, capsys, command, flags):
     assert main(["--out", str(tmp_path), command] + flags) == 2
@@ -310,9 +351,8 @@ CONVERGENCE_SMALL = ["--set", "convergence.resolutions=32 64 128",
                      "--set", "solver.t_end=0.1", "--set", "transport.a2=6"]
 
 
-def test_cli_convergence_filter_off_judges_the_order(tmp_path, capsys):
-    code = main(["--out", str(tmp_path), "--set", "solver.filter_strength=0"]
-                + CONVERGENCE_SMALL + ["convergence"])
+def test_cli_convergence_judges_the_order(tmp_path, capsys):
+    code = main(["--out", str(tmp_path)] + CONVERGENCE_SMALL + ["convergence"])
     out = capsys.readouterr().out
     payload = json.loads((tmp_path / "convergence.json").read_text())
     assert payload["tolerances"]["order"] == list(ORDER_WINDOW)
@@ -321,22 +361,11 @@ def test_cli_convergence_filter_off_judges_the_order(tmp_path, capsys):
     assert out.rstrip().endswith("-> FAIL")
 
 
-def test_cli_convergence_filter_on_judges_no_order(tmp_path, capsys):
-    code = main(["--out", str(tmp_path), "--set", "solver.filter_strength=1"]
-                + CONVERGENCE_SMALL + ["convergence"])
-    out = capsys.readouterr().out
-    payload = json.loads((tmp_path / "convergence.json").read_text())
-    assert payload["tolerances"]["order"] is None
-    assert payload["passed"] is True and code == 0
-    assert out.rstrip().endswith("-> not judged (filter on)")
-    assert "PASS" not in out
-
-
 def test_cli_convergence_without_an_order_fails(tmp_path, capsys):
     # constant data: every field's differences sit below round-off, so no
     # order is observed, and criterion 08d's rule fails the run
-    code = main(["--out", str(tmp_path), "--set", "solver.filter_strength=0",
-                 "--set", "solver.ic=constant"] + CONVERGENCE_SMALL + ["convergence"])
+    code = main(["--out", str(tmp_path), "--set", "solver.ic=constant"]
+                + CONVERGENCE_SMALL + ["convergence"])
     out = capsys.readouterr().out
     payload = json.loads((tmp_path / "convergence.json").read_text())
     assert all(order is None for order in payload["orders"].values())

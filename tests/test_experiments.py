@@ -13,7 +13,7 @@ from vecf.solver1d import SolverConfig, constant_state, evolve, gaussian_pulse
 
 def test_convergence_study_validates_resolutions():
     cfg = SolverConfig(transport=TransportModel(a2=6.0), n_cells=64, t_end=0.05,
-                       ic=gaussian_pulse(amplitude=0.03), filter_strength=0.0)
+                       ic=gaussian_pulse(amplitude=0.03))
     with pytest.raises(ValueError):
         convergence_study(cfg, resolutions=(64, 128))
     with pytest.raises(ValueError):
@@ -22,15 +22,14 @@ def test_convergence_study_validates_resolutions():
 
 def test_convergence_study_constant_state_is_exact():
     cfg = SolverConfig(transport=TransportModel(a2=6.0), n_cells=64, t_end=0.05,
-                       ic=constant_state(), filter_strength=0.0)
+                       ic=constant_state())
     report = convergence_study(cfg, resolutions=(32, 64, 128))
     assert report.observed_order is None     # differences at round-off
 
 
 def test_convergence_study_small_pulse():
     cfg = SolverConfig(transport=TransportModel(a2=6.0), n_cells=64, length=2.0,
-                       t_end=0.1, ic=gaussian_pulse(amplitude=0.05),
-                       filter_strength=0.0)
+                       t_end=0.1, ic=gaussian_pulse(amplitude=0.05))
     report = convergence_study(cfg, resolutions=(64, 128, 256))
     order = report.observed_order
     assert order is not None
@@ -41,7 +40,7 @@ def test_convergence_study_small_pulse():
 
 def test_dod_geometry_rejections():
     cfg = SolverConfig(transport=TransportModel(a2=6.0), n_cells=64, length=2.0,
-                       t_end=0.35, ic=constant_state(), filter_strength=0.0)
+                       t_end=0.35, ic=constant_state())
     # cone exits the domain before the probe time
     with pytest.raises(ValueError):
         dod_experiment(cfg, probe_t=2.0, probe_x=0.5, resolutions=(64,))
@@ -62,7 +61,7 @@ def test_dod_geometry_rejections():
 
 def test_dod_zero_amplitude_exact_zero():
     cfg = SolverConfig(transport=TransportModel(a2=6.0), n_cells=64, length=2.0,
-                       t_end=0.35, ic=constant_state(), filter_strength=0.0)
+                       t_end=0.35, ic=constant_state())
     report = dod_experiment(cfg, probe_t=0.35, probe_x=0.5,
                             resolutions=(64, 128))
     assert report.zero_amplitude_diff == 0.0
@@ -71,7 +70,7 @@ def test_dod_zero_amplitude_exact_zero():
 def test_dod_inside_beats_outside_quickly():
     # cheap two-resolution sanity run; the full scaling is in acceptance
     cfg = SolverConfig(transport=TransportModel(a2=6.0), n_cells=128, length=2.0,
-                       t_end=0.35, ic=constant_state(), filter_strength=0.0)
+                       t_end=0.35, ic=constant_state())
     report = dod_experiment(cfg, probe_t=0.35, probe_x=0.5,
                             resolutions=(128, 256))
     assert report.inside_diffs[-1] > 1e3 * report.outside_diffs[-1]
@@ -97,8 +96,7 @@ def test_dod_skipping_a_fixed_base_keeps_the_report(monkeypatch, eps0, stepped):
     # the report equals, field by field, the one that always steps the base;
     # at eps0 = 0.7 the base is no exact fixed point and is stepped anyway
     cfg = SolverConfig(transport=TransportModel(a2=6.0), n_cells=64, length=2.0,
-                       t_end=0.35, ic=constant_state(eps0=eps0),
-                       filter_strength=0.0)
+                       t_end=0.35, ic=constant_state(eps0=eps0))
 
     def run():
         return dod_experiment(cfg, probe_t=0.35, probe_x=0.5, resolutions=(64, 128))
@@ -115,7 +113,7 @@ def test_dod_skipping_a_fixed_base_keeps_the_report(monkeypatch, eps0, stepped):
 def test_dod_steps_only_the_bumps_over_a_fixed_base(monkeypatch):
     # [outside, inside, null] on the first grid, [outside, inside] after
     cfg = SolverConfig(transport=TransportModel(a2=6.0), n_cells=128, length=2.0,
-                       t_end=0.35, ic=constant_state(), filter_strength=0.0)
+                       t_end=0.35, ic=constant_state())
     sizes = _counting_evolve(monkeypatch)
     report = dod_experiment(cfg, probe_t=0.35, probe_x=0.5,
                             resolutions=(128, 256, 512))
@@ -135,17 +133,6 @@ def test_pulse_speed_rejects_unknown_family():
         pulse_speed_experiment("bulk", a2=4.0)
 
 
-def test_convergence_with_filter_is_reported():
-    # the 16th-order filter leaves the observed order near the stencil's 4
-    # at these resolutions; the study reports it rather than asserting
-    cfg = SolverConfig(transport=TransportModel(a2=6.0), n_cells=64, length=2.0,
-                       t_end=0.1, ic=gaussian_pulse(amplitude=0.05),
-                       filter_strength=1.0)
-    report = convergence_study(cfg, resolutions=(64, 128, 256))
-    assert report.observed_order is not None
-    assert np.isfinite(report.observed_order)
-
-
 def test_dod_report_verdict_takes_ratio_8_inclusive():
     pl = DodPlacement(center=1.0, radius=0.1, amplitude=0.02, inside=False,
                       margin_cells=3.0)
@@ -163,7 +150,7 @@ def test_dod_report_verdict_takes_ratio_8_inclusive():
 
 def test_dod_rejects_single_resolution():
     cfg = SolverConfig(transport=TransportModel(a2=6.0), n_cells=64, length=2.0,
-                       t_end=0.35, ic=constant_state(), filter_strength=0.0)
+                       t_end=0.35, ic=constant_state())
     with pytest.raises(ValueError, match="two resolutions"):
         dod_experiment(cfg, probe_t=0.35, probe_x=0.5, resolutions=(64,))
 

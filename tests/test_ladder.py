@@ -80,8 +80,7 @@ def test_another_thread_keeps_the_ladder_here(monkeypatch):
 ])
 def test_forked_dod_equals_serial_bitwise(monkeypatch, eps0, resolutions, probe_x):
     cfg = SolverConfig(transport=TransportModel(a2=6.0), n_cells=resolutions[0],
-                       length=2.0, t_end=0.35, ic=constant_state(eps0=eps0),
-                       filter_strength=0.0)
+                       length=2.0, t_end=0.35, ic=constant_state(eps0=eps0))
 
     def run(n):
         _cpus(monkeypatch, n)
@@ -92,8 +91,7 @@ def test_forked_dod_equals_serial_bitwise(monkeypatch, eps0, resolutions, probe_
 
 def test_forked_convergence_equals_serial_bitwise(monkeypatch):
     cfg = SolverConfig(transport=TransportModel(a2=6.0), n_cells=64, length=2.0,
-                       t_end=0.5, ic=gaussian_pulse(amplitude=0.05, width=0.1),
-                       filter_strength=0.0)
+                       t_end=0.5, ic=gaussian_pulse(amplitude=0.05, width=0.1))
     reports = []
     for n in (2, 1):
         _cpus(monkeypatch, n)
@@ -142,7 +140,7 @@ def test_a_failed_fork_runs_the_ladder_here(monkeypatch):
         raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
     real_pipe = os.pipe
     cfg = SolverConfig(transport=TransportModel(a2=6.0), n_cells=64, length=2.0,
-                       t_end=0.35, ic=constant_state(), filter_strength=0.0)
+                       t_end=0.35, ic=constant_state())
     _cpus(monkeypatch, 1)
     serial = dod_experiment(cfg, probe_t=0.35, probe_x=0.45, resolutions=(64, 128))
     _cpus(monkeypatch, 2)

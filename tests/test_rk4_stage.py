@@ -25,7 +25,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def cfg_of(**kw):
     base = dict(transport=TransportModel(a2=6.0), n_cells=64, length=2.0, cfl=0.25,
-                t_end=0.1, ic=constant_state(), filter_strength=0.0, output_every=4)
+                t_end=0.1, ic=constant_state(), output_every=4)
     base.update(kw)
     return SolverConfig(**base)
 
@@ -40,7 +40,7 @@ DOD_MEMBERS = [bump_perturbation(constant_state(), amp, c, 0.14) for amp, c in
 CASES = {
     "eps0=1": (cfg_of(), None),
     "eps0=0.7": (cfg_of(ic=constant_state(eps0=0.7)), None),
-    "gaussian+filter": (cfg_of(n_cells=128, ic=gaussian_pulse(), filter_strength=1.0), None),
+    "gaussian": (cfg_of(n_cells=128, ic=gaussian_pulse()), None),
     "shear": (cfg_of(n_cells=128, ic=shear_pulse()), None),
     "dod-64": (cfg_of(t_end=0.35, output_every=0), DOD_MEMBERS),
     "dod-128": (cfg_of(n_cells=128, t_end=0.35, output_every=0), DOD_MEMBERS),
@@ -57,8 +57,8 @@ def trajectory_bits(traj) -> list:
             + [bits(astuple(d)) for d in traj.diagnostics])
 
 
-def reference_step(grid, cfg, dt, filter_factors=None, work=None):
-    return reference.step(grid, cfg, dt, filter_factors)
+def reference_step(grid, cfg, dt, work=None):
+    return reference.step(grid, cfg, dt)
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -131,7 +131,7 @@ def test_an_abort_inside_a_step_keeps_the_pre_step_grid(monkeypatch, rate_dt, ca
     other = make_grid(replace(cfg, ic=gaussian_pulse()))
     work = Scratch()
     for _ in range(3):
-        other = step(other, cfg, dt, None, work)
+        other = step(other, cfg, dt, work)
     evolve(replace(cfg, ic=gaussian_pulse()))
     evolve(cfg, ics=[gaussian_pulse(), shear_pulse()])
     assert np.array_equal(grid.V, V) and np.array_equal(grid.W, W)
@@ -222,16 +222,16 @@ import resource
 from vecf import solver1d
 from vecf.constitutive import TransportModel
 cfg = solver1d.SolverConfig(transport=TransportModel(a2=6.0), n_cells=512, length=2.0,
-                            t_end=0.35, ic=solver1d.constant_state(), filter_strength=0.0)
+                            t_end=0.35, ic=solver1d.constant_state())
 ics = [solver1d.bump_perturbation(cfg.ic, 0.02, c, 0.14) for c in (1.319983164553722, 0.7)]
 grid = solver1d.make_grid(cfg, ics)
 work = solver1d.Scratch()
 dt = 0.35 / 338
 for _ in range(20):
-    grid = solver1d.step(grid, cfg, dt, None, work)
+    grid = solver1d.step(grid, cfg, dt, work)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(40):
-    grid = solver1d.step(grid, cfg, dt, None, work)
+    grid = solver1d.step(grid, cfg, dt, work)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 FAULTS_MAX = 400
