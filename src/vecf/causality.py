@@ -27,6 +27,13 @@ N_THETA = 720
 THETAS = np.linspace(0.0, 2.0 * np.pi, N_THETA, endpoint=False)
 # the critical-angle search refines its bracket to this width
 REFINE_TOL = 1e-10
+# criterion 04's scan, which `vecf causality-scan` runs: these a2, and
+# `causality_scan`'s n_u speeds |w| from 0 to SCAN_U_MAX
+SCAN_A2 = (4.0, 5.0, 6.0, 8.0, 10.0)
+SCAN_U_MAX = 10.0
+# the (a1, a2) grid of `vecf region-map`, whose a1 = 4, a2 >= 4 cells it judges
+REGION_A1 = np.linspace(1.0, 6.0, 11)
+REGION_A2 = np.linspace(1.0, 12.0, 12)
 
 
 def _cone_extremes(alpha, beta, u2, thetas):
@@ -162,7 +169,7 @@ class ScanRow:
     verdict: str
 
 
-def causality_scan(a2_list, u_max: float, n_u: int = 33, n_theta: int = N_THETA) -> list:
+def causality_scan(a2_list, u_max: float, n_u: int = 41, n_theta: int = N_THETA) -> list:
     """Deterministic grid scan over |w| in [0, u_max] for each a2.
 
     One row per (a2, |w|) cell with the theta-maximized shear and sound

@@ -43,10 +43,23 @@ def _write_csv(path: Path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _strict(x):
+    """x with every non-finite float, at any depth of dicts and lists, as
+    None: strict JSON has no NaN or Infinity, so they are written null."""
+    if isinstance(x, dict):
+        return {k: _strict(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_strict(v) for v in x]
+    if isinstance(x, (float, np.floating)) and not np.isfinite(x):
+        return None
+    return x
+
+
 def _write_json(path: Path, payload: dict):
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=float)
+        json.dump(_strict(payload), fh, indent=2, sort_keys=True, default=float,
+                  allow_nan=False)
         fh.write("\n")
 
 
@@ -84,9 +97,10 @@ def cmd_gevrey(cfg, args) -> int:
               f"total degree {fs.total_degree}")
     print(f"fluid Gevrey index:   {report.fluid}")
     print(f"coupled Gevrey index: {report.coupled}")
+    model = cfg.transport_model()
     payload = {
         "check": "gevrey-indices",
-        "parameters": {"a1": cfg["transport"]["a1"], "a2": cfg["transport"]["a2"]},
+        "parameters": {"a1": model.a1, "a2": model.a2},
         "seed": None,
         "tolerances": {"exact": True},
         "fluid_index": str(report.fluid),
@@ -150,12 +164,7 @@ def cmd_roots(cfg, args) -> int:
 
 
 def cmd_causality_scan(cfg, args) -> int:
-    scan = cfg["scan"]
-    if cfg["transport"]["a1"] != 4.0:
-        raise ConfigError("causality-scan reads the cone table, which holds at "
-                          f"transport.a1 = 4 only; got {cfg['transport']['a1']:g}")
-    rows = causality.causality_scan(scan["a2_list"], scan["u_max"],
-                                    n_u=scan["u_steps"], n_theta=scan["theta_steps"])
+    rows = causality.causality_scan(causality.SCAN_A2, causality.SCAN_U_MAX)
     verdict = causality.scan_verdict(rows)
     out = _outdir(cfg, args)
     _write_csv(out / "causality_scan.csv",
@@ -163,13 +172,12 @@ def cmd_causality_scan(cfg, args) -> int:
                [[r.a1, r.a2, r.u2, r.theta_max_p2, r.smax_p2, r.smax_p3, r.verdict]
                 for r in rows])
     n_violated = sum(1 for r in rows if r.verdict == "violated")
-    # np.max keeps a NaN slope, which Python's max may skip
-    worst_p2 = float(np.max(list(verdict.max_shear.values())))
-    worst_p3 = float(np.max(list(verdict.max_sound.values())))
+    worst_p2 = max(verdict.max_shear.values())
+    worst_p3 = max(verdict.max_sound.values())
     payload = {
         "check": "causality-scan",
-        "parameters": {"a1": cfg["transport"]["a1"], "a2_list": scan["a2_list"],
-                       "u_max": scan["u_max"], "theta_steps": scan["theta_steps"]},
+        "parameters": {"a1": rows[0].a1, "a2_list": causality.SCAN_A2,
+                       "u_max": causality.SCAN_U_MAX, "theta_steps": causality.N_THETA},
         "seed": None,
         "tolerances": {"boundary": causality.BOUNDARY_TOL},
         "rows": len(rows),
@@ -191,17 +199,8 @@ def _causal_row(a1, a2) -> bool:
 
 
 def cmd_region_map(cfg, args) -> int:
-    scan = cfg["scan"]
-    a1_grid = np.linspace(scan["a1_min"], scan["a1_max"], scan["a1_steps"])
-    a2_grid = np.linspace(scan["a2_min"], scan["a2_max"], scan["a2_steps"])
-    if not any(_causal_row(a1, a2) for a1 in a1_grid for a2 in a2_grid):
-        raise ConfigError("region-map judges the cells with a1 = 4 and a2 >= 4, and this "
-                          "grid has none: the scan.a1_* keys must place a1 = 4 on it, "
-                          "and the scan.a2_* keys must reach a2 >= 4")
-    try:
-        cells = causality.hyperbolicity_region_map(a1_grid, a2_grid)
-    except RuntimeError as exc:        # a cell whose quartic cannot be read
-        raise ConfigError(str(exc)) from exc
+    a1_grid, a2_grid = causality.REGION_A1, causality.REGION_A2
+    cells = causality.hyperbolicity_region_map(a1_grid, a2_grid)
     out = _outdir(cfg, args)
     _write_csv(out / "region_map.csv", ["a1", "a2", "label", "max_abs_slope"],
                [[c.a1, c.a2, c.label, c.max_abs_slope] for c in cells])
@@ -252,7 +251,7 @@ def cmd_evolve(cfg, args) -> int:
             _write_csv_rows(fh, np.column_stack([np.full(scfg.n_cells, t), x, snap.T]))
     with open(out / "evolve_diagnostics.jsonl", "w") as fh:
         for d in traj.diagnostics:
-            fh.write(json.dumps(asdict(d)) + "\n")
+            fh.write(json.dumps(_strict(asdict(d)), allow_nan=False) + "\n")
     print(f"evolved to t={traj.times[-1]:.6g} with dt={traj.dt:.3e}; "
           f"max constraint drift {traj.drift_max:.3e}")
     return EXIT_OK
@@ -260,21 +259,18 @@ def cmd_evolve(cfg, args) -> int:
 
 def cmd_dod_test(cfg, args) -> int:
     scfg = _solver_config(cfg)
-    d = cfg["dod"]
     try:
         report = experiments.dod_experiment(
             replace(scfg, ic=solver1d.constant_state(eps0=cfg["solver"]["eps0"])),
-            probe_t=d["probe_t"], probe_x=d["probe_x"],
-            resolutions=tuple(d["resolutions"]), amplitude=d["amplitude"],
-            radius=d["radius"], margin=d["margin"],
-            probe_window=d["probe_window"], bump_power=d["bump_power"])
+            experiments.DOD_PROBE_T, experiments.DOD_PROBE_X,
+            resolutions=tuple(cfg["dod"]["resolutions"]))
     except ValueError as exc:          # placement or initial data rejected
         raise ConfigError(str(exc)) from exc
     out = _outdir(cfg, args)
     ok = report.passed
     payload = {
         "check": "domain-of-dependence",
-        "parameters": {"a1": cfg["transport"]["a1"], "a2": cfg["transport"]["a2"],
+        "parameters": {"a1": scfg.transport.a1, "a2": scfg.transport.a2,
                        "probe_t": report.probe_t, "probe_x": report.probe_x,
                        "v_max": report.v_max, "cone_radius": report.cone_radius},
         "seed": None,
@@ -315,7 +311,7 @@ def cmd_convergence(cfg, args) -> int:
     ok = report.passed
     payload = {
         "check": "self-convergence",
-        "parameters": {"a1": cfg["transport"]["a1"], "a2": cfg["transport"]["a2"]},
+        "parameters": {"a1": scfg.transport.a1, "a2": scfg.transport.a2},
         "seed": None,
         "tolerances": {"order": list(experiments.ORDER_WINDOW)},
         "resolutions": list(res),
@@ -333,8 +329,7 @@ def cmd_oracle_divergence(cfg, args) -> int:
     fields = equations.SinusoidalField(length=cfg["solver"]["length"])
     try:
         report = equations.divergence_oracle(fields, cfg.transport_model(),
-                                             cfg["oracle"]["resolutions"],
-                                             t0=cfg["oracle"]["t0"])
+                                             cfg["oracle"]["resolutions"])
     except ValueError as exc:          # resolutions rejected
         raise ConfigError(str(exc)) from exc
     out = _outdir(cfg, args)

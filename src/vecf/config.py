@@ -1,7 +1,9 @@
 """Run configuration: one INI-style file, schema-checked, with flag overrides.
 
 Every numeric key is range-checked at load time and unknown keys are
-rejected by name.  Defaults encode the causal regime a1 = 4, a2 = 4.
+rejected by name.  A key sets the fluid's free parameters, the run, or the
+size of a resolution ladder; what each check samples is a constant of its
+module.  Defaults encode the causal regime a1 = 4, a2 = 4.
 """
 
 from __future__ import annotations
@@ -60,32 +62,11 @@ def _int_list(v):
     return vals
 
 
-def _float_list(v):
-    vals = [_finite(s) for s in str(v).replace(",", " ").split()]
-    if not vals:
-        raise ValueError("must be a non-empty list of numbers")
-    return vals
-
-
 SCHEMA = {
     "transport": {
-        "a1": (_float_range(), 4.0),
         "a2": (_float_range(), 4.0),
         "eta_form": (_choice("constant", "power"), "power"),
         "eta0": (_float_range(lo=0.0, lo_open=True), 1.0),
-        "p_exp": (_float_range(), 0.75),
-    },
-    "scan": {
-        "a2_list": (_float_list, [4.0, 5.0, 6.0, 8.0, 10.0]),
-        "u_max": (_float_range(lo=0.0), 10.0),
-        "u_steps": (_int_range(lo=2), 33),
-        "theta_steps": (_int_range(lo=8), 720),
-        "a1_min": (_float_range(), 1.0),
-        "a1_max": (_float_range(), 6.0),
-        "a1_steps": (_int_range(lo=1), 11),
-        "a2_min": (_float_range(), 1.0),
-        "a2_max": (_float_range(), 12.0),
-        "a2_steps": (_int_range(lo=1), 12),
     },
     "solver": {
         "n_cells": (_int_range(lo=16), 512),
@@ -101,13 +82,6 @@ SCHEMA = {
         "output_every": (_int_range(lo=0), 0),
     },
     "dod": {
-        "probe_t": (_float_range(lo=0.0, lo_open=True), 0.35),
-        "probe_x": (_float_range(), 0.5),
-        "amplitude": (_float_range(), 0.02),
-        "radius": (_float_range(lo=0.0, lo_open=True), 0.14),
-        "margin": (_float_range(lo=0.0), 0.10),
-        "probe_window": (_float_range(lo=0.0), 0.05),
-        "bump_power": (_int_range(lo=1), 4),
         "resolutions": (_int_list, [128, 256, 512, 1024]),
     },
     "convergence": {
@@ -115,7 +89,6 @@ SCHEMA = {
     },
     "oracle": {
         "resolutions": (_int_list, [64, 128, 256, 512]),
-        "t0": (_float_range(), 0.37),
     },
     "output": {
         "dir": (str, "out"),
@@ -132,8 +105,7 @@ class RunConfig:
 
     def transport_model(self) -> TransportModel:
         t = self.values["transport"]
-        return TransportModel(a1=t["a1"], a2=t["a2"], eta_form=t["eta_form"],
-                              eta0=t["eta0"], p_exp=t["p_exp"])
+        return TransportModel(a2=t["a2"], eta_form=t["eta_form"], eta0=t["eta0"])
 
 
 def _defaults() -> dict:

@@ -14,22 +14,26 @@ from dataclasses import dataclass
 import numpy as np
 
 SGN = np.array([-1.0, 1.0, 1.0, 1.0])  # diagonal of the flat metric, -+++
+# the exponent of eta(eps) = eta0 * eps**P_EXP: a conformal fluid has no
+# scale but its temperature, so eta ~ T^3 and eps ~ T^4 give eta ~ eps^(3/4)
+P_EXP = 0.75
 
 
 @dataclass(frozen=True)
 class TransportModel:
     """Shear viscosity model plus the two proportionality constants.
 
-    eta_form "constant" gives eta(eps) = eta0; "power" gives
-    eta(eps) = eta0 * eps**p_exp.  Both are positive and analytic on
-    eps > 0, which is all the theory requires of eta.
+    eta_form "constant" gives eta(eps) = eta0; "power" gives the conformal
+    eta(eps) = eta0 * eps**P_EXP.  Both are positive and analytic on
+    eps > 0, which is all the theory requires of eta.  a1 defaults to the
+    paper's causal value 4, the only one the solver steps; the tests of
+    the symbol and of the equations build models at other a1.
     """
 
     a1: float = 4.0
     a2: float = 4.0
     eta_form: str = "power"
     eta0: float = 1.0
-    p_exp: float = 0.75
 
     def __post_init__(self):
         if self.eta_form not in ("constant", "power"):
@@ -40,13 +44,13 @@ class TransportModel:
     def eta(self, eps):
         if self.eta_form == "constant":
             return self.eta0 * np.ones_like(np.asarray(eps, dtype=float))
-        return self.eta0 * np.asarray(eps, dtype=float) ** self.p_exp
+        return self.eta0 * np.asarray(eps, dtype=float) ** P_EXP
 
     def eta_prime(self, eps):
         """d eta / d eps, needed by the first-order equation terms."""
         if self.eta_form == "constant":
             return np.zeros_like(np.asarray(eps, dtype=float))
-        return self.eta0 * self.p_exp * np.asarray(eps, dtype=float) ** (self.p_exp - 1.0)
+        return self.eta0 * P_EXP * np.asarray(eps, dtype=float) ** (P_EXP - 1.0)
 
 
 def transport(eps, model: TransportModel):

@@ -53,6 +53,8 @@ ORDER_WINDOW = (3.7, 4.3)
 MUTATION = ("expansion_iso", 1.01)
 MUTATED_ORDER_MAX = 1.0
 AMPLIFICATION_MIN = 100.0
+# criterion 07 compares the two sides of the oracle at this time
+ORACLE_T0 = 0.37
 
 
 def _resolution_ladder(resolutions, least: int) -> tuple:
@@ -621,7 +623,7 @@ def _assembled_report(fields: SinusoidalField, fd: tuple, model: TransportModel,
 
 
 def divergence_residual(fields: SinusoidalField, resolution: int,
-                        model: TransportModel, t0: float = 0.37,
+                        model: TransportModel, t0: float = ORACLE_T0,
                         mutation=None) -> DivergenceReport:
     """Max discrepancy between assembled equations and the FD stress divergence.
 
@@ -644,7 +646,6 @@ class OracleReport:
     MUTATION, the two finest (mutated), with the criterion's verdict."""
 
     model: TransportModel
-    t0: float
     clean: tuple
     mutated: tuple
 
@@ -671,7 +672,7 @@ class OracleReport:
     def to_json(self) -> dict:
         return {
             "check": "divergence-oracle",
-            "parameters": {"a1": self.model.a1, "a2": self.model.a2, "t0": self.t0},
+            "parameters": {"a1": self.model.a1, "a2": self.model.a2, "t0": ORACLE_T0},
             "seed": None,
             "tolerances": {"order": list(ORDER_WINDOW),
                            "mutated_order_max": MUTATED_ORDER_MAX,
@@ -685,15 +686,16 @@ class OracleReport:
         }
 
 
-def divergence_oracle(fields: SinusoidalField, model: TransportModel, resolutions,
-                      t0: float = 0.37) -> OracleReport:
-    """Criterion 07 at these resolutions: at least two, positive, each double
-    the last, or the orders measure nothing (ValueError)."""
+def divergence_oracle(fields: SinusoidalField, model: TransportModel,
+                      resolutions) -> OracleReport:
+    """Criterion 07 at these resolutions, at t = ORACLE_T0: at least two,
+    positive, each double the last, or the orders measure nothing
+    (ValueError)."""
     resolutions = _resolution_ladder(resolutions, 2)
     # the mutation touches only the assembled side: the mutated reports
     # reuse the clean finite-difference divergences
-    fds = [_fd_divergence(fields, n, model, t0) for n in resolutions]
-    clean = tuple(_assembled_report(fields, fd, model, t0) for fd in fds)
-    mutated = tuple(_assembled_report(fields, fd, model, t0, mutation=MUTATION)
+    fds = [_fd_divergence(fields, n, model, ORACLE_T0) for n in resolutions]
+    clean = tuple(_assembled_report(fields, fd, model, ORACLE_T0) for fd in fds)
+    mutated = tuple(_assembled_report(fields, fd, model, ORACLE_T0, mutation=MUTATION)
                     for fd in fds[-2:])
-    return OracleReport(model=model, t0=t0, clean=clean, mutated=mutated)
+    return OracleReport(model=model, clean=clean, mutated=mutated)

@@ -31,6 +31,15 @@ DOD_OUTSIDE_RATIO_MIN = 8.0
 DOD_OUTSIDE_ORDER = (3.5, 5.5)
 DOD_INSIDE_STABILITY = 0.1
 DOD_INSIDE_OVER_OUTSIDE_MIN = 1e3
+# criterion 09's sample, which `vecf dod-test` runs: the probe event
+# (t, x), the bumps' amplitude and radius, the outside bump's clearance
+# beyond the cone and the probe window, and the window's half-width
+DOD_PROBE_T = 0.35
+DOD_PROBE_X = 0.5
+DOD_AMPLITUDE = 0.02
+DOD_RADIUS = 0.14
+DOD_MARGIN = 0.10
+DOD_PROBE_WINDOW = 0.05
 # the convergence study reports a field as exact ("order None") when either
 # of its successive differences falls below this
 ROUNDOFF_FLOOR = 1e-13
@@ -103,8 +112,8 @@ class DodReport:
 
 
 def _probe_difference(base_v: np.ndarray, pert_v: np.ndarray, x: np.ndarray,
-                      probe_x: float, window: float) -> float:
-    mask = np.abs(x - probe_x) <= window
+                      probe_x: float) -> float:
+    mask = np.abs(x - probe_x) <= DOD_PROBE_WINDOW
     return float(np.abs((pert_v - base_v)[:, mask]).max())
 
 
@@ -205,19 +214,19 @@ def _final_and_drift(cfg: SolverConfig) -> tuple:
 
 
 def dod_experiment(cfg: SolverConfig, probe_t: float, probe_x: float,
-                   resolutions=(128, 256, 512, 1024), amplitude: float = 0.02,
-                   radius: float = 0.14, margin: float = 0.10,
-                   probe_window: float = 0.05, bump_power: int = 4) -> DodReport:
+                   resolutions=(128, 256, 512, 1024)) -> DodReport:
     """Run the two-placement domain-of-dependence experiment.
 
+    Criterion 09 probes (DOD_PROBE_T, DOD_PROBE_X); the bumps, of
+    amplitude DOD_AMPLITUDE and radius DOD_RADIUS, sit at the probe point
+    (inside) and DOD_MARGIN beyond the cone and the probe window (outside).
     Placement geometry is validated against the backward cone
     {|x - probe_x| <= v_max (probe_t - t)} with at least a two-cell margin
     on the coarsest grid.  Each bump's support must lie in [0, L), since
-    `bump_perturbation` does not wrap, and the amplitude must be nonzero;
-    a bad placement raises ValueError.  The probe "value" is the max-abs
-    difference over the five fields within a fixed small window around the
-    probe point, which keeps single-point node artifacts of the oscillatory
-    precursor out of the measured ratios.
+    `bump_perturbation` does not wrap; a bad placement raises ValueError.
+    The probe "value" is the max-abs difference over the five fields
+    within DOD_PROBE_WINDOW of the probe point, which keeps single-point
+    node artifacts of the oscillatory precursor out of the measured ratios.
 
     Each resolution makes one ensemble evolve of the bumps, and on the
     first grid a zero-amplitude bump, whose difference must be exactly 0.
@@ -235,11 +244,10 @@ def dod_experiment(cfg: SolverConfig, probe_t: float, probe_x: float,
     v_max = _grid_v_max(grid0, cfg.transport)
     cone = v_max * probe_t
 
-    out_center = probe_x + cone + radius + probe_window + margin
+    radius = DOD_RADIUS
+    out_center = probe_x + cone + radius + DOD_PROBE_WINDOW + DOD_MARGIN
     in_center = probe_x
     length = cfg.length
-    if amplitude == 0.0:
-        raise ValueError("bump amplitude must be nonzero")
     for name, c, need_inside in (("outside", out_center, False), ("inside", in_center, True)):
         if c - radius < 0.0 or c + radius > length:
             raise ValueError(f"{name} bump support [{c - radius:.6g}, {c + radius:.6g}] "
@@ -259,17 +267,16 @@ def dod_experiment(cfg: SolverConfig, probe_t: float, probe_x: float,
     out_margin = (abs(out_center - probe_x) - radius - cone) / h0
     in_margin = (cone - (abs(in_center - probe_x) + radius)) / h0
     placements = {
-        "outside": DodPlacement(out_center, radius, amplitude, False, out_margin),
-        "inside": DodPlacement(in_center, radius, amplitude, True, in_margin),
+        "outside": DodPlacement(out_center, radius, DOD_AMPLITUDE, False, out_margin),
+        "inside": DodPlacement(in_center, radius, DOD_AMPLITUDE, True, in_margin),
     }
 
     # the bumps touch eps only, and at a1 = 4 the speed does not depend on
     # eps, so every member has the base's v_max and dt: one ensemble evolve
     # per resolution gives each member's solo result bitwise
-    bumps = [bump_perturbation(cfg.ic, pl.amplitude, pl.center, pl.radius,
-                               power=bump_power) for pl in placements.values()]
-    null_ic = bump_perturbation(cfg.ic, 0.0, placements["outside"].center,
-                                radius, power=bump_power)
+    bumps = [bump_perturbation(cfg.ic, pl.amplitude, pl.center, pl.radius)
+             for pl in placements.values()]
+    null_ic = bump_perturbation(cfg.ic, 0.0, placements["outside"].center, radius)
     bases = [_fixed_point(replace(base_cfg, n_cells=n)) for n in resolutions]
     member_ics = [([cfg.ic] if base_v is None else []) + bumps
                   + ([null_ic] if k == 0 else []) for k, base_v in enumerate(bases)]
@@ -283,11 +290,9 @@ def dod_experiment(cfg: SolverConfig, probe_t: float, probe_x: float,
             base_v = pert_vs.pop(0)
         x = np.arange(n) * (cfg.length / n)
         for name, pert_v in zip(placements, pert_vs):
-            diffs[name].append(_probe_difference(base_v, pert_v, x, probe_x,
-                                                 probe_window))
+            diffs[name].append(_probe_difference(base_v, pert_v, x, probe_x))
         if zero_diff is None:
-            zero_diff = _probe_difference(base_v, pert_vs[-1], x, probe_x,
-                                          probe_window)
+            zero_diff = _probe_difference(base_v, pert_vs[-1], x, probe_x)
 
     return DodReport(
         probe_t=probe_t, probe_x=probe_x, v_max=v_max, cone_radius=cone,

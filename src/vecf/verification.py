@@ -34,7 +34,7 @@ A2_RANGE = (4.0, 12.0)
 
 # the factorization suite's viscosity model; a2 is drawn per sample, and
 # eta does not depend on it
-FACTORIZATION_MODEL = TransportModel(a1=4.0, eta_form="power", eta0=1.0, p_exp=0.75)
+FACTORIZATION_MODEL = TransportModel(a1=4.0, eta_form="power", eta0=1.0)
 
 
 def _draw_a2(r):

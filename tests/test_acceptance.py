@@ -9,13 +9,13 @@ import time
 
 import numpy as np
 
-from vecf.causality import (BOUNDARY_TOL, causality_scan, cone_slopes,
-                            critical_angle_check, scan_verdict)
+from vecf.causality import (BOUNDARY_TOL, SCAN_A2, SCAN_U_MAX, causality_scan,
+                            cone_slopes, critical_angle_check, scan_verdict)
 from vecf.characteristics import gevrey_check
 from vecf.constitutive import SGN, TransportModel, stress_tensor_fields
 from vecf.equations import ORDER_WINDOW, SinusoidalField, divergence_oracle
-from vecf.experiments import (DOD_OUTSIDE_RATIO_MIN, convergence_study,
-                              dod_experiment, pulse_speed_experiment)
+from vecf.experiments import (DOD_OUTSIDE_RATIO_MIN, DOD_PROBE_T, DOD_PROBE_X,
+                              convergence_study, dod_experiment, pulse_speed_experiment)
 from vecf.solver1d import SolverConfig, constant_state, gaussian_pulse, make_grid, step
 from vecf.verification import (collapse_suite, factorization_suite, roots_suite,
                                time_matrix_suite)
@@ -54,11 +54,10 @@ def test_criterion_03_root_formulas():
 
 
 def test_criterion_04_causality_slopes():
-    a2_values = (4.0, 5.0, 6.0, 8.0, 10.0)
-    verdict = scan_verdict(causality_scan(a2_values, 10.0, n_u=41))   # |w| up to 10
+    verdict = scan_verdict(causality_scan(SCAN_A2, SCAN_U_MAX))   # |w| up to 10
     ok = verdict.passed
     details = [f"a2={a2:g}: shear {verdict.max_shear[a2]:.6f}, "
-               f"sound {verdict.max_sound[a2]:.9f}" for a2 in a2_values]
+               f"sound {verdict.max_sound[a2]:.9f}" for a2 in SCAN_A2]
     # theta extremizer on the axis
     rng = np.random.default_rng(19)
     for _ in range(40):
@@ -69,7 +68,7 @@ def test_criterion_04_causality_slopes():
         rep = critical_angle_check(u2, a2, family="sound")
         ok &= rep.on_axis
     # rest-state speeds reproduced to BOUNDARY_TOL by the slope functions
-    for a2 in a2_values:
+    for a2 in SCAN_A2:
         sp, _ = cone_slopes("shear", 0.0, 0.0, a2)
         ok &= abs(abs(float(sp)) - 1.0 / np.sqrt(a2)) <= BOUNDARY_TOL
         sp, _ = cone_slopes("sound", 0.0, 0.0, a2)
@@ -156,8 +155,8 @@ def test_criterion_08d_self_convergence():
 def test_criterion_09_domain_of_dependence():
     t0 = time.perf_counter()
     cfg = SolverConfig(transport=TransportModel(a2=6.0), n_cells=128, length=2.0,
-                       t_end=0.35, ic=constant_state())
-    rep = dod_experiment(cfg, probe_t=0.35, probe_x=0.5,
+                       t_end=DOD_PROBE_T, ic=constant_state())
+    rep = dod_experiment(cfg, probe_t=DOD_PROBE_T, probe_x=DOD_PROBE_X,
                          resolutions=(128, 256, 512, 1024))
     elapsed = time.perf_counter() - t0
     ratios = rep.outside_ratios

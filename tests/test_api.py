@@ -121,6 +121,82 @@ def test_every_defaulted_parameter_is_passed():
     assert set(TEST_KNOBS) <= defaulted
 
 
+def _signatures() -> dict:
+    """Per public definition of the package, the names of its parameters,
+    or None where it takes any keyword (**kwargs, or no signature)."""
+    import importlib
+    import inspect
+    found = {}
+    for path in _modules():
+        module = importlib.import_module(f"vecf.{path.stem}")
+        for name in _public_definitions(path):
+            try:
+                params = inspect.signature(getattr(module, name)).parameters.values()
+            except ValueError:
+                found[name] = None
+                continue
+            if any(p.kind is p.VAR_KEYWORD for p in params):
+                found[name] = None
+            elif found.get(name, ()) is not None:
+                found[name] = found.get(name, set()) | {p.name for p in params}
+    return found
+
+
+def _bound_in(tree) -> tuple:
+    """The names a module binds to `getattr(module, f"...")`, as regexes
+    over the definitions they may name, and to dict displays, as the keys
+    of those dicts (both arms of an `a if c else b`)."""
+    import re
+    getattrs, dicts = {}, {}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)):
+            continue
+        target, value = node.targets[0].id, node.value
+        if (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+                and value.func.id == "getattr" and isinstance(value.args[1], ast.JoinedStr)):
+            getattrs[target] = "".join(
+                re.escape(part.value) if isinstance(part, ast.Constant) else ".*"
+                for part in value.args[1].values)
+        arms = [value.body, value.orelse] if isinstance(value, ast.IfExp) else [value]
+        if all(isinstance(arm, ast.Dict) for arm in arms):
+            dicts[target] = {k.value for arm in arms for k in arm.keys
+                             if isinstance(k, ast.Constant)}
+    return getattrs, dicts
+
+
+def test_every_keyword_passed_to_the_package_names_a_parameter():
+    # a keyword that the acceptance gate or a benchmark workload passes must
+    # stay a parameter of the function it reaches: removing one breaks them
+    import re
+    signatures = _signatures()
+    unknown = []
+    for path in REACHING:
+        tree = ast.parse(path.read_text())
+        getattrs, dicts = _bound_in(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = (func.id if isinstance(func, ast.Name)
+                    else func.attr if isinstance(func, ast.Attribute) else None)
+            if name in signatures:
+                callees = [name]
+            elif name in getattrs:
+                callees = [d for d in signatures if re.fullmatch(getattrs[name], d)]
+                assert callees, f"{path.name}: {name} names no package definition"
+            else:
+                continue
+            keywords = {k.arg for k in node.keywords if k.arg is not None}
+            for k in node.keywords:
+                if k.arg is None and isinstance(k.value, ast.Name):
+                    keywords |= dicts.get(k.value.id, set())
+            unknown += [f"{path.name}:{node.lineno} {name}({kw}=)" for kw in sorted(keywords)
+                        if not any(signatures[c] is None or kw in signatures[c]
+                                   for c in callees)]
+    assert unknown == []
+
+
 def test_single_state_wrappers_left_the_package():
     assert not set(MOVED) & set(vecf.__all__)
     for path in _modules():

@@ -4,9 +4,9 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from vecf.causality import (THETAS, _cone_extremes, _fluid_verdict, _verdict, causality_scan,
-                            cone_slopes, critical_angle_check, hyperbolicity_region_map,
-                            scan_verdict)
+from vecf.causality import (REGION_A1, SCAN_A2, THETAS, _cone_extremes, _fluid_verdict,
+                            _verdict, causality_scan, cone_slopes, critical_angle_check,
+                            hyperbolicity_region_map, scan_verdict)
 from vecf.characteristics import FAMILIES, FLUID_FACTORS, cone_coefficients
 from vecf.constitutive import TransportModel
 from vecf.solver1d import FieldGrid, _grid_v_max
@@ -285,6 +285,27 @@ def test_scan_verdict_judges_criterion_04s_rules():
     rows = causality_scan([6.0], 10.0, n_u=9, n_theta=90)
     touching = [replace(r, smax_p3=1.0) if i == 3 else r for i, r in enumerate(rows)]
     assert not scan_verdict(touching).passed
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("u_max", [
+    # from the second speed on |w|^2 overflows and the slopes are NaN; a
+    # NaN that is not the first value must not drop out of the maxima
+    1e200,
+    # |w|^2 is finite, and the slope arithmetic overflows without a warning
+    1e154,
+])
+def test_scan_verdict_fails_on_nan_slopes(u_max):
+    verdict = scan_verdict(causality_scan(SCAN_A2, u_max))
+    assert not verdict.passed
+    assert np.isnan(list(verdict.max_shear.values())).all()
+
+
+def test_region_map_unreadable_cell_names_it():
+    # a2 near 1e299 overflows the sound quartic, so its coefficients cannot
+    # be read
+    with pytest.raises(RuntimeError, match=r"a1 = 1, a2 = 9\.09091e\+298"):
+        hyperbolicity_region_map(REGION_A1, np.linspace(1.0, 1e300, 12))
 
 
 def test_causality_scan_finds_the_violated_rows_of_a_failing_chunk():

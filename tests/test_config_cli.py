@@ -2,15 +2,16 @@ import json
 
 import pytest
 
+from vecf.causality import SCAN_A2
 from vecf.cli import MAX_SAMPLES, main
 from vecf.config import ConfigError, load_config
 from vecf.experiments import ORDER_WINDOW
 
 
 def test_defaults_encode_causal_regime():
-    cfg = load_config()
-    assert cfg["transport"]["a1"] == 4.0
-    assert cfg["transport"]["a2"] == 4.0
+    model = load_config().transport_model()
+    assert model.a1 == 4.0
+    assert model.a2 == 4.0
 
 
 def test_unknown_key_named(tmp_path):
@@ -81,41 +82,42 @@ def test_cli_verify_factorization_small(tmp_path):
     assert payload["parameters"]["a1"] == 4.0
 
 
-def test_cli_causality_scan(tmp_path):
-    code = main(["--out", str(tmp_path),
-                 "--set", "scan.a2_list=4 6",
-                 "--set", "scan.u_steps=5",
-                 "--set", "scan.theta_steps=180",
-                 "causality-scan"])
+@pytest.mark.filterwarnings("error")
+def test_cli_causality_scan(tmp_path, capsys):
+    # criterion 04's scan: five a2 by 41 speeds, no violation
+    code = main(["--out", str(tmp_path), "causality-scan"])
     assert code == 0
     lines = (tmp_path / "causality_scan.csv").read_text().splitlines()
     assert lines[0] == "a1,a2,u2,theta_max_p2,smax_p2,smax_p3,verdict"
-    assert len(lines) == 11
+    assert len(lines) == 1 + len(SCAN_A2) * 41
+    payload = json.loads((tmp_path / "causality_scan.json").read_text())
+    assert payload["rows"] == 205 and payload["violated_cells"] == 0
+    assert payload["passed"] is True
+    out = capsys.readouterr().out
+    assert "205 cells" in out and out.rstrip().endswith("-> PASS")
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("overrides,passed", [
     ([], True),
-    # from the second speed on |w|^2 overflows and the slopes are NaN; a
-    # NaN that is not the first value must not drop out of the maxima
-    (["--set", "scan.u_max=1e200"], False),
-    # |w|^2 is finite, and the slope arithmetic overflows without a warning
-    (["--set", "scan.u_max=1e154"], False),
+    # the scan's grid is fixed: a config for the evolves leaves its verdict as it is
+    (["--set", "solver.n_cells=16"], True),
 ])
 def test_cli_causality_scan_passes_only_without_violations(tmp_path, capsys, overrides,
                                                            passed):
     code = main(["--out", str(tmp_path)] + overrides + ["causality-scan"])
     payload = json.loads((tmp_path / "causality_scan.json").read_text())
     assert payload["passed"] is passed and code == (0 if passed else 1)
-    assert not payload["passed"] or payload["violated_cells"] == 0
+    assert payload["passed"] is (payload["violated_cells"] == 0)
+    rows = (tmp_path / "causality_scan.csv").read_text().splitlines()[1:]
+    n_violated = sum(1 for r in rows if r.rsplit(",", 1)[1] == "violated")
+    assert n_violated == payload["violated_cells"]
     assert capsys.readouterr().out.rstrip().endswith("-> PASS" if passed else "-> FAIL")
 
 
 def test_cli_csv_bytes_reproducible(tmp_path):
-    args = ["--set", "scan.a2_list=4 6", "--set", "scan.u_steps=5",
-            "--set", "scan.theta_steps=90", "causality-scan"]
-    main(["--out", str(tmp_path / "a")] + args)
-    main(["--out", str(tmp_path / "b")] + args)
+    main(["--out", str(tmp_path / "a"), "causality-scan"])
+    main(["--out", str(tmp_path / "b"), "causality-scan"])
     a = (tmp_path / "a" / "causality_scan.csv").read_bytes()
     b = (tmp_path / "b" / "causality_scan.csv").read_bytes()
     assert a == b
@@ -171,26 +173,11 @@ def test_evolve_csv_rows_are_savetxts_bytes():
 
 
 def test_cli_region_map(tmp_path):
-    code = main(["--out", str(tmp_path),
-                 "--set", "scan.a1_steps=2", "--set", "scan.a2_steps=3",
-                 "--set", "scan.a1_min=4", "--set", "scan.a1_max=4",
-                 "--set", "scan.a2_min=4", "--set", "scan.a2_max=8",
-                 "region-map"])
+    code = main(["--out", str(tmp_path), "region-map"])
     assert code == 0
     payload = json.loads((tmp_path / "region_map.json").read_text())
+    assert payload["cells"] == 11 * 12
     assert payload["a1_4_row_causal"] is True
-
-
-@pytest.mark.parametrize("override", ["scan.a1_steps=2", "scan.a2_max=3"])
-def test_cli_region_map_without_the_causal_row_is_a_config_error(tmp_path, capsys,
-                                                                 override):
-    # a1 in {1, 6}, or a2 below 4 everywhere: no cell has a1 = 4 and a2 >= 4
-    assert main(["--out", str(tmp_path), "--set", override, "region-map"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ")
-    assert err.count("\n") == 1          # one line, no traceback
-    assert "scan.a1_*" in err and "scan.a2_*" in err
-    assert not any(tmp_path.iterdir())
 
 
 def test_cli_roots(tmp_path):
@@ -274,10 +261,6 @@ def test_cli_rejects_removed_verification_section(tmp_path, capsys):
 
 @pytest.mark.parametrize("override,command", [
     ("solver.t_end=inf", "evolve"),
-    ("scan.a1_min=nan", "region-map"),
-    ("scan.a2_min=inf", "region-map"),
-    ("scan.a2_list=4 nan", "causality-scan"),
-    ("oracle.t0=nan", "oracle-divergence"),
     ("transport.a2=-inf", "evolve"),
 ])
 def test_cli_rejects_non_finite_values(tmp_path, capsys, override, command):
@@ -307,6 +290,7 @@ def test_cli_oracle_divergence(tmp_path):
     ("oracle.resolutions=-64,-128", "oracle-divergence"),
     ("oracle.resolutions=64", "oracle-divergence"),
     ("oracle.resolutions=64,100", "oracle-divergence"),
+    # no longer a key: the cone table holds at a1 = 4 only
     ("transport.a1=1", "causality-scan"),
 ])
 def test_cli_claim_commands_reject_bad_config(tmp_path, capsys, override, command):
@@ -374,17 +358,19 @@ def test_cli_convergence_without_an_order_fails(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("override,command", [
-    ("transport.a1=5", "evolve"),
     ("solver.ic_amplitude=-2", "evolve"),
-    ("transport.a1=5", "dod-test"),
     ("dod.resolutions=128", "dod-test"),
     ("dod.resolutions=64,96", "dod-test"),
+    ("solver.length=1", "dod-test"),      # the outside bump leaves [0, L)
+    ("convergence.resolutions=64,100,200", "convergence"),
+    # keys that no longer exist: a1 = 4 and criterion 09's sample are constants
+    ("transport.a1=5", "evolve"),
+    ("transport.a1=5", "dod-test"),
+    ("transport.a1=5", "convergence"),
     ("dod.radius=0.9", "dod-test"),
     ("dod.amplitude=0", "dod-test"),
-    ("dod.probe_x=1.7", "dod-test"),      # outside bump beyond x = L
-    ("dod.probe_x=1.5", "dod-test"),      # outside bump across x = L
-    ("transport.a1=5", "convergence"),
-    ("convergence.resolutions=64,100,200", "convergence"),
+    ("dod.probe_x=1.7", "dod-test"),
+    ("dod.probe_x=1.5", "dod-test"),
 ])
 def test_cli_solver_commands_reject_bad_config(tmp_path, capsys, override, command):
     assert main(["--out", str(tmp_path), "--set", override, command]) == 2
@@ -412,6 +398,35 @@ def test_cli_rejects_bad_resolution_ladders(tmp_path, capsys, override, command)
     assert not any(tmp_path.iterdir())
 
 
+# what each check samples is a constant of its module, not a config key
+REMOVED_KEYS = (["transport.a1", "transport.p_exp"]
+                + [f"scan.{k}" for k in ("a2_list", "u_max", "u_steps", "theta_steps",
+                                         "a1_min", "a1_max", "a1_steps", "a2_min",
+                                         "a2_max", "a2_steps")]
+                + [f"dod.{k}" for k in ("probe_t", "probe_x", "amplitude", "radius",
+                                        "margin", "probe_window", "bump_power")]
+                + ["oracle.t0"])
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_cli_rejects_the_removed_criterion_keys(tmp_path, capsys, key):
+    section, name = key.split(".")
+    assert main(["--out", str(tmp_path), "--set", f"{key}=1", "gevrey"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    # a [scan] key is rejected with its section, any other by its name
+    assert f"[{section}]" in err and (section == "scan" or f"'{name}'" in err)
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_rejects_the_removed_scan_section(tmp_path, capsys):
+    p = tmp_path / "run.ini"
+    p.write_text("[scan]\nu_max = 10\n")
+    assert main(["--config", str(p), "--out", str(tmp_path / "out"), "causality-scan"]) == 2
+    assert capsys.readouterr().err == "config error: unknown config section [scan]\n"
+    assert list(tmp_path.iterdir()) == [p]
+
+
 def test_cli_rejects_removed_speeds_section(tmp_path, capsys):
     # no command reads pulse-speed settings, so the section does not exist
     assert main(["--out", str(tmp_path), "--set", "speeds.n_cells=64", "gevrey"]) == 2
@@ -419,17 +434,6 @@ def test_cli_rejects_removed_speeds_section(tmp_path, capsys):
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
     assert "speeds" in err
-
-
-def test_cli_region_map_unreadable_cell_is_a_config_error(tmp_path, capsys):
-    # a2 near 1e299 overflows the sound quartic, so its coefficients cannot
-    # be read; the error names the cell
-    assert main(["--out", str(tmp_path), "--set", "scan.a2_max=1e300", "region-map"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ")
-    assert err.count("\n") == 1          # one line, no traceback
-    assert "a1 = 1, a2 = 9.09091e+298" in err
-    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("override,command", [
@@ -461,6 +465,21 @@ def test_cli_large_eps0_reports_a_finite_det_shortfall(tmp_path):
     diags = [json.loads(line, parse_constant=reject) for line in lines]
     assert len(diags) == 2
     assert all(abs(d["det_shortfall_rel"]) < 1e-12 for d in diags)
+
+
+def test_cli_dod_test_writes_non_finite_values_as_null(tmp_path, capsys):
+    # the bumps' amplitude 0.02 lies below the rounding of eps0 = 1e20: every
+    # difference is 0, the order and the ratio are NaN, and dod.json is
+    # strict JSON that writes them null
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    assert main(["--out", str(tmp_path), "--set", "solver.eps0=1e20",
+                 "--set", "dod.resolutions=64,128", "dod-test"]) == 1
+    payload = json.loads((tmp_path / "dod.json").read_text(), parse_constant=reject)
+    assert payload["outside_order"] is None and payload["outside_ratios"] == [None]
+    assert payload["outside_diffs"] == [0.0, 0.0] and payload["passed"] is False
+    assert capsys.readouterr().out.rstrip().endswith("-> FAIL")
 
 
 # (command, eps0) -> (message, step); from 1e120 up both commands abort alike

@@ -24,7 +24,7 @@ def test_transport_constant():
 
 def test_transport_power_law():
     eta, lam, chi = transport(16.0, TransportModel(a1=4, a2=6, eta_form="power",
-                                                   eta0=1.0, p_exp=0.75))
+                                                   eta0=1.0))
     assert eta == pytest.approx(8.0)
     assert lam == pytest.approx(48.0)
     assert chi == pytest.approx(32.0)

@@ -577,14 +577,15 @@ def test_jet2_carries_the_t_and_x_rows():
 
 
 def test_divergence_oracle_reports_match_separate_residuals():
-    # the mutated reports reuse the clean finite-difference divergences
-    from vecf.equations import MUTATION, divergence_oracle
+    # the mutated reports reuse the clean finite-difference divergences;
+    # the oracle runs at ORACLE_T0, divergence_residual's default
+    from vecf.equations import MUTATION, ORACLE_T0, divergence_oracle
     fields = SinusoidalField(length=2.0)
-    report = divergence_oracle(fields, MODEL, (32, 64, 128), t0=0.2)
-    assert report.clean == tuple(divergence_residual(fields, n, MODEL, t0=0.2)
+    report = divergence_oracle(fields, MODEL, (32, 64, 128))
+    assert report.to_json()["parameters"]["t0"] == ORACLE_T0
+    assert report.clean == tuple(divergence_residual(fields, n, MODEL)
                                  for n in (32, 64, 128))
-    assert report.mutated == tuple(divergence_residual(fields, n, MODEL, t0=0.2,
-                                                       mutation=MUTATION)
+    assert report.mutated == tuple(divergence_residual(fields, n, MODEL, mutation=MUTATION)
                                    for n in (64, 128))
 
 

@@ -44,14 +44,9 @@ def test_dod_geometry_rejections():
     # cone exits the domain before the probe time
     with pytest.raises(ValueError):
         dod_experiment(cfg, probe_t=2.0, probe_x=0.5, resolutions=(64,))
-    # bump radius too large to fit inside the cone
-    with pytest.raises(ValueError):
-        dod_experiment(cfg, probe_t=0.2, probe_x=0.5, resolutions=(64,),
-                       radius=0.5)
-    # a zero bump measures nothing
-    with pytest.raises(ValueError, match="amplitude"):
-        dod_experiment(cfg, probe_t=0.35, probe_x=0.5, resolutions=(64, 128),
-                       amplitude=0.0)
+    # a cone too short for the bump radius DOD_RADIUS
+    with pytest.raises(ValueError, match="does not fit inside the cone"):
+        dod_experiment(cfg, probe_t=0.1, probe_x=0.5, resolutions=(64, 128))
     # bump_perturbation does not wrap: the outside bump would sit across
     # x = L (probe_x 1.5) or beyond it (1.7), the inside bump across x = 0
     for probe_x in (1.5, 1.7, 0.1):

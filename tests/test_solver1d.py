@@ -384,6 +384,22 @@ def test_ensemble_abort_names_the_member():
         evolve(replace(cfg, ic=collapsing))
 
 
+@pytest.mark.filterwarnings("error")
+def test_stage_positivity_scan_sees_past_a_nan():
+    # member 1 of a stage input holds a NaN and a cell at -1: the scan tests
+    # every cell, so the NaN hides no non-positive cell and the member is named
+    from vecf.solver1d import _rhs
+    n = 32
+    s = np.zeros((5, 5, 2, n))
+    s[0, 0] = 1.0
+    s[0, 4] = 1.0
+    s[0, 4, 1, 3] = np.nan
+    s[0, 4, 1, 7] = -1.0
+    with pytest.raises(ValueError, match=r"^energy density lost positivity inside a stage "
+                                         r"in member 1$"):
+        _rhs(s, 2.0 / n, TransportModel(), Scratch())
+
+
 def test_ensemble_det_floor_abort_names_the_member():
     # member 1 has eps = 1e-8 on a patch, where det a ~ 648 eps^2 lies
     # below the det floor: the t = 0 check aborts at step 0 and names it,

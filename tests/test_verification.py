@@ -64,8 +64,7 @@ def test_batched_symbols_match_single_state_symbols(seed):
         metric = minkowski() if j % 2 == 0 else Metric4.from_components(g_raw[j])
         assert np.array_equal(g[j], metric.components)
         assert np.array_equal(ginv[j], metric.inverse)
-        model = TransportModel(a1=4.0, a2=float(a2[j]), eta_form="power", eta0=1.0,
-                               p_exp=0.75)
+        model = TransportModel(a1=4.0, a2=float(a2[j]), eta_form="power", eta0=1.0)
         s = StatePoint(eps=float(eps[j]), u=u[j], g=metric, transport=model)
         # one formula, every contraction summed in index order: the batched
         # symbol has the bits of the single-state call
