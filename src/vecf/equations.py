@@ -122,9 +122,9 @@ def _stencil4(a, b, c, d, h: float, out=None, tmp=None):
     return out
 
 
-def dx4(f: np.ndarray, h: float, out=None, work: Scratch | None = None) -> np.ndarray:
+def dx4(f: np.ndarray, h: float, work: Scratch | None = None) -> np.ndarray:
     """Fourth-order centered first derivative along the last axis, periodic,
-    in out (a new array when None).
+    as a new array.
 
     The periodic neighbours are slices of one copy padded by two cells on
     each side: p[..., j] = f[..., (j - 2) mod n].  The derivative of a
@@ -136,7 +136,7 @@ def dx4(f: np.ndarray, h: float, out=None, work: Scratch | None = None) -> np.nd
     p[..., 2:n + 2] = f
     p[..., :2] = f[..., -2:]
     p[..., n + 2:] = f[..., :2]
-    return _stencil4(p[..., :n], p[..., 1:n + 1], p[..., 3:n + 3], p[..., 4:], h, out, tmp)
+    return _stencil4(p[..., :n], p[..., 1:n + 1], p[..., 3:n + 3], p[..., 4:], h, tmp=tmp)
 
 
 class CellFactors(NamedTuple):

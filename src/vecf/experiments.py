@@ -17,9 +17,9 @@ import numpy as np
 
 from .causality import cone_slopes
 from .equations import ORDER_WINDOW, _resolution_ladder
-from .solver1d import (SolverConfig, _fixed_point, _grid_v_max,
-                       bump_perturbation, evolve, gaussian_pulse, make_grid,
-                       shear_pulse)
+from .solver1d import (SolverConfig, _fixed_point, _grid_v_max, _helper_died,
+                       _helper_running, _may_fork, bump_perturbation, evolve,
+                       gaussian_pulse, make_grid, shear_pulse)
 
 FIELD_NAMES = ("u0", "u1", "u2", "u3", "eps")
 
@@ -122,13 +122,15 @@ def _run_ladder(fns) -> list:
 
     fns take no argument and return results that pickle; a ladder lists
     them coarsest first, so the last is the heaviest and outweighs the
-    others together.  Where there are two jobs or more, os.fork and
-    os.sched_getaffinity exist, the affinity mask holds two CPUs or more
-    and no other thread runs, one forked child runs every job but the last
-    and sends its results, or the exception that stopped it, through a
-    pipe, while this process runs the last.  Otherwise, and where the pipe
-    or the fork fails (EAGAIN under a process limit, ENOMEM), the jobs run
-    here one after another.
+    others together.  Where there are two jobs or more and
+    `solver1d._may_fork` allows (two CPUs or more in the affinity mask,
+    os.fork, no other thread and no helper running), one forked child
+    runs every job but the last and sends its results, or the exception
+    that stopped it, through a pipe, while this process runs the last.
+    Both mark a helper as running, so no job splits its evolve
+    (`solver1d._Split`).  Otherwise, and where the pipe or the fork fails
+    (EAGAIN under a process limit, ENOMEM), the jobs run here one after
+    another.
 
     Either way the first exception in job order is raised, as a serial run
     would raise it; a child's carries the child's traceback as its cause,
@@ -137,13 +139,15 @@ def _run_ladder(fns) -> list:
     this process's own that is no Exception, KeyboardInterrupt for one,
     the child is killed and reaped.
     """
-    import os
-    import threading
-    if not (len(fns) >= 2 and hasattr(os, "fork")
-            and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2
-            and threading.active_count() == 1):
+    if not (len(fns) >= 2 and _may_fork()):
         return [fn() for fn in fns]
+    with _helper_running():
+        return _forked_ladder(fns)
+
+
+def _forked_ladder(fns) -> list:
+    """`_run_ladder` past its gate: the jobs in a forked child and here."""
+    import os
     import pickle
     import signal
     try:
@@ -189,10 +193,8 @@ def _run_ladder(fns) -> list:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         os.close(rfd)
-    if code < 0:
-        raise RuntimeError(f"ladder worker was killed by {signal.Signals(-code).name}")
-    if code > 0:
-        raise RuntimeError(f"ladder worker exited with status {code} and sent no result")
+    if code != 0:
+        raise _helper_died("ladder worker", code)
     done, failure = pickle.loads(b"".join(chunks))
     if failure is not None:
         exc, text = failure

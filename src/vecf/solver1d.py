@@ -44,10 +44,29 @@ share, the equation rows and the solve write their values and
 temporaries into it.  A step has the bits of the step that formed all of
 these as fresh arrays (tests/reference.py); the returned grid owns new
 arrays.
+
+A stage reads its input with a periodic halo of HALO = 4 cells on each
+side, since dx dx V is the five-point stencil applied twice: it first runs
+on the input padded by the halo, then on dx V, which reaches two cells
+into the halo.  The serial run steps the whole grid as one part, whose
+halo wraps onto itself.
+An evolve of at least SPLIT_MIN_CELLS cells over all its members steps
+each half of every member's cells in its own process, the evolve's one
+and a forked helper, each pinned to its own CPU (`_Split`).  The state
+and the edges of the stage inputs live in shared memory; the halves trade
+one byte each way at the barrier after each stage's input (three a step)
+and after the step's own checks (the fourth).  Each half forms every cell
+of its own with the arithmetic of the serial run, so a split evolve has
+the serial evolve's bits.  A half that fails a check reports it at the
+next barrier, both stop, and the evolve replays that step serially from
+the intact pre-step state, which raises the serial abort.
 """
 
 from __future__ import annotations
 
+import math
+import os
+from contextlib import contextmanager, suppress
 from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
@@ -56,8 +75,8 @@ from .causality import BOUNDARY_TOL, THETAS, _cone_extremes
 from .characteristics import BATCH_VALUES, FLUID_FACTORS, cone_coefficients
 from .constitutive import (SGN, TransportModel, _coefficients, complete_initial_data,
                            stress_tensor_fields, transport)
-from .equations import (CellFactors, DegenerateTimeMatrix, Scratch, cell_factors, dx4,
-                        equation_rows, time_matrix_solve)
+from .equations import (CellFactors, DegenerateTimeMatrix, Scratch, _stencil4, cell_factors,
+                        dx4, equation_rows, time_matrix_solve)
 from .symbol import det_time_matrix_closed_form
 
 
@@ -193,6 +212,12 @@ class SolverConfig:
             raise ValueError("the evolution system requires a2 >= 4")
         if self.n_cells < 16:
             raise ValueError("grid too small")
+        if not 0.0 < self.length < math.inf:
+            raise ValueError("length must be positive and finite")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError("t_end must be positive and finite")
+        if not self.output_every >= 0:
+            raise ValueError("output_every must be >= 0")
 
 
 @dataclass
@@ -282,35 +307,57 @@ def _not_finite(grid: FieldGrid) -> np.ndarray:
 
 # the pairs of the stage's principal part: tx and xx (tt is the unknown)
 _PAIRS = ((0, 1), (1, 1))
+# the cells a stage reads beyond each end of the cells it forms: dx dx V
+# is the five-point stencil applied twice
+HALO = 4
 
 
-def _rhs(s: np.ndarray, h: float, model: TransportModel, work: Scratch) -> np.ndarray:
-    """dt W of a stage input (V, W) = (s[0], s[1]) of one run (5, N) or of
-    an ensemble (5, B, N), among work's temporaries; dt V is W.
+def _rhs(s: np.ndarray, left: np.ndarray, right: np.ndarray, h: float,
+         model: TransportModel, work: Scratch) -> np.ndarray:
+    """dt W of a stage input (V, W) = (s[0], s[1]) on a part's cells of one
+    run (5, m) or of an ensemble (5, B, m), among work's temporaries; dt V
+    is W.
 
-    s is a stage buffer (5,) + V.shape.  The stencils act on the cell axis
-    and write dx V, dx W and dx dx V into s[2:5], and dx W is doubled there:
-    s[1:3] is then the (t, x) jet (W, dx V) of d_a (u, eps), and s[3:5] the
-    terms of the pairs tx and xx (`equations.principal_terms`).  Every
-    pointwise layer gets the cells of all members as one flat (5, B N)
-    batch, so each cell's arithmetic is the same as in a run of its member
-    alone, and writes its temporaries into work.
+    s is a stage buffer (5,) + V.shape, and left and right (2,) + (5, B,
+    HALO) are the stage input's HALO cells before and after the part,
+    periodic: for a part that spans the grid, s[:2]'s own last and first
+    cells (`_own_halos`).  The input padded with them gives dx V on the
+    part's cells and two beyond each end, and dx W; dx V there gives
+    dx dx V.  dx V, dx W and dx dx V go to s[2:5], and dx W is doubled
+    there: s[1:3] is then the (t, x) jet (W, dx V) of d_a (u, eps), and
+    s[3:5] the terms of the pairs tx and xx (`equations.principal_terms`).
+    Every pointwise layer gets the cells of all members as one flat (5,
+    B m) batch, so each cell's arithmetic is the same as in a run of its
+    member alone, and writes its temporaries into work.
     """
     V = s[0]
-    n = V.shape[-1]
+    m = V.shape[-1]
     bad = _eps_lost(V)
     if bad.any():
         raise ValueError("energy density lost positivity inside a stage"
                          + _members(bad))
-    dx4(s[:2], h, out=s[2:4], work=work)
-    dx4(s[2], h, out=s[4], work=work)
+    lead = (2,) + V.shape[:-1]
+    pad, ext, tmp, tmp2 = work.temps(lead + (m + 2 * HALO,), lead + (m + HALO,),
+                                     lead + (m + HALO,), V.shape)
+    pad[..., :HALO] = left
+    pad[..., HALO:-HALO] = s[:2]
+    pad[..., -HALO:] = right
+    _stencil4(pad[..., :-4], pad[..., 1:-3], pad[..., 3:-1], pad[..., 4:], h, ext, tmp)
+    s[2:4] = ext[..., 2:-2]
+    dv = ext[0]
+    _stencil4(dv[..., :-4], dv[..., 1:-3], dv[..., 3:-1], dv[..., 4:], h, s[4], tmp2)
     s[3] *= 2.0
     flat = s.reshape(5, 5, -1)
     u, eps, jet = flat[0, :4], flat[0, 4], flat[1:3]
     f = cell_factors(eps, _coefficients(eps, model), work)
     rows = equation_rows(u, jet[:, :4], eps, jet[:, 4], _PAIRS, flat[3:], model, f,
                          work=work)
-    return _solve_time_matrix(u, f, np.negative(rows, out=rows), n, work).reshape(V.shape)
+    return _solve_time_matrix(u, f, np.negative(rows, out=rows), m, work).reshape(V.shape)
+
+
+def _own_halos(s: np.ndarray) -> tuple:
+    """The halos of a stage input that spans the grid: it wraps onto itself."""
+    return s[:2, ..., -HALO:], s[:2, ..., :HALO]
 
 
 def _solve_time_matrix(u, f: CellFactors, rhs, n_cells: int, work: Scratch | None = None):
@@ -355,37 +402,50 @@ def step(grid: FieldGrid, cfg: SolverConfig, dt: float,
     of the textbook expressions, so a step has their bits.  The returned
     grid owns new arrays, and grid is left as it was: nothing of work leaks
     out.
+
+    A split evolve's halves pass their `_Half` as work: the step then forms
+    only that half's cells of grid, whose arrays are the shared state, and
+    trades the stage inputs' halos with the other half.  It writes the new
+    state into the shared arrays, and returns them as its grid.
     """
     h = grid.spacing
     model = cfg.transport
-    V, W = grid.V, grid.W
     work = Scratch() if work is None else work
+    part = work if isinstance(work, _Half) else None
+    cells = slice(None) if part is None else part.cells
+    V, W = grid.V[..., cells], grid.W[..., cells]
     s = work.take("stage", (5,) + V.shape)
     acc_v, acc_w = work.take("rk4", (2,) + V.shape)
+    halos = (lambda s, stage: _own_halos(s)) if part is None else part.halos
+    new = None if part is None else part.vw[1 - part.a]
     half = 0.5 * dt
     with np.errstate(**_QUIET):
         np.copyto(s[0], V)
         np.copyto(s[1], W)
         # stage k's dt W is in work until the next stage: it is used first
-        kw = _rhs(s, h, model, work)              # k1 = (W, kw)
+        kw = _rhs(s, *halos(s, 1), h, model, work)      # k1 = (W, kw)
         np.copyto(acc_w, kw)
         np.add(V, np.multiply(W, half, out=s[0]), out=s[0])
         np.add(W, np.multiply(kw, half, out=s[1]), out=s[1])
-        kw = _rhs(s, h, model, work)              # k2 = (s[1], kw)
+        kw = _rhs(s, *halos(s, 2), h, model, work)      # k2 = (s[1], kw)
         np.add(W, np.multiply(s[1], 2.0, out=acc_v), out=acc_v)
         np.add(V, np.multiply(s[1], half, out=s[0]), out=s[0])
         np.add(W, np.multiply(kw, half, out=s[1]), out=s[1])
         acc_w += np.multiply(kw, 2.0, out=kw)
-        kw = _rhs(s, h, model, work)              # k3 = (s[1], kw)
+        kw = _rhs(s, *halos(s, 3), h, model, work)      # k3 = (s[1], kw)
         np.add(V, np.multiply(s[1], dt, out=s[0]), out=s[0])
         acc_v += np.multiply(s[1], 2.0, out=s[1])
         np.add(W, np.multiply(kw, dt, out=s[1]), out=s[1])
         acc_w += np.multiply(kw, 2.0, out=kw)
-        kw = _rhs(s, h, model, work)              # k4 = (s[1], kw)
+        kw = _rhs(s, *halos(s, 4), h, model, work)      # k4 = (s[1], kw)
         acc_v += s[1]
         acc_w += kw
-        Vn = V + np.multiply(acc_v, dt / 6.0, out=acc_v)
-        Wn = W + np.multiply(acc_w, dt / 6.0, out=acc_w)
+        Vn = np.add(V, np.multiply(acc_v, dt / 6.0, out=acc_v),
+                    out=None if new is None else new[0][..., cells])
+        Wn = np.add(W, np.multiply(acc_w, dt / 6.0, out=acc_w),
+                    out=None if new is None else new[1][..., cells])
+    if new is not None:
+        Vn, Wn = new
     return FieldGrid(n_cells=grid.n_cells, length=grid.length, V=Vn, W=Wn,
                      t=grid.t + dt)
 
@@ -420,7 +480,7 @@ def _fixed_point(cfg: SolverConfig) -> np.ndarray | None:
         s = work.take("stage", (5,) + grid.V.shape)
         s[0], s[1] = grid.V, grid.W
         with np.errstate(**_QUIET):
-            dtW = _rhs(s, grid.spacing, cfg.transport, work)
+            dtW = _rhs(s, *_own_halos(s), grid.spacing, cfg.transport, work)
     except ValueError:
         return None
     return None if grid.W.any() or dtW.any() else grid.V
@@ -508,6 +568,271 @@ def _diagnose(grid: FieldGrid, model: TransportModel, work: Scratch | None = Non
     )
 
 
+# the fewest cells, over all members, of an evolve that splits its cells
+# over two processes.  The split's median time over the serial run's, for
+# a 55-step evolve on 2 vCPUs (two rounds of 6 pairs, x86-64, Python
+# 3.11.7, numpy 2.4.6): 0.92 and 1.00 at 1024 cells, 0.94 and 0.85 at
+# 2048, 0.66 and 0.65 at 4096, 0.67 and 0.63 at 8192
+SPLIT_MIN_CELLS = 4096
+# whether a helper forked by this process, or by the one that forked it,
+# is running: a process with one steps serially (`_may_fork`)
+_helper = False
+
+
+def _may_fork() -> bool:
+    """Whether this process may fork a helper: os.fork exists, its affinity
+    mask holds two CPUs or more, no other thread runs (a forked child holds
+    only the calling thread), and no helper is running.  A resolution
+    ladder's forked run and a split evolve both read it."""
+    import threading
+    return (not _helper and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
+
+
+@contextmanager
+def _helper_running():
+    """Mark a helper as running while the block runs: set before a fork, it
+    makes both the child and this process step serially."""
+    global _helper
+    prior, _helper = _helper, True
+    try:
+        yield
+    finally:
+        _helper = prior
+
+
+def _helper_died(name: str, code: int) -> RuntimeError:
+    """The error for a forked helper that ended with an exit code, negative
+    for the signal that killed it, before its parent had its results."""
+    import signal
+    if code < 0:
+        return RuntimeError(f"{name} was killed by {signal.Signals(-code).name}")
+    return RuntimeError(f"{name} exited with status {code}")
+
+
+def _advance(grid: FieldGrid, cfg: SolverConfig, dt: float, i: int,
+             work: Scratch) -> FieldGrid:
+    """Step i of evolve and the checks after it; a failed check raises the
+    SolverAbort of step i, with the grid before the step for a check
+    inside it."""
+    try:
+        new = step(grid, cfg, dt, work)
+    except ValueError as exc:
+        raise SolverAbort(str(exc), grid.t, i, grid) from exc
+    bad = _not_finite(new)
+    if bad.any():
+        raise SolverAbort("non-finite field values" + _members(bad), new.t, i, new)
+    bad = _eps_lost(new.V)
+    if bad.any():
+        raise SolverAbort("energy density reached zero" + _members(bad), new.t, i, new)
+    return new
+
+
+class _Serial:
+    """evolve's steps, in this process: advance(i) takes step i and returns
+    each member's constraint drift after it, current() is the grid."""
+
+    def __init__(self, grid: FieldGrid, cfg: SolverConfig, dt: float):
+        self.grid, self.cfg, self.dt = grid, cfg, dt
+        self.work = Scratch()
+
+    def advance(self, i: int) -> np.ndarray:
+        self.grid = _advance(self.grid, self.cfg, self.dt, i, self.work)
+        return self.grid.constraint_drift()
+
+    def current(self) -> FieldGrid:
+        return self.grid
+
+    def close(self) -> None:
+        pass
+
+
+class _Stop(Exception):
+    """The other half of a split evolve failed a check, or is gone."""
+
+
+class _Half(Scratch):
+    """One process's half of a split evolve: its Scratch, its cells and the
+    buffers the two halves share.
+
+    Half 0 steps the first n // 2 cells of each member, half 1 the rest.
+    vw (2, 2) + V.shape holds the state (V, W), double-buffered: a step
+    reads vw[a] and writes vw[1 - a].  edges (2, 2, 2, 2) + (5, B, HALO)
+    holds, for stage inputs of alternating parity, each half's first and
+    last HALO cells of (V, W); drift (2, B) each half's constraint drift
+    per member after a step.  No half writes a buffer that the other may
+    still read, so one barrier per stage input suffices.
+    """
+
+    def __init__(self, index: int, vw, edges, drift, rfd: int, wfd: int):
+        super().__init__()
+        n = vw.shape[-1]
+        lo, hi = (0, n // 2) if index == 0 else (n // 2, n)
+        self.index, self.cells = index, slice(lo, hi)
+        # the other half's HALO cells before and after this one's, periodic
+        self.left = slice((lo - HALO) % n, (lo - HALO) % n + HALO)
+        self.right = slice(hi % n, hi % n + HALO)
+        self.vw, self.edges, self.drift = vw, edges, drift
+        self.rfd, self.wfd = rfd, wfd
+        self.a = 0
+
+    def barrier(self, ok: bool = True) -> None:
+        """Send the other half '.', or '!' when this half failed a check,
+        and read its byte; raise _Stop unless both sent '.'."""
+        try:
+            os.write(self.wfd, b"." if ok else b"!")
+            got = os.read(self.rfd, 1)
+        except OSError:                # the other process is gone
+            got = b""
+        if not (ok and got == b"."):
+            raise _Stop
+
+    def halos(self, s: np.ndarray, stage: int) -> tuple:
+        """The halos of the stage input (s[0], s[1]) on this half's cells: at
+        stage 1 the state's, later ones published and read at a barrier."""
+        if stage == 1:
+            src = self.vw[self.a]
+            return src[..., self.left], src[..., self.right]
+        edges = self.edges[stage % 2]
+        edges[self.index, 0] = s[:2, ..., :HALO]
+        edges[self.index, 1] = s[:2, ..., -HALO:]
+        self.barrier()
+        other = edges[1 - self.index]
+        return other[1], other[0]
+
+    def advance(self, grid: FieldGrid, cfg: SolverConfig, dt: float) -> FieldGrid:
+        """Step this half of grid, the state vw[a], and check its cells after
+        the step; the fourth barrier of the step reports the checks."""
+        try:
+            new = step(grid, cfg, dt, self)
+            cells = self.cells
+            mine = FieldGrid(n_cells=cells.stop - cells.start, length=grid.length,
+                             V=new.V[..., cells], W=new.W[..., cells])
+            ok = not (_not_finite(mine).any() or _eps_lost(mine.V).any())
+            if ok:
+                self.drift[self.index] = mine.constraint_drift()
+        except ValueError:
+            ok = False
+        self.barrier(ok)
+        self.a = 1 - self.a
+        return new
+
+
+def _shared(shape: tuple) -> np.ndarray:
+    """A float array in anonymous shared memory: a child forked after it is
+    made reads and writes the same values."""
+    import mmap
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
+
+
+class _Split:
+    """evolve's steps split over this process and a forked helper, each
+    pinned to its own CPU of the affinity mask and stepping one half of
+    every member's cells (`_Half`); the interface of `_Serial`.
+
+    Raises OSError, having forked nothing, where the pipes, the fork or
+    pinning this process fail.  A step that either half's checks fail is
+    replayed here serially from the intact pre-step state, and raises the
+    serial SolverAbort; a replay that passes, or a helper that dies,
+    raises RuntimeError.  close() kills and reaps the helper, if it runs,
+    and restores the affinity mask.
+    """
+
+    def __init__(self, grid: FieldGrid, cfg: SolverConfig, dt: float, n_steps: int):
+        global _helper
+        shape = grid.V.shape
+        vw = _shared((2, 2) + shape)
+        edges = _shared((2, 2, 2, 2) + shape[:-1] + (HALO,))
+        drift = _shared((2, grid.V[0, ..., 0].size))
+        vw[0, 0], vw[0, 1] = grid.V, grid.W
+        self.grid = FieldGrid(n_cells=grid.n_cells, length=grid.length, V=vw[0, 0],
+                              W=vw[0, 1], t=grid.t)
+        self.cfg, self.dt, self.pid = cfg, dt, None
+        self.mask = os.sched_getaffinity(0)
+        cpus = sorted(self.mask)
+        os.sched_setaffinity(0, {cpus[0]})
+        fds = []
+        self.prior, _helper = _helper, True
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except BaseException:
+            for fd in fds:
+                os.close(fd)
+            self._restore()
+            raise
+        if pid == 0:                 # the helper: it never returns, and never prints
+            status = 1
+            try:
+                os.close(fds[0])
+                os.close(fds[3])
+                with suppress(OSError):        # unpinned, it keeps the same bits
+                    os.sched_setaffinity(0, {cpus[1]})
+                half = _Half(1, vw, edges, drift, rfd=fds[2], wfd=fds[1])
+                grid = self.grid
+                for _ in range(n_steps):
+                    grid = half.advance(grid, cfg, dt)
+                status = 0
+            except _Stop:
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(fds[1])
+        os.close(fds[2])
+        self.pid = pid
+        self.work = _Half(0, vw, edges, drift, rfd=fds[0], wfd=fds[3])
+
+    def advance(self, i: int) -> np.ndarray:
+        try:
+            self.grid = self.work.advance(self.grid, self.cfg, self.dt)
+        except _Stop:
+            code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+            self.pid = None
+            if code != 0:
+                raise _helper_died("split evolve helper", code) from None
+            _advance(self.current(), self.cfg, self.dt, i, Scratch())
+            raise RuntimeError(f"step {i} failed a check of the split evolve "
+                               "that its serial replay passes") from None
+        return np.maximum(*self.work.drift)
+
+    def current(self) -> FieldGrid:
+        grid = self.grid
+        return FieldGrid(n_cells=grid.n_cells, length=grid.length, V=grid.V.copy(),
+                         W=grid.W.copy(), t=grid.t)
+
+    def _restore(self) -> None:
+        global _helper
+        _helper = self.prior
+        with suppress(OSError):
+            os.sched_setaffinity(0, self.mask)
+
+    def close(self) -> None:
+        if self.pid is not None:
+            import signal
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        os.close(self.work.rfd)
+        os.close(self.work.wfd)
+        self._restore()
+
+
+@contextmanager
+def _stepper(grid: FieldGrid, cfg: SolverConfig, dt: float, n_steps: int):
+    """evolve's stepper: `_Split` where the grid holds SPLIT_MIN_CELLS cells
+    or more, `_may_fork` allows and the split starts, else `_Serial`."""
+    run = None
+    if grid.V[0].size >= SPLIT_MIN_CELLS and _may_fork():
+        with suppress(OSError):
+            run = _Split(grid, cfg, dt, n_steps)
+    run = _Serial(grid, cfg, dt) if run is None else run
+    try:
+        yield run
+    finally:
+        run.close()
+
+
 def evolve(cfg: SolverConfig, snapshot_times=None, ics=None):
     """Run to t_end; abort with a state dump on NaN, non-positive eps, or a
     Courant number above COURANT_MAX at a diagnostic.  A t = 0 state that
@@ -527,6 +852,18 @@ def evolve(cfg: SolverConfig, snapshot_times=None, ics=None):
     depend on eps, so members that differ only in eps always qualify.  An
     abort for non-positive eps, non-finite values or a degenerate time
     matrix names the members it concerns.
+
+    A grid of SPLIT_MIN_CELLS cells or more over all members steps each
+    half of its cells in its own process (`_Split`) where `_may_fork`
+    allows: this one and a forked helper, each pinned to its own CPU.  The
+    halves read each stage input's HALO cells beyond their own from the
+    other half at a barrier, three a step, and report their checks after
+    the step at a fourth.  A check that fails in either half stops both,
+    and the step is replayed here serially from the pre-step state, so an
+    abort has the serial message, t, step index and grid.  The Courant
+    check, the diagnostics and the snapshots run here on the whole grid.
+    The results, aborts included, are the serial run's bit for bit, and
+    own their arrays; no helper outlives the call.
     """
     member_ics = [cfg.ic] if ics is None else list(ics)
     grid = make_grid(cfg, member_ics)
@@ -550,31 +887,20 @@ def evolve(cfg: SolverConfig, snapshot_times=None, ics=None):
         want = {min(n_steps, max(0, int(round(t / dt)))) for t in snapshot_times}
     times = [0.0]
     snaps = [grid.V.copy()]
-    work = Scratch()
-    diags = [[_diagnose(m, model, work) for m in grid.members()]]
     drift_max = grid.constraint_drift()
     cadence = cfg.output_every if cfg.output_every > 0 else n_steps
 
-    for i in range(1, n_steps + 1):
-        try:
-            grid = step(grid, cfg, dt, work)
-        except ValueError as exc:
-            raise SolverAbort(str(exc), grid.t, i, grid) from exc
-        bad = _not_finite(grid)
-        if bad.any():
-            raise SolverAbort("non-finite field values" + _members(bad),
-                              grid.t, i, grid)
-        bad = _eps_lost(grid.V)
-        if bad.any():
-            raise SolverAbort("energy density reached zero" + _members(bad),
-                              grid.t, i, grid)
-        drift_max = np.maximum(drift_max, grid.constraint_drift())
-        if i % cadence == 0 or i == n_steps or i in want:
-            _check_courant(grid, model, dt, i)
-            diags.append([_diagnose(m, model, work) for m in grid.members()])
-            if i in want or i == n_steps:
-                times.append(grid.t)
-                snaps.append(grid.V.copy())
+    with _stepper(grid, cfg, dt, n_steps) as run:
+        diags = [[_diagnose(m, model, run.work) for m in grid.members()]]
+        for i in range(1, n_steps + 1):
+            drift_max = np.maximum(drift_max, run.advance(i))
+            if i % cadence == 0 or i == n_steps or i in want:
+                grid = run.current()
+                _check_courant(grid, model, dt, i)
+                diags.append([_diagnose(m, model, run.work) for m in grid.members()])
+                if i in want or i == n_steps:
+                    times.append(grid.t)
+                    snaps.append(grid.V.copy())
     trajs = [Trajectory(config=cfg if ics is None else replace(cfg, ic=ic),
                         times=list(times), snapshots=[v[:, b] for v in snaps],
                         diagnostics=[d[b] for d in diags], v_max=v_max, dt=dt,

@@ -13,7 +13,7 @@ from vecf.constitutive import TransportModel, transport
 from vecf.equations import (Scratch, assemble_lower_order, cell_factors, dx4,
                             equation_rows, principal_terms, symbol_apply)
 from vecf.solver1d import (FieldGrid, InitialData, SolverAbort, SolverConfig,
-                           _fixed_point, _grid_v_max, _rhs, bump_perturbation,
+                           _fixed_point, _grid_v_max, _own_halos, _rhs, bump_perturbation,
                            constant_state, evolve, gaussian_pulse, make_grid,
                            shear_pulse, step)
 
@@ -29,7 +29,7 @@ def rhs_of(grid, model):
     """_rhs's dt W at a grid's (V, W), in a fresh stage buffer and Scratch."""
     s = np.empty((5,) + grid.V.shape)
     s[0], s[1] = grid.V, grid.W
-    return _rhs(s, grid.spacing, model, Scratch())
+    return _rhs(s, *_own_halos(s), grid.spacing, model, Scratch())
 
 
 def test_config_validation():
@@ -39,6 +39,19 @@ def test_config_validation():
         small_cfg(transport=TransportModel(a1=3.0))
     with pytest.raises(ValueError):
         small_cfg(transport=TransportModel(a2=3.0))
+
+
+@pytest.mark.parametrize("field,value", [
+    ("length", -2.0), ("length", 0.0), ("length", float("inf")), ("length", float("nan")),
+    ("t_end", -0.1), ("t_end", 0.0), ("t_end", float("inf")), ("t_end", float("nan")),
+    ("output_every", -3),
+])
+def test_config_rejects_the_run_settings_the_cli_rejects(field, value):
+    # config.SCHEMA's bounds: through the API, length = -2 stepped at a
+    # negative Courant number, t_end <= 0 stepped backwards or not at all,
+    # and output_every = -3 ran as 0
+    with pytest.raises(ValueError, match=field):
+        small_cfg(**{field: value})
 
 
 def test_filter_strength_accepts_zero_only():
@@ -388,7 +401,6 @@ def test_ensemble_abort_names_the_member():
 def test_stage_positivity_scan_sees_past_a_nan():
     # member 1 of a stage input holds a NaN and a cell at -1: the scan tests
     # every cell, so the NaN hides no non-positive cell and the member is named
-    from vecf.solver1d import _rhs
     n = 32
     s = np.zeros((5, 5, 2, n))
     s[0, 0] = 1.0
@@ -397,7 +409,7 @@ def test_stage_positivity_scan_sees_past_a_nan():
     s[0, 4, 1, 7] = -1.0
     with pytest.raises(ValueError, match=r"^energy density lost positivity inside a stage "
                                          r"in member 1$"):
-        _rhs(s, 2.0 / n, TransportModel(), Scratch())
+        _rhs(s, *_own_halos(s), 2.0 / n, TransportModel(), Scratch())
 
 
 def test_ensemble_det_floor_abort_names_the_member():
