@@ -41,16 +41,19 @@ class TransportModel:
         if self.eta0 < 0.0:
             raise ValueError("eta0 must be non-negative")
 
-    def eta(self, eps):
+    def eta(self, eps, out=None):
+        """eta at eps; written into out when it is given."""
+        eps = np.asarray(eps, dtype=float)
         if self.eta_form == "constant":
-            return self.eta0 * np.ones_like(np.asarray(eps, dtype=float))
-        return self.eta0 * np.asarray(eps, dtype=float) ** P_EXP
+            return np.multiply(self.eta0, np.ones_like(eps) if out is None else 1.0, out)
+        return np.multiply(self.eta0, np.power(eps, P_EXP, out), out)
 
-    def eta_prime(self, eps):
-        """d eta / d eps, needed by the first-order equation terms."""
+    def eta_prime(self, eps, out=None):
+        """d eta / d eps, for the first-order equation terms; into out when given."""
+        eps = np.asarray(eps, dtype=float)
         if self.eta_form == "constant":
-            return np.zeros_like(np.asarray(eps, dtype=float))
-        return self.eta0 * P_EXP * np.asarray(eps, dtype=float) ** (P_EXP - 1.0)
+            return np.zeros_like(eps) if out is None else np.multiply(0.0, 1.0, out)
+        return np.multiply(self.eta0 * P_EXP, np.power(eps, P_EXP - 1.0, out), out)
 
 
 def transport(eps, model: TransportModel):
@@ -61,10 +64,12 @@ def transport(eps, model: TransportModel):
     return _coefficients(eps, model)
 
 
-def _coefficients(eps: np.ndarray, model: TransportModel):
-    """`transport` without its check, for a caller that has found eps > 0."""
-    eta = model.eta(eps)
-    return eta, model.a2 * eta, model.a1 * eta
+def _coefficients(eps: np.ndarray, model: TransportModel, work=None):
+    """`transport` without its check, for a caller that has found eps > 0;
+    kept in work (an `equations.Scratch`) under "coeffs" when it is given."""
+    eta, lam, chi = (None,) * 3 if work is None else work.take("coeffs", (3,) + eps.shape)
+    eta = model.eta(eps, eta)
+    return eta, np.multiply(model.a2, eta, lam), np.multiply(model.a1, eta, chi)
 
 
 def _jet_rows(du, deps) -> int:

@@ -19,10 +19,15 @@ Sign convention: one derivation step rewrites u^nu d(du_nu) through
 d(u.u)/2; the first-order piece it leaves behind enters B with a minus
 sign (the u_beta pi grad(eta pi pi) group below).  The oracle is the
 arbiter for that sign and for every other coefficient.
+
+The stage kernels (`cell_factors`, `assemble_lower_order`, `symbol_apply`,
+`time_matrix_solve`) write every value and temporary into a Scratch: given
+one, a kernel creates no array and calls no BLAS routine.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -55,6 +60,11 @@ MUTATED_ORDER_MAX = 1.0
 AMPLIFICATION_MIN = 100.0
 # criterion 07 compares the two sides of the oracle at this time
 ORACLE_T0 = 0.37
+
+# the stage kernels' ufuncs, bound once, each passed its out positionally.
+# A product with SGN = (-1, 1, 1, 1) is a copy with row 0 times -1.0: the
+# same bits at less cost than a broadcast product
+_add, _sub, _mul, _div = np.add, np.subtract, np.multiply, np.divide
 
 
 def _resolution_ladder(resolutions, least: int) -> tuple:
@@ -114,9 +124,9 @@ def _stencil4(a, b, c, d, h: float, out=None, tmp=None):
     """The fourth-order centered first derivative from the values at
     -2h, -h, +h and +2h: (a - 8 b + 8 c - d) / (12 h), summed left to
     right in out, with tmp holding 8 c (each a new array when None)."""
-    out = np.multiply(b, 8.0, out=out)
-    np.subtract(a, out, out=out)
-    out += np.multiply(c, 8.0, out=tmp)
+    out = _mul(b, 8.0, out)
+    _sub(a, out, out)
+    out += _mul(c, 8.0, tmp)
     out -= d
     out /= 12.0 * h
     return out
@@ -160,12 +170,19 @@ def cell_factors(eps, coeffs, work: Scratch | None = None) -> CellFactors:
     eta, lam, chi = coeffs
     inv4e, lam_eta, chi_eta3, lam_chi, lam2chi4, t = (
         Scratch() if work is None else work).take("factors", (6,) + np.shape(eps))
-    np.divide(1.0, np.multiply(4.0, eps, out=inv4e), out=inv4e)
-    np.subtract(lam, eta, out=lam_eta)
-    np.divide(np.subtract(chi, eta, out=chi_eta3), 3.0, out=chi_eta3)
-    np.add(lam, chi, out=lam_chi)
-    np.add(np.multiply(2.0, lam, out=lam2chi4), np.multiply(4.0, chi, out=t), out=lam2chi4)
+    _div(1.0, _mul(4.0, eps, inv4e), inv4e)
+    _sub(lam, eta, lam_eta)
+    _div(_sub(chi, eta, chi_eta3), 3.0, chi_eta3)
+    _add(lam, chi, lam_chi)
+    _add(_mul(2.0, lam, lam2chi4), _mul(4.0, chi, t), lam2chi4)
     return CellFactors(eta, lam, chi, inv4e, lam_eta, chi_eta3, lam_chi, lam2chi4)
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_arrays(pairs: tuple) -> tuple:
+    """a, c (P,) and g^{ac} (P, 1) of a tuple of pairs (a, c), made once."""
+    a, c = (np.array(i) for i in zip(*pairs))
+    return a, c, np.where(a == c, SGN[a], 0.0)[:, None]
 
 
 def symbol_apply(u, f: CellFactors, pairs, x, work: Scratch | None = None) -> np.ndarray:
@@ -184,40 +201,42 @@ def symbol_apply(u, f: CellFactors, pairs, x, work: Scratch | None = None) -> np
     pairs share one pass, and each has the bits it has alone.
     """
     work = Scratch() if work is None else work
-    a, c = (np.array(i) for i in zip(*pairs))
-    g_ac = np.where(a == c, SGN[a], 0.0)[:, None]
+    a, c, g_ac = _pair_arrays(tuple(pairs))
     cells, pc = x.shape[2:], (len(a),) + x.shape[2:]
-    ua, uc, uac, xa, xc, fe, t1, t2, t3, k, h, tv, out = work.temps(
-        *[pc] * 9, cells, cells, (len(a), 4) + cells, x.shape)
-    np.take(u, a, axis=0, out=ua)
-    np.take(u, c, axis=0, out=uc)
-    np.multiply(ua, uc, out=uac)
+    ua, uc, uac, xa, xc, fe, t1, t2, t3, t4, k, h, tv, out = work.temps(
+        *[pc] * 10, cells, cells, (len(a), 4) + cells, x.shape)
+    u.take(a, 0, ua, "clip")          # "clip" writes out unbuffered
+    u.take(c, 0, uc, "clip")
+    _mul(ua, uc, uac)
     for i, (ai, ci) in enumerate(pairs):
         xa[i], xc[i] = x[i, ai], x[i, ci]
     xv, xe = x[:, :4], x[:, 4]
     # row_b xi_n: [(lam + chi) u^b + (chi - eta)/3 u^b] (u.xi) xi_n, with
     # (u.xi) xi_n split evenly between u^a in column c and u^c in column a,
     # and (chi - eta)/3 xi^b xi_n split between entries (a, c) and (c, a)
-    np.multiply(0.5, np.add(f.lam_chi, f.chi_eta3, out=k), out=k)
-    np.divide(np.subtract(f.chi, f.eta, out=h), 6.0, out=h)
-    np.multiply(np.multiply(np.multiply(0.5, f.lam_chi, out=t1[0]), f.inv4e, out=t1[0]),
-                xe, out=fe)
+    _mul(0.5, _add(f.lam_chi, f.chi_eta3, k), k)
+    _div(_sub(f.chi, f.eta, h), 6.0, h)
+    _mul(_mul(_mul(0.5, f.lam_chi, t1[0]), f.inv4e, t1[0]), xe, fe)
     # ((lam - eta) u^a u^c - eta g^ac) x_v + u [k (u^a x_c + u^c x_a)
     #  + (lam g^ac + (2 lam + 4 chi) u^a u^c) x_e / (4 eps)]
-    np.subtract(np.multiply(f.lam_eta, uac, out=t1), np.multiply(f.eta, g_ac, out=t2), out=t1)
-    np.multiply(t1[:, None], xv, out=out[:, :4])
-    np.add(np.multiply(ua, xc, out=t1), np.multiply(uc, xa, out=t2), out=t1)
-    np.multiply(k, t1, out=t1)
-    np.add(np.multiply(f.lam, g_ac, out=t2), np.multiply(f.lam2chi4, uac, out=t3), out=t2)
-    np.multiply(np.multiply(t2, f.inv4e, out=t2), xe, out=t2)
-    out[:, :4] += np.multiply(u, np.add(t1, t2, out=t1)[:, None], out=tv)
-    # out[a] += SGN[a] (h x_c + f u^c), then out[c] += SGN[c] (h x_a + f u^a)
-    for idx, xo, uo in ((a, xc, uc), (c, xa, ua)):
-        np.add(np.multiply(h, xo, out=t1), np.multiply(fe, uo, out=t2), out=t1)
-        np.multiply(SGN[idx][:, None], t1, out=t1)
+    _sub(_mul(f.lam_eta, uac, t1), _mul(f.eta, g_ac, t2), t1)
+    _mul(k, _add(_mul(ua, xc, t2), _mul(uc, xa, t3), t2), t2)
+    _add(_mul(f.lam, g_ac, t3), _mul(f.lam2chi4, uac, t4), t3)
+    _add(t2, _mul(_mul(t3, f.inv4e, t3), xe, t3), t2)
+    for i in range(len(a)):           # per pair: numpy buffers no (P, 4, N) operand
+        _mul(t1[i], xv[i], out[i, :4])
+        out[i, :4] += _mul(u, t2[i], tv[i])
+    # out[a] += SGN[a] (h x_c + f u^c), then out[c] += SGN[c] (h x_a + f u^a);
+    # adding -t is subtracting t, bit for bit
+    for idx, xo, uo in zip(zip(*pairs), (xc, xa), (uc, ua)):
+        _add(_mul(h, xo, t1), _mul(fe, uo, t2), t1)
         for i, row in enumerate(idx):
-            out[i, row] += t1[i]
-    np.multiply(uac, np.matmul(SGN, np.multiply(u, xv, out=tv), out=t1), out=out[:, 4])
+            (_sub if SGN[row] < 0.0 else _add)(out[i, row], t1[i], out[i, row])
+    # SGN . (u x_v) without BLAS: summed from +0 in row order, as SGN @ (u x_v)
+    _sub(0.0, _mul(u, xv, tv)[:, 0], t1)
+    for row in (1, 2, 3):
+        t1 += tv[:, row]
+    _mul(uac, t1, out[:, 4])
     return out
 
 
@@ -263,21 +282,23 @@ def time_matrix_solve(u, f: CellFactors, r=None, det_floor=None, work: Scratch |
     u00, d, piv, qc, s, x4, t, det, c, p, q, v, *x = work.temps(
         *[cells] * 8, *[u.shape] * 4, *([] if r is None else [r.shape]))
     u0 = u[0]
-    np.multiply(u0, u0, out=u00)
-    np.add(f.eta, np.multiply(f.lam_eta, u00, out=d), out=d)
-    np.multiply(np.multiply(np.add(f.lam_chi, f.chi_eta3, out=t), u0, out=t), u, out=c)
+    _mul(u0, u0, u00)
+    _add(f.eta, _mul(f.lam_eta, u00, d), d)
+    _mul(_mul(_add(f.lam_chi, f.chi_eta3, t), u0, t), u, c)
     c[0] -= f.chi_eta3
-    np.subtract(np.multiply(f.lam2chi4, u00, out=t), f.lam, out=t)
-    np.multiply(np.multiply(t, f.inv4e, out=t), u, out=p)
-    p[0] -= np.multiply(np.multiply(f.lam_chi, u0, out=t), f.inv4e, out=t)
-    np.multiply(np.multiply(SGN[:, None], u, out=q), u00, out=q)
-    np.add(d, c[0], out=piv)
+    _sub(_mul(f.lam2chi4, u00, t), f.lam, t)
+    _mul(_mul(t, f.inv4e, t), u, p)
+    p[0] -= _mul(_mul(f.lam_chi, u0, t), f.inv4e, t)
+    _mul(u, u00, q)                   # q = SGN u u0^2
+    q[0] *= -1.0
+    _add(d, c[0], piv)
     np.einsum('an,an->n', q, c, out=qc)
-    np.multiply(piv, np.einsum('an,an->n', q, p, out=s), out=s)
-    s -= np.multiply(qc, p[0], out=t)
-    np.multiply(np.negative(np.multiply(d, d, out=det), out=det), s, out=det)
-    ok = det_floor is None or (np.abs(det) > det_floor) & np.isfinite(det)
-    if not np.all(ok):
+    _mul(piv, np.einsum('an,an->n', q, p, out=s), s)
+    s -= _mul(qc, p[0], t)
+    _mul(np.negative(_mul(d, d, det), det), s, det)
+    # two reductions pass det_floor < |det| < inf; any other det, NaN too, fails
+    if det_floor is not None and not (det_floor < np.abs(det, t).min() and t.max() < math.inf):
+        ok = (np.abs(det) > det_floor) & np.isfinite(det)
         finite = np.isfinite(det)
         why = (f"min |det| = {np.abs(det).min():.6g} <= {det_floor:g}" if finite.all()
                else f"det not finite at {np.count_nonzero(~finite)} cell(s)")
@@ -285,14 +306,14 @@ def time_matrix_solve(u, f: CellFactors, r=None, det_floor=None, work: Scratch |
     if r is None:
         return None, det
     rv = r[:4]
-    np.multiply(piv, np.einsum('an,an->n', q, rv, out=x4), out=x4)
-    x4 -= np.multiply(qc, rv[0], out=t)
-    x4 -= np.multiply(np.multiply(d, piv, out=t), r[4], out=t)
+    _mul(piv, np.einsum('an,an->n', q, rv, out=x4), x4)
+    x4 -= _mul(qc, rv[0], t)
+    x4 -= _mul(_mul(d, piv, t), r[4], t)
     x4 /= s
-    np.subtract(rv, np.multiply(p, x4, out=v), out=v)
-    v -= np.multiply(c, np.divide(v[0], piv, out=t), out=c)
+    _sub(rv, _mul(p, x4, v), v)
+    v -= _mul(c, _div(v[0], piv, t), c)
     (x,) = x
-    np.divide(v, d, out=x[:4])
+    _div(v, d, x[:4])
     x[4] = x4
     return x, det
 
@@ -331,30 +352,34 @@ def assemble_lower_order(u, du, eps, deps, model: TransportModel, coeffs: tuple,
         factor if name == key else 1.0 for name in MUTATION_KEYS)
 
     eta, lam, chi = coeffs
-    # every coefficient gradient is a multiple of deps:
-    # d eta = etap deps, d lam = a2 etap deps, d chi = a1 etap deps
-    etap = model.eta_prime(eps)
     a1, a2 = model.a1, model.a2
     work = Scratch() if work is None else work
     cells = eps.shape
-    (theta, acc_acc, udeps, acc_deps, du_du, eu, q, dq, c_u, c_acc, c_deps, t1, t2, t3,
-     u_dn, acc, acc_dn, s_u, xu, x, z, du_dn, deps_up, y, tk) = work.temps(
-        *[cells] * 14, *[u.shape] * 7, du.shape, *[deps.shape] * 3)
+    (theta, th23, acc_acc, udeps, acc_deps, du_du, etap, eu, q, dq, a2q, c_u, c_acc, c_deps,
+     t1, t2, t3, u_dn, acc, acc_dn, s_u, xu, x, z, du_dn, deps_up, y, tk) = work.temps(
+        *[cells] * 17, *[u.shape] * 7, du.shape, *[deps.shape] * 3)
+    # every coefficient gradient is a multiple of deps:
+    # d eta = etap deps, d lam = a2 etap deps, d chi = a1 etap deps
+    model.eta_prime(eps, etap)
 
     def dot(a, b, out):
         return np.einsum('an,an->n', a, b, out=out)
 
-    np.multiply(SGN[:, None], u, out=u_dn)
-    np.multiply(du, SGN[:, None], out=du_dn)
+    u_dn[...] = u
+    u_dn[0] *= -1.0
+    du_dn[...] = du
+    du_dn[:, 0] *= -1.0
     np.einsum('aan->n', du[:, :k], out=theta)
     np.einsum('an,abn->bn', u[:k], du, out=acc)
-    np.multiply(SGN[:, None], acc, out=acc_dn)       # also u @ du_dn
+    acc_dn[...] = acc                                # also u @ du_dn
+    acc_dn[0] *= -1.0
     dot(acc, acc_dn, acc_acc)
     dot(u[:k], deps, udeps)
     dot(acc[:k], deps, acc_deps)
-    np.multiply(SGN[:k, None], deps, out=deps_up)
+    _mul(SGN[:k, None], deps, deps_up)
     np.einsum('amn,man->n', du[:, :k], du[:, :k], out=du_du)  # d_a u^m d_m u^a
-    np.multiply(etap, udeps, out=eu)                 # d eta . u
+    _mul(etap, udeps, eu)                            # d eta . u
+    _mul(2.0 / 3.0, theta, th23)
 
     # shear term: two gradient-square groups plus the product-rule group,
     # the latter with the minus sign fixed by the divergence oracle.  The
@@ -364,23 +389,23 @@ def assemble_lower_order(u, du, eps, deps, model: TransportModel, coeffs: tuple,
     # d^a u^v d_a u_v enters pi^{am} d_a u_v d_m u^v and pi^{am} S_{mv}
     # d_a u^v with the same coefficient and opposite signs, so it cancels.
     # s_u = acc_dn - (2/3) theta u_dn, and s_u[:k] += du_dn @ u
-    np.multiply(np.multiply(2.0 / 3.0, theta, out=t1), u_dn, out=s_u)
-    np.subtract(acc_dn, s_u, out=s_u)
+    _sub(acc_dn, _mul(th23, u_dn, s_u), s_u)
     s_u[:k] += np.einsum('abn,bn->an', du_dn, u, out=tk)
-    # xu = (eu + eta theta) u, x = xu + eta acc, x[:k] += etap deps_up
-    np.multiply(np.add(eu, np.multiply(eta, theta, out=t1), out=t1), u, out=xu)
-    np.add(xu, np.multiply(eta, acc, out=x), out=x)
-    x[:k] += np.multiply(etap, deps_up, out=tk)
+    # xu = (eu + eta theta) u, x = xu + eta acc (kept in z), x[:k] += etap deps_up
+    _mul(_add(eu, _mul(eta, theta, t1), t1), u, xu)
+    _add(xu, _mul(eta, acc, z), x)
+    x[:k] += _mul(etap, deps_up, tk)
 
     # the three energy-gradient fluxes carry lam/4eps, 3chi/4eps and
     # chi/4eps, i.e. a2 q, 3 a1 q and a1 q, with gradients a2, 3 a1, a1
     # times dq deps; their shares of c_u and c_acc come in one weight
     # q = eta / (4 eps), dq = (etap - eta / eps) / (4 eps)
-    np.multiply(4.0, eps, out=t3)
-    np.divide(eta, t3, out=q)
-    np.divide(np.subtract(etap, np.divide(eta, eps, out=dq), out=dq), t3, out=dq)
+    _mul(4.0, eps, t3)
+    _div(eta, t3, q)
+    _div(_sub(etap, _div(eta, eps, dq), dq), t3, dq)
     w_en = 2.0 * a2 * s_en_mixed + a1 * (3.0 * s_en_uu + s_en_iso)
     w_exp = s_iso / 3.0 + s_uu           # (chi/3) pi theta + chi u u theta
+    _mul(a2 * s_en_mixed, q, a2q)
 
     # c_u = s_shear (eta (2 acc_acc - du_du + (4/3) theta^2)
     #                + (2/3) theta eu - (x + eta acc).s_u)
@@ -389,65 +414,61 @@ def assemble_lower_order(u, du, eps, deps, model: TransportModel, coeffs: tuple,
     #       + w_en (dq udeps^2 + q (theta udeps + acc_deps))
     #       + a2 s_en_mixed dq deps_up.deps
     #       + (4/3) s_ideal (theta eps + udeps)
-    np.subtract(np.multiply(2.0, acc_acc, out=t1), du_du, out=t1)
-    t1 += np.multiply(4.0 / 3.0, np.square(theta, out=t2), out=t2)
-    np.multiply(eta, t1, out=t1)
-    t1 += np.multiply(np.multiply(2.0 / 3.0, theta, out=t2), eu, out=t2)
-    t1 -= dot(np.add(x, np.multiply(eta, acc, out=z), out=z), s_u, t2)
-    np.multiply(s_shear, t1, out=c_u)
-    np.multiply(np.multiply(a2, etap, out=t1), acc_deps, out=t1)
-    t1 += np.multiply(lam, du_du, out=t2)
-    c_u += np.multiply(s_relax, t1, out=t1)
-    np.add(np.multiply(a1, eu, out=t2), np.multiply(chi, theta, out=t3), out=t2)
-    c_u += np.multiply(np.multiply(w_exp, theta, out=t1), t2, out=t1)
-    np.multiply(dq, np.square(udeps, out=t1), out=t1)
-    np.add(np.multiply(theta, udeps, out=t2), acc_deps, out=t2)
-    t1 += np.multiply(q, t2, out=t2)
-    c_u += np.multiply(w_en, t1, out=t1)
-    np.multiply(a2 * s_en_mixed, dq, out=t1)
-    c_u += np.multiply(t1, dot(deps_up, deps, t2), out=t1)
-    np.add(np.multiply(theta, eps, out=t1), udeps, out=t1)
-    c_u += np.multiply((4.0 / 3.0) * s_ideal, t1, out=t1)
+    _sub(_mul(2.0, acc_acc, t1), du_du, t1)
+    t1 += _mul(4.0 / 3.0, np.square(theta, t2), t2)
+    _mul(eta, t1, t1)
+    t1 += _mul(th23, eu, t2)
+    t1 -= dot(_add(x, z, z), s_u, t2)
+    _mul(s_shear, t1, c_u)
+    _mul(_mul(a2, etap, t1), acc_deps, t1)
+    t1 += _mul(lam, du_du, t2)
+    c_u += t1 if s_relax == 1.0 else _mul(s_relax, t1, t1)
+    _add(_mul(a1, eu, t2), _mul(chi, theta, t3), t2)
+    c_u += _mul(_mul(w_exp, theta, t1), t2, t1)
+    _mul(dq, np.square(udeps, t1), t1)
+    _add(_mul(theta, udeps, t2), acc_deps, t2)
+    t1 += _mul(q, t2, t2)
+    c_u += _mul(w_en, t1, t1)
+    _mul(a2 * s_en_mixed, dq, t1)
+    c_u += _mul(t1, dot(deps_up, deps, t2), t1)
+    _add(_mul(theta, eps, t1), udeps, t1)
+    c_u += _mul((4.0 / 3.0) * s_ideal, t1, t1)
     # c_acc = s_shear eta ((2/3) theta - u.s_u) + s_relax (a2 eu + lam theta)
     #         + w_exp chi theta + w_en q udeps + (4/3) s_ideal eps
-    np.subtract(np.multiply(2.0 / 3.0, theta, out=t2), dot(u, s_u, t3), out=t2)
-    np.multiply(np.multiply(s_shear, eta, out=t1), t2, out=c_acc)
-    np.add(np.multiply(a2, eu, out=t1), np.multiply(lam, theta, out=t2), out=t1)
-    c_acc += np.multiply(s_relax, t1, out=t1)
-    c_acc += np.multiply(np.multiply(w_exp, chi, out=t1), theta, out=t1)
-    c_acc += np.multiply(np.multiply(w_en, q, out=t1), udeps, out=t1)
-    c_acc += np.multiply((4.0 / 3.0) * s_ideal, eps, out=t1)
+    _sub(th23, dot(u, s_u, t3), t2)
+    _mul(eta if s_shear == 1.0 else _mul(s_shear, eta, t1), t2, c_acc)
+    _add(_mul(a2, eu, t1), _mul(lam, theta, t2), t1)
+    c_acc += t1 if s_relax == 1.0 else _mul(s_relax, t1, t1)
+    c_acc += _mul(_mul(w_exp, chi, t1), theta, t1)
+    c_acc += _mul(_mul(w_en, q, t1), udeps, t1)
+    c_acc += _mul((4.0 / 3.0) * s_ideal, eps, t1)
     # c_deps = ((2/3) s_shear + (a1/3) s_iso) etap theta
     #          + (a2 s_en_mixed + a1 s_en_iso) dq udeps
     #          + a2 s_en_mixed q theta + s_ideal / 3
-    np.multiply(np.multiply(2.0 / 3.0 * s_shear + a1 / 3.0 * s_iso, etap, out=c_deps),
-                theta, out=c_deps)
-    c_deps += np.multiply(np.multiply(a2 * s_en_mixed + a1 * s_en_iso, dq, out=t1), udeps,
-                          out=t1)
-    c_deps += np.multiply(np.multiply(a2 * s_en_mixed, q, out=t1), theta, out=t1)
+    _mul(_mul(2.0 / 3.0 * s_shear + a1 / 3.0 * s_iso, etap, c_deps), theta, c_deps)
+    c_deps += _mul(_mul(a2 * s_en_mixed + a1 * s_en_iso, dq, t1), udeps, t1)
+    c_deps += _mul(a2q, theta, t1)
     c_deps += s_ideal / 3.0
     # z = -s_shear xu, z[:k] += (a1 s_en_iso q - s_shear etap) deps_up
-    np.multiply(-s_shear, xu, out=z)
-    np.subtract(np.multiply(a1 * s_en_iso, q, out=t1), np.multiply(s_shear, etap, out=t2),
-                out=t1)
-    z[:k] += np.multiply(t1, deps_up, out=tk)
+    _mul(-s_shear, xu, z)
+    _sub(_mul(a1 * s_en_iso, q, t1), etap if s_shear == 1.0 else _mul(s_shear, etap, t2), t1)
+    z[:k] += _mul(t1, deps_up, tk)
     # y = 2 s_relax lam acc[:k] + a2 s_en_mixed q deps_up
     #     - s_shear (x[:k] + eta SGN s_u[:k])
-    np.multiply(np.multiply(2.0 * s_relax, lam, out=t1), acc[:k], out=y)
-    y += np.multiply(np.multiply(a2 * s_en_mixed, q, out=t1), deps_up, out=tk)
-    np.multiply(np.multiply(eta, SGN[:k, None], out=tk), s_u[:k], out=tk)
-    y -= np.multiply(s_shear, np.add(x[:k], tk, out=tk), out=tk)
+    _mul(_mul(2.0 * s_relax, lam, t1), acc[:k], y)
+    y += _mul(a2q, deps_up, tk)
+    _add(x[:k], _mul(_mul(eta, SGN[:k, None], tk), s_u[:k], tk), tk)
+    y -= tk if s_shear == 1.0 else _mul(s_shear, tk, tk)
 
     # b_low = c_u u_dn + c_acc acc_dn + y @ du_dn, b_low[:k] += c_deps deps + du_dn @ z
     rows = work.take("rows", (5,) + cells)
     b_low = rows[:4]
-    np.multiply(c_u, u_dn, out=b_low)
-    b_low += np.multiply(c_acc, acc_dn, out=xu)
+    _mul(c_u, u_dn, b_low)
+    b_low += _mul(c_acc, acc_dn, xu)
     b_low += np.einsum('an,abn->bn', y, du_dn, out=xu)
-    np.add(np.multiply(c_deps, deps, out=tk), np.einsum('abn,bn->an', du_dn, z, out=y),
-           out=tk)
+    _add(_mul(c_deps, deps, tk), np.einsum('abn,bn->an', du_dn, z, out=y), tk)
     b_low[:k] += tk
-    b_low *= SGN[:, None]
+    b_low[0] *= -1.0
     rows[4] = acc_acc
     return rows
 

@@ -42,8 +42,8 @@ are views of one buffer; the stage inputs and the RK4 sums are formed in
 it in place; and the per-cell factors that the symbol and the time matrix
 share, the equation rows and the solve write their values and
 temporaries into it.  A step has the bits of the step that formed all of
-these as fresh arrays (tests/reference.py); the returned grid owns new
-arrays.
+these as fresh arrays (tests/reference.py).  The returned grid owns new
+arrays, the only ones a warm step creates, and no stage calls BLAS.
 
 A stage reads its input with a periodic halo of HALO = 4 cells on each
 side, since dx dx V is the five-point stencil applied twice: it first runs
@@ -332,27 +332,28 @@ def _rhs(s: np.ndarray, left: np.ndarray, right: np.ndarray, h: float,
     """
     V = s[0]
     m = V.shape[-1]
-    bad = _eps_lost(V)
-    if bad.any():
-        raise ValueError("energy density lost positivity inside a stage"
-                         + _members(bad))
-    lead = (2,) + V.shape[:-1]
-    pad, ext, tmp, tmp2 = work.temps(lead + (m + 2 * HALO,), lead + (m + HALO,),
-                                     lead + (m + HALO,), V.shape)
+    # one reduction passes eps > 0 at every cell; else (a NaN too) the scan decides
+    if not V[4].min() > 0.0 and (bad := _eps_lost(V)).any():
+        raise ValueError("energy density lost positivity inside a stage" + _members(bad))
+    # the stencils run along the padded rows laid end to end, one contiguous
+    # line: a value that straddles two rows is never read
+    pad, ext, tmp = work.temps(*[(2,) + V.shape[:-1] + (m + 2 * HALO,)] * 3)
     pad[..., :HALO] = left
     pad[..., HALO:-HALO] = s[:2]
     pad[..., -HALO:] = right
-    _stencil4(pad[..., :-4], pad[..., 1:-3], pad[..., 3:-1], pad[..., 4:], h, ext, tmp)
-    s[2:4] = ext[..., 2:-2]
-    dv = ext[0]
-    _stencil4(dv[..., :-4], dv[..., 1:-3], dv[..., 3:-1], dv[..., 4:], h, s[4], tmp2)
+    p, e, t = pad.reshape(-1), ext.reshape(-1), tmp.reshape(-1)
+    _stencil4(p[:-4], p[1:-3], p[3:-1], p[4:], h, e[:-4], t[:-4])
+    s[2:4] = ext[..., 2:m + 2]
+    p, e = ext[0].reshape(-1), pad[0].reshape(-1)     # dx V's rows; pad[0] is free
+    _stencil4(p[:-4], p[1:-3], p[3:-1], p[4:], h, e[:-4], t[:p.size - 4])
+    s[4] = pad[0, ..., :m]
     s[3] *= 2.0
     flat = s.reshape(5, 5, -1)
     u, eps, jet = flat[0, :4], flat[0, 4], flat[1:3]
-    f = cell_factors(eps, _coefficients(eps, model), work)
+    f = cell_factors(eps, _coefficients(eps, model, work), work)
     rows = equation_rows(u, jet[:, :4], eps, jet[:, 4], _PAIRS, flat[3:], model, f,
                          work=work)
-    return _solve_time_matrix(u, f, np.negative(rows, out=rows), m, work).reshape(V.shape)
+    return _solve_time_matrix(u, f, np.negative(rows, rows), m, work).reshape(V.shape)
 
 
 def _own_halos(s: np.ndarray) -> tuple:

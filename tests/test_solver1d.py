@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference import StatePoint, det_time_matrix_formula
 
-from vecf import equations
+from vecf import equations, solver1d
 from vecf.characteristics import FLUID_FACTORS, cone_coefficients, cone_xi0
 from vecf.constitutive import TransportModel, transport
 from vecf.equations import (Scratch, assemble_lower_order, cell_factors, dx4,
@@ -410,6 +411,46 @@ def test_stage_positivity_scan_sees_past_a_nan():
     with pytest.raises(ValueError, match=r"^energy density lost positivity inside a stage "
                                          r"in member 1$"):
         _rhs(s, *_own_halos(s), 2.0 / n, TransportModel(), Scratch())
+
+
+def test_stage_positivity_precheck_hands_a_nan_to_the_scan(monkeypatch):
+    # one reduction passes a stage input whose eps is positive everywhere,
+    # without the per-member scan; a NaN fails it, and the scan, finding no
+    # cell at or below zero, lets the stage go on to the det check, which
+    # names the NaN's cell
+    n = 32
+    s = np.zeros((5, 5, 2, n))
+    s[0, 0] = 1.0
+    s[0, 4] = 1.0
+    scans, eps_lost = [], solver1d._eps_lost
+    monkeypatch.setattr(solver1d, "_eps_lost", lambda V: scans.append(eps_lost(V)) or scans[-1])
+    _rhs(s.copy(), *_own_halos(s), 2.0 / n, TransportModel(), Scratch())
+    assert scans == []
+    s[0, 4, 1, 3] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ValueError, match=r"^time-coefficient matrix degenerate: det not finite at 1 "
+                              r"cell\(s\) in member 1$"):
+        _rhs(s, *_own_halos(s), 2.0 / n, TransportModel(), Scratch())
+    assert len(scans) == 1 and not scans[0].any()
+
+
+def test_a_warm_step_allocates_only_its_returned_grid():
+    # dod's N = 512 two-member ensemble: after warm-up steps every stage
+    # array and kernel temporary is in the Scratch, so one more step's
+    # traced peak is the V and W it returns plus a few KB.  numpy's
+    # transient iteration buffers (up to 64 KB) stay below that grid
+    cfg = small_cfg(n_cells=512, t_end=0.35)
+    ics = [bump_perturbation(cfg.ic, 0.02, c, 0.14) for c in (1.319983164553722, 0.7)]
+    grid, work, dt = make_grid(cfg, ics), Scratch(), 0.35 / 338
+    for _ in range(3):
+        grid = step(grid, cfg, dt, work)
+    tracemalloc.start()
+    try:
+        new = step(grid, cfg, dt, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= new.V.nbytes + new.W.nbytes + 4096
 
 
 def test_ensemble_det_floor_abort_names_the_member():
