@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .constitutive import TransportModel
+from .equations import ORACLE_RESOLUTIONS
+from .experiments import CONVERGENCE_RESOLUTIONS, DOD_RESOLUTIONS
 from .solver1d import COURANT_MAX
 
 
@@ -65,7 +67,6 @@ def _int_list(v):
 SCHEMA = {
     "transport": {
         "a2": (_float_range(), 4.0),
-        "eta_form": (_choice("constant", "power"), "power"),
         "eta0": (_float_range(lo=0.0, lo_open=True), 1.0),
     },
     "solver": {
@@ -82,13 +83,13 @@ SCHEMA = {
         "output_every": (_int_range(lo=0), 0),
     },
     "dod": {
-        "resolutions": (_int_list, [128, 256, 512, 1024]),
+        "resolutions": (_int_list, list(DOD_RESOLUTIONS)),
     },
     "convergence": {
-        "resolutions": (_int_list, [256, 512, 1024]),
+        "resolutions": (_int_list, list(CONVERGENCE_RESOLUTIONS)),
     },
     "oracle": {
-        "resolutions": (_int_list, [64, 128, 256, 512]),
+        "resolutions": (_int_list, list(ORACLE_RESOLUTIONS)),
     },
     "output": {
         "dir": (str, "out"),
@@ -105,7 +106,7 @@ class RunConfig:
 
     def transport_model(self) -> TransportModel:
         t = self.values["transport"]
-        return TransportModel(a2=t["a2"], eta_form=t["eta_form"], eta0=t["eta0"])
+        return TransportModel(a2=t["a2"], eta0=t["eta0"])
 
 
 def _defaults() -> dict:

@@ -23,36 +23,26 @@ P_EXP = 0.75
 class TransportModel:
     """Shear viscosity model plus the two proportionality constants.
 
-    eta_form "constant" gives eta(eps) = eta0; "power" gives the conformal
-    eta(eps) = eta0 * eps**P_EXP.  Both are positive and analytic on
-    eps > 0, which is all the theory requires of eta.  a1 defaults to the
-    paper's causal value 4, the only one the solver steps; the tests of
-    the symbol and of the equations build models at other a1.
+    eta(eps) = eta0 * eps**P_EXP, the one law with the fluid's conformal
+    symmetry, positive and analytic on eps > 0 as the theory requires.  a1
+    defaults to the paper's causal value 4, the only one the solver steps;
+    the tests of the symbol and of the equations build models at other a1.
     """
 
     a1: float = 4.0
     a2: float = 4.0
-    eta_form: str = "power"
     eta0: float = 1.0
 
     def __post_init__(self):
-        if self.eta_form not in ("constant", "power"):
-            raise ValueError(f"unknown eta_form {self.eta_form!r}")
         if self.eta0 < 0.0:
             raise ValueError("eta0 must be non-negative")
 
     def eta(self, eps, out=None):
         """eta at eps; written into out when it is given."""
-        eps = np.asarray(eps, dtype=float)
-        if self.eta_form == "constant":
-            return np.multiply(self.eta0, np.ones_like(eps) if out is None else 1.0, out)
         return np.multiply(self.eta0, np.power(eps, P_EXP, out), out)
 
     def eta_prime(self, eps, out=None):
         """d eta / d eps, for the first-order equation terms; into out when given."""
-        eps = np.asarray(eps, dtype=float)
-        if self.eta_form == "constant":
-            return np.zeros_like(eps) if out is None else np.multiply(0.0, 1.0, out)
         return np.multiply(self.eta0 * P_EXP, np.power(eps, P_EXP - 1.0, out), out)
 
 

@@ -60,6 +60,8 @@ MUTATED_ORDER_MAX = 1.0
 AMPLIFICATION_MIN = 100.0
 # criterion 07 compares the two sides of the oracle at this time
 ORACLE_T0 = 0.37
+# criterion 07's resolution ladder, the default of `oracle.resolutions`
+ORACLE_RESOLUTIONS = (64, 128, 256, 512)
 
 # the stage kernels' ufuncs, bound once, each passed its out positionally.
 # A product with SGN = (-1, 1, 1, 1) is a copy with row 0 times -1.0: the

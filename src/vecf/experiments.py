@@ -11,15 +11,16 @@ converges to the physical nonzero limit.
 
 from __future__ import annotations
 
+import os
+import pickle
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .causality import cone_slopes
 from .equations import ORDER_WINDOW, _resolution_ladder
-from .solver1d import (SolverConfig, _fixed_point, _grid_v_max, _helper_died,
-                       _helper_running, _may_fork, bump_perturbation, evolve,
-                       gaussian_pulse, make_grid, shear_pulse)
+from .solver1d import (SolverConfig, _fixed_point, _grid_v_max, _Helper, _may_fork,
+                       bump_perturbation, evolve, gaussian_pulse, make_grid, shear_pulse)
 
 FIELD_NAMES = ("u0", "u1", "u2", "u3", "eps")
 
@@ -40,6 +41,10 @@ DOD_AMPLITUDE = 0.02
 DOD_RADIUS = 0.14
 DOD_MARGIN = 0.10
 DOD_PROBE_WINDOW = 0.05
+# the resolution ladders of criterion 09 and of criteria 08b and 08d, the
+# defaults of `dod.resolutions` and `convergence.resolutions`
+DOD_RESOLUTIONS = (128, 256, 512, 1024)
+CONVERGENCE_RESOLUTIONS = (256, 512, 1024)
 # the convergence study reports a field as exact ("order None") when either
 # of its successive differences falls below this
 ROUNDOFF_FLOOR = 1e-13
@@ -124,11 +129,11 @@ def _run_ladder(fns) -> list:
     them coarsest first, so the last is the heaviest and outweighs the
     others together.  Where there are two jobs or more and
     `solver1d._may_fork` allows (two CPUs or more in the affinity mask,
-    os.fork, no other thread and no helper running), one forked child
-    runs every job but the last and sends its results, or the exception
-    that stopped it, through a pipe, while this process runs the last.
+    os.fork, no other thread and no helper running), a `solver1d._Helper`
+    runs every job but the last and sends their results, or the exception
+    that stopped them, through a pipe, while this process runs the last.
     Both mark a helper as running, so no job splits its evolve
-    (`solver1d._Split`).  Otherwise, and where the pipe or the fork fails
+    (`solver1d._Split`).  Otherwise, and where a pipe or the fork fails
     (EAGAIN under a process limit, ENOMEM), the jobs run here one after
     another.
 
@@ -141,67 +146,42 @@ def _run_ladder(fns) -> list:
     """
     if not (len(fns) >= 2 and _may_fork()):
         return [fn() for fn in fns]
-    with _helper_running():
-        return _forked_ladder(fns)
-
-
-def _forked_ladder(fns) -> list:
-    """`_run_ladder` past its gate: the jobs in a forked child and here."""
-    import os
-    import pickle
-    import signal
     try:
-        rfd, wfd = os.pipe()
+        helper = _Helper("ladder worker", lambda rfd, wfd: _ladder_worker(fns[:-1], wfd))
     except OSError:
         return [fn() for fn in fns]
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(rfd)
-        os.close(wfd)
-        return [fn() for fn in fns]
-    if pid == 0:                     # the child: it never returns, and never prints
-        status = 1
-        try:
-            done, failure = [], None
-            try:
-                for fn in fns[:-1]:
-                    done.append(fn())
-            except Exception as exc:
-                import traceback
-                failure = (exc, traceback.format_exc())
-            data = memoryview(pickle.dumps((done, failure)))
-            while data:
-                data = data[os.write(wfd, data):]
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(wfd)
     try:
         own = None
         try:
             last = fns[-1]()
         except Exception as exc:
             own = exc
-        chunks = []
-        while chunk := os.read(rfd, 1 << 16):
-            chunks.append(chunk)
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        pid = None
+        data = b"".join(iter(lambda: os.read(helper.rfd, 1 << 16), b""))
+        helper.wait()
     finally:
-        if pid is not None:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        os.close(rfd)
-    if code != 0:
-        raise _helper_died("ladder worker", code)
-    done, failure = pickle.loads(b"".join(chunks))
+        helper.close()
+    done, failure = pickle.loads(data)
     if failure is not None:
         exc, text = failure
         raise exc from RuntimeError(f"in the ladder worker:\n{text}")
     if own is not None:
         raise own
     return done + [last]
+
+
+def _ladder_worker(fns, wfd: int) -> None:
+    """`_run_ladder`'s child: fns' results, or the first exception and its
+    traceback, as one pickle written to wfd."""
+    done, failure = [], None
+    try:
+        for fn in fns:
+            done.append(fn())
+    except Exception as exc:
+        import traceback
+        failure = (exc, traceback.format_exc())
+    data = memoryview(pickle.dumps((done, failure)))
+    while data:
+        data = data[os.write(wfd, data):]
 
 
 def _member_finals(cfg: SolverConfig, ics) -> list:
@@ -216,7 +196,7 @@ def _final_and_drift(cfg: SolverConfig) -> tuple:
 
 
 def dod_experiment(cfg: SolverConfig, probe_t: float, probe_x: float,
-                   resolutions=(128, 256, 512, 1024)) -> DodReport:
+                   resolutions=DOD_RESOLUTIONS) -> DodReport:
     """Run the two-placement domain-of-dependence experiment.
 
     Criterion 09 probes (DOD_PROBE_T, DOD_PROBE_X); the bumps, of
@@ -331,7 +311,8 @@ class ConvergenceReport:
                 for i in range(len(ns) - 1)]
 
 
-def convergence_study(cfg: SolverConfig, resolutions=(256, 512, 1024)) -> ConvergenceReport:
+def convergence_study(cfg: SolverConfig,
+                      resolutions=CONVERGENCE_RESOLUTIONS) -> ConvergenceReport:
     """Richardson three-grid estimate of the observed order per field.
 
     Each resolution must double the previous one so grids nest.  Fields

@@ -590,25 +590,62 @@ def _may_fork() -> bool:
             and len(os.sched_getaffinity(0)) >= 2 and threading.active_count() == 1)
 
 
-@contextmanager
-def _helper_running():
-    """Mark a helper as running while the block runs: set before a fork, it
-    makes both the child and this process step serially."""
-    global _helper
-    prior, _helper = _helper, True
-    try:
-        yield
-    finally:
-        _helper = prior
+class _Helper:
+    """A forked helper, the one of a resolution ladder or a split evolve,
+    and a pipe each way to it; rfd and wfd are this process's ends.  It
+    runs child(rfd, wfd) on its own ends and exits 0, or 1 if that raises,
+    never printing; `_helper` is set in both processes until close().  A
+    pipe or fork that fails raises OSError, every pipe closed.  wait()
+    reaps it and raises RuntimeError naming its signal or nonzero status;
+    close() kills and reaps it if it runs, and closes the pipes.
+    """
 
+    def __init__(self, name: str, child):
+        global _helper
+        self.name, self.prior = name, _helper
+        _helper = True
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except BaseException:
+            for fd in fds:
+                os.close(fd)
+            _helper = self.prior
+            raise
+        if pid == 0:
+            status = 1
+            try:
+                os.close(fds[0])
+                os.close(fds[3])
+                child(fds[2], fds[1])
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(fds[1])
+        os.close(fds[2])
+        self.pid, self.rfd, self.wfd = pid, fds[0], fds[3]
 
-def _helper_died(name: str, code: int) -> RuntimeError:
-    """The error for a forked helper that ended with an exit code, negative
-    for the signal that killed it, before its parent had its results."""
-    import signal
-    if code < 0:
-        return RuntimeError(f"{name} was killed by {signal.Signals(-code).name}")
-    return RuntimeError(f"{name} exited with status {code}")
+    def wait(self) -> None:
+        import signal
+        code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        self.pid = None
+        if code != 0:
+            end = (f"was killed by {signal.Signals(-code).name}" if code < 0
+                   else f"exited with status {code}")
+            raise RuntimeError(f"{self.name} {end}") from None
+
+    def close(self) -> None:
+        global _helper
+        if self.pid is not None:
+            import signal
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        os.close(self.rfd)
+        os.close(self.wfd)
+        _helper = self.prior
 
 
 def _advance(grid: FieldGrid, cfg: SolverConfig, dt: float, i: int,
@@ -727,7 +764,7 @@ def _shared(shape: tuple) -> np.ndarray:
 
 
 class _Split:
-    """evolve's steps split over this process and a forked helper, each
+    """evolve's steps split over this process and a forked `_Helper`, each
     pinned to its own CPU of the affinity mask and stepping one half of
     every member's cells (`_Half`); the interface of `_Serial`.
 
@@ -740,7 +777,6 @@ class _Split:
     """
 
     def __init__(self, grid: FieldGrid, cfg: SolverConfig, dt: float, n_steps: int):
-        global _helper
         shape = grid.V.shape
         vw = _shared((2, 2) + shape)
         edges = _shared((2, 2, 2, 2) + shape[:-1] + (HALO,))
@@ -748,50 +784,30 @@ class _Split:
         vw[0, 0], vw[0, 1] = grid.V, grid.W
         self.grid = FieldGrid(n_cells=grid.n_cells, length=grid.length, V=vw[0, 0],
                               W=vw[0, 1], t=grid.t)
-        self.cfg, self.dt, self.pid = cfg, dt, None
+        self.cfg, self.dt = cfg, dt
         self.mask = os.sched_getaffinity(0)
         cpus = sorted(self.mask)
         os.sched_setaffinity(0, {cpus[0]})
-        fds = []
-        self.prior, _helper = _helper, True
-        try:
-            fds += os.pipe()
-            fds += os.pipe()
-            pid = os.fork()
-        except BaseException:
-            for fd in fds:
-                os.close(fd)
-            self._restore()
-            raise
-        if pid == 0:                 # the helper: it never returns, and never prints
-            status = 1
-            try:
-                os.close(fds[0])
-                os.close(fds[3])
-                with suppress(OSError):        # unpinned, it keeps the same bits
-                    os.sched_setaffinity(0, {cpus[1]})
-                half = _Half(1, vw, edges, drift, rfd=fds[2], wfd=fds[1])
-                grid = self.grid
+
+        def child(rfd: int, wfd: int) -> None:
+            with suppress(OSError):            # unpinned, it keeps the same bits
+                os.sched_setaffinity(0, {cpus[1]})
+            half, grid = _Half(1, vw, edges, drift, rfd, wfd), self.grid
+            with suppress(_Stop):
                 for _ in range(n_steps):
                     grid = half.advance(grid, cfg, dt)
-                status = 0
-            except _Stop:
-                status = 0
-            finally:
-                os._exit(status)
-        os.close(fds[1])
-        os.close(fds[2])
-        self.pid = pid
-        self.work = _Half(0, vw, edges, drift, rfd=fds[0], wfd=fds[3])
+        try:
+            self.helper = _Helper("split evolve helper", child)
+        except BaseException:
+            self._unpin()
+            raise
+        self.work = _Half(0, vw, edges, drift, self.helper.rfd, self.helper.wfd)
 
     def advance(self, i: int) -> np.ndarray:
         try:
             self.grid = self.work.advance(self.grid, self.cfg, self.dt)
         except _Stop:
-            code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-            self.pid = None
-            if code != 0:
-                raise _helper_died("split evolve helper", code) from None
+            self.helper.wait()
             _advance(self.current(), self.cfg, self.dt, i, Scratch())
             raise RuntimeError(f"step {i} failed a check of the split evolve "
                                "that its serial replay passes") from None
@@ -802,21 +818,13 @@ class _Split:
         return FieldGrid(n_cells=grid.n_cells, length=grid.length, V=grid.V.copy(),
                          W=grid.W.copy(), t=grid.t)
 
-    def _restore(self) -> None:
-        global _helper
-        _helper = self.prior
+    def _unpin(self) -> None:
         with suppress(OSError):
             os.sched_setaffinity(0, self.mask)
 
     def close(self) -> None:
-        if self.pid is not None:
-            import signal
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
-        os.close(self.work.rfd)
-        os.close(self.work.wfd)
-        self._restore()
+        self.helper.close()
+        self._unpin()
 
 
 @contextmanager

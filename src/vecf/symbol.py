@@ -117,7 +117,7 @@ def det_time_matrix_closed_form(eta, eps, w2, a2: float):
     in the whole admissible regime.  eta^4 / eps is formed as
     eta (eta (eta (eta / eps))), and at a2 >= 4 every later factor is at
     least 1, so no partial product overflows where the value is finite
-    (eps subnormal aside).  With the power model eta^4 alone overflows
+    (eps subnormal aside).  At eta0 = 1 eta^4 = eps^3 alone overflows
     from about eps = 6e102, and eta^3 from about 1e137.
     """
     return (eta * (eta * (eta * (eta / eps))) * (1.0 + w2) ** 2

@@ -34,7 +34,7 @@ A2_RANGE = (4.0, 12.0)
 
 # the factorization suite's viscosity model; a2 is drawn per sample, and
 # eta does not depend on it
-FACTORIZATION_MODEL = TransportModel(a1=4.0, eta_form="power", eta0=1.0)
+FACTORIZATION_MODEL = TransportModel(a1=4.0, eta0=1.0)
 
 
 def _draw_a2(r):
@@ -386,16 +386,13 @@ def time_matrix_suite(samples: int = 1000, seed: int = 17) -> TimeMatrixReport:
 
     Domain of the closed form: Minkowski metric, normalized u, a1 = 4.
     Positivity over the sampled a2 >= 4 regime is asserted as well.
-    eta_form is "power" for even idx and "constant" for odd.
     """
     a2, eta0, eps, u = _time_matrix_draws(seed, samples)
     g = minkowski()
     a1 = 4.0
     check_time_matrix_domain(g, u, a1)
-    # eta is linear in eta0: eta0 times the eta0 = 1 model of each form
-    power = np.arange(samples) % 2 == 0
-    eta = eta0 * np.where(power, TransportModel(eta_form="power").eta(eps),
-                          TransportModel(eta_form="constant").eta(eps))
+    # eta is linear in eta0: eta0 times the eta0 = 1 model
+    eta = eta0 * TransportModel().eta(eps)
     e0 = np.array([1.0, 0.0, 0.0, 0.0])
     matrices = symbol_components(u, eps, eta, a2 * eta, a1 * eta,
                                  g.components, g.inverse, e0)

@@ -43,9 +43,8 @@ class StatePoint:
 
     @classmethod
     def rest(cls, eps: float = 1.0, a2: float = 4.0, a1: float = 4.0,
-             eta0: float = 1.0, eta_form: str = "constant",
-             g: Metric4 | None = None) -> "StatePoint":
-        model = TransportModel(a1=a1, a2=a2, eta_form=eta_form, eta0=eta0)
+             eta0: float = 1.0, g: Metric4 | None = None) -> "StatePoint":
+        model = TransportModel(a1=a1, a2=a2, eta0=eta0)
         return cls(eps=eps, u=np.array([1.0, 0.0, 0.0, 0.0]),
                    g=g if g is not None else minkowski(), transport=model)
 

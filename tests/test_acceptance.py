@@ -13,9 +13,10 @@ from vecf.causality import (BOUNDARY_TOL, SCAN_A2, SCAN_U_MAX, causality_scan,
                             cone_slopes, critical_angle_check, scan_verdict)
 from vecf.characteristics import gevrey_check
 from vecf.constitutive import SGN, TransportModel, stress_tensor_fields
-from vecf.equations import ORDER_WINDOW, SinusoidalField, divergence_oracle
-from vecf.experiments import (DOD_OUTSIDE_RATIO_MIN, DOD_PROBE_T, DOD_PROBE_X,
-                              convergence_study, dod_experiment, pulse_speed_experiment)
+from vecf.equations import ORACLE_RESOLUTIONS, ORDER_WINDOW, SinusoidalField, divergence_oracle
+from vecf.experiments import (CONVERGENCE_RESOLUTIONS, DOD_OUTSIDE_RATIO_MIN, DOD_PROBE_T,
+                              DOD_PROBE_X, DOD_RESOLUTIONS, convergence_study,
+                              dod_experiment, pulse_speed_experiment)
 from vecf.solver1d import SolverConfig, constant_state, gaussian_pulse, make_grid, step
 from vecf.verification import (collapse_suite, factorization_suite, roots_suite,
                                time_matrix_suite)
@@ -91,7 +92,7 @@ def test_criterion_06_time_matrix_determinant():
 
 def test_criterion_07_divergence_oracle():
     rep = divergence_oracle(SinusoidalField(length=2.0 * np.pi),
-                            TransportModel(a1=4.0, a2=6.0), (64, 128, 256, 512))
+                            TransportModel(a1=4.0, a2=6.0), ORACLE_RESOLUTIONS)
     report(7, "divergence-oracle", rep.passed,
            f"orders {['%.2f' % o for o in rep.orders]} in {list(ORDER_WINDOW)} over three "
            f"doublings; mutated order {rep.mutated_order:.2f}, amplification "
@@ -120,7 +121,7 @@ def _shared_convergence():
                            length=2.0, t_end=0.5,
                            ic=gaussian_pulse(amplitude=0.05, width=0.1))
         _CONVERGENCE_CACHE["run"] = convergence_study(
-            cfg, resolutions=(256, 512, 1024))
+            cfg, resolutions=CONVERGENCE_RESOLUTIONS)
     return _CONVERGENCE_CACHE["run"]
 
 
@@ -157,7 +158,7 @@ def test_criterion_09_domain_of_dependence():
     cfg = SolverConfig(transport=TransportModel(a2=6.0), n_cells=128, length=2.0,
                        t_end=DOD_PROBE_T, ic=constant_state())
     rep = dod_experiment(cfg, probe_t=DOD_PROBE_T, probe_x=DOD_PROBE_X,
-                         resolutions=(128, 256, 512, 1024))
+                         resolutions=DOD_RESOLUTIONS)
     elapsed = time.perf_counter() - t0
     ratios = rep.outside_ratios
     ok = rep.passed and elapsed <= 300.0

@@ -419,6 +419,19 @@ def test_cli_rejects_the_removed_criterion_keys(tmp_path, capsys, key):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("source", ["--set", "--config"])
+def test_cli_rejects_the_removed_eta_form_key(tmp_path, capsys, source):
+    # the fluid has one viscosity law, so its form is no key
+    p = tmp_path / "run.ini"
+    p.write_text("[transport]\neta_form = power\n")
+    args = (["--set", "transport.eta_form=power"] if source == "--set"
+            else ["--config", str(p)])
+    assert main(args + ["--out", str(tmp_path / "out"), "gevrey"]) == 2
+    assert capsys.readouterr().err == \
+        "config error: unknown config key 'eta_form' in section [transport]\n"
+    assert list(tmp_path.iterdir()) == [p]
+
+
 def test_cli_rejects_the_removed_scan_section(tmp_path, capsys):
     p = tmp_path / "run.ini"
     p.write_text("[scan]\nu_max = 10\n")

@@ -17,14 +17,8 @@ def random_normalized_jet(rng, grad_scale=1.0):
     return u, du, rng.uniform(0.5, 2.0), rng.uniform(-1, 1, 4)
 
 
-def test_transport_constant():
-    assert transport(1.0, TransportModel(a1=4, a2=4, eta_form="constant", eta0=1.0)) \
-        == (1.0, 4.0, 4.0)
-
-
 def test_transport_power_law():
-    eta, lam, chi = transport(16.0, TransportModel(a1=4, a2=6, eta_form="power",
-                                                   eta0=1.0))
+    eta, lam, chi = transport(16.0, TransportModel(a1=4, a2=6, eta0=1.0))
     assert eta == pytest.approx(8.0)
     assert lam == pytest.approx(48.0)
     assert chi == pytest.approx(32.0)
@@ -37,14 +31,9 @@ def test_transport_rejects_nonpositive_eps():
         transport(-1.0, TransportModel())
 
 
-def test_unknown_eta_form_rejected():
-    with pytest.raises(ValueError):
-        TransportModel(eta_form="linear")
-
-
 def test_stress_tensor_rest_state():
     T = stress_tensor_fields(np.array([1.0, 0, 0, 0]), np.zeros((4, 4)), 1.0,
-                             np.zeros(4), TransportModel(eta_form="constant", eta0=1.0))
+                             np.zeros(4), TransportModel(eta0=1.0))
     assert T.shape == (4, 4)
     assert np.allclose(T, np.diag([1.0, 1 / 3, 1 / 3, 1 / 3]), atol=1e-15)
 
@@ -54,7 +43,7 @@ def test_stress_tensor_ideal_limit():
     rng = np.random.default_rng(5)
     u, du, eps, deps = random_normalized_jet(rng)
     T = stress_tensor_fields(u, du, eps, deps,
-                             TransportModel(eta_form="constant", eta0=0.0))
+                             TransportModel(eta0=0.0))
     u_dn = SGN * u
     ideal = (4.0 / 3.0) * np.outer(u_dn, u_dn) * eps + (1.0 / 3.0) * np.diag(SGN) * eps
     assert np.allclose(T, ideal, atol=1e-15)
@@ -70,7 +59,7 @@ def test_stress_tensor_symmetry_exact():
 def test_stress_tensor_trace_free():
     # term-by-term cancellation for normalized jets
     rng = np.random.default_rng(11)
-    model = TransportModel(a1=4, a2=7, eta_form="power")
+    model = TransportModel(a1=4, a2=7)
     for _ in range(500):
         T = stress_tensor_fields(*random_normalized_jet(rng), model)
         trace = float(np.sum(SGN * np.diag(T)))

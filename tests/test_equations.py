@@ -137,9 +137,8 @@ def test_lower_order_matches_reference(mutation):
     # the contracted assembly and the whole-tensor reference agree row by
     # row, with every term group (scaled alone by `mutation`) in play
     rng = np.random.default_rng(29)
-    for trial in range(6):
+    for _ in range(6):
         model = TransportModel(a1=rng.uniform(2.0, 6.0), a2=rng.uniform(4.0, 12.0),
-                               eta_form=("power", "constant")[trial % 2],
                                eta0=rng.uniform(0.5, 2.0))
         jet = random_jet(rng, 64)
         new = assemble_lower_order(*jet, model, transport(jet[2], model), mutation=mutation)
@@ -153,9 +152,8 @@ def test_two_row_jet_matches_padded_jet(mutation):
     # padded with zero y and z rows, and the whole-tensor reference on it,
     # give the same rows
     rng = np.random.default_rng(31)
-    for trial in range(6):
+    for _ in range(6):
         model = TransportModel(a1=rng.uniform(2.0, 6.0), a2=rng.uniform(4.0, 12.0),
-                               eta_form=("power", "constant")[trial % 2],
                                eta0=rng.uniform(0.5, 2.0))
         u, du, eps, deps = random_jet(rng, 64)
         du[2:] = 0.0
@@ -182,7 +180,6 @@ def test_jet_rows_must_agree():
 
 admissible_state = st.tuples(
     st.floats(4.0, 12.0),                                    # a2
-    st.sampled_from(["power", "constant"]),
     st.floats(0.5, 2.0),                                     # eps
     st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),  # boost direction
     st.floats(0.0, 3.0),                                     # |w|
@@ -192,12 +189,12 @@ admissible_state = st.tuples(
 )
 
 
-def _admissible(a2, eta_form, eps, wdir, wnorm, xdir, off_null, sign):
+def _admissible(a2, eps, wdir, wnorm, xdir, off_null, sign):
     wdir, xdir = np.array(wdir), np.array(xdir)
     assume(np.linalg.norm(wdir) >= 1e-3 and np.linalg.norm(xdir) >= 1e-3)
     w = wnorm * wdir / np.linalg.norm(wdir)
     s = StatePoint(eps=eps, u=np.array([np.sqrt(1.0 + w @ w), *w]), g=minkowski(),
-                   transport=TransportModel(a1=4.0, a2=a2, eta_form=eta_form))
+                   transport=TransportModel(a1=4.0, a2=a2))
     xi = np.array([sign * (1.0 + off_null) * np.linalg.norm(xdir), *xdir])
     return s, xi
 
@@ -242,7 +239,6 @@ def test_blocks_match_fluid_symbol(case):
 
 time_matrix_state = st.tuples(
     st.floats(4.0, 12.0),                                    # a2
-    st.sampled_from(["power", "constant"]),
     st.floats(0.5, 2.0),                                     # eps
     st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),  # boost direction
     st.floats(0.0, 3.0),                                     # |w|
@@ -251,7 +247,7 @@ time_matrix_state = st.tuples(
 )
 
 
-def _time_matrix_case(a2, eta_form, eps, wdir, wnorm, off_norm, rhs):
+def _time_matrix_case(a2, eps, wdir, wnorm, off_norm, rhs):
     # one cell whose u0 is off normalization by up to 1e-3, as within an
     # RK stage; returns the symbol's inputs and a right-hand side
     wdir = np.array(wdir)
@@ -259,7 +255,7 @@ def _time_matrix_case(a2, eta_form, eps, wdir, wnorm, off_norm, rhs):
     w = wnorm * wdir / np.linalg.norm(wdir)
     u = np.array([np.sqrt(1.0 + w @ w) * (1.0 + off_norm), *w])[:, None]
     eps = np.array([eps])
-    model = TransportModel(a1=4.0, a2=a2, eta_form=eta_form)
+    model = TransportModel(a1=4.0, a2=a2)
     return (u, cell_factors(eps, transport(eps, model))), np.array(rhs)[:, None]
 
 
@@ -333,7 +329,7 @@ def test_ideal_limit_reduces_to_ideal_divergence():
     u = rng.uniform(-1, 1, (4, n)) + np.array([2.0, 0, 0, 0])[:, None]
     du, deps = rng.uniform(-1, 1, (4, 4, n)), rng.uniform(-1, 1, (4, n))
     eps = rng.uniform(0.5, 2, n)
-    ideal_model = TransportModel(eta_form="constant", eta0=0.0)
+    ideal_model = TransportModel(eta0=0.0)
     rows = assemble_lower_order(u, du, eps, deps, ideal_model, transport(eps, ideal_model))
     u_dn = SGN[:, None] * u
     theta = np.einsum('aan->n', du)
@@ -498,12 +494,11 @@ def reference_divergence_residual(fields, n, model, t0=0.37, mutation=None):
 @pytest.mark.parametrize("model,t0,resolutions,mutation", [
     pytest.param(MODEL, 0.37, (64, 256), None, id="None"),
     pytest.param(MODEL, 0.37, (64, 256), ("expansion_iso", 1.01), id="mutation1"),
-    pytest.param(TransportModel(a1=4.0, a2=4.0, eta_form="constant"), 0.37, (32, 128),
-                 None, id="constant-eta"),
+    pytest.param(TransportModel(a1=4.0, a2=4.0), 0.37, (32, 128), None, id="a2=4"),
     pytest.param(TransportModel(a1=4.0, a2=9.0), -1.3, (32, 512, 2048), None,
                  id="a2=9-t0=-1.3"),
-    pytest.param(TransportModel(a1=4.0, a2=4.0, eta_form="constant"), 2.9, (128,),
-                 ("shear", 1.01), id="constant-eta-t0=2.9-shear"),
+    pytest.param(TransportModel(a1=4.0, a2=4.0), 2.9, (128,), ("shear", 1.01),
+                 id="a2=4-t0=2.9-shear"),
 ] + [pytest.param(MODEL, 0.0, (128,), (key, 1.01), id=f"t0=0-{key}")
      for key in MUTATION_KEYS])
 def test_divergence_residual_matches_full_tensor_reference(model, t0, resolutions, mutation):

@@ -127,7 +127,7 @@ def test_a_solver_abort_crosses_the_pipe(monkeypatch):
 
 
 def test_a_failed_fork_runs_the_ladder_here(monkeypatch):
-    # a process limit or a memory shortage: the pipe is closed again, and
+    # a process limit or a memory shortage: the pipes are closed again, and
     # the jobs give the serial run's results
     pipes = []
 
@@ -149,7 +149,8 @@ def test_a_failed_fork_runs_the_ladder_here(monkeypatch):
     assert _run_ladder([os.getpid, os.getpid]) == [os.getpid()] * 2
     assert repr(dod_experiment(cfg, probe_t=0.35, probe_x=0.45,
                                resolutions=(64, 128))) == repr(serial)
-    assert len(pipes) == 4
+    # two tries, each opening a pipe each way
+    assert len(pipes) == 8
     for fd in pipes:
         with pytest.raises(OSError):
             os.fstat(fd)

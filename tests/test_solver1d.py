@@ -79,13 +79,14 @@ def test_constant_state_is_fixed_point():
     assert np.abs(grid.W).max() < 1e-12
 
 
-@pytest.mark.parametrize("eta_form", ["constant", "power"])
+# the case is named for the viscosity law, eta0 * eps**P_EXP
+@pytest.mark.parametrize("eta0", [1.0], ids=["power"])
 @pytest.mark.parametrize("a2", [4.0, 6.0, 10.0])
 @pytest.mark.parametrize("eps0", [1.0, 2.5])
-def test_exact_fixed_point_steps_to_itself(eps0, a2, eta_form):
+def test_exact_fixed_point_steps_to_itself(eps0, a2, eta0):
     # a constant state whose stencil derivatives round to exactly 0 is a
     # fixed point of step bit for bit, and _fixed_point returns its V
-    cfg = small_cfg(transport=TransportModel(a2=a2, eta_form=eta_form),
+    cfg = small_cfg(transport=TransportModel(a2=a2, eta0=eta0),
                     ic=constant_state(eps0=eps0))
     grid = make_grid(cfg)
     v0 = grid.V.copy()

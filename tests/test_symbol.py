@@ -96,7 +96,7 @@ def test_symbol_homogeneity_entrywise():
 
 def test_ideal_limit_zeroes_fluid_rows():
     s = StatePoint(eps=1.0, u=np.array([1.3, 0.4, -0.2, 0.1]), g=minkowski(),
-                   transport=TransportModel(eta_form="constant", eta0=0.0))
+                   transport=TransportModel(eta0=0.0))
     m = fluid_symbol(s, np.array([0.7, 1.1, -0.3, 0.2]))
     assert np.abs(m[:4, :]).max() == 0.0
     assert np.abs(m[4, :]).max() > 0.0  # constraint row carries no viscosity
@@ -133,7 +133,6 @@ def test_char_det_homogeneity():
 
 @settings(max_examples=200, deadline=None)
 @given(st.floats(4.0, 12.0),                                    # a2
-       st.sampled_from(["constant", "power"]),                  # eta form
        st.floats(0.5, 2.0),                                     # eps
        st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),  # boost direction
        st.floats(0.0, 10.0),                                    # |w|
@@ -141,12 +140,12 @@ def test_char_det_homogeneity():
        st.sampled_from([None, 1.0, -1.0]),   # or xi0 = +-|xibar| (1 + 1e-6 d)
        st.floats(-1.0, 1.0),                                    # d
        st.floats(0.1, 10.0))                                    # t
-def test_factorization_and_homogeneity_admissible(a2, eta_form, eps, wdir, wnorm,
+def test_factorization_and_homogeneity_admissible(a2, eps, wdir, wnorm,
                                                   xi, sign, d, t):
     wdir, xi = np.array(wdir), np.array(xi)
     assume(np.linalg.norm(wdir) >= 1e-3 and np.linalg.norm(xi[1:]) >= 1e-3)
     s = StatePoint(eps=eps, u=E0, g=minkowski(),
-                   transport=TransportModel(a1=4.0, a2=a2, eta_form=eta_form)
+                   transport=TransportModel(a1=4.0, a2=a2)
                    ).boosted(wnorm * wdir / np.linalg.norm(wdir))
     if sign is not None:                 # within 1e-6 relative of the light cone
         xi[0] = sign * np.linalg.norm(xi[1:]) * (1.0 + 1e-6 * d)
