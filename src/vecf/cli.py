@@ -63,10 +63,6 @@ def _write_json(path: Path, payload: dict):
         fh.write("\n")
 
 
-def _outdir(cfg, args) -> Path:
-    return Path(args.out if args.out else cfg["output"]["dir"])
-
-
 def _solver_config(cfg) -> SolverConfig:
     s = cfg["solver"]
     ic_name = s["ic"]
@@ -107,7 +103,7 @@ def cmd_gevrey(cfg, args) -> int:
         "coupled_index": str(report.coupled),
         "passed": report.passed,
     }
-    _write_json(_outdir(cfg, args) / "gevrey.json", payload)
+    _write_json(Path(args.out) / "gevrey.json", payload)
     return EXIT_OK if report.passed else EXIT_CHECK_FAILED
 
 
@@ -132,7 +128,7 @@ def _suite_args(args) -> dict:
 
 def cmd_verify_factorization(cfg, args) -> int:
     report = verification.factorization_suite(**_suite_args(args))
-    _write_json(_outdir(cfg, args) / "verify_factorization.json", report.to_json())
+    _write_json(Path(args.out) / "verify_factorization.json", report.to_json())
     print(f"determinant factorization: {report.samples} samples, "
           f"max scaled error {report.max_scaled_error:.3e} "
           f"(tolerance {report.tolerance:.0e}) -> "
@@ -142,7 +138,7 @@ def cmd_verify_factorization(cfg, args) -> int:
 
 def cmd_collapse(cfg, args) -> int:
     report = verification.collapse_suite(**_suite_args(args))
-    _write_json(_outdir(cfg, args) / "collapse.json", report.to_json())
+    _write_json(Path(args.out) / "collapse.json", report.to_json())
     print(f"general-quartic collapse: {report.samples} samples, "
           f"max relative error {report.max_relative_error:.3e} "
           f"(tolerance {report.tolerance:.0e}), |C(a1=4)| = {abs(report.c_at_a1_4):.1e} -> "
@@ -152,7 +148,7 @@ def cmd_collapse(cfg, args) -> int:
 
 def cmd_roots(cfg, args) -> int:
     report = verification.roots_suite(**_suite_args(args))
-    out = _outdir(cfg, args)
+    out = Path(args.out)
     _write_csv(out / "roots.csv",
                ["family", "a2", "u2", "closed_minus", "closed_plus",
                 "numeric_minus", "numeric_plus", "abs_error"], report.rows)
@@ -166,7 +162,7 @@ def cmd_roots(cfg, args) -> int:
 def cmd_causality_scan(cfg, args) -> int:
     rows = causality.causality_scan(causality.SCAN_A2, causality.SCAN_U_MAX)
     verdict = causality.scan_verdict(rows)
-    out = _outdir(cfg, args)
+    out = Path(args.out)
     _write_csv(out / "causality_scan.csv",
                ["a1", "a2", "u2", "theta_max_p2", "smax_p2", "smax_p3", "verdict"],
                [[r.a1, r.a2, r.u2, r.theta_max_p2, r.smax_p2, r.smax_p3, r.verdict]
@@ -201,7 +197,7 @@ def _causal_row(a1, a2) -> bool:
 def cmd_region_map(cfg, args) -> int:
     a1_grid, a2_grid = causality.REGION_A1, causality.REGION_A2
     cells = causality.hyperbolicity_region_map(a1_grid, a2_grid)
-    out = _outdir(cfg, args)
+    out = Path(args.out)
     _write_csv(out / "region_map.csv", ["a1", "a2", "label", "max_abs_slope"],
                [[c.a1, c.a2, c.label, c.max_abs_slope] for c in cells])
     causal_row_ok = all(c.label in ("causal-strict", "causal-boundary")
@@ -242,7 +238,7 @@ def cmd_evolve(cfg, args) -> int:
         traj = solver1d.evolve(scfg)
     except ValueError as exc:          # initial data rejected before stepping
         raise ConfigError(str(exc)) from exc
-    out = _outdir(cfg, args)
+    out = Path(args.out)
     x = np.arange(scfg.n_cells) * (scfg.length / scfg.n_cells)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "evolve.csv", "w") as fh:
@@ -263,10 +259,10 @@ def cmd_dod_test(cfg, args) -> int:
         report = experiments.dod_experiment(
             replace(scfg, ic=solver1d.constant_state(eps0=cfg["solver"]["eps0"])),
             experiments.DOD_PROBE_T, experiments.DOD_PROBE_X,
-            resolutions=tuple(cfg["dod"]["resolutions"]))
+            resolutions=experiments.DOD_RESOLUTIONS)
     except ValueError as exc:          # placement or initial data rejected
         raise ConfigError(str(exc)) from exc
-    out = _outdir(cfg, args)
+    out = Path(args.out)
     ok = report.passed
     payload = {
         "check": "domain-of-dependence",
@@ -296,12 +292,12 @@ def cmd_dod_test(cfg, args) -> int:
 
 def cmd_convergence(cfg, args) -> int:
     scfg = _solver_config(cfg)
-    res = tuple(cfg["convergence"]["resolutions"])
     try:
-        report = experiments.convergence_study(scfg, resolutions=res)
-    except ValueError as exc:          # resolutions or initial data rejected
+        report = experiments.convergence_study(
+            scfg, resolutions=experiments.CONVERGENCE_RESOLUTIONS)
+    except ValueError as exc:          # initial data rejected
         raise ConfigError(str(exc)) from exc
-    out = _outdir(cfg, args)
+    out = Path(args.out)
     rows = [[name, report.errors_coarse[name], report.errors_fine[name],
              "exact" if report.orders[name] is None else report.orders[name]]
             for name in experiments.FIELD_NAMES]
@@ -314,7 +310,7 @@ def cmd_convergence(cfg, args) -> int:
         "parameters": {"a1": scfg.transport.a1, "a2": scfg.transport.a2},
         "seed": None,
         "tolerances": {"order": list(experiments.ORDER_WINDOW)},
-        "resolutions": list(res),
+        "resolutions": list(report.resolutions),
         "orders": report.orders,
         "drift": {str(k): v for k, v in report.drift.items()},
         "passed": bool(ok),
@@ -329,10 +325,10 @@ def cmd_oracle_divergence(cfg, args) -> int:
     fields = equations.SinusoidalField(length=cfg["solver"]["length"])
     try:
         report = equations.divergence_oracle(fields, cfg.transport_model(),
-                                             cfg["oracle"]["resolutions"])
+                                             equations.ORACLE_RESOLUTIONS)
     except ValueError as exc:          # resolutions rejected
         raise ConfigError(str(exc)) from exc
-    out = _outdir(cfg, args)
+    out = Path(args.out)
     _write_csv(out / "oracle_divergence.csv",
                ["resolution", "max_discrepancy", "constraint_row_max"],
                [[r.resolution, r.max_discrepancy, r.constraint_row_max]
@@ -379,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="SECTION.KEY=VALUE",
                         help="override one config value (repeatable)")
-    parser.add_argument("--out", help="output directory (default from config)")
+    parser.add_argument("--out", default="out", help="output directory (default: out)")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)

@@ -1,8 +1,8 @@
 """Run configuration: one INI-style file, schema-checked, with flag overrides.
 
 Every numeric key is range-checked at load time and unknown keys are
-rejected by name.  A key sets the fluid's free parameters, the run, or the
-size of a resolution ladder; what each check samples is a constant of its
+rejected by name.  A key sets the fluid's free parameters or the run; what
+each check samples, its resolution ladder included, is a constant of its
 module.  Defaults encode the causal regime a1 = 4, a2 = 4.
 """
 
@@ -13,9 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .constitutive import TransportModel
-from .equations import ORACLE_RESOLUTIONS
-from .experiments import CONVERGENCE_RESOLUTIONS, DOD_RESOLUTIONS
-from .solver1d import COURANT_MAX
+from .solver1d import COURANT_MAX, MAX_CELLS
 
 
 class ConfigError(Exception):
@@ -40,11 +38,11 @@ def _float_range(lo=None, hi=None, lo_open=False):
     return check
 
 
-def _int_range(lo: int):
+def _int_range(lo: int, hi: float = math.inf):
     def check(v):
         x = int(v)
-        if x < lo:
-            raise ValueError(f"must be >= {lo}")
+        if not lo <= x <= hi:
+            raise ValueError(f"must be >= {lo}" if x < lo else f"must be <= {hi}")
         return x
     return check
 
@@ -57,20 +55,13 @@ def _choice(*opts):
     return check
 
 
-def _int_list(v):
-    vals = [int(s) for s in str(v).replace(",", " ").split()]
-    if not vals:
-        raise ValueError("must be a non-empty list of integers")
-    return vals
-
-
 SCHEMA = {
     "transport": {
         "a2": (_float_range(), 4.0),
         "eta0": (_float_range(lo=0.0, lo_open=True), 1.0),
     },
     "solver": {
-        "n_cells": (_int_range(lo=16), 512),
+        "n_cells": (_int_range(lo=16, hi=MAX_CELLS), 512),
         "length": (_float_range(lo=0.0, lo_open=True), 2.0),
         "cfl": (_float_range(lo=0.0, hi=COURANT_MAX, lo_open=True), 0.25),
         "t_end": (_float_range(lo=0.0, lo_open=True), 0.5),
@@ -81,18 +72,6 @@ SCHEMA = {
         "ic_center": (_float_range(), 1.0),
         "eps0": (_float_range(lo=0.0, lo_open=True), 1.0),
         "output_every": (_int_range(lo=0), 0),
-    },
-    "dod": {
-        "resolutions": (_int_list, list(DOD_RESOLUTIONS)),
-    },
-    "convergence": {
-        "resolutions": (_int_list, list(CONVERGENCE_RESOLUTIONS)),
-    },
-    "oracle": {
-        "resolutions": (_int_list, list(ORACLE_RESOLUTIONS)),
-    },
-    "output": {
-        "dir": (str, "out"),
     },
 }
 

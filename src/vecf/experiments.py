@@ -41,8 +41,8 @@ DOD_AMPLITUDE = 0.02
 DOD_RADIUS = 0.14
 DOD_MARGIN = 0.10
 DOD_PROBE_WINDOW = 0.05
-# the resolution ladders of criterion 09 and of criteria 08b and 08d, the
-# defaults of `dod.resolutions` and `convergence.resolutions`
+# the resolution ladders of criterion 09 and of criteria 08b and 08d, which
+# `vecf dod-test` and `vecf convergence` run
 DOD_RESOLUTIONS = (128, 256, 512, 1024)
 CONVERGENCE_RESOLUTIONS = (256, 512, 1024)
 # the convergence study reports a field as exact ("order None") when either

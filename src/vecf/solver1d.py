@@ -177,6 +177,10 @@ COURANT_MAX = 1.0
 # the most RK4 steps one evolve may take, far above any run of the package;
 # a t_end that asks for more is a configuration error
 MAX_STEPS = 10 ** 7
+# the most cells one evolve may hold over all its members: its peak memory
+# grows by about 1.27 KB a cell (tracemalloc, serial, 1.30 to 1.26 KB from
+# 4096 to 65536 cells, x86-64, numpy 2.4.6), so 1.3 GB at the bound
+MAX_CELLS = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -452,13 +456,20 @@ def step(grid: FieldGrid, cfg: SolverConfig, dt: float,
 
 
 def make_grid(cfg: SolverConfig, ics=None) -> FieldGrid:
-    """The grid at t = 0: cfg.ic on (5, N), or ics stacked on (5, B, N)."""
+    """The grid at t = 0: cfg.ic on (5, N), or ics stacked on (5, B, N).
+    More than MAX_CELLS cells over all members raise ValueError before any
+    array is made.  A pulse profile that overflows rounds to the background
+    under _QUIET; a bad value is left to the t = 0 checks."""
     n = cfg.n_cells
+    cells = n * (1 if ics is None else len(ics))
+    if cells > MAX_CELLS:
+        raise ValueError(f"{cells} cells over all members; the most allowed is {MAX_CELLS}")
     x = np.arange(n) * (cfg.length / n)
-    if ics is None:
-        V, W = cfg.ic.build(x)
-    else:
-        V, W = (np.stack(f, axis=1) for f in zip(*(ic.build(x) for ic in ics)))
+    with np.errstate(**_QUIET):
+        if ics is None:
+            V, W = cfg.ic.build(x)
+        else:
+            V, W = (np.stack(f, axis=1) for f in zip(*(ic.build(x) for ic in ics)))
     bad = _eps_lost(V)
     if bad.any():
         raise ValueError("initial data drives eps non-positive" + _members(bad))
@@ -504,7 +515,10 @@ def _grid_v_max(grid: FieldGrid, model: TransportModel) -> float:
     u2 = float(fastest @ fastest)
     # np.max keeps a NaN wherever it stands
     alpha, beta = zip(*(cone_coefficients(f, model.a2) for f in FLUID_FACTORS.families))
-    v_max = float(np.max(_cone_extremes(alpha, beta, [u2], THETAS)[0]))
+    # a2 or |w| too large for their products give inf or NaN, which the
+    # check below reports, as causality_scan does, with no warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_max = float(np.max(_cone_extremes(alpha, beta, [u2], THETAS)[0]))
     if not v_max <= 1.0 + BOUNDARY_TOL:
         raise ValueError(f"state is not causal: fluid speed {v_max!r} at |w|^2 = {u2!r}")
     return v_max
@@ -884,7 +898,8 @@ def evolve(cfg: SolverConfig, snapshot_times=None, ics=None):
     v_max = _grid_v_max(grid, model)
     h = grid.spacing
     dt_cfl = cfg.cfl * h / v_max
-    steps = np.ceil(cfg.t_end / dt_cfl)
+    # a dt that underflows to 0 (cfl or length near 5e-324) needs endless steps
+    steps = np.ceil(cfg.t_end / dt_cfl) if dt_cfl > 0.0 else math.inf
     if not steps <= MAX_STEPS:
         raise ValueError(f"t_end = {cfg.t_end:g} needs {steps:g} steps of dt = {dt_cfl:.6g}; "
                          f"the most allowed is {MAX_STEPS:g}")

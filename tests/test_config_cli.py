@@ -2,10 +2,12 @@ import json
 
 import pytest
 
+from vecf import equations, experiments
 from vecf.causality import SCAN_A2
 from vecf.cli import MAX_SAMPLES, main
-from vecf.config import ConfigError, load_config
+from vecf.config import SCHEMA, ConfigError, load_config
 from vecf.experiments import ORDER_WINDOW
+from vecf.solver1d import MAX_CELLS
 
 
 def test_defaults_encode_causal_regime():
@@ -272,20 +274,21 @@ def test_cli_rejects_non_finite_values(tmp_path, capsys, override, command):
     assert not any(tmp_path.iterdir())
 
 
-def test_cli_oracle_divergence(tmp_path):
-    code = main(["--out", str(tmp_path),
-                 "--set", "oracle.resolutions=64 128 256",
-                 "--set", "transport.a2=6",
-                 "oracle-divergence"])
+def test_cli_oracle_divergence(tmp_path, monkeypatch):
+    # the command reads criterion 07's ladder when it runs
+    monkeypatch.setattr(equations, "ORACLE_RESOLUTIONS", (64, 128, 256))
+    code = main(["--out", str(tmp_path), "--set", "transport.a2=6", "oracle-divergence"])
     assert code == 0
     payload = json.loads((tmp_path / "oracle_divergence.json").read_text())
     assert payload["passed"] is True
+    assert payload["resolutions"] == [64, 128, 256]
     lo, hi = ORDER_WINDOW
     assert all(lo <= o <= hi for o in payload["orders"])
     assert payload["mutated_order"] < payload["tolerances"]["mutated_order_max"]
 
 
 @pytest.mark.parametrize("override,command", [
+    # a section that no longer exists: criterion 07's ladder is a constant
     ("oracle.resolutions=0", "oracle-divergence"),
     ("oracle.resolutions=-64,-128", "oracle-divergence"),
     ("oracle.resolutions=64", "oracle-divergence"),
@@ -331,21 +334,27 @@ def test_cli_help_exits_zero(capsys):
     assert "--threads" not in capsys.readouterr().out
 
 
-CONVERGENCE_SMALL = ["--set", "convergence.resolutions=32 64 128",
-                     "--set", "solver.t_end=0.1", "--set", "transport.a2=6"]
+CONVERGENCE_SMALL = ["--set", "solver.t_end=0.1", "--set", "transport.a2=6"]
 
 
-def test_cli_convergence_judges_the_order(tmp_path, capsys):
+@pytest.fixture
+def small_convergence(monkeypatch):
+    # the command reads criteria 08b and 08d's ladder when it runs
+    monkeypatch.setattr(experiments, "CONVERGENCE_RESOLUTIONS", (32, 64, 128))
+
+
+def test_cli_convergence_judges_the_order(tmp_path, capsys, small_convergence):
     code = main(["--out", str(tmp_path)] + CONVERGENCE_SMALL + ["convergence"])
     out = capsys.readouterr().out
     payload = json.loads((tmp_path / "convergence.json").read_text())
     assert payload["tolerances"]["order"] == list(ORDER_WINDOW)
+    assert payload["resolutions"] == [32, 64, 128]
     # the eps order on these coarse grids reads about 4.5, outside the window
     assert payload["passed"] is False and code == 1
     assert out.rstrip().endswith("-> FAIL")
 
 
-def test_cli_convergence_without_an_order_fails(tmp_path, capsys):
+def test_cli_convergence_without_an_order_fails(tmp_path, capsys, small_convergence):
     # constant data: every field's differences sit below round-off, so no
     # order is observed, and criterion 08d's rule fails the run
     code = main(["--out", str(tmp_path), "--set", "solver.ic=constant"]
@@ -357,8 +366,24 @@ def test_cli_convergence_without_an_order_fails(tmp_path, capsys):
     assert out.rstrip().endswith("observed order exact -> FAIL")
 
 
+@pytest.mark.filterwarnings("error")
+def test_cli_convergence_of_a_pulse_off_the_grid_fails(tmp_path, capsys, small_convergence):
+    # a pulse centred at 1e300 rounds to the background at every cell: the
+    # study evolves constant data, measures no order and fails, as above,
+    # with no warning, while evolve runs the same data and exits 0
+    code = main(["--out", str(tmp_path), "--set", "solver.ic_center=1e300"]
+                + CONVERGENCE_SMALL + ["convergence"])
+    captured = capsys.readouterr()
+    payload = json.loads((tmp_path / "convergence.json").read_text())
+    assert all(order is None for order in payload["orders"].values())
+    assert payload["passed"] is False and code == 1
+    assert captured.out.rstrip().endswith("observed order exact -> FAIL")
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("override,command", [
     ("solver.ic_amplitude=-2", "evolve"),
+    # sections that no longer exist: the ladders are constants
     ("dod.resolutions=128", "dod-test"),
     ("dod.resolutions=64,96", "dod-test"),
     ("solver.length=1", "dod-test"),      # the outside bump leaves [0, L)
@@ -380,6 +405,11 @@ def test_cli_solver_commands_reject_bad_config(tmp_path, capsys, override, comma
     assert not any(tmp_path.iterdir())
 
 
+LADDERS = {"dod": (experiments, "DOD_RESOLUTIONS"),
+           "convergence": (experiments, "CONVERGENCE_RESOLUTIONS"),
+           "oracle": (equations, "ORACLE_RESOLUTIONS")}
+
+
 @pytest.mark.parametrize("override,command", [
     ("dod.resolutions=128,200", "dod-test"),
     ("dod.resolutions=128", "dod-test"),
@@ -388,9 +418,14 @@ def test_cli_solver_commands_reject_bad_config(tmp_path, capsys, override, comma
     ("oracle.resolutions=64", "oracle-divergence"),
     ("oracle.resolutions=0,0", "oracle-divergence"),
 ])
-def test_cli_rejects_bad_resolution_ladders(tmp_path, capsys, override, command):
-    # every command that measures an order checks its ladder by one rule
-    assert main(["--out", str(tmp_path), "--set", override, command]) == 2
+def test_cli_rejects_bad_resolution_ladders(tmp_path, capsys, monkeypatch, override,
+                                           command):
+    # every command that measures an order checks its ladder by one rule;
+    # each case names the ladder constant it breaks by its old config key
+    section, ladder = override.split(".resolutions=")
+    module, name = LADDERS[section]
+    monkeypatch.setattr(module, name, tuple(int(n) for n in ladder.split(",")))
+    assert main(["--out", str(tmp_path), command]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: need at least ")
     assert "positive and each double the last" in err
@@ -414,9 +449,70 @@ def test_cli_rejects_the_removed_criterion_keys(tmp_path, capsys, key):
     assert main(["--out", str(tmp_path), "--set", f"{key}=1", "gevrey"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
-    # a [scan] key is rejected with its section, any other by its name
-    assert f"[{section}]" in err and (section == "scan" or f"'{name}'" in err)
+    # a key of a removed section is rejected with its section, any other by its name
+    assert f"[{section}]" in err and (section not in SCHEMA or f"'{name}'" in err)
     assert not any(tmp_path.iterdir())
+
+
+def test_the_config_holds_the_fluid_and_the_run():
+    assert {sec: sorted(keys) for sec, keys in SCHEMA.items()} == {
+        "transport": ["a2", "eta0"],
+        "solver": ["cfl", "eps0", "ic", "ic_amplitude", "ic_center", "ic_width",
+                   "length", "n_cells", "output_every", "t_end"]}
+
+
+@pytest.mark.parametrize("args,section", [
+    (["--set", "dod.resolutions=64,128", "dod-test"], "dod"),
+    (["--set", "convergence.resolutions=32,64,128", "convergence"], "convergence"),
+    (["--set", "oracle.resolutions=64,128", "oracle-divergence"], "oracle"),
+    (["--set", "output.dir=x", "gevrey"], "output"),
+    (["--config", "run.ini", "gevrey"], "output"),
+])
+def test_cli_rejects_the_removed_ladder_and_output_sections(tmp_path, capsys, monkeypatch,
+                                                            args, section):
+    # the ladders are the gate's constants, and --out (default out) is the
+    # one output directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.ini").write_text("[output]\ndir = x\n")
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"config error: unknown config section [{section}]\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.ini"]
+
+
+def test_cli_out_defaults_to_out(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gevrey"]) == 0
+    assert [p.name for p in (tmp_path / "out").iterdir()] == ["gevrey.json"]
+
+
+@pytest.mark.parametrize("command", ["evolve", "dod-test", "convergence"])
+def test_cli_n_cells_beyond_the_bound_is_a_config_error(tmp_path, capsys, command):
+    # refused when the config loads, before any array is made
+    assert main(["--out", str(tmp_path), "--set", "solver.n_cells=10000000000000",
+                 command]) == 2
+    assert capsys.readouterr().err == ("config error: bad value for solver.n_cells: "
+                                       f"must be <= {MAX_CELLS}\n")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("override,command,code", [
+    # the pulse's profile overflows and rounds to the background
+    ("solver.ic_center=1e300", "evolve", 0),
+    ("solver.length=1e300", "evolve", 0),
+    # the pulse fits one cell, and the run loses eps > 0
+    ("solver.ic_width=1e-300", "evolve", 3),
+    # the cone's coefficients overflow: the speed check names the state
+    ("transport.a2=1e300", "dod-test", 2),
+])
+def test_cli_overflowing_values_warn_nothing(tmp_path, capsys, override, command, code):
+    assert main(["--out", str(tmp_path), "--set", override, command]) == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.startswith(("config error: ", "solver abort: ")[code == 3])
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("source", ["--set", "--config"])
@@ -480,16 +576,17 @@ def test_cli_large_eps0_reports_a_finite_det_shortfall(tmp_path):
     assert all(abs(d["det_shortfall_rel"]) < 1e-12 for d in diags)
 
 
-def test_cli_dod_test_writes_non_finite_values_as_null(tmp_path, capsys):
+def test_cli_dod_test_writes_non_finite_values_as_null(tmp_path, capsys, monkeypatch):
     # the bumps' amplitude 0.02 lies below the rounding of eps0 = 1e20: every
     # difference is 0, the order and the ratio are NaN, and dod.json is
     # strict JSON that writes them null
     def reject(name):
         raise ValueError(f"non-strict JSON constant {name}")
 
-    assert main(["--out", str(tmp_path), "--set", "solver.eps0=1e20",
-                 "--set", "dod.resolutions=64,128", "dod-test"]) == 1
+    monkeypatch.setattr(experiments, "DOD_RESOLUTIONS", (64, 128))
+    assert main(["--out", str(tmp_path), "--set", "solver.eps0=1e20", "dod-test"]) == 1
     payload = json.loads((tmp_path / "dod.json").read_text(), parse_constant=reject)
+    assert payload["resolutions"] == [64, 128]
     assert payload["outside_order"] is None and payload["outside_ratios"] == [None]
     assert payload["outside_diffs"] == [0.0, 0.0] and payload["passed"] is False
     assert capsys.readouterr().out.rstrip().endswith("-> FAIL")

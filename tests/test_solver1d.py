@@ -128,6 +128,22 @@ def test_abort_on_vanishing_eps():
         make_grid(cfg)
 
 
+@pytest.mark.parametrize("n_cells,members", [(10 ** 13, 1), (solver1d.MAX_CELLS // 2 + 1, 2)])
+def test_make_grid_refuses_more_than_max_cells_before_any_array(n_cells, members):
+    # the cells of every member count; the bound holds before the grid's x exists
+    cfg = small_cfg(n_cells=n_cells)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"the most allowed is {solver1d.MAX_CELLS}"):
+            make_grid(cfg, [gaussian_pulse()] * members)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 5
+    with pytest.raises(ValueError, match="the most allowed"):
+        evolve(cfg, ics=[gaussian_pulse()] * members)
+
+
 def test_abort_during_run_dumps_state():
     # heavily under-resolved violent data collapses eps during the run
     cfg = small_cfg(ic=gaussian_pulse(amplitude=-0.999, width=0.012),
