@@ -15,10 +15,10 @@ from .characteristics import (COUPLED_FACTORS, FLUID_FACTORS, FactorSet,
 from .constitutive import (TransportModel, complete_initial_data,
                            stress_tensor_fields, transport)
 from .equations import (SinusoidalField, assemble_lower_order,
-                        divergence_oracle, divergence_residual)
+                        divergence_oracle, divergence_residual, symbol_matrix)
 from .solver1d import (FieldGrid, SolverAbort, SolverConfig, constant_state,
                        evolve, gaussian_pulse, shear_pulse, step)
-from .symbol import det_by_elimination, symbol_components
+from .symbol import det_by_elimination
 from .tensor import Metric4, minkowski
 
 __all__ = [name for name in dir() if not name.startswith("_")]

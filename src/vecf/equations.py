@@ -1,14 +1,14 @@
-"""Flat-space equation assembly: principal coefficients, first-order terms, oracle.
+"""Equation assembly: the symbol's one formula, first-order terms, oracle.
 
 The five evolution rows are the four components of the stress-tensor
 divergence (indices raised) plus the normalization-constraint row.  Each row
 splits into a principal part (second derivatives, whose coefficients are the
-fluid symbol's coefficients at pairs of basis covectors, applied to the
-derivative vectors without forming blocks) and a first-order remainder B
-from the constitutive tensor's divergence.  B's eight term groups are
-collected into three scalar coefficients per cell, of u, the acceleration
-and grad eps, and two vectors contracted once each with the velocity
-gradient; the jet carries only the derivative rows that exist.
+fluid symbol's, `symbol_coefficients`, at pairs of flat basis covectors,
+applied to the derivative vectors without forming blocks) and a first-order
+remainder B from the constitutive tensor's divergence.  B's eight term
+groups are collected into three scalar coefficients per cell, of u, the
+acceleration and grad eps, and two vectors contracted once each with the
+velocity gradient; the jet carries only the derivative rows that exist.
 
 The divergence oracle pins all of it at once: the assembled rows must agree
 with a finite-difference divergence of the stress tensor on manufactured
@@ -36,6 +36,7 @@ import numpy as np
 
 from .characteristics import BATCH_VALUES
 from .constitutive import SGN, TransportModel, _jet_rows, stress_tensor_fields, transport
+from .symbol import symbol_contractions
 
 MUTATION_KEYS = (
     "shear",                  # grad(eta pi pi) . shear-rate group
@@ -152,7 +153,7 @@ def dx4(f: np.ndarray, h: float, work: Scratch | None = None) -> np.ndarray:
 
 
 class CellFactors(NamedTuple):
-    """The per-cell transport factors that `symbol_apply` and
+    """The per-cell transport factors that `symbol_coefficients` and
     `time_matrix_solve` share, each formed once (`cell_factors`); every
     field is (N,)."""
 
@@ -187,59 +188,98 @@ def _pair_arrays(pairs: tuple) -> tuple:
     return a, c, np.where(a == c, SGN[a], 0.0)[:, None]
 
 
+def symbol_coefficients(uxi, uze, gxz, xix, zex, xe, f: CellFactors, out) -> tuple:
+    """The coefficients of B(xi, zeta) x, x = (x_v, x_e): the symbol's one
+    formula, with m(xi) = B(xi, xi).  Rows 0-3 of B(xi, zeta) x are
+    c_v x_v + c_u u + s_xi xi^# + s_zeta zeta^#, and row 4 is uu (u_flat . x_v):
+
+        uu = u.xi u.zeta,   c_v = (lam - eta) uu - eta g(xi, zeta),
+        c_u = k (u.xi zeta.x_v + u.zeta xi.x_v)
+              + (lam g(xi, zeta) + (2 lam + 4 chi) uu) x_e / (4 eps),
+        s_xi = h zeta.x_v + f_e u.zeta,   s_zeta = h xi.x_v + f_e u.xi,
+        k = (lam + chi + (chi - eta)/3) / 2,  h = (chi - eta)/6,  f_e = (lam + chi) x_e / (8 eps).
+
+    uxi, uze, gxz, xix, zex and xe are the caller's contractions u.xi,
+    u.zeta, g(xi, zeta), xi.x_v, zeta.x_v and x_e, each broadcasting to the
+    pairs' shape; f is the cells' CellFactors.  out holds six arrays of the
+    pairs' shape, then two of the cells'; the first five are returned.
+    """
+    uu, c_v, c_u, s_xi, s_ze, fe, k, h = out
+    _mul(uxi, uze, uu)
+    _mul(_mul(_mul(0.5, f.lam_chi, k), f.inv4e, k), xe, fe)
+    # m's (u.xi) xi_n splits evenly into u.xi zeta_n and u.zeta xi_n, and
+    # its xi^b xi_n into xi^b zeta_n and zeta^b xi_n
+    _mul(0.5, _add(f.lam_chi, f.chi_eta3, k), k)
+    _div(_sub(f.chi, f.eta, h), 6.0, h)
+    _sub(_mul(f.lam_eta, uu, c_v), _mul(f.eta, gxz, c_u), c_v)
+    _mul(k, _add(_mul(uxi, zex, c_u), _mul(uze, xix, s_xi), c_u), c_u)
+    _add(_mul(f.lam, gxz, s_xi), _mul(f.lam2chi4, uu, s_ze), s_xi)
+    _add(c_u, _mul(_mul(s_xi, f.inv4e, s_xi), xe, s_xi), c_u)
+    _add(_mul(h, zex, s_xi), _mul(fe, uze, s_ze), s_xi)
+    _add(_mul(h, xix, s_ze), _mul(fe, uxi, fe), s_ze)
+    return uu, c_v, c_u, s_xi, s_ze
+
+
 def symbol_apply(u, f: CellFactors, pairs, x, work: Scratch | None = None) -> np.ndarray:
     """B(e_a, e_c) x_p for each pair p = (a, c) of `pairs`, without forming
     the blocks: (P, 5, N), among work's temporaries.
 
-    u (4, N), f the CellFactors of the cells' eps, x (P, 5, N).
-    B(e_a, e_c) is the symmetrized coefficient of xi_a xi_c in the
-    flat-metric symbol m(xi), so m(xi) is the sum of xi_a xi_c B(e_a, e_c)
-    over all ordered pairs (a, c).  It is `symbol.symbol_components`'
-    formula with xi = e_a and zeta = e_c substituted into the symmetric
-    bilinear form whose diagonal is m: xi.xi becomes g^{ac}, (u.xi)^2
-    becomes u^a u^c, and xi_n picks column a or c.  Only the velocity
-    diagonal, columns a and c, the eps column and the constraint row are
-    nonzero.  This is the one formula for the symbol's coefficients; the
-    pairs share one pass, and each has the bits it has alone.
+    u (4, N), f the cells' CellFactors, x (P, 5, N).  `symbol_coefficients`
+    at the flat basis pairs, whose contractions are picks (u^a, u^c,
+    g^{ac}, x_a and x_c), with xi^# = SGN[a] e_a, zeta^# = SGN[c] e_c and
+    u_flat = SGN u.  The pairs share one pass, and each has the bits it
+    has alone.
     """
     work = Scratch() if work is None else work
     a, c, g_ac = _pair_arrays(tuple(pairs))
     cells, pc = x.shape[2:], (len(a),) + x.shape[2:]
-    ua, uc, uac, xa, xc, fe, t1, t2, t3, t4, k, h, tv, out = work.temps(
-        *[pc] * 10, cells, cells, (len(a), 4) + cells, x.shape)
+    ua, uc, xa, xc, *coeffs, tv, out = work.temps(
+        *[pc] * 10, *[cells] * 2, (len(a), 4) + cells, x.shape)
     u.take(a, 0, ua, "clip")          # "clip" writes out unbuffered
     u.take(c, 0, uc, "clip")
-    _mul(ua, uc, uac)
     for i, (ai, ci) in enumerate(pairs):
         xa[i], xc[i] = x[i, ai], x[i, ci]
     xv, xe = x[:, :4], x[:, 4]
-    # row_b xi_n: [(lam + chi) u^b + (chi - eta)/3 u^b] (u.xi) xi_n, with
-    # (u.xi) xi_n split evenly between u^a in column c and u^c in column a,
-    # and (chi - eta)/3 xi^b xi_n split between entries (a, c) and (c, a)
-    _mul(0.5, _add(f.lam_chi, f.chi_eta3, k), k)
-    _div(_sub(f.chi, f.eta, h), 6.0, h)
-    _mul(_mul(_mul(0.5, f.lam_chi, t1[0]), f.inv4e, t1[0]), xe, fe)
-    # ((lam - eta) u^a u^c - eta g^ac) x_v + u [k (u^a x_c + u^c x_a)
-    #  + (lam g^ac + (2 lam + 4 chi) u^a u^c) x_e / (4 eps)]
-    _sub(_mul(f.lam_eta, uac, t1), _mul(f.eta, g_ac, t2), t1)
-    _mul(k, _add(_mul(ua, xc, t2), _mul(uc, xa, t3), t2), t2)
-    _add(_mul(f.lam, g_ac, t3), _mul(f.lam2chi4, uac, t4), t3)
-    _add(t2, _mul(_mul(t3, f.inv4e, t3), xe, t3), t2)
+    uac, t1, t2, sa, sc = symbol_coefficients(ua, uc, g_ac, xa, xc, xe, f, coeffs)
     for i in range(len(a)):           # per pair: numpy buffers no (P, 4, N) operand
         _mul(t1[i], xv[i], out[i, :4])
         out[i, :4] += _mul(u, t2[i], tv[i])
-    # out[a] += SGN[a] (h x_c + f u^c), then out[c] += SGN[c] (h x_a + f u^a);
-    # adding -t is subtracting t, bit for bit
-    for idx, xo, uo in zip(zip(*pairs), (xc, xa), (uc, ua)):
-        _add(_mul(h, xo, t1), _mul(fe, uo, t2), t1)
+    # out[a] += SGN[a] s_xi, then out[c] += SGN[c] s_zeta; adding -s is
+    # subtracting s, bit for bit
+    for idx, s in zip(zip(*pairs), (sa, sc)):
         for i, row in enumerate(idx):
-            (_sub if SGN[row] < 0.0 else _add)(out[i, row], t1[i], out[i, row])
+            (_sub if SGN[row] < 0.0 else _add)(out[i, row], s[i], out[i, row])
     # SGN . (u x_v) without BLAS: summed from +0 in row order, as SGN @ (u x_v)
     _sub(0.0, _mul(u, xv, tv)[:, 0], t1)
     for row in (1, 2, 3):
         t1 += tv[:, row]
     _mul(uac, t1, out[:, 4])
     return out
+
+
+def symbol_matrix(u, f: CellFactors, g, ginv, xi) -> np.ndarray:
+    """The symbols m(xi) = B(xi, xi) of a batch of states, (..., 5, 5):
+    `symbol_coefficients` applied to the five unit columns.
+
+    u (..., 4), f the states' CellFactors (...), g and ginv (..., 4, 4),
+    xi (..., 4); leading axes broadcast.  The contractions are
+    `symbol_contractions`', with xi^# = g^-1 xi and u_flat = g u, each
+    summed term by term, so a state's symbol has the same bits in any batch.
+    """
+    xiup, u_dn, uxi, xixi, _ = symbol_contractions(u, xi, g, ginv)
+    shape = np.broadcast_shapes(uxi.shape, f.eta.shape)
+    # column n is x = e_n: xi.x_v = xi_n, or 0 in the eps column, and x_e = [n == 4]
+    xix, xe = np.zeros((2, 5) + shape)
+    xix[:4] = np.moveaxis(np.broadcast_to(xi, shape + (4,)), -1, 0)
+    xe[4] = 1.0
+    uu, c_v, c_u, s_xi, s_ze = (np.moveaxis(v, 0, -1) for v in symbol_coefficients(
+        uxi, uxi, xixi, xix, xix, xe, f, [*np.empty((6, 5) + shape), *np.empty((2,) + shape)]))
+    m = np.zeros(shape + (5, 5))
+    m[..., :4, :4] = np.eye(4) * c_v[..., None, :4]
+    m[..., :4, :] += u[..., :, None] * c_u[..., None, :]
+    m[..., :4, :] += xiup[..., :, None] * (s_xi + s_ze)[..., None, :]   # zeta = xi
+    m[..., 4, :4] = uu[..., :4] * u_dn
+    return m
 
 
 class DegenerateTimeMatrix(ValueError):

@@ -1,9 +1,9 @@
-"""The 5x5 fluid principal symbol, its determinant, and the time-coefficient matrix.
+"""Contractions and determinants of the symbol, and the time matrix's closed form.
 
-Row/column order is (u^0, u^1, u^2, u^3, eps).  Rows 0-3 carry the
-second-order coefficients of the four momentum-balance equations with each
-d^2_{alpha mu} replaced by xi_alpha xi_mu; row 4 is the normalization
-constraint row u_nu (u.xi)^2.  Every entry is homogeneous of degree 2 in xi.
+The 5x5 fluid symbol m(xi) is `equations.symbol_matrix`.  Row/column order
+is (u^0, u^1, u^2, u^3, eps).  Rows 0-3 carry the second-order coefficients
+of the four momentum-balance equations with each d^2_{alpha mu} replaced by
+xi_alpha xi_mu; row 4 is the normalization constraint row u_nu (u.xi)^2.
 """
 
 from __future__ import annotations
@@ -32,46 +32,6 @@ def symbol_contractions(u, xi, g, ginv):
     xiup = _dot(ginv, xi[..., None, :])
     u_dn = _dot(g, u[..., None, :])
     return xiup, u_dn, _dot(u, xi), _dot(xi, xiup), _dot(u, u_dn)
-
-
-def symbol_components(u, eps, eta, lam, chi, g, ginv, xi) -> np.ndarray:
-    """Assemble the symbol for batched states; plain-array core.
-
-    u (..., 4), eps/eta/lam/chi (...), g and ginv (..., 4, 4), xi (..., 4);
-    leading axes broadcast, so one metric or covector may serve a whole
-    batch.  Returns (..., 5, 5).  For row b <= 3 and column n <= 3 the
-    entry is
-
-        delta_bn * [-eta xi.xi + (lam - eta)(u.xi)^2]
-        + [(lam + chi) u^b (u.xi) + (chi - eta)/3 (xi^b + u^b (u.xi))] xi_n
-
-    which reproduces the divergence-equation coefficients of d^2 u^n; the
-    first bracket collects the wave-operator part, the second the
-    gradient-of-divergence part (no-sum diagonal convention included).
-    A state's symbol has the same bits whatever batch it is assembled in.
-    """
-    u = np.asarray(u, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    # scalars gain a trailing axis, to broadcast against the index axis
-    eps, eta, lam, chi = (np.asarray(v, dtype=float)[..., None]
-                          for v in (eps, eta, lam, chi))
-    xiup, u_dn, uxi, xixi, _ = symbol_contractions(u, xi, g, ginv)
-    uxi, xixi = uxi[..., None], xixi[..., None]
-    uxi2 = uxi ** 2
-
-    Q = -eta * xixi + (lam - eta) * uxi2
-    row_c = (lam + chi) * u * uxi + (chi - eta) / 3.0 * (xiup + u * uxi)
-    energy = (u * (lam * xixi + (lam + 3.0 * chi) * uxi2)
-              + (lam + chi) * (uxi * xiup + u * uxi2)) / (4.0 * eps)
-    constraint = u_dn * uxi2
-    shape = np.broadcast_shapes(row_c.shape, energy.shape, constraint.shape)[:-1]
-    m = np.zeros(shape + (5, 5))
-    m[..., :4, :4] = row_c[..., :, None] * xi[..., None, :]
-    diag = np.arange(4)
-    m[..., diag, diag] += Q
-    m[..., :4, 4] = energy
-    m[..., 4, :4] = constraint
-    return m
 
 
 def det_by_elimination(m: np.ndarray) -> np.ndarray:

@@ -18,9 +18,9 @@ from .characteristics import (BATCH_VALUES, DISTINCTNESS_GAP, FLUID_FACTORS,
                               bisection_roots, cone_roots_batch, factor_base_values,
                               factor_values, quartic_coefficients, sound_quartic_general)
 from .constitutive import TransportModel
+from .equations import cell_factors, symbol_matrix, time_matrix_solve
 from .symbol import (_dot, check_time_matrix_domain, det_by_elimination,
-                     det_time_matrix_closed_form, symbol_components,
-                     symbol_contractions)
+                     det_time_matrix_closed_form, symbol_contractions)
 from .tensor import minkowski, near_minkowski_components, validate_metrics
 
 DET_TOL = 1e-9
@@ -151,8 +151,9 @@ def factorization_suite(samples: int = 10000, seed: int = 7,
 
     States mix Minkowski with perturbed metrics and normalized with
     unnormalized u; errors are scaled by max(1, E^5, |det|, |product|)
-    with E the largest symbol entry.  The metrics are validated as one
-    stack, and the symbols and the factors read the same contractions.
+    with E the largest symbol entry.  The symbols are the block view of
+    the formula the solver steps.  The metrics are validated as one stack,
+    and the symbols and the factors read the same contractions.
     """
     # accepted only as 1 until the benchmark stops passing it (ROADMAP item 1)
     if threads != 1:
@@ -161,8 +162,8 @@ def factorization_suite(samples: int = 10000, seed: int = 7,
     a2, eps, u, xi, g = _factorization_draws(seed, samples)
     g, ginv = validate_metrics(g)
     eta = FACTORIZATION_MODEL.eta(eps)
-    symbols = symbol_components(u, eps, eta, a2 * eta, FACTORIZATION_MODEL.a1 * eta,
-                                g, ginv, xi)
+    f = cell_factors(eps, (eta, a2 * eta, FACTORIZATION_MODEL.a1 * eta))
+    symbols = symbol_matrix(u, f, g, ginv, xi)
     _, _, uxi, xixi, uu = symbol_contractions(u, xi, g, ginv)
     prods = np.ones(samples)
     for family in FLUID_FACTORS.families:
@@ -382,7 +383,8 @@ def _time_matrix_draws(seed: int, samples: int):
 
 
 def time_matrix_suite(samples: int = 1000, seed: int = 17) -> TimeMatrixReport:
-    """Closed-form time-matrix determinant vs pivoted elimination.
+    """Closed-form time-matrix determinant vs pivoted elimination of m(e0)
+    and the solver's closed-form inverse (`equations.time_matrix_solve`).
 
     Domain of the closed form: Minkowski metric, normalized u, a1 = 4.
     Positivity over the sampled a2 >= 4 regime is asserted as well.
@@ -393,13 +395,13 @@ def time_matrix_suite(samples: int = 1000, seed: int = 17) -> TimeMatrixReport:
     check_time_matrix_domain(g, u, a1)
     # eta is linear in eta0: eta0 times the eta0 = 1 model
     eta = eta0 * TransportModel().eta(eps)
-    e0 = np.array([1.0, 0.0, 0.0, 0.0])
-    matrices = symbol_components(u, eps, eta, a2 * eta, a1 * eta,
-                                 g.components, g.inverse, e0)
+    f = cell_factors(eps, (eta, a2 * eta, a1 * eta))
+    matrices = symbol_matrix(u, f, g.components, g.inverse, np.array([1.0, 0.0, 0.0, 0.0]))
     closed = det_time_matrix_closed_form(eta, eps, u[:, 1] ** 2 + u[:, 2] ** 2
                                          + u[:, 3] ** 2, a2)
-    numeric = det_by_elimination(matrices)
-    worst = np.max(np.abs(closed - numeric) / np.abs(closed), initial=0.0)
+    error = np.maximum(np.abs(closed - det_by_elimination(matrices)),
+                       np.abs(closed - time_matrix_solve(u.T, f)[1]))
+    worst = np.max(error / np.abs(closed), initial=0.0)
     return TimeMatrixReport(samples=samples, seed=seed, tolerance=TIME_MATRIX_TOL,
                             max_relative_error=float(worst),
                             min_closed_form=float(np.min(closed, initial=np.inf)))

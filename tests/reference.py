@@ -20,8 +20,7 @@ from vecf.equations import MUTATION_KEYS, DegenerateTimeMatrix
 from vecf.solver1d import (_QUIET, DET_FLOOR, FieldGrid, SolverConfig, _check_initial,
                            _eps_lost, _members, make_grid)
 from vecf.symbol import (check_time_matrix_domain, det_by_elimination,
-                         det_time_matrix_closed_form, symbol_components,
-                         symbol_contractions)
+                         det_time_matrix_closed_form, symbol_contractions)
 from vecf.tensor import Metric4, minkowski, near_minkowski_components
 
 
@@ -63,10 +62,11 @@ def _as_covector(xi) -> np.ndarray:
 
 
 def fluid_symbol(s: StatePoint, xi) -> np.ndarray:
-    """5x5 principal symbol m(U, xi) at a state point."""
-    xi = _as_covector(xi)
-    eta, lam, chi = s.coefficients()
-    return symbol_components(s.u, s.eps, eta, lam, chi, s.g.components, s.g.inverse, xi)
+    """5x5 principal symbol m(U, xi) at a state point: the batch of one of
+    `equations.symbol_matrix`."""
+    f = equations.cell_factors(np.reshape(s.eps, 1),
+                               tuple(np.reshape(v, 1) for v in s.coefficients()))
+    return equations.symbol_matrix(s.u, f, s.g.components, s.g.inverse, _as_covector(xi))[0]
 
 
 def fluid_char_det(s: StatePoint, xi) -> float:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from reference import (StatePoint, coupled_char_det, det_time_matrix_formula,
                        eval_factor, fluid_char_det, fluid_symbol,
@@ -8,7 +8,7 @@ from reference import (StatePoint, coupled_char_det, det_time_matrix_formula,
 
 from vecf.constitutive import TransportModel
 from vecf.symbol import check_time_matrix_domain, det_by_elimination
-from vecf.tensor import minkowski
+from vecf.tensor import Metric4, minkowski, near_minkowski_components
 from vecf.verification import DET_TOL, _magnitude_scale
 
 E0 = np.array([1.0, 0.0, 0.0, 0.0])
@@ -72,12 +72,34 @@ def fixed_state(a2=6.0, seed=42, normalized=False, mink=True):
                       transport=TransportModel(a1=4.0, a2=a2))
 
 
-def test_entry_families_match_hand_expansion():
+@st.composite
+def unnormalized_states(draw):
+    """a2 in [4, 12], eps and u^0 in [0.5, 2], spatial u in [-2, 2], and
+    Minkowski or a metric within 0.05 of it (`near_minkowski_components`)."""
+    uniforms = draw(st.none() | st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                         min_size=17, max_size=17))
+    g = (minkowski() if uniforms is None
+         else Metric4.from_components(near_minkowski_components(0.05, [uniforms])[0]))
+    u = [draw(st.floats(0.5, 2.0))] + draw(st.lists(st.floats(-2.0, 2.0), min_size=3,
+                                                    max_size=3))
+    return StatePoint(eps=draw(st.floats(0.5, 2.0)), u=np.array(u), g=g,
+                      transport=TransportModel(a1=4.0, a2=draw(st.floats(4.0, 12.0))))
+
+
+def _fixed_examples(test):
+    """The 20 fixed states and covectors, each an explicit example."""
     for seed in range(20):
-        s = fixed_state(a2=4.0 + seed % 5, seed=seed, mink=(seed % 2 == 0))
-        xi = np.random.default_rng(seed + 100).uniform(-2, 2, 4)
-        assert np.allclose(fluid_symbol(s, xi), hand_symbol(s, xi),
-                           rtol=1e-13, atol=1e-13)
+        test = example(fixed_state(a2=4.0 + seed % 5, seed=seed, mink=(seed % 2 == 0)),
+                       np.random.default_rng(seed + 100).uniform(-2, 2, 4))(test)
+    return test
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(unnormalized_states(), st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))
+@_fixed_examples
+def test_entry_families_match_hand_expansion(s, xi):
+    xi = np.array(xi)
+    assert np.allclose(fluid_symbol(s, xi), hand_symbol(s, xi), rtol=1e-13, atol=1e-13)
 
 
 def test_constraint_row_rest_entry():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from reference import StatePoint, fluid_symbol
 
 from vecf.constitutive import TransportModel
-from vecf.symbol import symbol_components
+from vecf.equations import cell_factors, symbol_matrix
 from vecf.tensor import Metric4, minkowski, validate_metrics
 from vecf.verification import (FACTORIZATION_MODEL, _collapse_draws, _factorization_draws,
                                _first_worst, _roots_draws, _time_matrix_draws,
@@ -58,8 +58,8 @@ def test_batched_symbols_match_single_state_symbols(seed):
     a2, eps, u, xi, g_raw = _factorization_draws(seed, 300)
     g, ginv = validate_metrics(g_raw)
     eta = FACTORIZATION_MODEL.eta(eps)
-    symbols = symbol_components(u, eps, eta, a2 * eta, FACTORIZATION_MODEL.a1 * eta,
-                                g, ginv, xi)
+    f = cell_factors(eps, (eta, a2 * eta, FACTORIZATION_MODEL.a1 * eta))
+    symbols = symbol_matrix(u, f, g, ginv, xi)
     for j in range(300):
         metric = minkowski() if j % 2 == 0 else Metric4.from_components(g_raw[j])
         assert np.array_equal(g[j], metric.components)
